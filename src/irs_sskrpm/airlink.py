@@ -10,10 +10,12 @@ the label read as an integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelPair
+if TYPE_CHECKING:
+    from .channel import ChannelPair
 
 
 def rpm_phases(m_rpm: int) -> np.ndarray:
@@ -61,11 +63,6 @@ def map_bits(bits: str, n_t: int, m_rpm: int) -> SymbolPair:
 def demap(pair: SymbolPair, n_t: int, m_rpm: int) -> str:
     """Inverse of map_bits; exact round trip."""
     return symbol_bits(pair.t, pair.m, n_t, m_rpm)
-
-
-def hypothesis_index(t: int, m: int, m_rpm: int) -> int:
-    """Flat index of hypothesis (t, m) in the t-major enumeration."""
-    return (t - 1) * m_rpm + (m - 1)
 
 
 def base_signatures(chan: ChannelPair) -> np.ndarray:

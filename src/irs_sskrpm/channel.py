@@ -2,7 +2,9 @@
 
 The BS->IRS link H is a deterministic rank-1 line-of-sight outer product; the
 IRS->UT link G is Rician: a rank-1 LoS component G_bar plus an i.i.d.
-circularly-symmetric Gaussian part, mixed by the K-factor.
+circularly-symmetric Gaussian part, mixed by the K-factor. Because H is
+rank-1, the receiver sees G only through the n_r-vector g_eff = G^H a_irs
+(see `effective_channel`).
 
 IRS elements are enumerated y-major: the flat index of grid element
 (nx, ny) is ny * n_x + nx. All sums downstream run over all N elements,
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .airlink import rpm_phases
 from .config import SystemConfig, path_loss
 
 
@@ -83,6 +86,35 @@ def rician_weights(cfg: SystemConfig) -> tuple[float, float]:
     nu_r = path_loss(cfg.rho_0, cfg.d_r, cfg.eta)
     return (np.sqrt(cfg.k_r * nu_r / (1.0 + cfg.k_r)),
             np.sqrt(nu_r / (1.0 + cfg.k_r)))
+
+
+@dataclass(frozen=True)
+class EffectiveChannel:
+    """Rank-1 reduction of the link: H = sqrt(nu) a_irs a_bs^T, so hypothesis
+    k has the noise-free signature sqrt_nu * points[k] * g_eff, where
+    g_eff = G^H a_irs ~ CN(mean, scale^2 I_{n_r}).
+
+    points  -- the n_t*m_rpm unit-circle points a_bs[t] e^{j phi_m}, t-major.
+    mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
+    scale   -- diffuse amplitude w_nlos * sqrt(N).
+    sqrt_nu -- amplitude of the BS->IRS path loss.
+    """
+
+    points: np.ndarray
+    mean: np.ndarray
+    scale: float
+    sqrt_nu: float
+
+
+def effective_channel(cfg: SystemConfig) -> EffectiveChannel:
+    """The constellation and the g_eff distribution of cfg."""
+    a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
+    a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
+    w_los, w_nlos = rician_weights(cfg)
+    points = np.outer(a_bs, np.exp(1j * rpm_phases(cfg.m_rpm))).ravel()
+    return EffectiveChannel(points=points, mean=w_los * (build_g_bar(cfg).conj().T @ a_irs),
+                            scale=float(w_nlos * np.sqrt(cfg.n_elements)),
+                            sqrt_nu=float(np.sqrt(cfg.nu)))
 
 
 def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> np.ndarray:

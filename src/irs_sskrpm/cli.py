@@ -78,44 +78,31 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_aber(args: argparse.Namespace) -> int:
+#: CSV columns after snr_db, per sweep command and mode; "samples" is the
+#: per-point trial count under the capacity command's name for it.
+_SWEEP_COLUMNS = {
+    "aber": {"analytic": ["aber_analytical"],
+             "sim": ["aber_sim", "aber_stderr", "trials"],
+             "both": ["aber_analytical", "aber_sim", "aber_stderr", "trials"]},
+    "capacity": {"analytic": ["cap_closed"],
+                 "sim": ["cap_sim", "samples"],
+                 "both": ["cap_closed", "cap_sim", "samples"]},
+}
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
     workers = resolve_workers(None)
     records = run_sweep(cfg, mode=args.mode, exact_pep=args.exact_pep,
-                        paper_literal_args=args.paper_literal_args, workers=workers)
-    if args.mode == "analytic":
-        header = ["snr_db", "aber_analytical"]
-        rows = [[r.snr_db, r.aber_analytical] for r in records]
-    elif args.mode == "sim":
-        header = ["snr_db", "aber_sim", "aber_stderr", "trials"]
-        rows = [[r.snr_db, r.aber_sim, r.aber_stderr, r.trials] for r in records]
-    else:
-        header = ["snr_db", "aber_analytical", "aber_sim", "aber_stderr", "trials"]
-        rows = [[r.snr_db, r.aber_analytical, r.aber_sim, r.aber_stderr, r.trials]
-                for r in records]
-    out = args.out or "aber.csv"
+                        paper_literal_args=args.paper_literal_args, workers=workers,
+                        quantities=(args.command,))
+    header = ["snr_db", *_SWEEP_COLUMNS[args.command][args.mode]]
+    fields = ["trials" if col == "samples" else col for col in header]
+    rows = [[getattr(r, f) for f in fields] for r in records]
+    out = args.out or f"{args.command}.csv"
     _write_csv(out, header, rows)
-    _write_manifest(out + ".manifest.json", cfg, "aber", args.mode, args, workers)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    workers = resolve_workers(None)
-    records = run_sweep(cfg, mode=args.mode, workers=workers)
-    if args.mode == "analytic":
-        header = ["snr_db", "cap_closed"]
-        rows = [[r.snr_db, r.cap_closed] for r in records]
-    elif args.mode == "sim":
-        header = ["snr_db", "cap_sim", "samples"]
-        rows = [[r.snr_db, r.cap_sim, r.trials] for r in records]
-    else:
-        header = ["snr_db", "cap_closed", "cap_sim", "samples"]
-        rows = [[r.snr_db, r.cap_closed, r.cap_sim, r.trials] for r in records]
-    out = args.out or "capacity.csv"
-    _write_csv(out, header, rows)
-    _write_manifest(out + ".manifest.json", cfg, "capacity", args.mode, args, workers)
+    _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args, workers)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -185,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "validate": _cmd_validate,
-    "aber": _cmd_aber,
-    "capacity": _cmd_capacity,
+    "aber": _cmd_sweep,
+    "capacity": _cmd_sweep,
     "pep": _cmd_pep,
 }
 

@@ -103,10 +103,10 @@ def validate(cfg: SystemConfig) -> SystemConfig:
             raise ConfigError(f"{name}={v} must be a positive integer")
     for name in ("d_t", "d_r", "d_0", "eta", "rho_0", "kappa_over_lambda", "delta_over_lambda"):
         v = getattr(cfg, name)
-        if not v > 0:
-            raise ConfigError(f"{name}={v} must be strictly positive")
-    if cfg.k_r < 0:
-        raise ConfigError(f"k_r={cfg.k_r} must be non-negative")
+        if not 0 < v < math.inf:
+            raise ConfigError(f"{name}={v} must be finite and strictly positive")
+    if not 0 <= cfg.k_r < math.inf:
+        raise ConfigError(f"k_r={cfg.k_r} must be finite and non-negative")
     for name in ("phi_a", "phi_e"):
         v = getattr(cfg, name)
         if not 0.0 < v < 2.0 * math.pi:
@@ -116,6 +116,8 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         if not math.isfinite(v):
             raise ConfigError(f"{name}={v} must be finite")
     grid = cfg.snr_grid_db
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError(f"snr_grid_db={list(grid)} must hold finite values only")
     if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
         raise ConfigError(f"snr_grid_db={list(grid)} must be strictly increasing")
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .airlink import rpm_phases
 from .config import SystemConfig, path_loss
@@ -86,37 +85,6 @@ def moments_joint(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
     phases = rpm_phases(cfg.m_rpm)
     d = np.exp(1j * phases[m - 1]) * h[:, t - 1] - np.exp(1j * phases[m_hat - 1]) * h[:, t_hat - 1]
     return _moments_from_direction(d, g_bar, cfg)
-
-
-def ncx2_pdf(x, mom: ErrorEventMoments):
-    """Density of xi at x > 0.
-
-    Assembled in log space with the exponentially scaled Bessel function
-    ive(n_r - 1, .), which keeps the evaluation finite for large
-    sqrt(x)*s/sigma^2. For s^2 = 0 the noncentral form is singular and the
-    central limit applies: a gamma density with shape n_r and scale 2*sigma^2.
-    """
-    if mom.sigma_sq <= 0:
-        raise ValueError(f"sigma_sq={mom.sigma_sq} must be positive for a density")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be strictly positive")
-    nr = mom.n_r
-    two_sig = 2.0 * mom.sigma_sq
-    if mom.s_sq == 0.0:
-        log_pdf = ((nr - 1) * np.log(x) - x / two_sig
-                   - nr * np.log(two_sig) - special.gammaln(nr))
-        out = np.exp(log_pdf)
-        return out if out.shape else float(out)
-    s = np.sqrt(mom.s_sq)
-    sqrt_x = np.sqrt(x)
-    z = sqrt_x * s / mom.sigma_sq
-    log_pdf = (-np.log(two_sig)
-               + 0.5 * (nr - 1) * (np.log(x) - np.log(mom.s_sq))
-               - (sqrt_x - s) ** 2 / two_sig
-               + np.log(special.ive(nr - 1, z)))
-    out = np.exp(log_pdf)
-    return out if out.shape else float(out)
 
 
 def laplace(mom: ErrorEventMoments, a):

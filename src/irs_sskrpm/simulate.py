@@ -2,6 +2,9 @@
 joint ML detector) and of the sampled mutual-information expectation, with
 reproducible parallel RNG.
 
+H is rank-1, so a trial draws only the n_r-vector g_eff = G^H a_irs
+(`channel.effective_channel`), not the N*n_r entries of G.
+
 Reproducibility scheme: work is split into fixed-size chunks of trials and
 the RNG for chunk c of sweep point i is a Philox generator keyed by
 (seed, domain, i, c). Chunk boundaries never depend on the worker count and
@@ -16,16 +19,20 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .airlink import rpm_phases
-from .channel import build_g_bar, build_h, make_channel, rician_weights
-from .config import SystemConfig, validate
+from .channel import EffectiveChannel, effective_channel, make_channel
+from .config import ConfigError, SystemConfig, validate
 from .metrics import NumericalError, aber_union, capacity_closed
 
 #: Trials per RNG chunk. Fixed: changing it changes every simulated result.
 CHUNK_TRIALS = 8192
+
+#: Upper bound on the (samples x pair distances) block evaluated at once by
+#: the capacity kernel, in array elements.
+_PAIR_BLOCK_ELEMENTS = 1 << 20
 
 _DOMAIN_BER = 0
 _DOMAIN_CAPACITY = 1
@@ -33,7 +40,7 @@ _DOMAIN_CAPACITY = 1
 
 @dataclass
 class SweepRecord:
-    """One (SNR, config) row of a sweep; fields not requested by the mode are None."""
+    """One (SNR, config) row of a sweep; fields not requested are None."""
 
     snr_db: float
     aber_analytical: float | None
@@ -44,16 +51,22 @@ class SweepRecord:
     trials: int
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for chunk processing; the IRS_SSKRPM_THREADS environment
-    variable caps it (and supplies the default when workers is None)."""
-    cap = None
+def resolve_workers(workers: int | None = None, chunks: int | None = None) -> int:
+    """Worker count for chunk processing.
+
+    The IRS_SSKRPM_THREADS environment variable caps it (and supplies the
+    default when workers is None); the result is further clamped to the CPU
+    count and, when given, to the number of chunks.
+    """
     env = os.environ.get("IRS_SSKRPM_THREADS")
-    if env is not None:
-        cap = max(1, int(env))
+    try:
+        cap = None if env is None else max(1, int(env))
+    except ValueError:
+        raise ConfigError(f"IRS_SSKRPM_THREADS={env!r} must be an integer") from None
     if workers is None:
-        workers = cap if cap is not None else 1
-    return max(1, min(workers, cap) if cap is not None else workers)
+        workers = cap or 1
+    limits = [v for v in (workers, cap, chunks, os.cpu_count() or 1) if v is not None]
+    return max(1, min(limits))
 
 
 def _chunk_rng(seed: int, domain: int, point_index: int, chunk_index: int) -> np.random.Generator:
@@ -66,37 +79,48 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _ber_chunk(cfg: SystemConfig, p_s: float, seed: int, point_index: int,
+def _map_chunks(kernel, eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
+                sizes: list[int], workers: int | None) -> list:
+    """kernel's partial result for every chunk, in chunk order."""
+    workers = resolve_workers(workers, len(sizes))
+    n = len(sizes)
+    if workers == 1:
+        return [kernel(eff, p_s, seed, point_index, c, size) for c, size in enumerate(sizes)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(kernel, [eff] * n, [p_s] * n, [seed] * n, [point_index] * n,
+                             range(n), sizes, chunksize=1))
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """CN(0, 1) entries: real and imaginary parts each of variance 1/2."""
+    w = rng.standard_normal((2, *shape))
+    return math.sqrt(0.5) * (w[0] + 1j * w[1])
+
+
+def _ber_chunk(eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
                chunk_index: int, n_trials: int) -> int:
-    """Simulate one chunk of trials; returns the bit-error count."""
+    """Simulate one chunk of trials; returns the bit-error count.
+
+    Every signature sqrt(nu) c_k g_eff has the energy nu ||g_eff||^2, so the
+    ML metric ||y - sqrt(P_s nu) c_k g_eff||^2 reduces to
+    -2 sqrt(P_s) Re(conj(c_k) sqrt(nu) g_eff^H y); at P_s = 0 every score is
+    zero and the tie goes to index 0.
+    """
     rng = _chunk_rng(seed, _DOMAIN_BER, point_index, chunk_index)
-    n, n_r, n_t, m_rpm = cfg.n_elements, cfg.n_r, cfg.n_t, cfg.m_rpm
-    b = cfg.bits_total
-    h = build_h(cfg)
-    g_bar = build_g_bar(cfg)
-    w_los, w_nlos = rician_weights(cfg)
-    phasors = np.exp(1j * rpm_phases(m_rpm))
+    n_r = eff.mean.size
     sqrt_p = math.sqrt(p_s)
 
     # Fixed draw order per chunk: symbol codes, diffuse channel part, noise.
-    code = rng.integers(0, n_t * m_rpm, size=n_trials)
-    gw = rng.standard_normal((2, n_trials, n, n_r))
-    zw = rng.standard_normal((2, n_trials, n_r))
-    g = w_los * g_bar[None] + w_nlos * math.sqrt(0.5) * (gw[0] + 1j * gw[1])
-    z = math.sqrt(0.5) * (zw[0] + 1j * zw[1])
+    code = rng.integers(0, eff.points.size, size=n_trials)
+    g = eff.mean + eff.scale * _gaussian(rng, (n_trials, n_r))
+    z = _gaussian(rng, (n_trials, n_r))
+    y = (sqrt_p * eff.sqrt_nu * eff.points[code])[:, None] * g + z
 
-    base = np.einsum("bnr,nt->brt", g.conj(), h)          # G^H h_t per trial
-    t_idx = code // m_rpm
-    m_idx = code % m_rpm
-    y = sqrt_p * phasors[m_idx][:, None] * base[np.arange(n_trials), :, t_idx] + z
+    ip = eff.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
+    score = -2.0 * sqrt_p * np.real(ip[:, None] * eff.points.conj())
+    detected = np.argmin(score, axis=1)
 
-    energy = np.sum(np.abs(base) ** 2, axis=1)            # (trials, n_t)
-    ip = np.einsum("brt,br->bt", base.conj(), y)          # (trials, n_t)
-    score = (p_s * energy[:, :, None]
-             - 2.0 * sqrt_p * np.real(ip[:, :, None] * phasors.conj()[None, None, :]))
-    detected = np.argmin(score.reshape(n_trials, n_t * m_rpm), axis=1)
-
-    popcount = np.array([bin(v).count("1") for v in range(1 << b)])
+    popcount = np.array([bin(v).count("1") for v in range(eff.points.size)])
     return int(popcount[code ^ detected].sum())
 
 
@@ -119,62 +143,53 @@ def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
     b = cfg.bits_total
     if b == 0:
         raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
+    eff = effective_channel(cfg)
     sizes = _chunk_sizes(trials)
-    workers = resolve_workers(workers)
-
-    if rel_precision is not None:
-        errors = 0
-        done = 0
+    if rel_precision is None:
+        counts = _map_chunks(_ber_chunk, eff, p_s, seed, point_index, sizes, workers)
+    else:  # serial: stop after the first chunk that reaches the precision
+        counts = []
         for c, size in enumerate(sizes):
-            errors += _ber_chunk(cfg, p_s, seed, point_index, c, size)
-            done += size
-            aber = errors / (b * done)
-            stderr = math.sqrt(max(aber * (1.0 - aber), 0.0) / (done * b))
+            counts.append(_ber_chunk(eff, p_s, seed, point_index, c, size))
+            aber, stderr = _ber_estimate(sum(counts), b * sum(sizes[:c + 1]))
             if aber > 0 and stderr / aber < rel_precision:
-                return aber, stderr
-        return aber, stderr
-
-    if workers > 1 and len(sizes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_ber_chunk, [cfg] * len(sizes), [p_s] * len(sizes),
-                                   [seed] * len(sizes), [point_index] * len(sizes),
-                                   range(len(sizes)), sizes, chunksize=1))
-    else:
-        counts = [_ber_chunk(cfg, p_s, seed, point_index, c, size)
-                  for c, size in enumerate(sizes)]
-    errors = sum(counts)  # exact integer reduction, order-insensitive
-    aber = errors / (b * trials)
-    stderr = math.sqrt(max(aber * (1.0 - aber), 0.0) / (trials * b))
-    return aber, stderr
+                break
+    # exact integer reduction, order-insensitive
+    return _ber_estimate(sum(counts), b * sum(sizes[:len(counts)]))
 
 
-def _capacity_chunk(cfg: SystemConfig, p_s: float, seed: int, point_index: int,
-                    chunk_index: int, n_samples: int) -> tuple[float, float]:
+def _ber_estimate(errors: int, bits: int) -> tuple[float, float]:
+    """Bit error rate over `bits` transmitted bits and its binomial standard error."""
+    aber = errors / bits
+    return aber, math.sqrt(max(aber * (1.0 - aber), 0.0) / bits)
+
+
+def _pair_distances(eff: EffectiveChannel, m_rpm: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct nu*|c_k - c_j|^2 over the ordered pairs whose antenna and
+    phase indices both differ, with their multiplicities."""
+    t, m = np.divmod(np.arange(eff.points.size), m_rpm)
+    both = (t[:, None] != t[None, :]) & (m[:, None] != m[None, :])
+    diff = eff.points[:, None] - eff.points[None, :]
+    d2, mult = np.unique(np.abs(diff[both]) ** 2, return_counts=True)
+    return eff.sqrt_nu ** 2 * d2, mult.astype(float)
+
+
+def _capacity_chunk(eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
+                    chunk_index: int, n_samples: int,
+                    dist: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
     """Partial sums (sum_a, sum_a_sq) of the per-sample aggregate
-    a_j = sum over hypothesis pairs of exp(-p_s * xi_j / 2)."""
+    a = sum over hypothesis pairs of exp(-p_s * xi / 2), where
+    xi = nu |c_k - c_j|^2 ||g_eff||^2 and dist holds `_pair_distances`."""
     rng = _chunk_rng(seed, _DOMAIN_CAPACITY, point_index, chunk_index)
-    n, n_r, n_t, m_rpm = cfg.n_elements, cfg.n_r, cfg.n_t, cfg.m_rpm
-    h = build_h(cfg)
-    g_bar = build_g_bar(cfg)
-    w_los, w_nlos = rician_weights(cfg)
-    phasors = np.exp(1j * rpm_phases(m_rpm))
-
-    gw = rng.standard_normal((2, n_samples, n, n_r))
-    g = w_los * g_bar[None] + w_nlos * math.sqrt(0.5) * (gw[0] + 1j * gw[1])
-    base = np.einsum("bnr,nt->brt", g.conj(), h)          # (samples, n_r, n_t)
+    g = eff.mean + eff.scale * _gaussian(rng, (n_samples, eff.mean.size))
+    energy = np.sum(np.abs(g) ** 2, axis=1)
+    d2, mult = dist
 
     agg = np.zeros(n_samples)
-    for m in range(m_rpm):
-        for m_hat in range(m_rpm):
-            if m_hat == m:
-                continue
-            for t in range(n_t):
-                for t_hat in range(n_t):
-                    if t_hat == t:
-                        continue
-                    diff = phasors[m] * base[:, :, t] - phasors[m_hat] * base[:, :, t_hat]
-                    xi = np.sum(np.abs(diff) ** 2, axis=1)
-                    agg += np.exp(-0.5 * p_s * xi)
+    step = max(1, _PAIR_BLOCK_ELEMENTS // n_samples)
+    for lo in range(0, d2.size, step):
+        terms = np.exp(np.multiply.outer(energy, -0.5 * p_s * d2[lo:lo + step]))
+        agg += np.sum(terms * mult[lo:lo + step], axis=1)
     return float(agg.sum()), float(np.dot(agg, agg))
 
 
@@ -182,8 +197,9 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
                       point_index: int = 0, workers: int | None = 1,
                       with_stderr: bool = False):
     """Sampled ergodic capacity: every E[exp(-P_s*xi/2)] is averaged over
-    redrawn channels with xi computed directly from the signature difference
-    (an independent code path from the moment-based closed form).
+    redrawn effective channels with xi computed directly from the
+    constellation distance and ||g_eff||^2 (an independent code path from
+    the moment-based closed form).
 
     Returns the capacity in bits per channel use, or (capacity, stderr) when
     with_stderr is True.
@@ -192,61 +208,55 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
-    sizes = _chunk_sizes(channel_samples)
-    workers = resolve_workers(workers)
-    if workers > 1 and len(sizes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_capacity_chunk, [cfg] * len(sizes), [p_s] * len(sizes),
-                                     [seed] * len(sizes), [point_index] * len(sizes),
-                                     range(len(sizes)), sizes, chunksize=1))
-    else:
-        partials = [_capacity_chunk(cfg, p_s, seed, point_index, c, size)
-                    for c, size in enumerate(sizes)]
+    eff = effective_channel(cfg)
+    kernel = partial(_capacity_chunk, dist=_pair_distances(eff, cfg.m_rpm))
+    partials = _map_chunks(kernel, eff, p_s, seed, point_index,
+                           _chunk_sizes(channel_samples), workers)
     # reduce in chunk order so the float result is worker-count independent
-    sum_a = 0.0
-    sum_a_sq = 0.0
-    for pa, pa2 in partials:
-        sum_a += pa
-        sum_a_sq += pa2
+    sum_a, sum_a_sq = (sum(column) for column in zip(*partials))
     n = channel_samples
     mean_a = sum_a / n
     cap = 2.0 * math.log2(k) - math.log2(k + mean_a)
     if not with_stderr:
         return cap
-    if n > 1:
-        var_a = max(sum_a_sq / n - mean_a ** 2, 0.0) * n / (n - 1)
-        stderr = math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))
-    else:
-        stderr = float("inf")
-    return cap, stderr
+    var_a = max(sum_a_sq / n - mean_a ** 2, 0.0) * n / (n - 1) if n > 1 else math.inf
+    return cap, math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))
 
 
 def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
               paper_literal_args: bool = False, workers: int | None = 1,
-              capacity_samples: int | None = None) -> list[SweepRecord]:
+              capacity_samples: int | None = None,
+              quantities: tuple[str, ...] = ("aber", "capacity")) -> list[SweepRecord]:
     """Evaluate every SNR point of cfg's grid.
 
-    mode selects what is filled in: "analytic" (union bound and closed-form
-    capacity), "sim" (Monte-Carlo ABER and sampled capacity at cfg.trials
-    per point) or "both". Rows are ordered by SNR and the whole sweep is
-    deterministic for a fixed cfg.seed.
+    mode selects how: "analytic" (union bound, closed-form capacity), "sim"
+    (Monte-Carlo ABER and sampled capacity at cfg.trials per point) or
+    "both"; quantities selects what: "aber", "capacity" or both. Only the
+    requested fields are computed, the others stay None. Rows are ordered
+    by SNR and the whole sweep is deterministic for a fixed cfg.seed.
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
         raise ValueError(f"mode={mode!r} must be analytic, sim or both")
-    chan = make_channel(cfg)
+    if not quantities or not set(quantities) <= {"aber", "capacity"}:
+        raise ValueError(f"quantities={quantities!r} must name aber and/or capacity")
+    analytic, sim = mode != "sim", mode != "analytic"
+    aber, capacity = "aber" in quantities, "capacity" in quantities
+    chan = make_channel(cfg) if analytic else None
     samples = cfg.trials if capacity_samples is None else capacity_samples
     records: list[SweepRecord] = []
     for i, snr_db in enumerate(cfg.snr_grid_db):
         p_s = 10.0 ** (snr_db / 10.0)
         try:
             aber_a = aber_sim = stderr = cap_c = cap_s = None
-            if mode in ("analytic", "both"):
+            if analytic and aber:
                 aber_a = aber_union(chan, cfg, p_s, exact_pep, paper_literal_args)
+            if analytic and capacity:
                 cap_c = capacity_closed(chan, cfg, p_s)
-            if mode in ("sim", "both"):
+            if sim and aber:
                 aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed,
                                                 point_index=i, workers=workers)
+            if sim and capacity:
                 cap_s = simulate_capacity(cfg, p_s, samples, cfg.seed,
                                           point_index=i, workers=workers)
         except NumericalError as exc:

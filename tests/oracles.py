@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the library's moment/Laplace code paths:
-statistics are sampled from raw channel draws and signature differences, and
-integrals are evaluated with scipy's adaptive quadrature. These are the
-reference implementations the analytical formulas are checked against.
+Everything here deliberately avoids the library's moment/Laplace code paths
+and its rank-1 Monte-Carlo kernel: statistics are sampled from raw draws of
+the full N x n_r matrix G and signature differences, and integrals are
+evaluated with scipy's adaptive quadrature against the closed-form density.
+These are the reference implementations the library is checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,38 @@ from scipy import integrate, special, stats
 
 from irs_sskrpm import SystemConfig, build_g_bar, build_h, rpm_phases
 from irs_sskrpm.channel import rician_weights
-from irs_sskrpm.ncx2 import ErrorEventMoments, ncx2_pdf
+from irs_sskrpm.ncx2 import ErrorEventMoments
+
+
+def ncx2_pdf(x, mom: ErrorEventMoments):
+    """Density of xi at x > 0.
+
+    Assembled in log space with the exponentially scaled Bessel function
+    ive(n_r - 1, .), which keeps the evaluation finite for large
+    sqrt(x)*s/sigma^2. For s^2 = 0 the noncentral form is singular and the
+    central limit applies: a gamma density with shape n_r and scale 2*sigma^2.
+    """
+    if mom.sigma_sq <= 0:
+        raise ValueError(f"sigma_sq={mom.sigma_sq} must be positive for a density")
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("x must be strictly positive")
+    nr = mom.n_r
+    two_sig = 2.0 * mom.sigma_sq
+    if mom.s_sq == 0.0:
+        log_pdf = ((nr - 1) * np.log(x) - x / two_sig
+                   - nr * np.log(two_sig) - special.gammaln(nr))
+        out = np.exp(log_pdf)
+        return out if out.shape else float(out)
+    s = np.sqrt(mom.s_sq)
+    sqrt_x = np.sqrt(x)
+    z = sqrt_x * s / mom.sigma_sq
+    log_pdf = (-np.log(two_sig)
+               + 0.5 * (nr - 1) * (np.log(x) - np.log(mom.s_sq))
+               - (sqrt_x - s) ** 2 / two_sig
+               + np.log(special.ive(nr - 1, z)))
+    out = np.exp(log_pdf)
+    return out if out.shape else float(out)
 
 
 def event_direction(cfg: SystemConfig, h: np.ndarray, kind: str,
@@ -89,6 +121,43 @@ def pairwise_error_rate(cfg: SystemConfig, kind: str,
     rate = errors / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
     return rate, stderr
+
+
+def ber_full_g(cfg: SystemConfig, p_s: float, trials: int,
+               rng: np.random.Generator) -> float:
+    """Average bit error rate from the full signal model.
+
+    Per trial: uniform hypothesis, a fresh N x n_r matrix G, the received
+    vector sqrt(P_s) e^{j phi_m} G^H h_t + noise and exhaustive ML detection
+    over the per-antenna signatures G^H h_t.
+    """
+    n, n_r, n_t, m_rpm = cfg.n_elements, cfg.n_r, cfg.n_t, cfg.m_rpm
+    h = build_h(cfg)
+    g_bar = build_g_bar(cfg)
+    w_los, w_nlos = rician_weights(cfg)
+    phasors = np.exp(1j * rpm_phases(m_rpm))
+    popcount = np.array([bin(v).count("1") for v in range(n_t * m_rpm)])
+    sqrt_p = math.sqrt(p_s)
+    errors = 0
+    done = 0
+    while done < trials:
+        block = min(trials - done, 8192)
+        code = rng.integers(0, n_t * m_rpm, size=block)
+        gw = rng.standard_normal((2, block, n, n_r))
+        zw = rng.standard_normal((2, block, n_r))
+        g = w_los * g_bar[None] + w_nlos * math.sqrt(0.5) * (gw[0] + 1j * gw[1])
+        z = math.sqrt(0.5) * (zw[0] + 1j * zw[1])
+        base = np.einsum("bnr,nt->brt", g.conj(), h)          # G^H h_t per trial
+        t_idx, m_idx = np.divmod(code, m_rpm)
+        y = sqrt_p * phasors[m_idx][:, None] * base[np.arange(block), :, t_idx] + z
+        energy = np.sum(np.abs(base) ** 2, axis=1)            # (trials, n_t)
+        ip = np.einsum("brt,br->bt", base.conj(), y)          # (trials, n_t)
+        score = (p_s * energy[:, :, None]
+                 - 2.0 * sqrt_p * np.real(ip[:, :, None] * phasors.conj()[None, None, :]))
+        detected = np.argmin(score.reshape(block, n_t * m_rpm), axis=1)
+        errors += int(popcount[code ^ detected].sum())
+        done += block
+    return errors / (cfg.bits_total * trials)
 
 
 def pdf_mass(mom: ErrorEventMoments) -> float:

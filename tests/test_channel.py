@@ -3,8 +3,10 @@ import pytest
 from dataclasses import replace
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, dump_channel,
-                        load_channel, make_channel, sample_g, steering_bs,
-                        steering_irs, validate)
+                        effective_channel, load_channel, make_channel,
+                        sample_g, signatures, steering_bs, steering_irs,
+                        validate)
+from irs_sskrpm.channel import rician_weights
 from test_config import PATH_LOSS_4KM
 
 
@@ -66,6 +68,23 @@ def test_build_g_bar_structure(cfg):
     # broadside user array: all columns identical
     np.testing.assert_allclose(g_bar[:, 0], g_bar[:, 1], rtol=1e-13)
     np.testing.assert_allclose(g_bar[:, 0], g_bar[:, 2], rtol=1e-13)
+
+
+def test_effective_channel_reproduces_every_signature(rng):
+    # every hypothesis signature of a full G draw is sqrt(nu) c_k G^H a_irs
+    cfg = validate(SystemConfig(n_t=4, m_rpm=4, n_x=3, n_y=5, n_r=3, phi_d=1.1))
+    eff = effective_channel(cfg)
+    chan = make_channel(cfg, rng)
+    a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
+    g_eff = chan.g.conj().T @ a_irs
+    np.testing.assert_allclose(signatures(chan, cfg.m_rpm),
+                               eff.sqrt_nu * eff.points[:, None] * g_eff[None, :],
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(np.abs(eff.points), 1.0, rtol=1e-15)
+    w_los, w_nlos = rician_weights(cfg)
+    np.testing.assert_allclose(eff.mean, w_los * (chan.g_bar.conj().T @ a_irs), rtol=1e-15)
+    assert eff.scale == pytest.approx(w_nlos * np.sqrt(cfg.n_elements), rel=1e-15)
+    assert eff.sqrt_nu ** 2 == pytest.approx(cfg.nu, rel=1e-15)
 
 
 def test_sample_g_limits(cfg, rng):

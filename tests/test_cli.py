@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -121,3 +122,42 @@ def test_exact_pep_flag_changes_analytics(tmp_path, quick_cfg):
     assert main(["aber", "--config", quick_cfg, "--mode", "analytic", "--out", out2,
                  "--exact-pep"]) == 0
     assert open(out1).read() != open(out2).read()
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed a quantity the command does not write")
+    for name in names:
+        monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
+
+
+@pytest.mark.parametrize("mode", ["sim", "both"])
+def test_aber_never_computes_capacity(tmp_path, quick_cfg, monkeypatch, mode):
+    _forbid(monkeypatch, "simulate_capacity", "capacity_closed")
+    out = str(tmp_path / "a.csv")
+    assert main(["aber", "--config", quick_cfg, "--mode", mode, "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 4
+
+
+def test_capacity_sim_csv(tmp_path, quick_cfg, monkeypatch):
+    _forbid(monkeypatch, "simulate_ber", "aber_union")
+    out = str(tmp_path / "c.csv")
+    assert main(["capacity", "--config", quick_cfg, "--mode", "sim", "--trials", "3000",
+                 "--out", out]) == 0
+    lines = open(out).read().splitlines()
+    assert lines[0] == "snr_db,cap_sim,samples"
+    assert len(lines) == 4
+    caps = []
+    for line in lines[1:]:
+        snr, cap, samples = line.split(",")
+        caps.append(float(cap))
+        assert math.isfinite(caps[-1]) and caps[-1] <= math.log2(4) + 1e-12
+        assert samples == "3000"
+    assert caps == sorted(caps)
+
+
+def test_bad_thread_count_is_a_config_error(tmp_path, quick_cfg, monkeypatch, capsys):
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "lots")
+    assert main(["aber", "--config", quick_cfg, "--mode", "sim",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "IRS_SSKRPM_THREADS" in capsys.readouterr().err

@@ -80,6 +80,17 @@ def test_validate_is_idempotent():
     ("seed", -1, "seed"),
     ("snr_grid_db", (0.0, 0.0), "snr_grid_db"),
     ("snr_grid_db", (4.0, 2.0), "snr_grid_db"),
+    ("snr_grid_db", (0.0, float("nan")), "snr_grid_db"),
+    ("snr_grid_db", (0.0, float("inf")), "snr_grid_db"),
+    ("snr_grid_db", (float("-inf"), 0.0), "snr_grid_db"),
+    ("k_r", float("nan"), "k_r"),
+    ("k_r", float("inf"), "k_r"),
+    ("d_t", float("inf"), "d_t"),
+    ("d_r", float("inf"), "d_r"),
+    ("d_0", float("inf"), "d_0"),
+    ("eta", float("inf"), "eta"),
+    ("rho_0", float("inf"), "rho_0"),
+    ("d_r", float("nan"), "d_r"),
 ])
 def test_validate_reports_offending_field(field, value, frag):
     with pytest.raises(ConfigError, match=frag):

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 from irs_sskrpm import (ErrorEventMoments, SystemConfig, build_g_bar, build_h,
                         laplace, moments_joint, moments_rpm, moments_ssk,
-                        ncx2_pdf, validate)
-from oracles import (event_direction, laplace_by_quadrature, pdf_mass,
-                     pdf_mean, sample_xi)
+                        validate)
+from oracles import (event_direction, laplace_by_quadrature, ncx2_pdf,
+                     pdf_mass, pdf_mean, sample_xi)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from irs_sskrpm import (SystemConfig, capacity_closed, make_channel,
+from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed,
+                        effective_channel, load_config, make_channel,
                         run_sweep, simulate_ber, simulate_capacity, validate)
+from irs_sskrpm.simulate import _pair_distances, resolve_workers
+from conftest import config_path
+from oracles import ber_full_g
 
 FAST = dict(snr_grid_db=(0.0, 10.0, 20.0), trials=4000)
 
@@ -24,6 +30,20 @@ def test_ber_rejects_zero_bits():
     cfg0 = validate(SystemConfig(n_t=1, m_rpm=1))
     with pytest.raises(ValueError, match="nothing to transmit"):
         simulate_ber(cfg0, 10.0, 100, seed=1)
+
+
+@pytest.mark.parametrize("name", ["aber_n32.cfg", "diversity_nr3.cfg"])
+@pytest.mark.parametrize("snr_db", [10.0, 20.0])
+def test_rank1_ber_matches_full_g_reference(name, snr_db):
+    # the effective-channel kernel against the full N x n_r sampler; sigma is
+    # the conservative per-trial bound sqrt(x/trials) of each estimate
+    cfg = validate(load_config(config_path(name)))
+    p_s = 10 ** (snr_db / 10)
+    trials = 100_000
+    fast, _ = simulate_ber(cfg, p_s, trials, seed=cfg.seed)
+    ref = ber_full_g(cfg, p_s, trials, np.random.default_rng(404))
+    sigma = math.sqrt(fast / trials + ref / trials)
+    assert abs(fast - ref) <= 4 * sigma, (fast, ref, sigma)
 
 
 def test_ber_deterministic_across_workers(cfg):
@@ -71,6 +91,48 @@ def test_capacity_deterministic_across_workers(cfg):
     assert c1 == c3
 
 
+def test_capacity_pair_distances_cover_every_joint_pair():
+    cfg = validate(SystemConfig(n_t=8, m_rpm=8, phi_d=0.3))
+    eff = effective_channel(cfg)
+    d2, mult = _pair_distances(eff, cfg.m_rpm)
+    assert mult.sum() == 8 * 7 * 8 * 7
+    assert np.all(np.diff(d2) > 0) and d2[0] >= 0.0
+    # the pair set is closed under swapping the two hypotheses
+    assert np.all(mult % 2 == 0)
+
+
+def test_capacity_pair_blocks_do_not_change_the_estimate(monkeypatch):
+    cfg = validate(SystemConfig(n_t=4, m_rpm=4, phi_d=0.3))
+    whole = simulate_capacity(cfg, 10.0, 3000, seed=8)
+    monkeypatch.setattr("irs_sskrpm.simulate._PAIR_BLOCK_ELEMENTS", 1)  # one distance per block
+    assert simulate_capacity(cfg, 10.0, 3000, seed=8) == pytest.approx(whole, rel=1e-13)
+
+
+def test_resolve_workers_env_not_an_integer(monkeypatch):
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "two")
+    with pytest.raises(ConfigError, match="IRS_SSKRPM_THREADS"):
+        resolve_workers(None)
+
+
+def test_resolve_workers_clamps(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
+    assert resolve_workers(None) == 1
+    assert resolve_workers(64) == 4
+    assert resolve_workers(64, chunks=3) == 3
+    assert resolve_workers(2, chunks=10) == 2
+    assert resolve_workers(0) == 1
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "10000")
+    assert resolve_workers(None) == 4
+    assert resolve_workers(None, chunks=2) == 2
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "3")
+    assert resolve_workers(8) == 3
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "0")
+    assert resolve_workers(None) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert resolve_workers(8) == 1
+
+
 def test_run_sweep_empty_grid(cfg):
     empty = validate(replace(cfg, snr_grid_db=()))
     assert run_sweep(empty, mode="analytic") == []
@@ -91,6 +153,27 @@ def test_run_sweep_modes(cfg):
     assert all(r.aber_analytical is not None and r.cap_closed is not None for r in analytic)
     sim = run_sweep(quick, mode="sim")
     assert all(r.aber_analytical is None and r.aber_sim is not None for r in sim)
+
+
+def test_run_sweep_computes_only_requested_quantities(cfg, monkeypatch):
+    quick = validate(replace(cfg, **FAST))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed a quantity that was not requested")
+
+    for name in ("capacity_closed", "simulate_capacity"):
+        monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
+    rows = run_sweep(quick, mode="both", quantities=("aber",))
+    assert all(r.cap_closed is None and r.cap_sim is None for r in rows)
+    assert all(r.aber_analytical is not None and r.aber_sim is not None for r in rows)
+    monkeypatch.undo()
+    for name in ("aber_union", "simulate_ber"):
+        monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
+    rows = run_sweep(quick, mode="both", quantities=("capacity",))
+    assert all(r.aber_analytical is None and r.aber_sim is None for r in rows)
+    assert all(r.cap_closed is not None and r.cap_sim is not None for r in rows)
+    with pytest.raises(ValueError, match="quantities"):
+        run_sweep(quick, quantities=("ber",))
 
 
 def test_run_sweep_stderr_contract(cfg):
