@@ -7,14 +7,14 @@ __version__ = "0.1.0"
 from .airlink import (SymbolPair, demap, map_bits, ml_detect, rpm_phases,
                       signatures, symbol_bits, synthesize_rx)
 from .channel import (ChannelPair, EffectiveChannel, build_g_bar, build_h,
-                      dump_channel, effective_channel, load_channel,
-                      make_channel, sample_g, steering_bs, steering_irs)
+                      effective_channel, make_channel, sample_g, steering_bs,
+                      steering_irs)
 from .config import ConfigError, SystemConfig, load_config, parse_config, path_loss, validate
 from .metrics import (NumericalError, PepValue, aber_union, aber_union_terms,
                       capacity_closed, diversity_slope, pep_joint,
                       pep_of_event, pep_rpm, pep_ssk)
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm,
-                   moments_ssk)
+                   moments_ssk, pair_moments)
 from .simulate import (SweepRecord, run_sweep, simulate_ber,
                        simulate_capacity)
 
@@ -23,11 +23,10 @@ __all__ = [
     "SystemConfig", "ConfigError", "load_config", "parse_config", "path_loss", "validate",
     "ChannelPair", "steering_irs", "steering_bs", "build_h", "build_g_bar",
     "sample_g", "make_channel", "EffectiveChannel", "effective_channel",
-    "dump_channel", "load_channel",
     "SymbolPair", "rpm_phases", "map_bits", "demap", "symbol_bits",
     "signatures", "synthesize_rx", "ml_detect",
     "ErrorEventMoments", "moments_ssk", "moments_rpm", "moments_joint",
-    "laplace",
+    "pair_moments", "laplace",
     "PepValue", "NumericalError", "pep_of_event", "pep_ssk", "pep_rpm",
     "pep_joint", "aber_union", "aber_union_terms", "diversity_slope",
     "capacity_closed",

@@ -50,6 +50,21 @@ def symbol_bits(t: int, m: int, n_t: int, m_rpm: int) -> str:
     return format(t - 1, f"0{b_bs}b")[:b_bs] + format(m - 1, f"0{b_irs}b")[:b_irs]
 
 
+def label_weights(k: int) -> np.ndarray:
+    """Number of ones in the bit label of each flat hypothesis index 0..k-1;
+    the labels of hypotheses i and j differ in label_weights(k)[i ^ j] bits."""
+    return np.array([bin(v).count("1") for v in range(k)])
+
+
+def pair_classes(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the ordered pairs (i, j) of flat hypothesis indices, each (K, K):
+    same antenna, same phase, and the Hamming distance of the two bit labels."""
+    idx = np.arange(n_t * m_rpm)
+    t, m = np.divmod(idx, m_rpm)
+    return (t[:, None] == t[None, :], m[:, None] == m[None, :],
+            label_weights(idx.size)[np.bitwise_xor.outer(idx, idx)])
+
+
 def map_bits(bits: str, n_t: int, m_rpm: int) -> SymbolPair:
     """Map a bit string to (t, m); the first log2(n_t) bits select the antenna."""
     b_bs, b_irs = _bit_widths(n_t, m_rpm)

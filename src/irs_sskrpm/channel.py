@@ -8,13 +8,11 @@ rank-1, the receiver sees G only through the n_r-vector g_eff = G^H a_irs
 
 IRS elements are enumerated y-major: the flat index of grid element
 (nx, ny) is ny * n_x + nx. All sums downstream run over all N elements,
-so results do not depend on this choice, but it is fixed so that fixtures
-and dumps are reproducible.
+so results do not depend on this choice.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,46 +136,3 @@ def make_channel(cfg: SystemConfig, rng: np.random.Generator | None = None) -> C
     g = sample_g(cfg, g_bar, rng) if rng is not None else None
     return ChannelPair(h=build_h(cfg), g=g, g_bar=g_bar)
 
-
-# ---- binary fixture dump ----------------------------------------------------
-#
-# Layout: header of 4 little-endian int64 (N, n_t, n_r, has_g), then H,
-# G_bar and (when present) G, each row-major as interleaved (re, im) float64.
-
-_HEADER = struct.Struct("<4q")
-
-
-def _write_complex(fh, a: np.ndarray) -> None:
-    inter = np.empty(a.shape + (2,), dtype="<f8")
-    inter[..., 0] = a.real
-    inter[..., 1] = a.imag
-    fh.write(inter.tobytes(order="C"))
-
-
-def _read_complex(fh, shape: tuple[int, int]) -> np.ndarray:
-    count = shape[0] * shape[1] * 2
-    flat = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    inter = flat.reshape(shape + (2,))
-    return (inter[..., 0] + 1j * inter[..., 1]).astype(np.complex128)
-
-
-def dump_channel(chan: ChannelPair, path: str) -> None:
-    """Write a ChannelPair regression fixture in the documented binary layout."""
-    n, n_t = chan.h.shape
-    n_r = chan.g_bar.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(n, n_t, n_r, 0 if chan.g is None else 1))
-        _write_complex(fh, chan.h)
-        _write_complex(fh, chan.g_bar)
-        if chan.g is not None:
-            _write_complex(fh, chan.g)
-
-
-def load_channel(path: str) -> ChannelPair:
-    """Read back a fixture written by dump_channel."""
-    with open(path, "rb") as fh:
-        n, n_t, n_r, has_g = _HEADER.unpack(fh.read(_HEADER.size))
-        h = _read_complex(fh, (n, n_t))
-        g_bar = _read_complex(fh, (n, n_r))
-        g = _read_complex(fh, (n, n_r)) if has_g else None
-    return ChannelPair(h=h, g=g, g_bar=g_bar)

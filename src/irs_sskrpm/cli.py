@@ -11,11 +11,15 @@ import datetime
 import json
 import sys
 from dataclasses import asdict, replace
+from itertools import permutations
+
+import numpy as np
 
 from . import __version__
 from .channel import make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
-from .metrics import NumericalError, pep_joint, pep_rpm, pep_ssk
+from .metrics import NumericalError, pep_of_event
+from .ncx2 import pair_moments
 from .simulate import resolve_workers, run_sweep
 
 
@@ -107,36 +111,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pep_cells(n_t: int, m_rpm: int) -> list[list]:
+    """Key cells (event, t, t_hat, m, m_hat) of one SNR point's pep rows."""
+    ts, ms = list(permutations(range(1, n_t + 1), 2)), list(permutations(range(1, m_rpm + 1), 2))
+    return ([["ssk", *t, "", ""] for t in ts] + [["rpm", "", "", *m] for m in ms]
+            + [["joint", *t, *m] for m in ms for t in ts])
+
+
+def _pep_values(table, n_t: int, m_rpm: int) -> list[float]:
+    """Values of the `_pep_cells` rows from a (K, K) table over flat t-major
+    pairs: ssk at phase 1, rpm averaged over the antenna, joint as it is."""
+    p, ant = table.reshape(n_t, m_rpm, n_t, m_rpm), np.arange(n_t)
+    off_t, off_m = ~np.eye(n_t, dtype=bool), ~np.eye(m_rpm, dtype=bool)
+    return np.concatenate([p[:, 0, :, 0][off_t], p[ant, :, ant, :].mean(axis=0)[off_m],
+                           p.transpose(1, 3, 0, 2)[off_m][:, off_t].ravel()]).tolist()
+
+
 def _cmd_pep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     chan = make_channel(cfg)
-    lit = args.paper_literal_args
+    table = pair_moments(chan.h, chan.g_bar, cfg)
+    cells = _pep_cells(cfg.n_t, cfg.m_rpm)
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
     rows: list[list] = []
     for snr_db in cfg.snr_grid_db:
-        p_s = 10.0 ** (snr_db / 10.0)
-        for t in range(1, cfg.n_t + 1):
-            for t_hat in range(1, cfg.n_t + 1):
-                if t_hat == t:
-                    continue
-                v = pep_ssk(chan, cfg, t, t_hat, p_s, lit)
-                rows.append([snr_db, "ssk", t, t_hat, "", "", v.exact, v.chiani])
-        for m in range(1, cfg.m_rpm + 1):
-            for m_hat in range(1, cfg.m_rpm + 1):
-                if m_hat == m:
-                    continue
-                v = pep_rpm(chan, cfg, m, m_hat, p_s, lit)
-                rows.append([snr_db, "rpm", "", "", m, m_hat, v.exact, v.chiani])
-        for m in range(1, cfg.m_rpm + 1):
-            for m_hat in range(1, cfg.m_rpm + 1):
-                if m_hat == m:
-                    continue
-                for t in range(1, cfg.n_t + 1):
-                    for t_hat in range(1, cfg.n_t + 1):
-                        if t_hat == t:
-                            continue
-                        v = pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s, lit)
-                        rows.append([snr_db, "joint", t, t_hat, m, m_hat, v.exact, v.chiani])
+        v = pep_of_event(table, 10.0 ** (snr_db / 10.0), args.paper_literal_args)
+        rows.extend([snr_db, *c, exact, chiani] for c, exact, chiani in
+                    zip(cells, _pep_values(v.exact, cfg.n_t, cfg.m_rpm),
+                        _pep_values(v.chiani, cfg.n_t, cfg.m_rpm)))
     out = args.out or "pep.csv"
     _write_csv(out, header, rows)
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args, 1)

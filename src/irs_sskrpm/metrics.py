@@ -12,6 +12,10 @@ and {P_s/2, 2*P_s/3} in the closed form) for side-by-side comparison with
 texts that use that convention; the default arguments are the ones consistent
 with Q(sqrt(P_s*xi/2)) and are the ones validated against direct quadrature
 and Monte-Carlo.
+
+The union bound and the closed-form capacity read one table over all ordered
+hypothesis pairs (`ncx2.pair_moments`), evaluated in one vectorised pass per
+transmit power.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .airlink import pair_classes
 from .channel import ChannelPair
 from .config import SystemConfig
-from .ncx2 import ErrorEventMoments, laplace, moments_joint, moments_rpm, moments_ssk
+from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm, moments_ssk,
+                   pair_moments)
 
 
 class NumericalError(RuntimeError):
@@ -48,49 +54,49 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class PepValue:
     """Pairwise error probability: exact Craig-integral value and the
-    Chiani closed-form approximation."""
+    Chiani closed-form approximation (arrays for a batch of events)."""
 
-    exact: float
-    chiani: float
+    exact: float | np.ndarray
+    chiani: float | np.ndarray
 
 
-def _craig_at_order(mom: ErrorEventMoments, p_s: float, order: int, scale: float) -> float:
+def _craig_at_order(mom: ErrorEventMoments, p_s: float, order: int, scale: float):
     omega, w = _gl_nodes(order)
     args = scale * p_s / (4.0 * np.sin(omega) ** 2)
-    return float(np.dot(w, laplace(mom, args))) / np.pi
+    if np.ndim(mom.s_sq) == 0:
+        return float(np.dot(w, laplace(mom, args))) / np.pi
+    # a table of moments: sum node by node, never a (table x nodes) array
+    return sum(wn * laplace(mom, an) for wn, an in zip(w, args)) / np.pi
 
 
 def pep_of_event(mom: ErrorEventMoments, p_s: float,
                  paper_literal_args: bool = False) -> PepValue:
-    """PEP of a single error event at transmit power p_s (unit noise).
+    """PEP of an error event at transmit power p_s (unit noise); for a batch
+    of moments (`pair_moments`) both fields are arrays of the batch's shape.
 
     The exact value is the Craig integral evaluated with fixed-order
     Gauss-Legendre quadrature; a relative spread above 1e-9 between the
-    base and doubled orders raises NumericalError.
+    base and doubled orders, in any entry, raises NumericalError.
     """
     if p_s < 0:
         raise ValueError(f"p_s={p_s} must be non-negative")
     scale = 2.0 if paper_literal_args else 1.0
     lo = _craig_at_order(mom, p_s, GL_ORDER, scale)
     hi = _craig_at_order(mom, p_s, 2 * GL_ORDER, scale)
-    spread = abs(hi - lo) / max(abs(hi), 1e-300)
+    spread = np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300))
     if spread > _MAX_REL_SPREAD:
         raise NumericalError(
             f"Craig quadrature did not converge: spread {spread:.3e} at orders "
             f"{GL_ORDER}/{2 * GL_ORDER}")
     chiani = (laplace(mom, scale * p_s / 4.0) / 12.0
               + laplace(mom, scale * p_s / 3.0) / 4.0)
-    return PepValue(exact=hi, chiani=float(chiani))
+    return PepValue(exact=hi, chiani=chiani)
 
 
 def pep_ssk(chan: ChannelPair, cfg: SystemConfig, t: int, t_hat: int, p_s: float,
             paper_literal_args: bool = False) -> PepValue:
-    """Average PEP of the antenna-index error t -> t_hat.
-
-    The statistic is the same for every applied reflection phase (the unit
-    phase factor drops out of the norm), so the average over phases equals
-    the single-event value.
-    """
+    """PEP of the antenna-index error t -> t_hat; the applied reflection phase
+    is a unit factor that drops out of the norm, so no average over it is needed."""
     mom = moments_ssk(chan.h, chan.g_bar, cfg, t, t_hat)
     return pep_of_event(mom, p_s, paper_literal_args)
 
@@ -113,58 +119,20 @@ def pep_joint(chan: ChannelPair, cfg: SystemConfig, t: int, t_hat: int,
     return pep_of_event(mom, p_s, paper_literal_args)
 
 
-def _hamming(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
 def aber_union_terms(chan: ChannelPair, cfg: SystemConfig, p_s: float,
                      exact_pep: bool = False,
                      paper_literal_args: bool = False) -> tuple[float, float, float]:
-    """The three union-bound components (antenna-only, phase-only, joint).
-
-    Each pairwise term is weighted by the Hamming distance between the bit
-    labels of the two hypotheses; terms with zero distance vanish, so the
-    sums skip equal indices.
-    """
+    """The three union-bound components (antenna-only, phase-only, joint):
+    over the ordered hypothesis pairs of each class, the sum of the PEPs
+    weighted by the Hamming distance of the two labels, divided by K*b."""
     b = cfg.bits_total
     if b == 0:
         return (0.0, 0.0, 0.0)
-    pick = (lambda v: v.exact) if exact_pep else (lambda v: v.chiani)
-    n_t, m_rpm = cfg.n_t, cfg.m_rpm
-
-    p_ssk = 0.0
-    for t in range(1, n_t + 1):
-        for t_hat in range(1, n_t + 1):
-            if t_hat == t:
-                continue
-            d = _hamming(t - 1, t_hat - 1)
-            p_ssk += d * pick(pep_ssk(chan, cfg, t, t_hat, p_s, paper_literal_args))
-    p_ssk /= n_t * b
-
-    p_rpm = 0.0
-    for m in range(1, m_rpm + 1):
-        for m_hat in range(1, m_rpm + 1):
-            if m_hat == m:
-                continue
-            d = _hamming(m - 1, m_hat - 1)
-            p_rpm += d * pick(pep_rpm(chan, cfg, m, m_hat, p_s, paper_literal_args))
-    p_rpm /= m_rpm * b
-
-    p_joint = 0.0
-    for m in range(1, m_rpm + 1):
-        for m_hat in range(1, m_rpm + 1):
-            if m_hat == m:
-                continue
-            for t in range(1, n_t + 1):
-                for t_hat in range(1, n_t + 1):
-                    if t_hat == t:
-                        continue
-                    d = _hamming(t - 1, t_hat - 1) + _hamming(m - 1, m_hat - 1)
-                    p_joint += d * pick(
-                        pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s, paper_literal_args))
-    p_joint /= m_rpm * n_t * b
-
-    return (p_ssk, p_rpm, p_joint)
+    v = pep_of_event(pair_moments(chan.h, chan.g_bar, cfg), p_s, paper_literal_args)
+    same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
+    weighted = dist * (v.exact if exact_pep else v.chiani) / (dist.shape[0] * b)
+    return (float(weighted[same_m].sum()), float(weighted[same_t].sum()),
+            float(weighted[~same_t & ~same_m].sum()))
 
 
 def aber_union(chan: ChannelPair, cfg: SystemConfig, p_s: float,
@@ -200,15 +168,6 @@ def capacity_closed(chan: ChannelPair, cfg: SystemConfig, p_s: float) -> float:
     if p_s < 0:
         raise ValueError(f"p_s={p_s} must be non-negative")
     k = cfg.n_t * cfg.m_rpm
-    total = 0.0
-    for m in range(1, cfg.m_rpm + 1):
-        for m_hat in range(1, cfg.m_rpm + 1):
-            if m_hat == m:
-                continue
-            for t in range(1, cfg.n_t + 1):
-                for t_hat in range(1, cfg.n_t + 1):
-                    if t_hat == t:
-                        continue
-                    mom = moments_joint(chan.h, chan.g_bar, cfg, t, t_hat, m, m_hat)
-                    total += laplace(mom, p_s / 2.0)
+    same_t, same_m, _ = pair_classes(cfg.n_t, cfg.m_rpm)
+    total = laplace(pair_moments(chan.h, chan.g_bar, cfg), p_s / 2.0)[~same_t & ~same_m].sum()
     return 2.0 * math.log2(k) - math.log2(k + total)

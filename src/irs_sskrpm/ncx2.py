@@ -12,6 +12,9 @@ circularly-symmetric complex Gaussian vector of length n_r, so xi is exactly
 noncentral chi-square with 2*n_r degrees of freedom, per-real-component
 variance sigma^2 = nu_r/(2*(1+K_r)) * ||d||^2 and noncentrality
 s^2 = K_r*nu_r/(1+K_r) * ||G_bar^H d||^2 (the squared norm of the mean).
+
+`pair_moments` covers all ordered hypothesis pairs; its antenna errors carry
+a unit factor e^{j phi_m} in d, which leaves xi unchanged.
 """
 
 from __future__ import annotations
@@ -26,24 +29,39 @@ from .config import SystemConfig, path_loss
 
 @dataclass(frozen=True)
 class ErrorEventMoments:
-    """Gaussian moments of one error event: noncentrality s^2, per-component
-    variance sigma^2, and n_r (the statistic has 2*n_r degrees of freedom).
+    """Gaussian moments of one error event (floats) or of a batch (arrays):
+    noncentrality s^2, per-component variance sigma^2, and n_r (the
+    statistic has 2*n_r degrees of freedom).
 
     sigma_sq == 0 only for degenerate events whose two hypotheses produce
     identical signatures; such events carry no decision information.
     """
 
-    s_sq: float
-    sigma_sq: float
+    s_sq: float | np.ndarray
+    sigma_sq: float | np.ndarray
     n_r: int
 
 
 def _moments_from_direction(d: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig) -> ErrorEventMoments:
+    """Moments of the events with directions d[:, ...], of shape d.shape[1:]."""
     nu_r = path_loss(cfg.rho_0, cfg.d_r, cfg.eta)
-    sigma_sq = nu_r / (2.0 * (1.0 + cfg.k_r)) * float(np.sum(np.abs(d) ** 2))
-    mean_vec = g_bar.conj().T @ d
-    s_sq = cfg.k_r * nu_r / (1.0 + cfg.k_r) * float(np.sum(np.abs(mean_vec) ** 2))
+    sigma_sq = nu_r / (2.0 * (1.0 + cfg.k_r)) * np.sum(np.abs(d) ** 2, axis=0)
+    mean_vec = np.tensordot(g_bar.conj(), d, axes=(0, 0))
+    s_sq = cfg.k_r * nu_r / (1.0 + cfg.k_r) * np.sum(np.abs(mean_vec) ** 2, axis=0)
+    if d.ndim == 1:
+        s_sq, sigma_sq = float(s_sq), float(sigma_sq)
     return ErrorEventMoments(s_sq=s_sq, sigma_sq=sigma_sq, n_r=g_bar.shape[1])
+
+
+def pair_moments(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig) -> ErrorEventMoments:
+    """Moments of every ordered pair (i, j) of the K flat t-major hypotheses
+    i = (t-1)*m_rpm + (m-1), as (K, K) arrays: d = sig_i - sig_j with
+    sig_i = e^{j phi_m} h_t (d = 0 on the diagonal), one row at a time."""
+    sig = (h[:, :, None] * np.exp(1j * rpm_phases(cfg.m_rpm))).reshape(h.shape[0], -1)
+    rows = [_moments_from_direction(sig[:, [i]] - sig, g_bar, cfg) for i in range(sig.shape[1])]
+    return ErrorEventMoments(s_sq=np.stack([r.s_sq for r in rows]),
+                             sigma_sq=np.stack([r.sigma_sq for r in rows]),
+                             n_r=g_bar.shape[1])
 
 
 def moments_ssk(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
@@ -71,13 +89,8 @@ def moments_rpm(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
 
 def moments_joint(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
                   t: int, t_hat: int, m: int, m_hat: int) -> ErrorEventMoments:
-    """Moments of the statistic when both antenna and phase are detected wrongly.
-
-    Uses the exact signature difference e^{j phi_m} h_t - e^{j phi_mhat} h_that,
-    so the resulting distribution matches the statistic the ML detector
-    actually sees (sampled-statistic moments, pairwise error rates and the
-    sampled capacity all agree with it).
-    """
+    """Moments of the statistic when both antenna and phase are detected
+    wrongly, from the exact signature difference e^{j phi_m} h_t - e^{j phi_mhat} h_that."""
     if t == t_hat:
         raise ValueError(f"t={t} and t_hat={t_hat} must differ")
     if m == m_hat:

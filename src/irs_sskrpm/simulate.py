@@ -23,6 +23,7 @@ from functools import partial
 
 import numpy as np
 
+from .airlink import label_weights, pair_classes
 from .channel import EffectiveChannel, effective_channel, make_channel
 from .config import ConfigError, SystemConfig, validate
 from .metrics import NumericalError, aber_union, capacity_closed
@@ -120,8 +121,7 @@ def _ber_chunk(eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
     score = -2.0 * sqrt_p * np.real(ip[:, None] * eff.points.conj())
     detected = np.argmin(score, axis=1)
 
-    popcount = np.array([bin(v).count("1") for v in range(eff.points.size)])
-    return int(popcount[code ^ detected].sum())
+    return int(label_weights(eff.points.size)[code ^ detected].sum())
 
 
 def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
@@ -167,10 +167,9 @@ def _ber_estimate(errors: int, bits: int) -> tuple[float, float]:
 def _pair_distances(eff: EffectiveChannel, m_rpm: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nu*|c_k - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, with their multiplicities."""
-    t, m = np.divmod(np.arange(eff.points.size), m_rpm)
-    both = (t[:, None] != t[None, :]) & (m[:, None] != m[None, :])
+    same_t, same_m, _ = pair_classes(eff.points.size // m_rpm, m_rpm)
     diff = eff.points[:, None] - eff.points[None, :]
-    d2, mult = np.unique(np.abs(diff[both]) ** 2, return_counts=True)
+    d2, mult = np.unique(np.abs(diff[~same_t & ~same_m]) ** 2, return_counts=True)
     return eff.sqrt_nu ** 2 * d2, mult.astype(float)
 
 
@@ -225,7 +224,6 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
 
 def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
               paper_literal_args: bool = False, workers: int | None = 1,
-              capacity_samples: int | None = None,
               quantities: tuple[str, ...] = ("aber", "capacity")) -> list[SweepRecord]:
     """Evaluate every SNR point of cfg's grid.
 
@@ -243,7 +241,6 @@ def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
     analytic, sim = mode != "sim", mode != "analytic"
     aber, capacity = "aber" in quantities, "capacity" in quantities
     chan = make_channel(cfg) if analytic else None
-    samples = cfg.trials if capacity_samples is None else capacity_samples
     records: list[SweepRecord] = []
     for i, snr_db in enumerate(cfg.snr_grid_db):
         p_s = 10.0 ** (snr_db / 10.0)
@@ -257,7 +254,7 @@ def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
                 aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed,
                                                 point_index=i, workers=workers)
             if sim and capacity:
-                cap_s = simulate_capacity(cfg, p_s, samples, cfg.seed,
+                cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed,
                                           point_index=i, workers=workers)
         except NumericalError as exc:
             raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc

@@ -5,6 +5,11 @@ and its rank-1 Monte-Carlo kernel: statistics are sampled from raw draws of
 the full N x n_r matrix G and signature differences, and integrals are
 evaluated with scipy's adaptive quadrature against the closed-form density.
 These are the reference implementations the library is checked against.
+
+The per-event loops at the end are the exception: they rebuild the union
+bound, the closed-form capacity and the pep table one error event at a time
+from `pep_of_event(moments_*)` (whose moments and integrals the oracles
+above check), as the reference for the vectorised hypothesis-pair table.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import math
 import numpy as np
 from scipy import integrate, special, stats
 
-from irs_sskrpm import SystemConfig, build_g_bar, build_h, rpm_phases
-from irs_sskrpm.channel import rician_weights
+from irs_sskrpm import (SystemConfig, build_g_bar, build_h, laplace, moments_joint,
+                        pep_joint, pep_rpm, pep_ssk, rpm_phases)
+from irs_sskrpm.channel import ChannelPair, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
 
@@ -223,3 +229,68 @@ def crossing_snr_linear(snr_db, values, level) -> float | None:
             f = (level - lo) / (hi - lo)
             return float(snr_db[i] + f * (snr_db[i + 1] - snr_db[i]))
     return None
+
+
+# ---- per-event references for the hypothesis-pair table ----------------------
+
+def _hamming(a: int, b: int) -> int:
+    return bin(a ^ b).count("1")
+
+
+def _ordered_pairs(n: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+
+
+def aber_union_terms_reference(chan: ChannelPair, cfg: SystemConfig, p_s: float,
+                               exact_pep: bool = False,
+                               paper_literal_args: bool = False) -> tuple[float, float, float]:
+    """Union-bound components (antenna-only, phase-only, joint) summed event
+    by event: each PEP weighted by the Hamming distance of the two labels."""
+    b = cfg.bits_total
+    if b == 0:
+        return (0.0, 0.0, 0.0)
+    pick = (lambda v: v.exact) if exact_pep else (lambda v: v.chiani)
+    lit = paper_literal_args
+    p_ssk = sum(_hamming(t - 1, t_hat - 1) * pick(pep_ssk(chan, cfg, t, t_hat, p_s, lit))
+                for t, t_hat in _ordered_pairs(cfg.n_t)) / (cfg.n_t * b)
+    p_rpm = sum(_hamming(m - 1, m_hat - 1) * pick(pep_rpm(chan, cfg, m, m_hat, p_s, lit))
+                for m, m_hat in _ordered_pairs(cfg.m_rpm)) / (cfg.m_rpm * b)
+    p_joint = 0.0
+    for m, m_hat in _ordered_pairs(cfg.m_rpm):
+        for t, t_hat in _ordered_pairs(cfg.n_t):
+            d = _hamming(t - 1, t_hat - 1) + _hamming(m - 1, m_hat - 1)
+            p_joint += d * pick(pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s, lit))
+    return (p_ssk, p_rpm, p_joint / (cfg.m_rpm * cfg.n_t * b))
+
+
+def capacity_closed_reference(chan: ChannelPair, cfg: SystemConfig, p_s: float) -> float:
+    """2 log2 K - log2(K + sum of L_xi(P_s/2) over the pairs with both indices
+    different), one joint event at a time."""
+    k = cfg.n_t * cfg.m_rpm
+    total = 0.0
+    for m, m_hat in _ordered_pairs(cfg.m_rpm):
+        for t, t_hat in _ordered_pairs(cfg.n_t):
+            total += laplace(moments_joint(chan.h, chan.g_bar, cfg, t, t_hat, m, m_hat), p_s / 2.0)
+    return 2.0 * math.log2(k) - math.log2(k + total)
+
+
+def pep_rows_reference(chan: ChannelPair, cfg: SystemConfig,
+                       paper_literal_args: bool = False) -> list[list]:
+    """Rows of the `pep` command over cfg's SNR grid, one event at a time:
+    [snr_db, event, t, t_hat, m, m_hat, pep_exact, pep_chiani] with empty
+    cells for the indices an event does not have."""
+    lit = paper_literal_args
+    rows: list[list] = []
+    for snr_db in cfg.snr_grid_db:
+        p_s = 10.0 ** (snr_db / 10.0)
+        for t, t_hat in _ordered_pairs(cfg.n_t):
+            v = pep_ssk(chan, cfg, t, t_hat, p_s, lit)
+            rows.append([snr_db, "ssk", t, t_hat, "", "", v.exact, v.chiani])
+        for m, m_hat in _ordered_pairs(cfg.m_rpm):
+            v = pep_rpm(chan, cfg, m, m_hat, p_s, lit)
+            rows.append([snr_db, "rpm", "", "", m, m_hat, v.exact, v.chiani])
+        for m, m_hat in _ordered_pairs(cfg.m_rpm):
+            for t, t_hat in _ordered_pairs(cfg.n_t):
+                v = pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s, lit)
+                rows.append([snr_db, "joint", t, t_hat, m, m_hat, v.exact, v.chiani])
+    return rows

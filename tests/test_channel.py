@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from irs_sskrpm import (SystemConfig, build_g_bar, build_h, dump_channel,
-                        effective_channel, load_channel, make_channel,
-                        sample_g, signatures, steering_bs, steering_irs,
-                        validate)
+from irs_sskrpm import (SystemConfig, build_g_bar, build_h, effective_channel,
+                        make_channel, sample_g, signatures, steering_bs,
+                        steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
 from test_config import PATH_LOSS_4KM
 
@@ -127,34 +126,3 @@ def test_sample_g_frobenius_power(cfg, rng):
         total += np.sum(np.abs(g) ** 2)
     expected = cfg.n_elements * cfg.n_r * cfg.nu_r
     assert total / n_draws == pytest.approx(expected, rel=0.02)
-
-
-def test_channel_dump_roundtrip(tmp_path, cfg, rng):
-    chan = make_channel(cfg, rng)
-    path = str(tmp_path / "chan.bin")
-    dump_channel(chan, path)
-    back = load_channel(path)
-    np.testing.assert_array_equal(back.h, chan.h)
-    np.testing.assert_array_equal(back.g, chan.g)
-    np.testing.assert_array_equal(back.g_bar, chan.g_bar)
-
-
-def test_channel_dump_roundtrip_without_g(tmp_path, cfg):
-    chan = make_channel(cfg)
-    path = str(tmp_path / "chan.bin")
-    dump_channel(chan, path)
-    back = load_channel(path)
-    assert back.g is None
-    np.testing.assert_array_equal(back.h, chan.h)
-
-
-def test_channel_dump_layout(tmp_path, cfg):
-    # header is 4 little-endian int64: N, n_t, n_r, has_g
-    chan = make_channel(cfg)
-    path = str(tmp_path / "chan.bin")
-    dump_channel(chan, path)
-    raw = np.fromfile(path, dtype="<i8", count=4)
-    np.testing.assert_array_equal(raw, [cfg.n_elements, cfg.n_t, cfg.n_r, 0])
-    floats = np.fromfile(path, dtype="<f8", offset=32)
-    assert floats.size == 2 * (cfg.n_elements * cfg.n_t + cfg.n_elements * cfg.n_r)
-    assert floats[0] == chan.h[0, 0].real and floats[1] == chan.h[0, 0].imag

@@ -1,0 +1,103 @@
+"""The hypothesis-pair table against the per-event references in `oracles`:
+union-bound components, closed-form capacity and the `pep` CSV, plus the
+Craig convergence check on single events and on the table."""
+
+import re
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
+                        load_config, make_channel, moments_ssk, pair_moments,
+                        pep_of_event, validate)
+from irs_sskrpm import metrics
+from irs_sskrpm.cli import _fmt, main
+from conftest import config_path
+from oracles import (aber_union_terms_reference, capacity_closed_reference,
+                     pep_rows_reference)
+
+GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
+
+CASES = {
+    "aber_n16": lambda: load_config(config_path("aber_n16.cfg")),
+    "nt4_m4_nr2": lambda: replace(SystemConfig(), n_t=4, m_rpm=4, n_r=2, snr_grid_db=GRID),
+    # phi_d = 0: every antenna has the same steering entry, so the
+    # antenna-only hypotheses coincide
+    "coincident": lambda: replace(SystemConfig(), phi_d=0.0, snr_grid_db=GRID),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    cfg = validate(CASES[request.param]())
+    return cfg, make_channel(cfg)
+
+
+def _write_cfg(path, cfg: SystemConfig) -> str:
+    def cell(v):
+        return ",".join(map(repr, v)) if isinstance(v, tuple) else repr(v)
+    path.write_text("".join(f"{f.name}={cell(getattr(cfg, f.name))}\n" for f in fields(cfg)))
+    assert load_config(str(path)) == cfg
+    return str(path)
+
+
+@pytest.mark.parametrize("lit", [False, True])
+def test_union_terms_match_per_event_reference(case, lit):
+    cfg, chan = case
+    for snr_db in cfg.snr_grid_db:
+        p_s = 10.0 ** (snr_db / 10.0)
+        for exact in (False, True):
+            np.testing.assert_allclose(
+                aber_union_terms(chan, cfg, p_s, exact, lit),
+                aber_union_terms_reference(chan, cfg, p_s, exact, lit), rtol=1e-12, atol=0)
+
+
+def test_capacity_closed_matches_per_event_reference(case):
+    cfg, chan = case
+    for snr_db in cfg.snr_grid_db:
+        p_s = 10.0 ** (snr_db / 10.0)
+        assert capacity_closed(chan, cfg, p_s) == pytest.approx(
+            capacity_closed_reference(chan, cfg, p_s), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("lit", [False, True])
+def test_pep_csv_matches_per_event_reference(case, lit, tmp_path):
+    cfg, chan = case
+    out = tmp_path / "pep.csv"
+    argv = ["pep", "--config", _write_cfg(tmp_path / "case.cfg", cfg), "--out", str(out)]
+    assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
+    lines = out.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"
+    ref = pep_rows_reference(chan, cfg, lit)
+    assert len(lines) == 1 + len(ref)
+    for line, row in zip(lines[1:], ref):
+        cells = line.split(",")
+        assert cells[:6] == [_fmt(v) for v in row[:6]]
+        assert all(re.fullmatch(r"([1-9][0-9]*)?", c) for c in cells[2:6]), line
+        np.testing.assert_allclose([float(c) for c in cells[6:]], row[6:], rtol=1e-12, atol=0)
+
+
+def test_coincident_hypotheses_have_exact_half_and_chiani_third():
+    cfg = validate(CASES["coincident"]())
+    chan = make_channel(cfg)
+    v = pep_of_event(pair_moments(chan.h, chan.g_bar, cfg), 1e3)
+    t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
+    antenna_only = (t[:, None] != t[None, :]) & (m[:, None] == m[None, :])
+    assert antenna_only.any()
+    np.testing.assert_allclose(v.exact[antenna_only], 0.5, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(v.chiani[antenna_only], 1.0 / 3.0, rtol=1e-12, atol=0)
+    assert np.all(v.exact[~antenna_only & (t[:, None] != t[None, :])] < 0.5)
+
+
+def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
+    cfg = validate(SystemConfig())
+    chan = make_channel(cfg)
+    cfg_path = _write_cfg(tmp_path / "default.cfg", cfg)
+    monkeypatch.setattr(metrics, "GL_ORDER", 4)
+    with pytest.raises(NumericalError, match="did not converge"):
+        pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, 1, 2), 100.0)
+    with pytest.raises(NumericalError, match="did not converge"):
+        pep_of_event(pair_moments(chan.h, chan.g_bar, cfg), 100.0)
+    assert main(["pep", "--config", cfg_path, "--out", str(tmp_path / "pep.csv")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
