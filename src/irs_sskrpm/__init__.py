@@ -4,10 +4,8 @@ modulation at the surface, over Rician fading."""
 
 __version__ = "0.1.0"
 
-from .airlink import (SymbolPair, demap, map_bits, ml_detect, rpm_phases,
-                      signatures, symbol_bits, synthesize_rx)
-from .channel import (ChannelPair, EffectiveChannel, build_g_bar, build_h,
-                      effective_channel, make_channel, sample_g, steering_bs,
+from .airlink import SymbolPair, demap, map_bits, ml_detect, rpm_phases, symbol_bits
+from .channel import (Channel, build_g_bar, build_h, make_channel, sample_g, steering_bs,
                       steering_irs)
 from .config import ConfigError, SystemConfig, load_config, parse_config, path_loss, validate
 from .metrics import (NumericalError, PepValue, aber_union, aber_union_terms,
@@ -21,10 +19,9 @@ from .simulate import (SweepRecord, run_sweep, simulate_ber,
 __all__ = [
     "__version__",
     "SystemConfig", "ConfigError", "load_config", "parse_config", "path_loss", "validate",
-    "ChannelPair", "steering_irs", "steering_bs", "build_h", "build_g_bar",
-    "sample_g", "make_channel", "EffectiveChannel", "effective_channel",
-    "SymbolPair", "rpm_phases", "map_bits", "demap", "symbol_bits",
-    "signatures", "synthesize_rx", "ml_detect",
+    "Channel", "steering_irs", "steering_bs", "build_h", "build_g_bar",
+    "sample_g", "make_channel",
+    "SymbolPair", "rpm_phases", "map_bits", "demap", "symbol_bits", "ml_detect",
     "ErrorEventMoments", "moments_ssk", "moments_rpm", "moments_joint",
     "pair_moments", "laplace",
     "PepValue", "NumericalError", "pep_of_event", "pep_ssk", "pep_rpm",

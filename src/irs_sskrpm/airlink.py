@@ -1,4 +1,4 @@
-"""Bit mapping, received-signal synthesis and exhaustive joint ML detection.
+"""Bit mapping and exhaustive joint ML detection.
 
 A transmitted hypothesis is the pair (t, m): active BS antenna t in [1, n_t]
 and reflection-phase index m in [1, m_rpm]. Its bit label is the natural
@@ -10,12 +10,8 @@ the label read as an integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .channel import ChannelPair
 
 
 def rpm_phases(m_rpm: int) -> np.ndarray:
@@ -80,70 +76,15 @@ def demap(pair: SymbolPair, n_t: int, m_rpm: int) -> str:
     return symbol_bits(pair.t, pair.m, n_t, m_rpm)
 
 
-def base_signatures(chan: ChannelPair) -> np.ndarray:
-    """Per-antenna noise-free signatures G^H h_t, shape (n_r, n_t).
+def ml_detect(points: np.ndarray, ip: np.ndarray, sqrt_p: float) -> np.ndarray:
+    """Exhaustive joint ML decisions over the n_t*m_rpm hypotheses, one per trial.
 
-    The full hypothesis signature is lambda_{t,m} = exp(j*phi_m) * column t,
-    so signature energies do not depend on m.
+    Hypothesis k has the signature sqrt(nu) * points[k] * g_eff, and every
+    signature has the energy nu ||g_eff||^2, so the ML metric
+    ||y - sqrt(P_s nu) points[k] g_eff||^2 reduces to the score
+    -2 sqrt(P_s) Re(conj(points[k]) ip) with ip = sqrt(nu) g_eff^H y (one
+    entry per trial). Returns the flat t-major index of the smallest score;
+    ties, such as every score at P_s = 0 or y = 0, go to the smallest index.
     """
-    if chan.g is None:
-        raise ValueError("channel realization has no sampled G")
-    return chan.g.conj().T @ chan.h
-
-
-def signatures(chan: ChannelPair, m_rpm: int) -> np.ndarray:
-    """All n_t*m_rpm hypothesis signatures, shape (n_t*m_rpm, n_r), t-major order."""
-    base = base_signatures(chan)            # (n_r, n_t)
-    phasors = np.exp(1j * rpm_phases(m_rpm))
-    n_r, n_t = base.shape
-    lam = np.empty((n_t * m_rpm, n_r), dtype=complex)
-    for t in range(n_t):
-        lam[t * m_rpm:(t + 1) * m_rpm] = phasors[:, None] * base[:, t][None, :]
-    return lam
-
-
-def synthesize_rx(chan: ChannelPair, pair: SymbolPair, p_s: float, m_rpm: int,
-                  noise: np.ndarray | None = None) -> np.ndarray:
-    """Received vector sqrt(P_s) * exp(j*phi_m) * G^H h_t + noise.
-
-    noise is a length-n_r complex vector, or None for the noise-free signal.
-    """
-    if p_s < 0:
-        raise ValueError(f"p_s={p_s} must be non-negative")
-    base = base_signatures(chan)
-    n_r = base.shape[0]
-    phase = rpm_phases(m_rpm)[pair.m - 1]
-    y = np.sqrt(p_s) * np.exp(1j * phase) * base[:, pair.t - 1]
-    if noise is not None:
-        noise = np.asarray(noise)
-        if noise.shape != (n_r,):
-            raise ValueError(f"noise has shape {noise.shape}, expected ({n_r},)")
-        y = y + noise
-    return y
-
-
-def _detect_index(base: np.ndarray, phasors: np.ndarray, y: np.ndarray, p_s: float) -> int:
-    """Flat argmin of ||y - sqrt(P_s) * phasor_m * base_t||^2, ties to the smallest index.
-
-    Expanded form: the energy term uses ||base_t||^2 directly, so it is exactly
-    m-invariant and the documented tie-break is honored bit-for-bit.
-    """
-    sqrt_p = np.sqrt(p_s)
-    energy = np.sum(np.abs(base) ** 2, axis=0)            # (n_t,)
-    ip = base.conj().T @ y                                # (n_t,)
-    score = p_s * energy[:, None] - 2.0 * sqrt_p * np.real(ip[:, None] * phasors.conj()[None, :])
-    return int(np.argmin(score.ravel()))
-
-
-def ml_detect(chan: ChannelPair, y: np.ndarray, p_s: float, m_rpm: int) -> SymbolPair:
-    """Exhaustive joint ML detection over all n_t * m_rpm hypotheses.
-
-    Returns the hypothesis minimizing ||y - sqrt(P_s)*lambda_{t,m}||^2; ties
-    are broken deterministically toward the smallest (t, then m).
-    """
-    base = base_signatures(chan)
-    phasors = np.exp(1j * rpm_phases(m_rpm))
-    idx = _detect_index(base, phasors, np.asarray(y), p_s)
-    t, m = idx // m_rpm + 1, idx % m_rpm + 1
-    n_t = base.shape[1]
-    return SymbolPair(t=t, m=m, bits=symbol_bits(t, m, n_t, m_rpm))
+    score = -2.0 * sqrt_p * np.real(ip[:, None] * points.conj())
+    return np.argmin(score, axis=1)

@@ -4,7 +4,7 @@ The BS->IRS link H is a deterministic rank-1 line-of-sight outer product; the
 IRS->UT link G is Rician: a rank-1 LoS component G_bar plus an i.i.d.
 circularly-symmetric Gaussian part, mixed by the K-factor. Because H is
 rank-1, the receiver sees G only through the n_r-vector g_eff = G^H a_irs
-(see `effective_channel`).
+(see `Channel`).
 
 IRS elements are enumerated y-major: the flat index of grid element
 (nx, ny) is ny * n_x + nx. All sums downstream run over all N elements,
@@ -18,21 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import rpm_phases
-from .config import SystemConfig, path_loss
-
-
-@dataclass
-class ChannelPair:
-    """One channel realization.
-
-    h      -- BS->IRS matrix, (N, n_t), deterministic.
-    g      -- IRS->UT matrix, (N, n_r); None for analytics-only use.
-    g_bar  -- unit-modulus LoS component of g, (N, n_r).
-    """
-
-    h: np.ndarray
-    g: np.ndarray | None
-    g_bar: np.ndarray
+from .config import SystemConfig
 
 
 def steering_irs(phi_a: float, phi_e: float, n_x: int, n_y: int,
@@ -61,10 +47,9 @@ def steering_bs(phi_d: float, n_t: int, delta_over_lambda: float) -> np.ndarray:
 
 def build_h(cfg: SystemConfig) -> np.ndarray:
     """Deterministic BS->IRS matrix sqrt(nu) * a_irs(phi_a, phi_e) outer a_bs(phi_d)."""
-    nu = path_loss(cfg.rho_0, cfg.d_t, cfg.eta)
     a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
     a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
-    return np.sqrt(nu) * np.outer(a_irs, a_bs)
+    return np.sqrt(cfg.nu) * np.outer(a_irs, a_bs)
 
 
 def build_g_bar(cfg: SystemConfig) -> np.ndarray:
@@ -81,38 +66,8 @@ def build_g_bar(cfg: SystemConfig) -> np.ndarray:
 def rician_weights(cfg: SystemConfig) -> tuple[float, float]:
     """(LoS amplitude, NLoS amplitude) of the IRS->UT mixture:
     sqrt(K*nu_r/(1+K)) and sqrt(nu_r/(1+K))."""
-    nu_r = path_loss(cfg.rho_0, cfg.d_r, cfg.eta)
-    return (np.sqrt(cfg.k_r * nu_r / (1.0 + cfg.k_r)),
-            np.sqrt(nu_r / (1.0 + cfg.k_r)))
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Rank-1 reduction of the link: H = sqrt(nu) a_irs a_bs^T, so hypothesis
-    k has the noise-free signature sqrt_nu * points[k] * g_eff, where
-    g_eff = G^H a_irs ~ CN(mean, scale^2 I_{n_r}).
-
-    points  -- the n_t*m_rpm unit-circle points a_bs[t] e^{j phi_m}, t-major.
-    mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
-    scale   -- diffuse amplitude w_nlos * sqrt(N).
-    sqrt_nu -- amplitude of the BS->IRS path loss.
-    """
-
-    points: np.ndarray
-    mean: np.ndarray
-    scale: float
-    sqrt_nu: float
-
-
-def effective_channel(cfg: SystemConfig) -> EffectiveChannel:
-    """The constellation and the g_eff distribution of cfg."""
-    a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
-    a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
-    w_los, w_nlos = rician_weights(cfg)
-    points = np.outer(a_bs, np.exp(1j * rpm_phases(cfg.m_rpm))).ravel()
-    return EffectiveChannel(points=points, mean=w_los * (build_g_bar(cfg).conj().T @ a_irs),
-                            scale=float(w_nlos * np.sqrt(cfg.n_elements)),
-                            sqrt_nu=float(np.sqrt(cfg.nu)))
+    return (np.sqrt(cfg.k_r * cfg.nu_r / (1.0 + cfg.k_r)),
+            np.sqrt(cfg.nu_r / (1.0 + cfg.k_r)))
 
 
 def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -130,9 +85,42 @@ def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> 
     return w_los * g_bar + w_nlos * w
 
 
-def make_channel(cfg: SystemConfig, rng: np.random.Generator | None = None) -> ChannelPair:
-    """Build H and G_bar; additionally sample G when an RNG stream is supplied."""
+@dataclass(frozen=True)
+class Channel:
+    """The deterministic part of the link and its rank-1 reduction.
+
+    H = sqrt(nu) a_irs a_bs^T, so hypothesis k has the noise-free signature
+    sqrt_nu * points[k] * g_eff, where g_eff = G^H a_irs ~ CN(mean, scale^2 I_{n_r}).
+
+    h       -- BS->IRS matrix, (N, n_t).
+    g_bar   -- unit-modulus LoS component of the IRS->UT matrix G, (N, n_r).
+    points  -- the n_t*m_rpm unit-circle points a_bs[t] e^{j phi_m}, t-major.
+    mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
+    scale   -- diffuse amplitude w_nlos * sqrt(N).
+    sqrt_nu -- amplitude of the BS->IRS path loss.
+    """
+
+    h: np.ndarray
+    g_bar: np.ndarray
+    points: np.ndarray
+    mean: np.ndarray
+    scale: float
+    sqrt_nu: float
+
+    def distances(self) -> np.ndarray:
+        """|c_i - c_j|^2 over all ordered pairs of constellation points, (K, K)."""
+        return np.abs(self.points[:, None] - self.points[None, :]) ** 2
+
+
+def make_channel(cfg: SystemConfig) -> Channel:
+    """H, G_bar, the constellation and the g_eff distribution of cfg."""
+    a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
+    a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
     g_bar = build_g_bar(cfg)
-    g = sample_g(cfg, g_bar, rng) if rng is not None else None
-    return ChannelPair(h=build_h(cfg), g=g, g_bar=g_bar)
+    w_los, w_nlos = rician_weights(cfg)
+    return Channel(h=build_h(cfg), g_bar=g_bar,
+                   points=np.outer(a_bs, np.exp(1j * rpm_phases(cfg.m_rpm))).ravel(),
+                   mean=w_los * (g_bar.conj().T @ a_irs),
+                   scale=float(w_nlos * np.sqrt(cfg.n_elements)),
+                   sqrt_nu=float(np.sqrt(cfg.nu)))
 

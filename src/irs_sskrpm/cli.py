@@ -129,8 +129,7 @@ def _pep_values(table, n_t: int, m_rpm: int) -> list[float]:
 
 def _cmd_pep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    chan = make_channel(cfg)
-    table = pair_moments(chan.h, chan.g_bar, cfg)
+    table = pair_moments(make_channel(cfg))
     cells = _pep_cells(cfg.n_t, cfg.m_rpm)
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
     rows: list[list] = []

@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 
 
 def path_loss(rho_0: float, d: float, eta: float) -> float:
-    """Distance power law rho_0 * d**(-eta); d in the same unit as the reference distance."""
+    """Distance power law rho_0 * d**(-eta) of a distance d relative to the reference distance."""
     if rho_0 <= 0 or d <= 0 or eta <= 0:
         raise ValueError(f"path_loss requires positive arguments, got rho_0={rho_0}, d={d}, eta={eta}")
     return rho_0 * d ** (-eta)
@@ -78,13 +78,13 @@ class SystemConfig:
 
     @property
     def nu(self) -> float:
-        """Path loss of the BS->IRS link."""
-        return path_loss(self.rho_0, self.d_t, self.eta)
+        """Path loss of the BS->IRS link, distance measured in units of d_0."""
+        return path_loss(self.rho_0, self.d_t / self.d_0, self.eta)
 
     @property
     def nu_r(self) -> float:
-        """Path loss of the IRS->UT link."""
-        return path_loss(self.rho_0, self.d_r, self.eta)
+        """Path loss of the IRS->UT link, distance measured in units of d_0."""
+        return path_loss(self.rho_0, self.d_r / self.d_0, self.eta)
 
 
 def _is_power_of_two(n: int) -> bool:

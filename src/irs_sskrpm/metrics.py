@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .airlink import pair_classes
-from .channel import ChannelPair
+from .channel import Channel
 from .config import SystemConfig
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm, moments_ssk,
                    pair_moments)
@@ -93,7 +93,7 @@ def pep_of_event(mom: ErrorEventMoments, p_s: float,
     return PepValue(exact=hi, chiani=chiani)
 
 
-def pep_ssk(chan: ChannelPair, cfg: SystemConfig, t: int, t_hat: int, p_s: float,
+def pep_ssk(chan: Channel, cfg: SystemConfig, t: int, t_hat: int, p_s: float,
             paper_literal_args: bool = False) -> PepValue:
     """PEP of the antenna-index error t -> t_hat; the applied reflection phase
     is a unit factor that drops out of the norm, so no average over it is needed."""
@@ -101,7 +101,7 @@ def pep_ssk(chan: ChannelPair, cfg: SystemConfig, t: int, t_hat: int, p_s: float
     return pep_of_event(mom, p_s, paper_literal_args)
 
 
-def pep_rpm(chan: ChannelPair, cfg: SystemConfig, m: int, m_hat: int, p_s: float,
+def pep_rpm(chan: Channel, cfg: SystemConfig, m: int, m_hat: int, p_s: float,
             paper_literal_args: bool = False) -> PepValue:
     """Average PEP of the phase error m -> m_hat, averaged over the active antenna."""
     vals = [pep_of_event(moments_rpm(chan.h, chan.g_bar, cfg, t, m, m_hat),
@@ -111,7 +111,7 @@ def pep_rpm(chan: ChannelPair, cfg: SystemConfig, m: int, m_hat: int, p_s: float
                     chiani=float(np.mean([v.chiani for v in vals])))
 
 
-def pep_joint(chan: ChannelPair, cfg: SystemConfig, t: int, t_hat: int,
+def pep_joint(chan: Channel, cfg: SystemConfig, t: int, t_hat: int,
               m: int, m_hat: int, p_s: float,
               paper_literal_args: bool = False) -> PepValue:
     """PEP of the simultaneous antenna and phase error."""
@@ -119,7 +119,7 @@ def pep_joint(chan: ChannelPair, cfg: SystemConfig, t: int, t_hat: int,
     return pep_of_event(mom, p_s, paper_literal_args)
 
 
-def aber_union_terms(chan: ChannelPair, cfg: SystemConfig, p_s: float,
+def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
                      exact_pep: bool = False,
                      paper_literal_args: bool = False) -> tuple[float, float, float]:
     """The three union-bound components (antenna-only, phase-only, joint):
@@ -128,14 +128,14 @@ def aber_union_terms(chan: ChannelPair, cfg: SystemConfig, p_s: float,
     b = cfg.bits_total
     if b == 0:
         return (0.0, 0.0, 0.0)
-    v = pep_of_event(pair_moments(chan.h, chan.g_bar, cfg), p_s, paper_literal_args)
+    v = pep_of_event(pair_moments(chan), p_s, paper_literal_args)
     same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
     weighted = dist * (v.exact if exact_pep else v.chiani) / (dist.shape[0] * b)
     return (float(weighted[same_m].sum()), float(weighted[same_t].sum()),
             float(weighted[~same_t & ~same_m].sum()))
 
 
-def aber_union(chan: ChannelPair, cfg: SystemConfig, p_s: float,
+def aber_union(chan: Channel, cfg: SystemConfig, p_s: float,
                exact_pep: bool = False, paper_literal_args: bool = False) -> float:
     """Union bound on the average bit error rate.
 
@@ -157,7 +157,7 @@ def diversity_slope(snr_db, aber) -> float:
     return float(-coeff[0])
 
 
-def capacity_closed(chan: ChannelPair, cfg: SystemConfig, p_s: float) -> float:
+def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float) -> float:
     """Closed-form ergodic capacity of the joint discrete-input channel,
     in bits per channel use.
 
@@ -169,5 +169,5 @@ def capacity_closed(chan: ChannelPair, cfg: SystemConfig, p_s: float) -> float:
         raise ValueError(f"p_s={p_s} must be non-negative")
     k = cfg.n_t * cfg.m_rpm
     same_t, same_m, _ = pair_classes(cfg.n_t, cfg.m_rpm)
-    total = laplace(pair_moments(chan.h, chan.g_bar, cfg), p_s / 2.0)[~same_t & ~same_m].sum()
+    total = laplace(pair_moments(chan), p_s / 2.0)[~same_t & ~same_m].sum()
     return 2.0 * math.log2(k) - math.log2(k + total)

@@ -13,8 +13,9 @@ noncentral chi-square with 2*n_r degrees of freedom, per-real-component
 variance sigma^2 = nu_r/(2*(1+K_r)) * ||d||^2 and noncentrality
 s^2 = K_r*nu_r/(1+K_r) * ||G_bar^H d||^2 (the squared norm of the mean).
 
-`pair_moments` covers all ordered hypothesis pairs; its antenna errors carry
-a unit factor e^{j phi_m} in d, which leaves xi unchanged.
+These per-event builders keep the exact N-dimensional direction d and are
+the reference for `pair_moments`, which covers all ordered hypothesis pairs
+at once through the rank-1 identity d = sqrt(nu) (c_i - c_j) a_irs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import rpm_phases
-from .config import SystemConfig, path_loss
+from .channel import Channel
+from .config import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -43,25 +45,21 @@ class ErrorEventMoments:
 
 
 def _moments_from_direction(d: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig) -> ErrorEventMoments:
-    """Moments of the events with directions d[:, ...], of shape d.shape[1:]."""
-    nu_r = path_loss(cfg.rho_0, cfg.d_r, cfg.eta)
-    sigma_sq = nu_r / (2.0 * (1.0 + cfg.k_r)) * np.sum(np.abs(d) ** 2, axis=0)
-    mean_vec = np.tensordot(g_bar.conj(), d, axes=(0, 0))
-    s_sq = cfg.k_r * nu_r / (1.0 + cfg.k_r) * np.sum(np.abs(mean_vec) ** 2, axis=0)
-    if d.ndim == 1:
-        s_sq, sigma_sq = float(s_sq), float(sigma_sq)
-    return ErrorEventMoments(s_sq=s_sq, sigma_sq=sigma_sq, n_r=g_bar.shape[1])
+    """Moments of the event with the direction d."""
+    sigma_sq = cfg.nu_r / (2.0 * (1.0 + cfg.k_r)) * np.sum(np.abs(d) ** 2)
+    s_sq = cfg.k_r * cfg.nu_r / (1.0 + cfg.k_r) * np.sum(np.abs(g_bar.conj().T @ d) ** 2)
+    return ErrorEventMoments(s_sq=float(s_sq), sigma_sq=float(sigma_sq), n_r=g_bar.shape[1])
 
 
-def pair_moments(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig) -> ErrorEventMoments:
+def pair_moments(chan: Channel) -> ErrorEventMoments:
     """Moments of every ordered pair (i, j) of the K flat t-major hypotheses
-    i = (t-1)*m_rpm + (m-1), as (K, K) arrays: d = sig_i - sig_j with
-    sig_i = e^{j phi_m} h_t (d = 0 on the diagonal), one row at a time."""
-    sig = (h[:, :, None] * np.exp(1j * rpm_phases(cfg.m_rpm))).reshape(h.shape[0], -1)
-    rows = [_moments_from_direction(sig[:, [i]] - sig, g_bar, cfg) for i in range(sig.shape[1])]
-    return ErrorEventMoments(s_sq=np.stack([r.s_sq for r in rows]),
-                             sigma_sq=np.stack([r.sigma_sq for r in rows]),
-                             n_r=g_bar.shape[1])
+    i = (t-1)*m_rpm + (m-1), as (K, K) arrays. The direction is
+    d = sqrt(nu) (c_i - c_j) a_irs, so G^H d = sqrt(nu) (c_i - c_j) g_eff and
+    both moments are nu |c_i - c_j|^2 times those of g_eff: ||mean||^2 and
+    scale^2 / 2 (exactly 0 on the diagonal and for coincident hypotheses)."""
+    dist = chan.sqrt_nu ** 2 * chan.distances()
+    return ErrorEventMoments(s_sq=dist * np.sum(np.abs(chan.mean) ** 2),
+                             sigma_sq=dist * (chan.scale ** 2 / 2.0), n_r=chan.mean.size)
 
 
 def moments_ssk(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,

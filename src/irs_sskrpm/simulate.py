@@ -3,7 +3,7 @@ joint ML detector) and of the sampled mutual-information expectation, with
 reproducible parallel RNG.
 
 H is rank-1, so a trial draws only the n_r-vector g_eff = G^H a_irs
-(`channel.effective_channel`), not the N*n_r entries of G.
+(`channel.Channel`), not the N*n_r entries of G.
 
 Reproducibility scheme: work is split into fixed-size chunks of trials and
 the RNG for chunk c of sweep point i is a Philox generator keyed by
@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .airlink import label_weights, pair_classes
-from .channel import EffectiveChannel, effective_channel, make_channel
+from .airlink import label_weights, ml_detect, pair_classes
+from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
 from .metrics import NumericalError, aber_union, capacity_closed
 
@@ -80,15 +80,15 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _map_chunks(kernel, eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
+def _map_chunks(kernel, chan: Channel, p_s: float, seed: int, point_index: int,
                 sizes: list[int], workers: int | None) -> list:
     """kernel's partial result for every chunk, in chunk order."""
     workers = resolve_workers(workers, len(sizes))
     n = len(sizes)
     if workers == 1:
-        return [kernel(eff, p_s, seed, point_index, c, size) for c, size in enumerate(sizes)]
+        return [kernel(chan, p_s, seed, point_index, c, size) for c, size in enumerate(sizes)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(kernel, [eff] * n, [p_s] * n, [seed] * n, [point_index] * n,
+        return list(pool.map(kernel, [chan] * n, [p_s] * n, [seed] * n, [point_index] * n,
                              range(n), sizes, chunksize=1))
 
 
@@ -98,44 +98,34 @@ def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return math.sqrt(0.5) * (w[0] + 1j * w[1])
 
 
-def _ber_chunk(eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
+def _ber_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
                chunk_index: int, n_trials: int) -> int:
-    """Simulate one chunk of trials; returns the bit-error count.
-
-    Every signature sqrt(nu) c_k g_eff has the energy nu ||g_eff||^2, so the
-    ML metric ||y - sqrt(P_s nu) c_k g_eff||^2 reduces to
-    -2 sqrt(P_s) Re(conj(c_k) sqrt(nu) g_eff^H y); at P_s = 0 every score is
-    zero and the tie goes to index 0.
-    """
+    """Simulate one chunk of trials with the joint ML detector; returns the
+    bit-error count."""
     rng = _chunk_rng(seed, _DOMAIN_BER, point_index, chunk_index)
-    n_r = eff.mean.size
+    n_r = chan.mean.size
     sqrt_p = math.sqrt(p_s)
 
     # Fixed draw order per chunk: symbol codes, diffuse channel part, noise.
-    code = rng.integers(0, eff.points.size, size=n_trials)
-    g = eff.mean + eff.scale * _gaussian(rng, (n_trials, n_r))
+    code = rng.integers(0, chan.points.size, size=n_trials)
+    g = chan.mean + chan.scale * _gaussian(rng, (n_trials, n_r))
     z = _gaussian(rng, (n_trials, n_r))
-    y = (sqrt_p * eff.sqrt_nu * eff.points[code])[:, None] * g + z
+    y = (sqrt_p * chan.sqrt_nu * chan.points[code])[:, None] * g + z
 
-    ip = eff.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
-    score = -2.0 * sqrt_p * np.real(ip[:, None] * eff.points.conj())
-    detected = np.argmin(score, axis=1)
+    ip = chan.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
+    detected = ml_detect(chan.points, ip, sqrt_p)
 
-    return int(label_weights(eff.points.size)[code ^ detected].sum())
+    return int(label_weights(chan.points.size)[code ^ detected].sum())
 
 
 def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
-                 point_index: int = 0, workers: int | None = 1,
-                 rel_precision: float | None = None) -> tuple[float, float]:
+                 point_index: int = 0, workers: int | None = 1) -> tuple[float, float]:
     """Estimate the average bit error rate at transmit power p_s.
 
     Per trial: uniform information bits, channel redraw, noisy reception and
     joint ML detection; returns (errors / (bits * trials), binomial standard
     error over all transmitted bits). Deterministic for fixed (seed, trials,
     cfg) regardless of the worker count.
-
-    rel_precision, when set, stops early once stderr/aber falls below it
-    (serial mode only; the trial count then depends on the data).
     """
     validate(cfg)
     if trials < 1:
@@ -143,44 +133,31 @@ def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
     b = cfg.bits_total
     if b == 0:
         raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
-    eff = effective_channel(cfg)
-    sizes = _chunk_sizes(trials)
-    if rel_precision is None:
-        counts = _map_chunks(_ber_chunk, eff, p_s, seed, point_index, sizes, workers)
-    else:  # serial: stop after the first chunk that reaches the precision
-        counts = []
-        for c, size in enumerate(sizes):
-            counts.append(_ber_chunk(eff, p_s, seed, point_index, c, size))
-            aber, stderr = _ber_estimate(sum(counts), b * sum(sizes[:c + 1]))
-            if aber > 0 and stderr / aber < rel_precision:
-                break
+    counts = _map_chunks(_ber_chunk, make_channel(cfg), p_s, seed, point_index,
+                         _chunk_sizes(trials), workers)
     # exact integer reduction, order-insensitive
-    return _ber_estimate(sum(counts), b * sum(sizes[:len(counts)]))
-
-
-def _ber_estimate(errors: int, bits: int) -> tuple[float, float]:
-    """Bit error rate over `bits` transmitted bits and its binomial standard error."""
-    aber = errors / bits
+    bits = b * trials
+    aber = sum(counts) / bits
     return aber, math.sqrt(max(aber * (1.0 - aber), 0.0) / bits)
 
 
-def _pair_distances(eff: EffectiveChannel, m_rpm: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nu*|c_k - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, with their multiplicities."""
-    same_t, same_m, _ = pair_classes(eff.points.size // m_rpm, m_rpm)
-    diff = eff.points[:, None] - eff.points[None, :]
-    d2, mult = np.unique(np.abs(diff[~same_t & ~same_m]) ** 2, return_counts=True)
-    return eff.sqrt_nu ** 2 * d2, mult.astype(float)
+    n_t = chan.h.shape[1]
+    same_t, same_m, _ = pair_classes(n_t, chan.points.size // n_t)
+    d2, mult = np.unique(chan.distances()[~same_t & ~same_m], return_counts=True)
+    return chan.sqrt_nu ** 2 * d2, mult.astype(float)
 
 
-def _capacity_chunk(eff: EffectiveChannel, p_s: float, seed: int, point_index: int,
+def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
                     chunk_index: int, n_samples: int,
                     dist: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
     """Partial sums (sum_a, sum_a_sq) of the per-sample aggregate
     a = sum over hypothesis pairs of exp(-p_s * xi / 2), where
     xi = nu |c_k - c_j|^2 ||g_eff||^2 and dist holds `_pair_distances`."""
     rng = _chunk_rng(seed, _DOMAIN_CAPACITY, point_index, chunk_index)
-    g = eff.mean + eff.scale * _gaussian(rng, (n_samples, eff.mean.size))
+    g = chan.mean + chan.scale * _gaussian(rng, (n_samples, chan.mean.size))
     energy = np.sum(np.abs(g) ** 2, axis=1)
     d2, mult = dist
 
@@ -207,9 +184,9 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
-    eff = effective_channel(cfg)
-    kernel = partial(_capacity_chunk, dist=_pair_distances(eff, cfg.m_rpm))
-    partials = _map_chunks(kernel, eff, p_s, seed, point_index,
+    chan = make_channel(cfg)
+    kernel = partial(_capacity_chunk, dist=_pair_distances(chan))
+    partials = _map_chunks(kernel, chan, p_s, seed, point_index,
                            _chunk_sizes(channel_samples), workers)
     # reduce in chunk order so the float result is worker-count independent
     sum_a, sum_a_sq = (sum(column) for column in zip(*partials))

@@ -20,8 +20,8 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def chan(cfg):
-    """Deterministic H and LoS component plus one sampled G realization."""
-    return make_channel(cfg, np.random.default_rng(1234))
+    """Deterministic H, LoS component and rank-1 reduction of the default scenario."""
+    return make_channel(cfg)
 
 
 @pytest.fixture()

@@ -21,7 +21,7 @@ from scipy import integrate, special, stats
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, laplace, moments_joint,
                         pep_joint, pep_rpm, pep_ssk, rpm_phases)
-from irs_sskrpm.channel import ChannelPair, rician_weights
+from irs_sskrpm.channel import Channel, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
 
@@ -68,6 +68,14 @@ def event_direction(cfg: SystemConfig, h: np.ndarray, kind: str,
         return (np.exp(1j * phases[m - 1]) * h[:, t - 1]
                 - np.exp(1j * phases[m_hat - 1]) * h[:, t_hat - 1])
     raise ValueError(kind)
+
+
+def full_g_signatures(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
+    """All hypothesis signatures e^{j phi_m} G^H h_t of one full N x n_r draw G,
+    shape (n_t*m_rpm, n_r), t-major."""
+    base = g.conj().T @ build_h(cfg)                      # (n_r, n_t)
+    phasors = np.exp(1j * rpm_phases(cfg.m_rpm))
+    return (base.T[:, None, :] * phasors[None, :, None]).reshape(-1, g.shape[1])
 
 
 def sample_xi(cfg: SystemConfig, d: np.ndarray, n_samples: int,
@@ -241,7 +249,7 @@ def _ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
 
 
-def aber_union_terms_reference(chan: ChannelPair, cfg: SystemConfig, p_s: float,
+def aber_union_terms_reference(chan: Channel, cfg: SystemConfig, p_s: float,
                                exact_pep: bool = False,
                                paper_literal_args: bool = False) -> tuple[float, float, float]:
     """Union-bound components (antenna-only, phase-only, joint) summed event
@@ -263,7 +271,7 @@ def aber_union_terms_reference(chan: ChannelPair, cfg: SystemConfig, p_s: float,
     return (p_ssk, p_rpm, p_joint / (cfg.m_rpm * cfg.n_t * b))
 
 
-def capacity_closed_reference(chan: ChannelPair, cfg: SystemConfig, p_s: float) -> float:
+def capacity_closed_reference(chan: Channel, cfg: SystemConfig, p_s: float) -> float:
     """2 log2 K - log2(K + sum of L_xi(P_s/2) over the pairs with both indices
     different), one joint event at a time."""
     k = cfg.n_t * cfg.m_rpm
@@ -274,7 +282,7 @@ def capacity_closed_reference(chan: ChannelPair, cfg: SystemConfig, p_s: float) 
     return 2.0 * math.log2(k) - math.log2(k + total)
 
 
-def pep_rows_reference(chan: ChannelPair, cfg: SystemConfig,
+def pep_rows_reference(chan: Channel, cfg: SystemConfig,
                        paper_literal_args: bool = False) -> list[list]:
     """Rows of the `pep` command over cfg's SNR grid, one event at a time:
     [snr_db, event, t, t_hat, m, m_hat, pep_exact, pep_chiani] with empty

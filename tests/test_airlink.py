@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from irs_sskrpm import (SymbolPair, demap, make_channel, map_bits, ml_detect,
-                        rpm_phases, signatures, symbol_bits, synthesize_rx,
-                        validate, SystemConfig)
-from irs_sskrpm.airlink import _detect_index, base_signatures
+from irs_sskrpm import (SymbolPair, SystemConfig, demap, make_channel, map_bits, ml_detect,
+                        rpm_phases, sample_g, steering_irs, symbol_bits, validate)
+from oracles import full_g_signatures
 
 
 def test_rpm_phases_structure():
@@ -46,81 +48,65 @@ def test_bit_mapping_bijection(n_t, m_rpm):
     assert len(seen) == n_t * m_rpm
 
 
-def test_synthesize_rx_zero_power_returns_noise(chan, rng):
-    noise = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-    pair = map_bits("00", 2, 2)
-    y = synthesize_rx(chan, pair, 0.0, 2, noise)
-    np.testing.assert_array_equal(y, noise)
+def _g_eff(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
+    """g_eff = G^H a_irs of one full draw G."""
+    return g.conj().T @ steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y,
+                                     cfg.kappa_over_lambda)
 
 
-def test_synthesize_rx_zero_phase_signature(chan):
-    pair = map_bits("10", 2, 2)  # m = 1, phase 0
-    y = synthesize_rx(chan, pair, 9.0, 2)
-    expected = 3.0 * chan.g.conj().T @ chan.h[:, 1]
-    np.testing.assert_allclose(y, expected, rtol=1e-13)
-
-
-def test_synthesize_rx_amplitude_scales_as_sqrt_power(chan):
-    pair = map_bits("11", 2, 2)
-    n1 = np.linalg.norm(synthesize_rx(chan, pair, 10.0, 2))
-    n2 = np.linalg.norm(synthesize_rx(chan, pair, 20.0, 2))
-    assert 20 * np.log10(n2) - 20 * np.log10(n1) == pytest.approx(10 * np.log10(2.0), abs=1e-10)
-
-
-def test_signature_phase_rotation_structure(chan):
-    m_rpm = 4
-    lam = signatures(chan, m_rpm)
-    phasors = np.exp(1j * rpm_phases(m_rpm))
-    n_t = chan.h.shape[1]
-    for t in range(n_t):
-        block = lam[t * m_rpm:(t + 1) * m_rpm]
-        for m in range(m_rpm):
-            np.testing.assert_allclose(block[m], phasors[m] * block[0], rtol=1e-13)
-    energies = np.linalg.norm(lam, axis=1).reshape(n_t, m_rpm)
-    np.testing.assert_allclose(energies, np.broadcast_to(energies[:, :1], energies.shape),
-                               rtol=1e-13)
-
-
-def test_ml_detect_recovers_noise_free_symbol(chan):
-    for bits in ("00", "01", "10", "11"):
-        pair = map_bits(bits, 2, 2)
-        y = synthesize_rx(chan, pair, 25.0, 2)
-        det = ml_detect(chan, y, 25.0, 2)
-        assert (det.t, det.m) == (pair.t, pair.m)
-        assert det.bits == bits
-
-
-def test_ml_detect_zero_observation_tie_break(chan):
-    # y = 0: every phase hypothesis ties at the per-antenna signature energy,
-    # so the detector must return m = 1 and the smaller-energy antenna.
-    y = np.zeros(chan.g.shape[1], dtype=complex)
-    det = ml_detect(chan, y, 4.0, 2)
-    energies = np.sum(np.abs(base_signatures(chan)) ** 2, axis=0)
-    assert det.m == 1
-    assert det.t == int(np.argmin(energies)) + 1
-
-
-def test_ml_detect_global_phase_invariance(rng):
-    cfg = validate(SystemConfig(n_r=2))
-    for trial in range(20):
-        chan = make_channel(cfg, np.random.default_rng(trial))
-        base = base_signatures(chan)
-        phasors = np.exp(1j * rpm_phases(cfg.m_rpm))
-        y = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 3.0
-        rot = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        i0 = _detect_index(base, phasors, y, 7.0)
-        i1 = _detect_index(rot * base, phasors, rot * y, 7.0)
-        assert i0 == i1
+def _min_distance(points: np.ndarray) -> float:
+    d = np.abs(points[:, None] - points[None, :])
+    return float(d[~np.eye(points.size, dtype=bool)].min(initial=math.inf))
 
 
 def test_ml_detect_matches_norm_minimization(rng):
-    # expanded-score detection equals literal ||y - sqrt(P) lambda||^2 argmin
+    # the rank-1 score equals the literal argmin of ||y - sqrt(P_s) lambda_k||^2
+    # over the full-G signatures lambda_k = e^{j phi_m} G^H h_t
     cfg = validate(SystemConfig(n_t=4, m_rpm=4, n_r=2))
-    chan = make_channel(cfg, np.random.default_rng(5))
-    lam = signatures(chan, cfg.m_rpm)
-    for _ in range(50):
-        y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        det = ml_detect(chan, y, 3.0, cfg.m_rpm)
-        dists = np.sum(np.abs(y[None, :] - np.sqrt(3.0) * lam) ** 2, axis=1)
-        idx = int(np.argmin(dists))
-        assert (det.t - 1) * cfg.m_rpm + (det.m - 1) == idx
+    chan = make_channel(cfg)
+    p_s = 3.0
+    for _ in range(10):
+        g = sample_g(cfg, chan.g_bar, rng)
+        lam = full_g_signatures(cfg, g)
+        y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+        ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
+        detected = ml_detect(chan.points, ip, np.sqrt(p_s))
+        dists = np.sum(np.abs(y[:, None, :] - np.sqrt(p_s) * lam[None]) ** 2, axis=2)
+        np.testing.assert_array_equal(detected, np.argmin(dists, axis=1))
+
+
+def test_ml_detect_zero_observation_tie_break(chan, rng):
+    # y = 0, or P_s = 0 with any y: every score ties, so the decision is index 0
+    assert np.all(ml_detect(chan.points, np.zeros(5, dtype=complex), 2.0) == 0)
+    ip = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    assert np.all(ml_detect(chan.points, ip, 0.0) == 0)
+
+
+def test_ml_detect_global_phase_invariance(rng):
+    # a common phase on the channel and the observation changes no decision
+    cfg = validate(SystemConfig(n_t=4, m_rpm=4, n_r=2))
+    chan = make_channel(cfg)
+    for _ in range(20):
+        g_eff = _g_eff(cfg, sample_g(cfg, chan.g_bar, rng))
+        y = (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))) * 3.0
+        rot = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        i0 = ml_detect(chan.points, chan.sqrt_nu * y @ g_eff.conj(), np.sqrt(7.0))
+        i1 = ml_detect(chan.points, chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj(), np.sqrt(7.0))
+        np.testing.assert_array_equal(i0, i1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.sampled_from([1, 2, 4, 8]), m_rpm=st.sampled_from([1, 2, 4, 8]),
+       n_r=st.integers(1, 4), n_x=st.integers(1, 4), n_y=st.integers(1, 4),
+       phi_d=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_ml_detect_recovers_noise_free_symbol(n_t, m_rpm, n_r, n_x, n_y, phi_d, seed):
+    # every noise-free hypothesis of a full-G draw is detected as itself
+    cfg = validate(SystemConfig(n_t=n_t, m_rpm=m_rpm, n_r=n_r, n_x=n_x, n_y=n_y, phi_d=phi_d))
+    chan = make_channel(cfg)
+    assume(_min_distance(chan.points) >= 1e-3)
+    g = sample_g(cfg, chan.g_bar, np.random.default_rng(seed))
+    p_s = 10.0
+    y = np.sqrt(p_s) * full_g_signatures(cfg, g)
+    ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
+    np.testing.assert_array_equal(ml_detect(chan.points, ip, np.sqrt(p_s)),
+                                  np.arange(n_t * m_rpm))

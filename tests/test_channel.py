@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from irs_sskrpm import (SystemConfig, build_g_bar, build_h, effective_channel,
-                        make_channel, sample_g, signatures, steering_bs,
-                        steering_irs, validate)
+from irs_sskrpm import (SystemConfig, build_g_bar, build_h, make_channel, sample_g,
+                        steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
+from oracles import full_g_signatures
 from test_config import PATH_LOSS_4KM
 
 
@@ -72,18 +72,20 @@ def test_build_g_bar_structure(cfg):
 def test_effective_channel_reproduces_every_signature(rng):
     # every hypothesis signature of a full G draw is sqrt(nu) c_k G^H a_irs
     cfg = validate(SystemConfig(n_t=4, m_rpm=4, n_x=3, n_y=5, n_r=3, phi_d=1.1))
-    eff = effective_channel(cfg)
-    chan = make_channel(cfg, rng)
+    chan = make_channel(cfg)
+    g = sample_g(cfg, chan.g_bar, rng)
     a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
-    g_eff = chan.g.conj().T @ a_irs
-    np.testing.assert_allclose(signatures(chan, cfg.m_rpm),
-                               eff.sqrt_nu * eff.points[:, None] * g_eff[None, :],
+    g_eff = g.conj().T @ a_irs
+    np.testing.assert_allclose(full_g_signatures(cfg, g),
+                               chan.sqrt_nu * chan.points[:, None] * g_eff[None, :],
                                rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(np.abs(eff.points), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(np.abs(chan.points), 1.0, rtol=1e-15)
+    np.testing.assert_array_equal(chan.h, build_h(cfg))
+    np.testing.assert_array_equal(chan.g_bar, build_g_bar(cfg))
     w_los, w_nlos = rician_weights(cfg)
-    np.testing.assert_allclose(eff.mean, w_los * (chan.g_bar.conj().T @ a_irs), rtol=1e-15)
-    assert eff.scale == pytest.approx(w_nlos * np.sqrt(cfg.n_elements), rel=1e-15)
-    assert eff.sqrt_nu ** 2 == pytest.approx(cfg.nu, rel=1e-15)
+    np.testing.assert_allclose(chan.mean, w_los * (chan.g_bar.conj().T @ a_irs), rtol=1e-15)
+    assert chan.scale == pytest.approx(w_nlos * np.sqrt(cfg.n_elements), rel=1e-15)
+    assert chan.sqrt_nu ** 2 == pytest.approx(cfg.nu, rel=1e-15)
 
 
 def test_sample_g_limits(cfg, rng):

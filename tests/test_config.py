@@ -134,3 +134,9 @@ def test_parse_config_duplicate_key():
 def test_parse_config_bad_value():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("n_t=two\n")
+
+
+def test_every_exported_name_resolves():
+    import irs_sskrpm
+    missing = [name for name in irs_sskrpm.__all__ if not hasattr(irs_sskrpm, name)]
+    assert missing == []

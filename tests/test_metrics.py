@@ -192,3 +192,22 @@ def test_capacity_reaches_upper_limit(chan, cfg):
 def test_capacity_monotone_in_power(chan, cfg):
     vals = [capacity_closed(chan, cfg, 10 ** (s / 10)) for s in cfg.snr_grid_db]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# ---- reference distance ----------------------------------------------------------
+
+def test_distances_are_measured_in_units_of_d_0(cfg):
+    # path loss depends on d/d_0 only: scaling d_t, d_r and d_0 together
+    # leaves the link unchanged, moving d_0 alone does not
+    p_s = 10.0 ** 1.5
+
+    def link(c):
+        c = validate(c)
+        chan = make_channel(c)
+        return aber_union(chan, c, p_s), capacity_closed(chan, c, p_s)
+
+    base = link(cfg)
+    scaled = link(replace(cfg, d_t=2.5 * cfg.d_t, d_r=2.5 * cfg.d_r, d_0=2.5 * cfg.d_0))
+    assert scaled == pytest.approx(base, rel=1e-12)
+    moved = link(replace(cfg, d_0=2.0 * cfg.d_0))
+    assert moved[0] < base[0] and moved[1] > base[1]

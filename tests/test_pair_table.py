@@ -1,16 +1,18 @@
-"""The hypothesis-pair table against the per-event references in `oracles`:
-union-bound components, closed-form capacity and the `pep` CSV, plus the
-Craig convergence check on single events and on the table."""
+"""The hypothesis-pair table against the per-event references: its moments
+against `moments_ssk/rpm/joint`, and the union-bound components, closed-form
+capacity and `pep` CSV against the loops in `oracles`, plus the Craig
+convergence check on single events and on the table."""
 
 import re
 from dataclasses import fields, replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
-                        load_config, make_channel, moments_ssk, pair_moments,
-                        pep_of_event, validate)
+                        load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
+                        pair_moments, pep_of_event, validate)
 from irs_sskrpm import metrics
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
@@ -40,6 +42,28 @@ def _write_cfg(path, cfg: SystemConfig) -> str:
     path.write_text("".join(f"{f.name}={cell(getattr(cfg, f.name))}\n" for f in fields(cfg)))
     assert load_config(str(path)) == cfg
     return str(path)
+
+
+def test_pair_moments_match_per_event_moments(case):
+    # the rank-1 table against the exact N-dimensional direction of each event
+    cfg, chan = case
+    table = pair_moments(chan)
+    k = cfg.n_t * cfg.m_rpm
+    ref_s, ref_sigma = np.zeros((k, k)), np.zeros((k, k))
+    for i, j in permutations(range(k), 2):
+        (t, m), (t_hat, m_hat) = divmod(i, cfg.m_rpm), divmod(j, cfg.m_rpm)
+        if m == m_hat:
+            mom = moments_ssk(chan.h, chan.g_bar, cfg, t + 1, t_hat + 1)
+        elif t == t_hat:
+            mom = moments_rpm(chan.h, chan.g_bar, cfg, t + 1, m + 1, m_hat + 1)
+        else:
+            mom = moments_joint(chan.h, chan.g_bar, cfg, t + 1, t_hat + 1, m + 1, m_hat + 1)
+        ref_s[i, j], ref_sigma[i, j] = mom.s_sq, mom.sigma_sq
+    off = ~np.eye(k, dtype=bool)
+    assert table.n_r == cfg.n_r
+    np.testing.assert_allclose(table.s_sq[off], ref_s[off], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(table.sigma_sq[off], ref_sigma[off], rtol=1e-12, atol=0)
+    assert np.all(np.diag(table.s_sq) == 0) and np.all(np.diag(table.sigma_sq) == 0)
 
 
 @pytest.mark.parametrize("lit", [False, True])
@@ -81,10 +105,12 @@ def test_pep_csv_matches_per_event_reference(case, lit, tmp_path):
 def test_coincident_hypotheses_have_exact_half_and_chiani_third():
     cfg = validate(CASES["coincident"]())
     chan = make_channel(cfg)
-    v = pep_of_event(pair_moments(chan.h, chan.g_bar, cfg), 1e3)
+    table = pair_moments(chan)
+    v = pep_of_event(table, 1e3)
     t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
     antenna_only = (t[:, None] != t[None, :]) & (m[:, None] == m[None, :])
     assert antenna_only.any()
+    assert np.all(table.s_sq[antenna_only] == 0) and np.all(table.sigma_sq[antenna_only] == 0)
     np.testing.assert_allclose(v.exact[antenna_only], 0.5, rtol=1e-12, atol=0)
     np.testing.assert_allclose(v.chiani[antenna_only], 1.0 / 3.0, rtol=1e-12, atol=0)
     assert np.all(v.exact[~antenna_only & (t[:, None] != t[None, :])] < 0.5)
@@ -98,6 +124,6 @@ def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
     with pytest.raises(NumericalError, match="did not converge"):
         pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, 1, 2), 100.0)
     with pytest.raises(NumericalError, match="did not converge"):
-        pep_of_event(pair_moments(chan.h, chan.g_bar, cfg), 100.0)
+        pep_of_event(pair_moments(chan), 100.0)
     assert main(["pep", "--config", cfg_path, "--out", str(tmp_path / "pep.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
