@@ -9,10 +9,10 @@ from .channel import (Channel, build_g_bar, build_h, make_channel, sample_g, ste
                       steering_irs)
 from .config import ConfigError, SystemConfig, load_config, parse_config, path_loss, validate
 from .metrics import (NumericalError, PepValue, aber_union, aber_union_terms,
-                      capacity_closed, diversity_slope, pep_joint,
+                      capacity_closed, diversity_slope, joint_distances, pep_joint,
                       pep_of_event, pep_rpm, pep_ssk)
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm,
-                   moments_ssk, pair_moments)
+                   moments_ssk, unit_moments)
 from .simulate import (SweepRecord, run_sweep, simulate_ber,
                        simulate_capacity)
 
@@ -23,9 +23,9 @@ __all__ = [
     "sample_g", "make_channel",
     "SymbolPair", "rpm_phases", "map_bits", "demap", "symbol_bits", "ml_detect",
     "ErrorEventMoments", "moments_ssk", "moments_rpm", "moments_joint",
-    "pair_moments", "laplace",
+    "unit_moments", "laplace",
     "PepValue", "NumericalError", "pep_of_event", "pep_ssk", "pep_rpm",
     "pep_joint", "aber_union", "aber_union_terms", "diversity_slope",
-    "capacity_closed",
+    "capacity_closed", "joint_distances",
     "SweepRecord", "simulate_ber", "simulate_capacity", "run_sweep",
 ]

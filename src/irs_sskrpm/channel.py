@@ -107,9 +107,11 @@ class Channel:
     scale: float
     sqrt_nu: float
 
-    def distances(self) -> np.ndarray:
-        """|c_i - c_j|^2 over all ordered pairs of constellation points, (K, K)."""
-        return np.abs(self.points[:, None] - self.points[None, :]) ** 2
+    def distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct |c_i - c_j|^2 over all ordered pairs of constellation
+        points, ascending, and the (K, K) index of each pair into them."""
+        d, index = np.unique(np.abs(self.points[:, None] - self.points) ** 2, return_inverse=True)
+        return d, index.reshape(self.points.size, self.points.size)
 
 
 def make_channel(cfg: SystemConfig) -> Channel:

@@ -19,7 +19,7 @@ from . import __version__
 from .channel import make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
-from .ncx2 import pair_moments
+from .ncx2 import unit_moments
 from .simulate import resolve_workers, run_sweep
 
 
@@ -98,9 +98,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
     workers = resolve_workers(None)
-    records = run_sweep(cfg, mode=args.mode, exact_pep=args.exact_pep,
-                        paper_literal_args=args.paper_literal_args, workers=workers,
-                        quantities=(args.command,))
+    records = run_sweep(cfg, mode=args.mode, exact_pep=getattr(args, "exact_pep", False),
+                        paper_literal_args=getattr(args, "paper_literal_args", False),
+                        workers=workers, quantities=(args.command,))
     header = ["snr_db", *_SWEEP_COLUMNS[args.command][args.mode]]
     fields = ["trials" if col == "samples" else col for col in header]
     rows = [[getattr(r, f) for f in fields] for r in records]
@@ -129,15 +129,17 @@ def _pep_values(table, n_t: int, m_rpm: int) -> list[float]:
 
 def _cmd_pep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    table = pair_moments(make_channel(cfg))
+    chan = make_channel(cfg)
+    unit, (d, index) = unit_moments(chan), chan.distances()
+    gain = 2.0 if args.paper_literal_args else 1.0
     cells = _pep_cells(cfg.n_t, cfg.m_rpm)
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
     rows: list[list] = []
     for snr_db in cfg.snr_grid_db:
-        v = pep_of_event(table, 10.0 ** (snr_db / 10.0), args.paper_literal_args)
+        v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
         rows.extend([snr_db, *c, exact, chiani] for c, exact, chiani in
-                    zip(cells, _pep_values(v.exact, cfg.n_t, cfg.m_rpm),
-                        _pep_values(v.chiani, cfg.n_t, cfg.m_rpm)))
+                    zip(cells, _pep_values(v.exact[index], cfg.n_t, cfg.m_rpm),
+                        _pep_values(v.chiani[index], cfg.n_t, cfg.m_rpm)))
     out = args.out or "pep.csv"
     _write_csv(out, header, rows)
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args, 1)
@@ -152,22 +154,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "SSK + reflection-phase-modulation link over Rician fading.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_mode: bool = False) -> None:
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="scenario file (key=value)")
         p.add_argument("--trials", type=int, default=None, help="override trials per point")
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--exact-pep", dest="exact_pep", action="store_true",
-                       help="use the Craig integral instead of the Chiani closed form")
-        p.add_argument("--paper-literal-args", dest="paper_literal_args", action="store_true",
-                       help="use the doubled transform-argument convention")
-        if with_mode:
-            p.add_argument("--mode", choices=["analytic", "sim", "both"], default="both")
+        return p
 
-    common(sub.add_parser("aber", help="ABER sweep over the SNR grid"), with_mode=True)
-    common(sub.add_parser("capacity", help="ergodic-capacity sweep"), with_mode=True)
-    common(sub.add_parser("pep", help="per-event PEP table"))
-    common(sub.add_parser("validate", help="check a scenario file"))
+    aber = command("aber", "ABER sweep over the SNR grid")
+    capacity = command("capacity", "ergodic-capacity sweep")
+    pep = command("pep", "per-event PEP table")
+    command("validate", "check a scenario file")
+    for p in (aber, capacity, pep):
+        p.add_argument("--out", default=None, help="output CSV path")
+    for p in (aber, capacity):
+        p.add_argument("--mode", choices=["analytic", "sim", "both"], default="both")
+    aber.add_argument("--exact-pep", dest="exact_pep", action="store_true",
+                      help="use the Craig integral instead of the Chiani closed form")
+    for p in (aber, pep):
+        p.add_argument("--paper-literal-args", dest="paper_literal_args", action="store_true",
+                       help="evaluate the PEPs at 2*P_s (doubled transform arguments)")
     return parser
 
 

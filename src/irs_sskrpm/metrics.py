@@ -5,17 +5,16 @@ closed-form ergodic capacity of the discrete-input channel.
 PEP of an event with statistic xi is E[Q(sqrt(P_s*xi/2))]. Craig's finite
 integral for Q turns this into (1/pi) * int_0^{pi/2} L(P_s/(4*sin^2 w)) dw
 where L is the Laplace transform of xi; the Chiani two-exponential
-approximation of Q gives the closed form L(P_s/4)/12 + L(P_s/3)/4.
+approximation of Q gives the closed form L(P_s/4)/12 + L(P_s/3)/4. These
+arguments are the ones consistent with Q(sqrt(P_s*xi/2)) and are validated
+against direct quadrature and Monte-Carlo; the doubled-argument convention
+of some texts is the PEP at 2*P_s.
 
-`paper_literal_args=True` doubles the transform arguments (P_s/(2*sin^2 w),
-and {P_s/2, 2*P_s/3} in the closed form) for side-by-side comparison with
-texts that use that convention; the default arguments are the ones consistent
-with Q(sqrt(P_s*xi/2)) and are the ones validated against direct quadrature
-and Monte-Carlo.
-
-The union bound and the closed-form capacity read one table over all ordered
-hypothesis pairs (`ncx2.pair_moments`), evaluated in one vectorised pass per
-transmit power.
+H is rank-1, so the statistic of the error event i -> j is |c_i - c_j|^2
+times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
+is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2. The union
+bound, the closed-form capacity and the `pep` table therefore evaluate xi_1
+once per transmit power, over the distinct constellation distances.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .airlink import pair_classes
 from .channel import Channel
 from .config import SystemConfig
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm, moments_ssk,
-                   pair_moments)
+                   unit_moments)
 
 
 class NumericalError(RuntimeError):
@@ -54,95 +53,87 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class PepValue:
     """Pairwise error probability: exact Craig-integral value and the
-    Chiani closed-form approximation (arrays for a batch of events)."""
+    Chiani closed-form approximation (arrays for an array of powers)."""
 
     exact: float | np.ndarray
     chiani: float | np.ndarray
 
 
-def _craig_at_order(mom: ErrorEventMoments, p_s: float, order: int, scale: float):
+def _power(p_s) -> np.ndarray:
+    """p_s as a float array; ValueError unless every entry is finite and >= 0."""
+    p = np.asarray(p_s, dtype=float)
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        raise ValueError(f"p_s={p_s} must be finite and non-negative")
+    return p
+
+
+def _craig_at_order(mom: ErrorEventMoments, p_s: np.ndarray, order: int):
     omega, w = _gl_nodes(order)
-    args = scale * p_s / (4.0 * np.sin(omega) ** 2)
-    if np.ndim(mom.s_sq) == 0:
-        return float(np.dot(w, laplace(mom, args))) / np.pi
-    # a table of moments: sum node by node, never a (table x nodes) array
-    return sum(wn * laplace(mom, an) for wn, an in zip(w, args)) / np.pi
+    return laplace(mom, np.divide.outer(p_s, 4.0 * np.sin(omega) ** 2)) @ w / np.pi
 
 
-def pep_of_event(mom: ErrorEventMoments, p_s: float,
-                 paper_literal_args: bool = False) -> PepValue:
-    """PEP of an error event at transmit power p_s (unit noise); for a batch
-    of moments (`pair_moments`) both fields are arrays of the batch's shape.
+def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
+    """PEP of an error event at transmit power p_s (unit noise); for an array
+    of powers both fields are arrays of its shape.
 
     The exact value is the Craig integral evaluated with fixed-order
     Gauss-Legendre quadrature; a relative spread above 1e-9 between the
-    base and doubled orders, in any entry, raises NumericalError.
+    base and doubled orders, at any power, raises NumericalError.
     """
-    if p_s < 0:
-        raise ValueError(f"p_s={p_s} must be non-negative")
-    scale = 2.0 if paper_literal_args else 1.0
-    lo = _craig_at_order(mom, p_s, GL_ORDER, scale)
-    hi = _craig_at_order(mom, p_s, 2 * GL_ORDER, scale)
+    p = _power(p_s)
+    lo = _craig_at_order(mom, p, GL_ORDER)
+    hi = _craig_at_order(mom, p, 2 * GL_ORDER)
     spread = np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300))
-    if spread > _MAX_REL_SPREAD:
+    if not spread <= _MAX_REL_SPREAD:
         raise NumericalError(
             f"Craig quadrature did not converge: spread {spread:.3e} at orders "
             f"{GL_ORDER}/{2 * GL_ORDER}")
-    chiani = (laplace(mom, scale * p_s / 4.0) / 12.0
-              + laplace(mom, scale * p_s / 3.0) / 4.0)
-    return PepValue(exact=hi, chiani=chiani)
+    return PepValue(exact=hi, chiani=laplace(mom, p / 4.0) / 12.0 + laplace(mom, p / 3.0) / 4.0)
 
 
-def pep_ssk(chan: Channel, cfg: SystemConfig, t: int, t_hat: int, p_s: float,
-            paper_literal_args: bool = False) -> PepValue:
+def pep_ssk(chan: Channel, cfg: SystemConfig, t: int, t_hat: int, p_s: float) -> PepValue:
     """PEP of the antenna-index error t -> t_hat; the applied reflection phase
     is a unit factor that drops out of the norm, so no average over it is needed."""
-    mom = moments_ssk(chan.h, chan.g_bar, cfg, t, t_hat)
-    return pep_of_event(mom, p_s, paper_literal_args)
+    return pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, t, t_hat), p_s)
 
 
-def pep_rpm(chan: Channel, cfg: SystemConfig, m: int, m_hat: int, p_s: float,
-            paper_literal_args: bool = False) -> PepValue:
+def pep_rpm(chan: Channel, cfg: SystemConfig, m: int, m_hat: int, p_s: float) -> PepValue:
     """Average PEP of the phase error m -> m_hat, averaged over the active antenna."""
-    vals = [pep_of_event(moments_rpm(chan.h, chan.g_bar, cfg, t, m, m_hat),
-                         p_s, paper_literal_args)
+    vals = [pep_of_event(moments_rpm(chan.h, chan.g_bar, cfg, t, m, m_hat), p_s)
             for t in range(1, cfg.n_t + 1)]
     return PepValue(exact=float(np.mean([v.exact for v in vals])),
                     chiani=float(np.mean([v.chiani for v in vals])))
 
 
 def pep_joint(chan: Channel, cfg: SystemConfig, t: int, t_hat: int,
-              m: int, m_hat: int, p_s: float,
-              paper_literal_args: bool = False) -> PepValue:
+              m: int, m_hat: int, p_s: float) -> PepValue:
     """PEP of the simultaneous antenna and phase error."""
-    mom = moments_joint(chan.h, chan.g_bar, cfg, t, t_hat, m, m_hat)
-    return pep_of_event(mom, p_s, paper_literal_args)
+    return pep_of_event(moments_joint(chan.h, chan.g_bar, cfg, t, t_hat, m, m_hat), p_s)
 
 
 def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
-                     exact_pep: bool = False,
-                     paper_literal_args: bool = False) -> tuple[float, float, float]:
+                     exact_pep: bool = False) -> tuple[float, float, float]:
     """The three union-bound components (antenna-only, phase-only, joint):
     over the ordered hypothesis pairs of each class, the sum of the PEPs
     weighted by the Hamming distance of the two labels, divided by K*b."""
     b = cfg.bits_total
     if b == 0:
         return (0.0, 0.0, 0.0)
-    v = pep_of_event(pair_moments(chan), p_s, paper_literal_args)
+    d, index = chan.distances()
+    v = pep_of_event(unit_moments(chan), _power(p_s) * d)
     same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
-    weighted = dist * (v.exact if exact_pep else v.chiani) / (dist.shape[0] * b)
+    weighted = dist * (v.exact if exact_pep else v.chiani)[index] / (dist.shape[0] * b)
     return (float(weighted[same_m].sum()), float(weighted[same_t].sum()),
             float(weighted[~same_t & ~same_m].sum()))
 
 
-def aber_union(chan: Channel, cfg: SystemConfig, p_s: float,
-               exact_pep: bool = False, paper_literal_args: bool = False) -> float:
+def aber_union(chan: Channel, cfg: SystemConfig, p_s: float, exact_pep: bool = False) -> float:
     """Union bound on the average bit error rate.
 
     Uses the Chiani closed-form PEP by default; exact_pep=True switches every
     term to the Craig integral.
     """
-    return float(sum(aber_union_terms(chan, cfg, p_s, exact_pep, paper_literal_args)))
+    return float(sum(aber_union_terms(chan, cfg, p_s, exact_pep)))
 
 
 def diversity_slope(snr_db, aber) -> float:
@@ -157,6 +148,16 @@ def diversity_slope(snr_db, aber) -> float:
     return float(-coeff[0])
 
 
+def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |c_i - c_j|^2 over the ordered pairs whose antenna and
+    phase indices both differ, ascending, with their multiplicities."""
+    n_t = chan.h.shape[1]
+    d, index = chan.distances()
+    same_t, same_m, _ = pair_classes(n_t, chan.points.size // n_t)
+    ids, mult = np.unique(index[~same_t & ~same_m], return_counts=True)
+    return d[ids], mult.astype(float)
+
+
 def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float) -> float:
     """Closed-form ergodic capacity of the joint discrete-input channel,
     in bits per channel use.
@@ -165,9 +166,7 @@ def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float) -> float:
     different of L_xi(P_s/2)); it grows from the zero-power baseline to the
     limit log2(n_t*M).
     """
-    if p_s < 0:
-        raise ValueError(f"p_s={p_s} must be non-negative")
     k = cfg.n_t * cfg.m_rpm
-    same_t, same_m, _ = pair_classes(cfg.n_t, cfg.m_rpm)
-    total = laplace(pair_moments(chan), p_s / 2.0)[~same_t & ~same_m].sum()
+    d, mult = joint_distances(chan)
+    total = np.dot(mult, laplace(unit_moments(chan), _power(p_s) / 2.0 * d))
     return 2.0 * math.log2(k) - math.log2(k + total)

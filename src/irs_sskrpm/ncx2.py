@@ -13,9 +13,10 @@ noncentral chi-square with 2*n_r degrees of freedom, per-real-component
 variance sigma^2 = nu_r/(2*(1+K_r)) * ||d||^2 and noncentrality
 s^2 = K_r*nu_r/(1+K_r) * ||G_bar^H d||^2 (the squared norm of the mean).
 
-These per-event builders keep the exact N-dimensional direction d and are
-the reference for `pair_moments`, which covers all ordered hypothesis pairs
-at once through the rank-1 identity d = sqrt(nu) (c_i - c_j) a_irs.
+These per-event builders keep the exact N-dimensional direction d. Through
+the rank-1 identity d = sqrt(nu) (c_i - c_j) a_irs, every event's statistic
+is |c_i - c_j|^2 times xi_1 = nu ||g_eff||^2, whose moments `unit_moments`
+gives; the builders are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -31,16 +32,15 @@ from .config import SystemConfig
 
 @dataclass(frozen=True)
 class ErrorEventMoments:
-    """Gaussian moments of one error event (floats) or of a batch (arrays):
-    noncentrality s^2, per-component variance sigma^2, and n_r (the
-    statistic has 2*n_r degrees of freedom).
+    """Gaussian moments of one error event: noncentrality s^2, per-component
+    variance sigma^2, and n_r (the statistic has 2*n_r degrees of freedom).
 
     sigma_sq == 0 only for degenerate events whose two hypotheses produce
     identical signatures; such events carry no decision information.
     """
 
-    s_sq: float | np.ndarray
-    sigma_sq: float | np.ndarray
+    s_sq: float
+    sigma_sq: float
     n_r: int
 
 
@@ -51,15 +51,12 @@ def _moments_from_direction(d: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig)
     return ErrorEventMoments(s_sq=float(s_sq), sigma_sq=float(sigma_sq), n_r=g_bar.shape[1])
 
 
-def pair_moments(chan: Channel) -> ErrorEventMoments:
-    """Moments of every ordered pair (i, j) of the K flat t-major hypotheses
-    i = (t-1)*m_rpm + (m-1), as (K, K) arrays. The direction is
-    d = sqrt(nu) (c_i - c_j) a_irs, so G^H d = sqrt(nu) (c_i - c_j) g_eff and
-    both moments are nu |c_i - c_j|^2 times those of g_eff: ||mean||^2 and
-    scale^2 / 2 (exactly 0 on the diagonal and for coincident hypotheses)."""
-    dist = chan.sqrt_nu ** 2 * chan.distances()
-    return ErrorEventMoments(s_sq=dist * np.sum(np.abs(chan.mean) ** 2),
-                             sigma_sq=dist * (chan.scale ** 2 / 2.0), n_r=chan.mean.size)
+def unit_moments(chan: Channel) -> ErrorEventMoments:
+    """Moments of xi_1 = nu ||g_eff||^2: nu ||mean||^2 and nu scale^2 / 2. Event i -> j
+    has the statistic |c_i - c_j|^2 xi_1, so its transform at a is xi_1's at a|c_i - c_j|^2."""
+    nu = chan.sqrt_nu ** 2
+    return ErrorEventMoments(s_sq=float(nu * np.sum(np.abs(chan.mean) ** 2)),
+                             sigma_sq=float(nu * chan.scale ** 2 / 2.0), n_r=chan.mean.size)
 
 
 def moments_ssk(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,

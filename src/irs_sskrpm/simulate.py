@@ -23,10 +23,10 @@ from functools import partial
 
 import numpy as np
 
-from .airlink import label_weights, ml_detect, pair_classes
+from .airlink import label_weights, ml_detect
 from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
-from .metrics import NumericalError, aber_union, capacity_closed
+from .metrics import NumericalError, aber_union, capacity_closed, joint_distances
 
 #: Trials per RNG chunk. Fixed: changing it changes every simulated result.
 CHUNK_TRIALS = 8192
@@ -141,21 +141,13 @@ def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
     return aber, math.sqrt(max(aber * (1.0 - aber), 0.0) / bits)
 
 
-def _pair_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct nu*|c_k - c_j|^2 over the ordered pairs whose antenna and
-    phase indices both differ, with their multiplicities."""
-    n_t = chan.h.shape[1]
-    same_t, same_m, _ = pair_classes(n_t, chan.points.size // n_t)
-    d2, mult = np.unique(chan.distances()[~same_t & ~same_m], return_counts=True)
-    return chan.sqrt_nu ** 2 * d2, mult.astype(float)
-
-
 def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
                     chunk_index: int, n_samples: int,
                     dist: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
     """Partial sums (sum_a, sum_a_sq) of the per-sample aggregate
     a = sum over hypothesis pairs of exp(-p_s * xi / 2), where
-    xi = nu |c_k - c_j|^2 ||g_eff||^2 and dist holds `_pair_distances`."""
+    xi = nu |c_k - c_j|^2 ||g_eff||^2 and dist holds the distinct nu |c_k - c_j|^2
+    of `metrics.joint_distances` with their multiplicities."""
     rng = _chunk_rng(seed, _DOMAIN_CAPACITY, point_index, chunk_index)
     g = chan.mean + chan.scale * _gaussian(rng, (n_samples, chan.mean.size))
     energy = np.sum(np.abs(g) ** 2, axis=1)
@@ -185,7 +177,8 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
     chan = make_channel(cfg)
-    kernel = partial(_capacity_chunk, dist=_pair_distances(chan))
+    d2, mult = joint_distances(chan)
+    kernel = partial(_capacity_chunk, dist=(chan.sqrt_nu ** 2 * d2, mult))
     partials = _map_chunks(kernel, chan, p_s, seed, point_index,
                            _chunk_sizes(channel_samples), workers)
     # reduce in chunk order so the float result is worker-count independent
@@ -209,6 +202,7 @@ def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
     "both"; quantities selects what: "aber", "capacity" or both. Only the
     requested fields are computed, the others stay None. Rows are ordered
     by SNR and the whole sweep is deterministic for a fixed cfg.seed.
+    paper_literal_args puts the union bound at 2*P_s (doubled transform arguments).
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
@@ -224,7 +218,7 @@ def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
         try:
             aber_a = aber_sim = stderr = cap_c = cap_s = None
             if analytic and aber:
-                aber_a = aber_union(chan, cfg, p_s, exact_pep, paper_literal_args)
+                aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep)
             if analytic and capacity:
                 cap_c = capacity_closed(chan, cfg, p_s)
             if sim and aber:

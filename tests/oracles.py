@@ -250,24 +250,22 @@ def _ordered_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def aber_union_terms_reference(chan: Channel, cfg: SystemConfig, p_s: float,
-                               exact_pep: bool = False,
-                               paper_literal_args: bool = False) -> tuple[float, float, float]:
+                               exact_pep: bool = False) -> tuple[float, float, float]:
     """Union-bound components (antenna-only, phase-only, joint) summed event
     by event: each PEP weighted by the Hamming distance of the two labels."""
     b = cfg.bits_total
     if b == 0:
         return (0.0, 0.0, 0.0)
     pick = (lambda v: v.exact) if exact_pep else (lambda v: v.chiani)
-    lit = paper_literal_args
-    p_ssk = sum(_hamming(t - 1, t_hat - 1) * pick(pep_ssk(chan, cfg, t, t_hat, p_s, lit))
+    p_ssk = sum(_hamming(t - 1, t_hat - 1) * pick(pep_ssk(chan, cfg, t, t_hat, p_s))
                 for t, t_hat in _ordered_pairs(cfg.n_t)) / (cfg.n_t * b)
-    p_rpm = sum(_hamming(m - 1, m_hat - 1) * pick(pep_rpm(chan, cfg, m, m_hat, p_s, lit))
+    p_rpm = sum(_hamming(m - 1, m_hat - 1) * pick(pep_rpm(chan, cfg, m, m_hat, p_s))
                 for m, m_hat in _ordered_pairs(cfg.m_rpm)) / (cfg.m_rpm * b)
     p_joint = 0.0
     for m, m_hat in _ordered_pairs(cfg.m_rpm):
         for t, t_hat in _ordered_pairs(cfg.n_t):
             d = _hamming(t - 1, t_hat - 1) + _hamming(m - 1, m_hat - 1)
-            p_joint += d * pick(pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s, lit))
+            p_joint += d * pick(pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s))
     return (p_ssk, p_rpm, p_joint / (cfg.m_rpm * cfg.n_t * b))
 
 
@@ -286,19 +284,19 @@ def pep_rows_reference(chan: Channel, cfg: SystemConfig,
                        paper_literal_args: bool = False) -> list[list]:
     """Rows of the `pep` command over cfg's SNR grid, one event at a time:
     [snr_db, event, t, t_hat, m, m_hat, pep_exact, pep_chiani] with empty
-    cells for the indices an event does not have."""
-    lit = paper_literal_args
+    cells for the indices an event does not have. The literal convention is
+    the PEP at twice the power."""
     rows: list[list] = []
     for snr_db in cfg.snr_grid_db:
-        p_s = 10.0 ** (snr_db / 10.0)
+        p_s = (2.0 if paper_literal_args else 1.0) * 10.0 ** (snr_db / 10.0)
         for t, t_hat in _ordered_pairs(cfg.n_t):
-            v = pep_ssk(chan, cfg, t, t_hat, p_s, lit)
+            v = pep_ssk(chan, cfg, t, t_hat, p_s)
             rows.append([snr_db, "ssk", t, t_hat, "", "", v.exact, v.chiani])
         for m, m_hat in _ordered_pairs(cfg.m_rpm):
-            v = pep_rpm(chan, cfg, m, m_hat, p_s, lit)
+            v = pep_rpm(chan, cfg, m, m_hat, p_s)
             rows.append([snr_db, "rpm", "", "", m, m_hat, v.exact, v.chiani])
         for m, m_hat in _ordered_pairs(cfg.m_rpm):
             for t, t_hat in _ordered_pairs(cfg.n_t):
-                v = pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s, lit)
+                v = pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s)
                 rows.append([snr_db, "joint", t, t_hat, m, m_hat, v.exact, v.chiani])
     return rows

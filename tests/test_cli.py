@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +116,23 @@ def test_pep_table(tmp_path, quick_cfg):
     assert kinds == {"ssk", "rpm", "joint"}
     # 3 SNRs x (2 ssk + 2 rpm + 4 joint) events
     assert len(lines) == 1 + 3 * 8
+
+
+@pytest.mark.parametrize("argv", [["capacity", "--exact-pep"], ["pep", "--exact-pep"],
+                                  ["validate", "--paper-literal-args"], ["validate", "--out", "x"]],
+                         ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_subcommands_reject_flags_they_do_not_read(quick_cfg, argv):
+    assert main([*argv, "--config", quick_cfg]) == 1
+
+
+def test_cli_import_loads_no_test_only_dependency():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import sys, irs_sskrpm.cli; "
+             "print(sorted({'scipy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exact_pep_flag_changes_analytics(tmp_path, quick_cfg):

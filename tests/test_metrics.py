@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from irs_sskrpm import (ErrorEventMoments, SystemConfig, aber_union,
+from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
                         aber_union_terms, capacity_closed, diversity_slope,
                         laplace, make_channel, moments_joint, moments_rpm,
                         moments_ssk, pep_joint, pep_of_event, pep_rpm,
-                        pep_ssk, validate)
+                        pep_ssk, run_sweep, validate)
 from oracles import pep_by_quadrature
 
 
@@ -72,11 +74,38 @@ def test_pep_joint_decreases_with_surface_size(cfg):
 
 
 def test_paper_literal_args_doubles_transform_argument(chan, cfg):
+    # the doubled-argument convention at P_s = 8 is the PEP at 16
     mom = moments_ssk(chan.h, chan.g_bar, cfg, 1, 2)
-    lit = pep_of_event(mom, 8.0, paper_literal_args=True)
+    lit = pep_of_event(mom, 16.0)
     assert lit.chiani == pytest.approx(laplace(mom, 4.0) / 12 + laplace(mom, 16.0 / 3.0) / 4,
                                        rel=1e-14)
     assert lit.exact < pep_of_event(mom, 8.0).exact
+
+
+def test_run_sweep_literal_rows_are_the_bound_at_double_power(chan, cfg):
+    for exact in (False, True):
+        rows = run_sweep(cfg, mode="analytic", exact_pep=exact, paper_literal_args=True,
+                         quantities=("aber",))
+        assert [r.aber_analytical for r in rows] == [
+            aber_union(chan, cfg, 2.0 * 10.0 ** (s / 10.0), exact) for s in cfg.snr_grid_db]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_power_is_rejected(chan, cfg, bad):
+    mom = moments_ssk(chan.h, chan.g_bar, cfg, 1, 2)
+    for p_s in (bad, np.array([1.0, bad]), np.array([[bad]])):
+        with pytest.raises(ValueError, match="finite"):
+            pep_of_event(mom, p_s)
+    with pytest.raises(ValueError, match="finite"):
+        aber_union(chan, cfg, bad, exact_pep=True)
+    with pytest.raises(ValueError, match="finite"):
+        capacity_closed(chan, cfg, bad)
+
+
+def test_craig_check_fails_closed_on_nan():
+    # a NaN spread is not a converged integral
+    with pytest.raises(NumericalError, match="did not converge"):
+        pep_of_event(ErrorEventMoments(s_sq=math.nan, sigma_sq=0.5, n_r=1), 1.0)
 
 
 def test_chiani_tracks_exact_in_the_low_error_regime(chan, cfg):

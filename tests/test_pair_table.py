@@ -1,7 +1,9 @@
-"""The hypothesis-pair table against the per-event references: its moments
-against `moments_ssk/rpm/joint`, and the union-bound components, closed-form
-capacity and `pep` CSV against the loops in `oracles`, plus the Craig
-convergence check on single events and on the table."""
+"""The one unit law at the effective power p_s*|c_i - c_j|^2 against the
+per-event references: `unit_moments` scaled by each pair's distance against
+`moments_ssk/rpm/joint`, array powers against scalar calls, and the
+union-bound components, closed-form capacity and `pep` CSV against the
+loops in `oracles`, plus the Craig convergence check on scalar and array
+powers."""
 
 import re
 from dataclasses import fields, replace
@@ -12,7 +14,7 @@ import pytest
 
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
                         load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
-                        pair_moments, pep_of_event, validate)
+                        pep_of_event, unit_moments, validate)
 from irs_sskrpm import metrics
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
@@ -45,9 +47,11 @@ def _write_cfg(path, cfg: SystemConfig) -> str:
 
 
 def test_pair_moments_match_per_event_moments(case):
-    # the rank-1 table against the exact N-dimensional direction of each event
+    # |c_i - c_j|^2 times the unit law against the exact N-dimensional
+    # direction of each event
     cfg, chan = case
-    table = pair_moments(chan)
+    unit = unit_moments(chan)
+    d, index = chan.distances()
     k = cfg.n_t * cfg.m_rpm
     ref_s, ref_sigma = np.zeros((k, k)), np.zeros((k, k))
     for i, j in permutations(range(k), 2):
@@ -60,21 +64,36 @@ def test_pair_moments_match_per_event_moments(case):
             mom = moments_joint(chan.h, chan.g_bar, cfg, t + 1, t_hat + 1, m + 1, m_hat + 1)
         ref_s[i, j], ref_sigma[i, j] = mom.s_sq, mom.sigma_sq
     off = ~np.eye(k, dtype=bool)
-    assert table.n_r == cfg.n_r
-    np.testing.assert_allclose(table.s_sq[off], ref_s[off], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(table.sigma_sq[off], ref_sigma[off], rtol=1e-12, atol=0)
-    assert np.all(np.diag(table.s_sq) == 0) and np.all(np.diag(table.sigma_sq) == 0)
+    assert unit.n_r == cfg.n_r
+    np.testing.assert_allclose((d[index] * unit.s_sq)[off], ref_s[off], rtol=1e-12, atol=0)
+    np.testing.assert_allclose((d[index] * unit.sigma_sq)[off], ref_sigma[off],
+                               rtol=1e-12, atol=0)
+    assert np.all(np.diff(d) > 0) and np.all(d[np.diag(index)] == 0)
+
+
+def test_array_powers_match_scalar_calls(case):
+    cfg, chan = case
+    unit = unit_moments(chan)
+    d, _ = chan.distances()
+    for snr_db in cfg.snr_grid_db:
+        powers = 10.0 ** (snr_db / 10.0) * d
+        v = pep_of_event(unit, powers)
+        assert v.exact.shape == v.chiani.shape == d.shape
+        for p, exact, chiani in zip(powers, v.exact, v.chiani):
+            ref = pep_of_event(unit, float(p))
+            assert exact == pytest.approx(ref.exact, rel=1e-14, abs=0)
+            assert chiani == pytest.approx(ref.chiani, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("lit", [False, True])
 def test_union_terms_match_per_event_reference(case, lit):
     cfg, chan = case
     for snr_db in cfg.snr_grid_db:
-        p_s = 10.0 ** (snr_db / 10.0)
+        p_s = (2.0 if lit else 1.0) * 10.0 ** (snr_db / 10.0)
         for exact in (False, True):
             np.testing.assert_allclose(
-                aber_union_terms(chan, cfg, p_s, exact, lit),
-                aber_union_terms_reference(chan, cfg, p_s, exact, lit), rtol=1e-12, atol=0)
+                aber_union_terms(chan, cfg, p_s, exact),
+                aber_union_terms_reference(chan, cfg, p_s, exact), rtol=1e-12, atol=0)
 
 
 def test_capacity_closed_matches_per_event_reference(case):
@@ -105,15 +124,16 @@ def test_pep_csv_matches_per_event_reference(case, lit, tmp_path):
 def test_coincident_hypotheses_have_exact_half_and_chiani_third():
     cfg = validate(CASES["coincident"]())
     chan = make_channel(cfg)
-    table = pair_moments(chan)
-    v = pep_of_event(table, 1e3)
+    d, index = chan.distances()
+    v = pep_of_event(unit_moments(chan), 1e3 * d)
+    exact, chiani = v.exact[index], v.chiani[index]
     t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
     antenna_only = (t[:, None] != t[None, :]) & (m[:, None] == m[None, :])
     assert antenna_only.any()
-    assert np.all(table.s_sq[antenna_only] == 0) and np.all(table.sigma_sq[antenna_only] == 0)
-    np.testing.assert_allclose(v.exact[antenna_only], 0.5, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(v.chiani[antenna_only], 1.0 / 3.0, rtol=1e-12, atol=0)
-    assert np.all(v.exact[~antenna_only & (t[:, None] != t[None, :])] < 0.5)
+    assert np.all(d[index[antenna_only]] == 0)
+    np.testing.assert_allclose(exact[antenna_only], 0.5, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chiani[antenna_only], 1.0 / 3.0, rtol=1e-12, atol=0)
+    assert np.all(exact[~antenna_only & (t[:, None] != t[None, :])] < 0.5)
 
 
 def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
@@ -124,6 +144,6 @@ def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
     with pytest.raises(NumericalError, match="did not converge"):
         pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, 1, 2), 100.0)
     with pytest.raises(NumericalError, match="did not converge"):
-        pep_of_event(pair_moments(chan), 100.0)
+        pep_of_event(unit_moments(chan), 100.0 * chan.distances()[0])
     assert main(["pep", "--config", cfg_path, "--out", str(tmp_path / "pep.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err

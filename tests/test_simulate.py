@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed, load_config,
-                        make_channel, run_sweep, simulate_ber, simulate_capacity, validate)
-from irs_sskrpm.simulate import _pair_distances, resolve_workers
+from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed, joint_distances,
+                        load_config, make_channel, run_sweep, simulate_ber,
+                        simulate_capacity, validate)
+from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import ber_full_g
 
@@ -86,7 +87,7 @@ def test_capacity_deterministic_across_workers(cfg):
 
 def test_capacity_pair_distances_cover_every_joint_pair():
     cfg = validate(SystemConfig(n_t=8, m_rpm=8, phi_d=0.3))
-    d2, mult = _pair_distances(make_channel(cfg))
+    d2, mult = joint_distances(make_channel(cfg))
     assert mult.sum() == 8 * 7 * 8 * 7
     assert np.all(np.diff(d2) > 0) and d2[0] >= 0.0
     # the pair set is closed under swapping the two hypotheses
