@@ -2,22 +2,27 @@
 exact Craig-integral values next to the Chiani closed form, and how the
 union bound on the average bit error rate is assembled from them.
 
+Every event i -> j between flat t-major hypothesis indices has the PEP of
+the one unit law (`unit_moments`) at the effective power P_s*|c_i - c_j|^2.
+
 Run: python demos/pep_anatomy.py
 """
 
-from irs_sskrpm import (SystemConfig, aber_union_terms, make_channel,
-                        pep_joint, pep_rpm, pep_ssk, validate)
+from irs_sskrpm import (SystemConfig, aber_union_terms, make_channel, pep_of_event,
+                        unit_moments, validate)
 
 cfg = validate(SystemConfig())
 chan = make_channel(cfg)
+unit = unit_moments(chan)
+# antenna error 1 -> 2, phase error 1 -> 2, and both at once
+events = [(0, cfg.m_rpm), (0, 1), (0, cfg.m_rpm + 1)]
+dist = [abs(chan.points[i] - chan.points[j]) ** 2 for i, j in events]
 
 print(f"{'SNR dB':>6} | {'ssk exact':>10} {'chiani':>10} | {'rpm exact':>10} "
       f"{'chiani':>10} | {'joint exact':>11} {'chiani':>10}")
 for snr in range(0, 41, 5):
     p_s = 10 ** (snr / 10)
-    s = pep_ssk(chan, cfg, 1, 2, p_s)
-    r = pep_rpm(chan, cfg, 1, 2, p_s)
-    j = pep_joint(chan, cfg, 1, 2, 1, 2, p_s)
+    s, r, j = (pep_of_event(unit, p_s * d) for d in dist)
     print(f"{snr:6d} | {s.exact:10.3e} {s.chiani:10.3e} | {r.exact:10.3e} "
           f"{r.chiani:10.3e} | {j.exact:11.3e} {j.chiani:10.3e}")
 

@@ -4,13 +4,12 @@ modulation at the surface, over Rician fading."""
 
 __version__ = "0.1.0"
 
-from .airlink import SymbolPair, demap, map_bits, ml_detect, rpm_phases, symbol_bits
+from .airlink import ml_detect, rpm_phases
 from .channel import (Channel, build_g_bar, build_h, make_channel, sample_g, steering_bs,
                       steering_irs)
 from .config import ConfigError, SystemConfig, load_config, parse_config, path_loss, validate
 from .metrics import (NumericalError, PepValue, aber_union, aber_union_terms,
-                      capacity_closed, diversity_slope, joint_distances, pep_joint,
-                      pep_of_event, pep_rpm, pep_ssk)
+                      capacity_closed, diversity_slope, joint_distances, pep_of_event)
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm,
                    moments_ssk, unit_moments)
 from .simulate import (SweepRecord, run_sweep, simulate_ber,
@@ -21,11 +20,10 @@ __all__ = [
     "SystemConfig", "ConfigError", "load_config", "parse_config", "path_loss", "validate",
     "Channel", "steering_irs", "steering_bs", "build_h", "build_g_bar",
     "sample_g", "make_channel",
-    "SymbolPair", "rpm_phases", "map_bits", "demap", "symbol_bits", "ml_detect",
+    "rpm_phases", "ml_detect",
     "ErrorEventMoments", "moments_ssk", "moments_rpm", "moments_joint",
     "unit_moments", "laplace",
-    "PepValue", "NumericalError", "pep_of_event", "pep_ssk", "pep_rpm",
-    "pep_joint", "aber_union", "aber_union_terms", "diversity_slope",
-    "capacity_closed", "joint_distances",
+    "PepValue", "NumericalError", "pep_of_event", "aber_union", "aber_union_terms",
+    "diversity_slope", "capacity_closed", "joint_distances",
     "SweepRecord", "simulate_ber", "simulate_capacity", "run_sweep",
 ]

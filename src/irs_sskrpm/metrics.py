@@ -14,7 +14,9 @@ H is rank-1, so the statistic of the error event i -> j is |c_i - c_j|^2
 times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
 is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2. The union
 bound, the closed-form capacity and the `pep` table therefore evaluate xi_1
-once per transmit power, over the distinct constellation distances.
+once per transmit power, over the distinct constellation distances. An
+error event is a pair (i, j) of flat t-major hypothesis indices, and its
+PEP is pep_of_event(unit_moments(chan), P_s*|c_i - c_j|^2).
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 from .airlink import pair_classes
 from .channel import Channel
 from .config import SystemConfig
-from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm, moments_ssk,
-                   unit_moments)
+from .ncx2 import ErrorEventMoments, laplace, unit_moments
 
 
 class NumericalError(RuntimeError):
@@ -91,34 +92,15 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     return PepValue(exact=hi, chiani=laplace(mom, p / 4.0) / 12.0 + laplace(mom, p / 3.0) / 4.0)
 
 
-def pep_ssk(chan: Channel, cfg: SystemConfig, t: int, t_hat: int, p_s: float) -> PepValue:
-    """PEP of the antenna-index error t -> t_hat; the applied reflection phase
-    is a unit factor that drops out of the norm, so no average over it is needed."""
-    return pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, t, t_hat), p_s)
-
-
-def pep_rpm(chan: Channel, cfg: SystemConfig, m: int, m_hat: int, p_s: float) -> PepValue:
-    """Average PEP of the phase error m -> m_hat, averaged over the active antenna."""
-    vals = [pep_of_event(moments_rpm(chan.h, chan.g_bar, cfg, t, m, m_hat), p_s)
-            for t in range(1, cfg.n_t + 1)]
-    return PepValue(exact=float(np.mean([v.exact for v in vals])),
-                    chiani=float(np.mean([v.chiani for v in vals])))
-
-
-def pep_joint(chan: Channel, cfg: SystemConfig, t: int, t_hat: int,
-              m: int, m_hat: int, p_s: float) -> PepValue:
-    """PEP of the simultaneous antenna and phase error."""
-    return pep_of_event(moments_joint(chan.h, chan.g_bar, cfg, t, t_hat, m, m_hat), p_s)
-
-
 def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
                      exact_pep: bool = False) -> tuple[float, float, float]:
     """The three union-bound components (antenna-only, phase-only, joint):
     over the ordered hypothesis pairs of each class, the sum of the PEPs
-    weighted by the Hamming distance of the two labels, divided by K*b."""
+    weighted by the Hamming distance of the two labels, divided by K*b.
+    A zero-bit config (n_t = m_rpm = 1) raises ValueError, as in `simulate_ber`."""
     b = cfg.bits_total
     if b == 0:
-        return (0.0, 0.0, 0.0)
+        raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
     d, index = chan.distances()
     v = pep_of_event(unit_moments(chan), _power(p_s) * d)
     same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
@@ -148,12 +130,11 @@ def diversity_slope(snr_db, aber) -> float:
     return float(-coeff[0])
 
 
-def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
+def joint_distances(chan: Channel, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """The distinct |c_i - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, ascending, with their multiplicities."""
-    n_t = chan.h.shape[1]
     d, index = chan.distances()
-    same_t, same_m, _ = pair_classes(n_t, chan.points.size // n_t)
+    same_t, same_m, _ = pair_classes(cfg.n_t, cfg.m_rpm)
     ids, mult = np.unique(index[~same_t & ~same_m], return_counts=True)
     return d[ids], mult.astype(float)
 
@@ -167,6 +148,6 @@ def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float) -> float:
     limit log2(n_t*M).
     """
     k = cfg.n_t * cfg.m_rpm
-    d, mult = joint_distances(chan)
+    d, mult = joint_distances(chan, cfg)
     total = np.dot(mult, laplace(unit_moments(chan), _power(p_s) / 2.0 * d))
     return 2.0 * math.log2(k) - math.log2(k + total)

@@ -16,7 +16,10 @@ s^2 = K_r*nu_r/(1+K_r) * ||G_bar^H d||^2 (the squared norm of the mean).
 These per-event builders keep the exact N-dimensional direction d. Through
 the rank-1 identity d = sqrt(nu) (c_i - c_j) a_irs, every event's statistic
 is |c_i - c_j|^2 times xi_1 = nu ||g_eff||^2, whose moments `unit_moments`
-gives; the builders are the reference it is tested against.
+gives. No library code path reads the builders: `unit_moments` is what the
+analytic layer evaluates, and the builders are the reference it is tested
+against (they also serve `demos/error_event_statistics.py` and the
+benchmark's ABER bracket).
 """
 
 from __future__ import annotations

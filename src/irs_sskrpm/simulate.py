@@ -177,7 +177,7 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
     chan = make_channel(cfg)
-    d2, mult = joint_distances(chan)
+    d2, mult = joint_distances(chan, cfg)
     kernel = partial(_capacity_chunk, dist=(chan.sqrt_nu ** 2 * d2, mult))
     partials = _map_chunks(kernel, chan, p_s, seed, point_index,
                            _chunk_sizes(channel_samples), workers)

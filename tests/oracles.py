@@ -19,8 +19,8 @@ import math
 import numpy as np
 from scipy import integrate, special, stats
 
-from irs_sskrpm import (SystemConfig, build_g_bar, build_h, laplace, moments_joint,
-                        pep_joint, pep_rpm, pep_ssk, rpm_phases)
+from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, moments_joint,
+                        moments_rpm, moments_ssk, pep_of_event, rpm_phases)
 from irs_sskrpm.channel import Channel, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
@@ -249,23 +249,32 @@ def _ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
 
 
+def _pep_rpm(chan: Channel, cfg: SystemConfig, m: int, m_hat: int, p_s: float) -> PepValue:
+    """PEP of the phase error m -> m_hat, averaged over the active antenna."""
+    vals = [pep_of_event(moments_rpm(chan.h, chan.g_bar, cfg, t, m, m_hat), p_s)
+            for t in range(1, cfg.n_t + 1)]
+    return PepValue(exact=float(np.mean([v.exact for v in vals])),
+                    chiani=float(np.mean([v.chiani for v in vals])))
+
+
 def aber_union_terms_reference(chan: Channel, cfg: SystemConfig, p_s: float,
                                exact_pep: bool = False) -> tuple[float, float, float]:
     """Union-bound components (antenna-only, phase-only, joint) summed event
     by event: each PEP weighted by the Hamming distance of the two labels."""
     b = cfg.bits_total
-    if b == 0:
-        return (0.0, 0.0, 0.0)
     pick = (lambda v: v.exact) if exact_pep else (lambda v: v.chiani)
-    p_ssk = sum(_hamming(t - 1, t_hat - 1) * pick(pep_ssk(chan, cfg, t, t_hat, p_s))
+    h, g_bar = chan.h, chan.g_bar
+    p_ssk = sum(_hamming(t - 1, t_hat - 1)
+                * pick(pep_of_event(moments_ssk(h, g_bar, cfg, t, t_hat), p_s))
                 for t, t_hat in _ordered_pairs(cfg.n_t)) / (cfg.n_t * b)
-    p_rpm = sum(_hamming(m - 1, m_hat - 1) * pick(pep_rpm(chan, cfg, m, m_hat, p_s))
+    p_rpm = sum(_hamming(m - 1, m_hat - 1) * pick(_pep_rpm(chan, cfg, m, m_hat, p_s))
                 for m, m_hat in _ordered_pairs(cfg.m_rpm)) / (cfg.m_rpm * b)
     p_joint = 0.0
     for m, m_hat in _ordered_pairs(cfg.m_rpm):
         for t, t_hat in _ordered_pairs(cfg.n_t):
             d = _hamming(t - 1, t_hat - 1) + _hamming(m - 1, m_hat - 1)
-            p_joint += d * pick(pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s))
+            mom = moments_joint(h, g_bar, cfg, t, t_hat, m, m_hat)
+            p_joint += d * pick(pep_of_event(mom, p_s))
     return (p_ssk, p_rpm, p_joint / (cfg.m_rpm * cfg.n_t * b))
 
 
@@ -290,13 +299,14 @@ def pep_rows_reference(chan: Channel, cfg: SystemConfig,
     for snr_db in cfg.snr_grid_db:
         p_s = (2.0 if paper_literal_args else 1.0) * 10.0 ** (snr_db / 10.0)
         for t, t_hat in _ordered_pairs(cfg.n_t):
-            v = pep_ssk(chan, cfg, t, t_hat, p_s)
+            v = pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, t, t_hat), p_s)
             rows.append([snr_db, "ssk", t, t_hat, "", "", v.exact, v.chiani])
         for m, m_hat in _ordered_pairs(cfg.m_rpm):
-            v = pep_rpm(chan, cfg, m, m_hat, p_s)
+            v = _pep_rpm(chan, cfg, m, m_hat, p_s)
             rows.append([snr_db, "rpm", "", "", m, m_hat, v.exact, v.chiani])
         for m, m_hat in _ordered_pairs(cfg.m_rpm):
             for t, t_hat in _ordered_pairs(cfg.n_t):
-                v = pep_joint(chan, cfg, t, t_hat, m, m_hat, p_s)
+                mom = moments_joint(chan.h, chan.g_bar, cfg, t, t_hat, m, m_hat)
+                v = pep_of_event(mom, p_s)
                 rows.append([snr_db, "joint", t, t_hat, m, m_hat, v.exact, v.chiani])
     return rows

@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from irs_sskrpm import (SymbolPair, SystemConfig, demap, make_channel, map_bits, ml_detect,
-                        rpm_phases, sample_g, steering_irs, symbol_bits, validate)
+from irs_sskrpm import (SystemConfig, make_channel, ml_detect, rpm_phases, sample_g,
+                        steering_irs, validate)
+from irs_sskrpm.airlink import pair_classes
 from oracles import full_g_signatures
 
 
@@ -17,35 +19,23 @@ def test_rpm_phases_structure():
         np.testing.assert_allclose(ph, 2 * np.pi * np.arange(m) / m)
 
 
-@pytest.mark.parametrize("bits,t,m", [("00", 1, 1), ("10", 2, 1), ("01", 1, 2), ("11", 2, 2)])
-def test_map_bits_binary_table(bits, t, m):
-    pair = map_bits(bits, 2, 2)
-    assert (pair.t, pair.m) == (t, m)
-    assert demap(pair, 2, 2) == bits
-
-
-def test_demap_examples():
-    assert demap(SymbolPair(t=1, m=2, bits=""), 2, 2) == "01"
-    assert symbol_bits(3, 1, 4, 2) == "100"
-
-
-def test_map_bits_wrong_length():
-    with pytest.raises(ValueError):
-        map_bits("101", 2, 2)
-    with pytest.raises(ValueError):
-        map_bits("0a", 2, 2)
-
-
 @pytest.mark.parametrize("n_t,m_rpm", [(2, 2), (4, 2), (2, 8), (16, 16)])
 def test_bit_mapping_bijection(n_t, m_rpm):
-    b = (n_t * m_rpm).bit_length() - 1
-    seen = set()
-    for code in range(1 << b):
-        bits = format(code, f"0{b}b")
-        pair = map_bits(bits, n_t, m_rpm)
-        assert demap(pair, n_t, m_rpm) == bits
-        seen.add((pair.t, pair.m))
-    assert len(seen) == n_t * m_rpm
+    # the label of a hypothesis is the natural binary code of its antenna
+    # index followed by that of its phase index, so the flat t-major index
+    # read as bits is the label; pair_classes reads both masks and every
+    # Hamming distance off the flat indices
+    b_t, b_m = n_t.bit_length() - 1, m_rpm.bit_length() - 1
+    labels = [format(t, f"0{b_t}b") + format(m, f"0{b_m}b")
+              for t in range(n_t) for m in range(m_rpm)]
+    assert [int(label, 2) for label in labels] == list(range(n_t * m_rpm))
+    assert all(len(label) == b_t + b_m for label in labels)
+    same_t, same_m, dist = pair_classes(n_t, m_rpm)
+    for i, j in itertools.product(range(n_t * m_rpm), repeat=2):
+        (t, m), (t_hat, m_hat) = divmod(i, m_rpm), divmod(j, m_rpm)
+        assert same_t[i, j] == (t == t_hat) and same_m[i, j] == (m == m_hat)
+        hamming = bin(t ^ t_hat).count("1") + bin(m ^ m_hat).count("1")
+        assert dist[i, j] == hamming == sum(a != b for a, b in zip(labels[i], labels[j]))
 
 
 def _g_eff(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:

@@ -180,3 +180,24 @@ def test_bad_thread_count_is_a_config_error(tmp_path, quick_cfg, monkeypatch, ca
     assert main(["aber", "--config", quick_cfg, "--mode", "sim",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "IRS_SSKRPM_THREADS" in capsys.readouterr().err
+
+
+def test_zero_bit_config_has_one_rule(tmp_path, capsys):
+    # n_t = m_rpm = 1 carries no bits: every aber mode exits 1 without
+    # writing a CSV, while capacity (0 bits/use) and pep (header only) run
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(QUICK.replace("n_t=2", "n_t=1").replace("m_rpm=2", "m_rpm=1"))
+    for mode in ("analytic", "sim", "both"):
+        out = tmp_path / f"aber_{mode}.csv"
+        assert main(["aber", "--config", str(cfg), "--mode", mode, "--trials", "100",
+                     "--out", str(out)]) == 1
+        assert "nothing to transmit" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "cap.csv"
+    assert main(["capacity", "--config", str(cfg), "--mode", "both", "--trials", "100",
+                 "--out", str(out)]) == 0
+    assert all(row.split(",")[1:3] == ["0.0", "0.0"]
+               for row in out.read_text().splitlines()[1:])
+    out = tmp_path / "pep.csv"
+    assert main(["pep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani\n"

@@ -7,8 +7,7 @@ from dataclasses import replace
 from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
                         aber_union_terms, capacity_closed, diversity_slope,
                         laplace, make_channel, moments_joint, moments_rpm,
-                        moments_ssk, pep_joint, pep_of_event, pep_rpm,
-                        pep_ssk, run_sweep, validate)
+                        moments_ssk, pep_of_event, run_sweep, unit_moments, validate)
 from oracles import pep_by_quadrature
 
 
@@ -49,27 +48,34 @@ def test_pep_exact_matches_direct_quadrature(rng):
 
 
 def test_pep_ssk_is_phase_invariant(chan, cfg):
-    # the event moments never touch the applied phase: bitwise-equal results
+    # the antenna-error moments never touch the phase alphabet (bitwise-equal
+    # results), and under every applied phase the antenna error 1 -> 2 has
+    # the same PEP
     big = validate(replace(cfg, m_rpm=4))
-    moms = [moments_ssk(chan.h, chan.g_bar, big, 1, 2) for _ in range(4)]
-    assert all(m == moms[0] for m in moms)
-    v = pep_ssk(chan, big, 1, 2, 13.0)
-    assert v.exact == pep_of_event(moms[0], 13.0).exact
+    mom = moments_ssk(chan.h, chan.g_bar, big, 1, 2)
+    assert mom == moments_ssk(chan.h, chan.g_bar, cfg, 1, 2)
+    ref = pep_of_event(mom, 13.0).exact
+    points = make_channel(big).points.reshape(big.n_t, big.m_rpm)
+    for m in range(big.m_rpm):
+        v = pep_of_event(unit_moments(chan), 13.0 * abs(points[0, m] - points[1, m]) ** 2)
+        assert v.exact == pytest.approx(ref, rel=1e-12)
 
 
 def test_pep_rpm_adjacent_phases_worse_than_antipodal(chan, cfg):
     big = validate(replace(cfg, m_rpm=8))
-    adjacent = pep_rpm(chan, big, 1, 2, 25.0)
-    antipodal = pep_rpm(chan, big, 1, 5, 25.0)
-    assert adjacent.exact > antipodal.exact
+    for t in range(1, big.n_t + 1):
+        adjacent = pep_of_event(moments_rpm(chan.h, chan.g_bar, big, t, 1, 2), 25.0)
+        antipodal = pep_of_event(moments_rpm(chan.h, chan.g_bar, big, t, 1, 5), 25.0)
+        assert adjacent.exact > antipodal.exact
 
 
 def test_pep_joint_decreases_with_surface_size(cfg):
     p_s = 10 ** 2.0
     small = validate(replace(cfg, n_x=4, n_y=4))
     large = validate(replace(cfg, n_x=8, n_y=4))
-    v_small = pep_joint(make_channel(small), small, 1, 2, 1, 2, p_s)
-    v_large = pep_joint(make_channel(large), large, 1, 2, 1, 2, p_s)
+    v_small, v_large = (
+        pep_of_event(moments_joint(ch.h, ch.g_bar, c, 1, 2, 1, 2), p_s)
+        for c, ch in ((small, make_channel(small)), (large, make_channel(large))))
     assert v_large.exact < v_small.exact
 
 
@@ -144,14 +150,17 @@ def test_aber_union_single_ssk_term_reduction(cfg):
     p_s = 50.0
     terms = aber_union_terms(chan, ssk_only, p_s, exact_pep=True)
     assert terms[1] == 0.0 and terms[2] == 0.0
-    expected = pep_ssk(chan, ssk_only, 1, 2, p_s).exact
+    expected = pep_of_event(moments_ssk(chan.h, chan.g_bar, ssk_only, 1, 2), p_s).exact
     assert aber_union(chan, ssk_only, p_s, exact_pep=True) == pytest.approx(expected, rel=1e-13)
 
 
 def test_aber_union_degenerate_zero_bits():
+    # 0 bits per use: the error rate is 0/0, rejected as by `simulate_ber`
     cfg0 = validate(SystemConfig(n_t=1, m_rpm=1))
     chan = make_channel(cfg0)
-    assert aber_union(chan, cfg0, 10.0) == 0.0
+    for exact in (False, True):
+        with pytest.raises(ValueError, match="nothing to transmit"):
+            aber_union(chan, cfg0, 10.0, exact_pep=exact)
 
 
 def test_aber_union_dominates_each_component(chan, cfg):

@@ -87,11 +87,21 @@ def test_capacity_deterministic_across_workers(cfg):
 
 def test_capacity_pair_distances_cover_every_joint_pair():
     cfg = validate(SystemConfig(n_t=8, m_rpm=8, phi_d=0.3))
-    d2, mult = joint_distances(make_channel(cfg))
+    d2, mult = joint_distances(make_channel(cfg), cfg)
     assert mult.sum() == 8 * 7 * 8 * 7
     assert np.all(np.diff(d2) > 0) and d2[0] >= 0.0
     # the pair set is closed under swapping the two hypotheses
     assert np.all(mult % 2 == 0)
+    # n_t != m_rpm: the joint pairs are those whose t-major antenna and
+    # phase indices both differ
+    cfg = validate(SystemConfig(n_t=2, m_rpm=8, phi_d=0.3))
+    points = make_channel(cfg).points
+    t, m = np.divmod(np.arange(points.size), cfg.m_rpm)
+    joint = (t[:, None] != t) & (m[:, None] != m)
+    ref, ref_mult = np.unique((np.abs(points[:, None] - points) ** 2)[joint], return_counts=True)
+    d2, mult = joint_distances(make_channel(cfg), cfg)
+    np.testing.assert_array_equal(d2, ref)
+    np.testing.assert_array_equal(mult, ref_mult)
 
 
 def test_capacity_pair_blocks_do_not_change_the_estimate(monkeypatch):
