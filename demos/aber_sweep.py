@@ -18,7 +18,7 @@ TRIALS = 30_000  # enough for a readable table; configs ship with 100k
 for name in ("aber_n16.cfg", "aber_n32.cfg"):
     cfg = validate(load_config(os.path.join(HERE, os.pardir, "configs", name)))
     cfg = replace(cfg, trials=TRIALS, snr_grid_db=tuple(np.arange(10.0, 41.0, 4.0)))
-    records = run_sweep(cfg, mode="both", exact_pep=True, quantities=("aber",))
+    records = run_sweep(cfg, "aber", mode="both", exact_pep=True)
     print(f"\n{name}: N={cfg.n_elements}, n_r={cfg.n_r}, d_r={cfg.d_r} km, "
           f"{TRIALS} trials/point")
     print(f"{'SNR dB':>6} | {'union bound':>12} | {'simulated':>12} | {'ratio':>6}")

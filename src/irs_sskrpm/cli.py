@@ -28,11 +28,7 @@ def _fmt(value) -> str:
     shortest round-trip form for floats."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return repr(float(value))
 
@@ -98,9 +94,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
     workers = resolve_workers(None)
-    records = run_sweep(cfg, mode=args.mode, exact_pep=getattr(args, "exact_pep", False),
+    records = run_sweep(cfg, args.command, mode=args.mode,
+                        exact_pep=getattr(args, "exact_pep", False),
                         paper_literal_args=getattr(args, "paper_literal_args", False),
-                        workers=workers, quantities=(args.command,))
+                        workers=workers)
     header = ["snr_db", *_SWEEP_COLUMNS[args.command][args.mode]]
     fields = ["trials" if col == "samples" else col for col in header]
     rows = [[getattr(r, f) for f in fields] for r in records]

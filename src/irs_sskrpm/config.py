@@ -10,11 +10,16 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
     """Raised for an invalid parameter value or a malformed config file."""
+
+
+#: Grid values at or above this make the linear power 10**(snr_db/10) overflow.
+_MAX_SNR_DB = 10.0 * math.log10(sys.float_info.max)
 
 
 def path_loss(rho_0: float, d: float, eta: float) -> float:
@@ -116,8 +121,8 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         if not math.isfinite(v):
             raise ConfigError(f"{name}={v} must be finite")
     grid = cfg.snr_grid_db
-    if not all(math.isfinite(v) for v in grid):
-        raise ConfigError(f"snr_grid_db={list(grid)} must hold finite values only")
+    if not all(-math.inf < v < _MAX_SNR_DB for v in grid):
+        raise ConfigError(f"snr_grid_db={list(grid)} must be finite and below {_MAX_SNR_DB:.1f} dB")
     if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
         raise ConfigError(f"snr_grid_db={list(grid)} must be strictly increasing")
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:

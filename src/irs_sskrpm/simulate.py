@@ -1,16 +1,17 @@
 """Monte-Carlo estimation of the bit error rate (exact signal model plus the
 joint ML detector) and of the sampled mutual-information expectation, with
-reproducible parallel RNG.
+reproducible RNG, and the SNR sweep that runs them.
 
 H is rank-1, so a trial draws only the n_r-vector g_eff = G^H a_irs
 (`channel.Channel`), not the N*n_r entries of G.
 
-Reproducibility scheme: work is split into fixed-size chunks of trials and
-the RNG for chunk c of sweep point i is a Philox generator keyed by
-(seed, domain, i, c). Chunk boundaries never depend on the worker count and
-partial results are reduced in chunk order (integer error counts exactly,
-float partials in a fixed order), so a sweep is bit-identical for any number
-of workers.
+Reproducibility scheme: the estimators split their trials into fixed-size
+chunks, and the RNG for chunk c of sweep point i is a Philox generator keyed
+by (seed, domain, i, c); partial results are reduced in chunk order (integer
+error counts exactly, float partials in a fixed order). The unit of parallel
+work is the SNR point: `run_sweep` maps its points over one process pool per
+simulating sweep, and a point's result does not depend on the process that
+computes it, so a sweep is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .airlink import label_weights, ml_detect
 from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
-from .metrics import NumericalError, aber_union, capacity_closed, joint_distances
+from .metrics import NumericalError, _power, aber_union, capacity_closed, joint_distances
 
 #: Trials per RNG chunk. Fixed: changing it changes every simulated result.
 CHUNK_TRIALS = 8192
@@ -52,12 +53,12 @@ class SweepRecord:
     trials: int
 
 
-def resolve_workers(workers: int | None = None, chunks: int | None = None) -> int:
-    """Worker count for chunk processing.
+def resolve_workers(workers: int | None = None, points: int | None = None) -> int:
+    """Process-pool size for a sweep's SNR points.
 
     The IRS_SSKRPM_THREADS environment variable caps it (and supplies the
     default when workers is None); the result is further clamped to the CPU
-    count and, when given, to the number of chunks.
+    count and, when given, to the number of points.
     """
     env = os.environ.get("IRS_SSKRPM_THREADS")
     try:
@@ -66,7 +67,7 @@ def resolve_workers(workers: int | None = None, chunks: int | None = None) -> in
         raise ConfigError(f"IRS_SSKRPM_THREADS={env!r} must be an integer") from None
     if workers is None:
         workers = cap or 1
-    limits = [v for v in (workers, cap, chunks, os.cpu_count() or 1) if v is not None]
+    limits = [v for v in (workers, cap, points, os.cpu_count() or 1) if v is not None]
     return max(1, min(limits))
 
 
@@ -78,18 +79,6 @@ def _chunk_rng(seed: int, domain: int, point_index: int, chunk_index: int) -> np
 def _chunk_sizes(total: int) -> list[int]:
     full, rest = divmod(total, CHUNK_TRIALS)
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
-
-
-def _map_chunks(kernel, chan: Channel, p_s: float, seed: int, point_index: int,
-                sizes: list[int], workers: int | None) -> list:
-    """kernel's partial result for every chunk, in chunk order."""
-    workers = resolve_workers(workers, len(sizes))
-    n = len(sizes)
-    if workers == 1:
-        return [kernel(chan, p_s, seed, point_index, c, size) for c, size in enumerate(sizes)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(kernel, [chan] * n, [p_s] * n, [seed] * n, [point_index] * n,
-                             range(n), sizes, chunksize=1))
 
 
 def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -119,25 +108,27 @@ def _ber_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
 
 
 def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
-                 point_index: int = 0, workers: int | None = 1) -> tuple[float, float]:
+                 point_index: int = 0) -> tuple[float, float]:
     """Estimate the average bit error rate at transmit power p_s.
 
     Per trial: uniform information bits, channel redraw, noisy reception and
     joint ML detection; returns (errors / (bits * trials), binomial standard
     error over all transmitted bits). Deterministic for fixed (seed, trials,
-    cfg) regardless of the worker count.
+    cfg, point_index).
     """
     validate(cfg)
+    _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     b = cfg.bits_total
     if b == 0:
         raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
-    counts = _map_chunks(_ber_chunk, make_channel(cfg), p_s, seed, point_index,
-                         _chunk_sizes(trials), workers)
+    chan = make_channel(cfg)
     # exact integer reduction, order-insensitive
+    errors = sum(_ber_chunk(chan, p_s, seed, point_index, c, size)
+                 for c, size in enumerate(_chunk_sizes(trials)))
     bits = b * trials
-    aber = sum(counts) / bits
+    aber = errors / bits
     return aber, math.sqrt(max(aber * (1.0 - aber), 0.0) / bits)
 
 
@@ -162,8 +153,7 @@ def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
 
 
 def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed: int,
-                      point_index: int = 0, workers: int | None = 1,
-                      with_stderr: bool = False):
+                      point_index: int = 0, with_stderr: bool = False):
     """Sampled ergodic capacity: every E[exp(-P_s*xi/2)] is averaged over
     redrawn effective channels with xi computed directly from the
     constellation distance and ||g_eff||^2 (an independent code path from
@@ -173,15 +163,16 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
     with_stderr is True.
     """
     validate(cfg)
+    _power(p_s)
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
     chan = make_channel(cfg)
     d2, mult = joint_distances(chan, cfg)
-    kernel = partial(_capacity_chunk, dist=(chan.sqrt_nu ** 2 * d2, mult))
-    partials = _map_chunks(kernel, chan, p_s, seed, point_index,
-                           _chunk_sizes(channel_samples), workers)
-    # reduce in chunk order so the float result is worker-count independent
+    dist = (chan.sqrt_nu ** 2 * d2, mult)
+    partials = [_capacity_chunk(chan, p_s, seed, point_index, c, size, dist)
+                for c, size in enumerate(_chunk_sizes(channel_samples))]
+    # reduce in chunk order: the float result is fixed by the chunk keys
     sum_a, sum_a_sq = (sum(column) for column in zip(*partials))
     n = channel_samples
     mean_a = sum_a / n
@@ -192,45 +183,49 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
     return cap, math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))
 
 
-def run_sweep(cfg: SystemConfig, mode: str = "both", exact_pep: bool = False,
-              paper_literal_args: bool = False, workers: int | None = 1,
-              quantities: tuple[str, ...] = ("aber", "capacity")) -> list[SweepRecord]:
-    """Evaluate every SNR point of cfg's grid.
+def _sweep_point(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
+                 paper_literal_args: bool, chan: Channel | None, point_index: int,
+                 snr_db: float) -> SweepRecord:
+    """One row of `run_sweep`: quantity at SNR point point_index of cfg's grid."""
+    p_s = 10.0 ** (snr_db / 10.0)
+    analytic, sim = mode != "sim", mode != "analytic"
+    aber_a = aber_sim = stderr = cap_c = cap_s = None
+    try:
+        if quantity == "aber" and analytic:
+            aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep)
+        if quantity == "aber" and sim:
+            aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed, point_index)
+        if quantity == "capacity" and analytic:
+            cap_c = capacity_closed(chan, cfg, p_s)
+        if quantity == "capacity" and sim:
+            cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed, point_index)
+    except NumericalError as exc:
+        raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc
+    return SweepRecord(snr_db, aber_a, aber_sim, stderr, cap_c, cap_s, cfg.trials)
+
+
+def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
+              paper_literal_args: bool = False, workers: int | None = 1) -> list[SweepRecord]:
+    """Evaluate quantity ("aber" or "capacity") at every SNR point of cfg's grid.
 
     mode selects how: "analytic" (union bound, closed-form capacity), "sim"
     (Monte-Carlo ABER and sampled capacity at cfg.trials per point) or
-    "both"; quantities selects what: "aber", "capacity" or both. Only the
-    requested fields are computed, the others stay None. Rows are ordered
-    by SNR and the whole sweep is deterministic for a fixed cfg.seed.
-    paper_literal_args puts the union bound at 2*P_s (doubled transform arguments).
+    "both". Only quantity's fields are computed, the others stay None. Rows
+    are ordered by SNR and the whole sweep is deterministic for a fixed
+    cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
+    transform arguments). A simulating sweep maps its points over one pool
+    of `resolve_workers(workers, points)` processes, an analytic one over none.
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
         raise ValueError(f"mode={mode!r} must be analytic, sim or both")
-    if not quantities or not set(quantities) <= {"aber", "capacity"}:
-        raise ValueError(f"quantities={quantities!r} must name aber and/or capacity")
-    analytic, sim = mode != "sim", mode != "analytic"
-    aber, capacity = "aber" in quantities, "capacity" in quantities
-    chan = make_channel(cfg) if analytic else None
-    records: list[SweepRecord] = []
-    for i, snr_db in enumerate(cfg.snr_grid_db):
-        p_s = 10.0 ** (snr_db / 10.0)
-        try:
-            aber_a = aber_sim = stderr = cap_c = cap_s = None
-            if analytic and aber:
-                aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep)
-            if analytic and capacity:
-                cap_c = capacity_closed(chan, cfg, p_s)
-            if sim and aber:
-                aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed,
-                                                point_index=i, workers=workers)
-            if sim and capacity:
-                cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed,
-                                          point_index=i, workers=workers)
-        except NumericalError as exc:
-            raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc
-        records.append(SweepRecord(snr_db=snr_db, aber_analytical=aber_a,
-                                   aber_sim=aber_sim, aber_stderr=stderr,
-                                   cap_closed=cap_c, cap_sim=cap_s,
-                                   trials=cfg.trials))
-    return records
+    if quantity not in ("aber", "capacity"):
+        raise ValueError(f"quantity={quantity!r} must be aber or capacity")
+    grid = cfg.snr_grid_db
+    point = partial(_sweep_point, cfg, quantity, mode, exact_pep, paper_literal_args,
+                    make_channel(cfg) if mode != "sim" else None)
+    workers = 1 if mode == "analytic" else resolve_workers(workers, len(grid))
+    if workers == 1:
+        return list(map(point, range(len(grid)), grid))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(point, range(len(grid)), grid))

@@ -149,7 +149,7 @@ def test_criterion_4_aber_reproduction():
         curves = {}
         for tag, cfg in (("n16", cfg16), ("n32", cfg32)):
             analytic = _analytic_curve(cfg)
-            records = run_sweep(replace(cfg, trials=100_000), mode="sim")
+            records = run_sweep(replace(cfg, trials=100_000), "aber", mode="sim")
             for a_val, r in zip(analytic, records):
                 # (a) the union bound sits above the simulation at every point
                 assert a_val >= r.aber_sim - 3 * r.aber_stderr, (tag, r.snr_db)

@@ -44,6 +44,16 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "not a power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["aber", "pep"])
+def test_overflowing_snr_grid_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("snr_grid_db=0,4000\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "snr_grid_db" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent.cfg"]) == 1
 

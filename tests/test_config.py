@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -95,6 +97,16 @@ def test_validate_is_idempotent():
 def test_validate_reports_offending_field(field, value, frag):
     with pytest.raises(ConfigError, match=frag):
         validate(replace(SystemConfig(), **{field: value}))
+
+
+def test_validate_rejects_a_grid_whose_linear_power_overflows():
+    top = 10.0 * math.log10(sys.float_info.max)
+    for grid in ((0.0, 4000.0), (0.0, top)):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            validate(replace(SystemConfig(), snr_grid_db=grid))
+    below = math.nextafter(top, 0.0)
+    validate(replace(SystemConfig(), snr_grid_db=(0.0, below)))
+    assert math.isfinite(10.0 ** (below / 10.0))
 
 
 CONFIG_TEXT = """\

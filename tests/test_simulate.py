@@ -7,6 +7,7 @@ from dataclasses import replace
 from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed, joint_distances,
                         load_config, make_channel, run_sweep, simulate_ber,
                         simulate_capacity, validate)
+from irs_sskrpm import simulate
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import ber_full_g
@@ -24,6 +25,13 @@ def test_ber_half_at_zero_power(cfg):
     # so detection is constant and the average bit error rate is 1/2
     aber, stderr = simulate_ber(cfg, 0.0, 20_000, seed=4)
     assert aber == pytest.approx(0.5, abs=3 * max(stderr, 1e-3))
+
+
+@pytest.mark.parametrize("p_s", [math.inf, -math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("estimator", [simulate_ber, simulate_capacity])
+def test_estimators_reject_invalid_power(cfg, estimator, p_s):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        estimator(cfg, p_s, 100, seed=1)
 
 
 def test_ber_rejects_zero_bits():
@@ -44,12 +52,6 @@ def test_rank1_ber_matches_full_g_reference(name, snr_db):
     ref = ber_full_g(cfg, p_s, trials, np.random.default_rng(404))
     sigma = math.sqrt(fast / trials + ref / trials)
     assert abs(fast - ref) <= 4 * sigma, (fast, ref, sigma)
-
-
-def test_ber_deterministic_across_workers(cfg):
-    r1 = simulate_ber(cfg, 40.0, 20_000, seed=11, workers=1)
-    r4 = simulate_ber(cfg, 40.0, 20_000, seed=11, workers=4)
-    assert r1 == r4
 
 
 def test_ber_depends_on_seed_and_point_index(cfg):
@@ -77,12 +79,6 @@ def test_capacity_sim_approaches_limit(cfg):
     limit = np.log2(cfg.n_t * cfg.m_rpm)
     assert cap <= limit + 1e-12
     assert cap > limit - 0.05
-
-
-def test_capacity_deterministic_across_workers(cfg):
-    c1 = simulate_capacity(cfg, 10.0, 20_000, seed=9, workers=1)
-    c3 = simulate_capacity(cfg, 10.0, 20_000, seed=9, workers=3)
-    assert c1 == c3
 
 
 def test_capacity_pair_distances_cover_every_joint_pair():
@@ -122,12 +118,12 @@ def test_resolve_workers_clamps(monkeypatch):
     monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
     assert resolve_workers(None) == 1
     assert resolve_workers(64) == 4
-    assert resolve_workers(64, chunks=3) == 3
-    assert resolve_workers(2, chunks=10) == 2
+    assert resolve_workers(64, points=3) == 3
+    assert resolve_workers(2, points=10) == 2
     assert resolve_workers(0) == 1
     monkeypatch.setenv("IRS_SSKRPM_THREADS", "10000")
     assert resolve_workers(None) == 4
-    assert resolve_workers(None, chunks=2) == 2
+    assert resolve_workers(None, points=2) == 2
     monkeypatch.setenv("IRS_SSKRPM_THREADS", "3")
     assert resolve_workers(8) == 3
     monkeypatch.setenv("IRS_SSKRPM_THREADS", "0")
@@ -138,24 +134,55 @@ def test_resolve_workers_clamps(monkeypatch):
 
 def test_run_sweep_empty_grid(cfg):
     empty = validate(replace(cfg, snr_grid_db=()))
-    assert run_sweep(empty, mode="analytic") == []
+    assert run_sweep(empty, "aber", mode="analytic") == []
+    assert run_sweep(empty, "capacity", mode="sim", workers=2) == []
 
 
 def test_run_sweep_repeatable(cfg):
     quick = validate(replace(cfg, **FAST))
-    first = run_sweep(quick, mode="both")
-    second = run_sweep(quick, mode="both")
+    first = run_sweep(quick, "aber", mode="both")
+    second = run_sweep(quick, "aber", mode="both")
     assert first == second
     assert [r.snr_db for r in first] == [0.0, 10.0, 20.0]
 
 
+@pytest.mark.parametrize("quantity", ["aber", "capacity"])
+def test_run_sweep_deterministic_across_workers(cfg, quantity):
+    quick = validate(replace(cfg, **FAST))
+    serial = run_sweep(quick, quantity, "both", workers=1)
+    assert serial == run_sweep(quick, quantity, "both", workers=3)
+
+
+def test_run_sweep_opens_one_pool_per_simulating_sweep(cfg, monkeypatch):
+    quick = validate(replace(cfg, **FAST))
+    opened = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    pooled = run_sweep(quick, "aber", mode="sim", workers=2)
+    assert opened == [2]
+    assert pooled == run_sweep(quick, "aber", mode="sim", workers=1)
+    assert opened == [2]
+    run_sweep(quick, "capacity", mode="analytic", workers=2)
+    assert opened == [2]
+
+
 def test_run_sweep_modes(cfg):
     quick = validate(replace(cfg, **FAST))
-    analytic = run_sweep(quick, mode="analytic")
-    assert all(r.aber_sim is None and r.cap_sim is None for r in analytic)
-    assert all(r.aber_analytical is not None and r.cap_closed is not None for r in analytic)
-    sim = run_sweep(quick, mode="sim")
+    aber = run_sweep(quick, "aber", mode="analytic")
+    assert all(r.aber_analytical is not None and r.aber_sim is None for r in aber)
+    capacity = run_sweep(quick, "capacity", mode="analytic")
+    assert all(r.cap_closed is not None and r.cap_sim is None for r in capacity)
+    sim = run_sweep(quick, "aber", mode="sim")
     assert all(r.aber_analytical is None and r.aber_sim is not None for r in sim)
+    with pytest.raises(ValueError, match="mode"):
+        run_sweep(quick, "aber", mode="exact")
 
 
 def test_run_sweep_computes_only_requested_quantities(cfg, monkeypatch):
@@ -166,22 +193,22 @@ def test_run_sweep_computes_only_requested_quantities(cfg, monkeypatch):
 
     for name in ("capacity_closed", "simulate_capacity"):
         monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
-    rows = run_sweep(quick, mode="both", quantities=("aber",))
+    rows = run_sweep(quick, "aber", mode="both")
     assert all(r.cap_closed is None and r.cap_sim is None for r in rows)
     assert all(r.aber_analytical is not None and r.aber_sim is not None for r in rows)
     monkeypatch.undo()
     for name in ("aber_union", "simulate_ber"):
         monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
-    rows = run_sweep(quick, mode="both", quantities=("capacity",))
+    rows = run_sweep(quick, "capacity", mode="both")
     assert all(r.aber_analytical is None and r.aber_sim is None for r in rows)
     assert all(r.cap_closed is not None and r.cap_sim is not None for r in rows)
-    with pytest.raises(ValueError, match="quantities"):
-        run_sweep(quick, quantities=("ber",))
+    with pytest.raises(ValueError, match="quantity"):
+        run_sweep(quick, "ber")
 
 
 def test_run_sweep_stderr_contract(cfg):
     quick = validate(replace(cfg, **FAST))
-    for r in run_sweep(quick, mode="sim"):
+    for r in run_sweep(quick, "aber", mode="sim"):
         expected = np.sqrt(r.aber_sim * (1 - r.aber_sim) / (r.trials * quick.bits_total))
         assert r.aber_stderr == pytest.approx(expected, rel=1e-12)
         assert 0.0 <= r.aber_sim <= 1.0
@@ -191,7 +218,7 @@ def test_sim_agrees_with_union_bound(cfg):
     # the exact-PEP union bound sits above the simulation, within 3 sigma,
     # and within a factor 3 in its tight regime
     quick = validate(replace(cfg, snr_grid_db=(26.0, 30.0, 34.0), trials=60_000))
-    records = run_sweep(quick, mode="both", exact_pep=True)
+    records = run_sweep(quick, "aber", mode="both", exact_pep=True)
     for r in records:
         assert r.aber_analytical >= r.aber_sim - 3 * r.aber_stderr
         if 1e-4 <= r.aber_sim <= 1e-1:
