@@ -94,7 +94,9 @@ class Channel:
 
     h       -- BS->IRS matrix, (N, n_t).
     g_bar   -- unit-modulus LoS component of the IRS->UT matrix G, (N, n_r).
-    points  -- the n_t*m_rpm unit-circle points a_bs[t] e^{j phi_m}, t-major.
+    points  -- the n_t*m_rpm unit-circle points a_bs[t] e^{j phi_m}, t-major;
+               points[0] == 1 exactly.
+    m_rpm   -- reflection phases per antenna (points[k] has t, m = divmod(k, m_rpm)).
     mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
     scale   -- diffuse amplitude w_nlos * sqrt(N).
     sqrt_nu -- amplitude of the BS->IRS path loss.
@@ -103,15 +105,30 @@ class Channel:
     h: np.ndarray
     g_bar: np.ndarray
     points: np.ndarray
+    m_rpm: int
     mean: np.ndarray
     scale: float
     sqrt_nu: float
 
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct |c_i - c_j|^2 over all ordered pairs of constellation
-        points, ascending, and the (K, K) index of each pair into them."""
-        d, index = np.unique(np.abs(self.points[:, None] - self.points) ** 2, return_inverse=True)
-        return d, index.reshape(self.points.size, self.points.size)
+        points, ascending (at most K values), and the (K, K) index of each pair
+        into them.
+
+        a_bs is a geometric sequence and the phases a group, so conj(c_i) c_j
+        is the point at the pair's offset (t_j - t_i, m_j - m_i mod M), taken
+        with t_j >= t_i (and the smaller of m_j - m_i and m_i - m_j mod M when
+        t_j == t_i, so the index is symmetric): every pair distance is
+        |c_0 - c_k|^2 = |1 - c_k|^2 for some k. Coincident points map to 0.
+        """
+        d, inverse = np.unique(np.abs(1.0 - self.points) ** 2, return_inverse=True)
+        t, m = np.divmod(np.arange(self.points.size), self.m_rpm)
+        dt = t[None, :] - t[:, None]
+        dm = np.where(dt < 0, -1, 1) * (m[None, :] - m[:, None]) % self.m_rpm
+        dm = np.where(dt == 0, np.minimum(dm, self.m_rpm - dm), dm)
+        index = inverse.ravel()[np.abs(dt) * self.m_rpm + dm]
+        index[self.points[:, None] == self.points] = 0
+        return d, index
 
 
 def make_channel(cfg: SystemConfig) -> Channel:
@@ -122,6 +139,7 @@ def make_channel(cfg: SystemConfig) -> Channel:
     w_los, w_nlos = rician_weights(cfg)
     return Channel(h=build_h(cfg), g_bar=g_bar,
                    points=np.outer(a_bs, np.exp(1j * rpm_phases(cfg.m_rpm))).ravel(),
+                   m_rpm=cfg.m_rpm,
                    mean=w_los * (g_bar.conj().T @ a_irs),
                    scale=float(w_nlos * np.sqrt(cfg.n_elements)),
                    sqrt_nu=float(np.sqrt(cfg.nu)))

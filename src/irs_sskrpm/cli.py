@@ -20,7 +20,7 @@ from .channel import make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
-from .simulate import resolve_workers, run_sweep
+from .simulate import run_sweep, sweep_workers
 
 
 def _fmt(value) -> str:
@@ -33,11 +33,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    """Write the header and the already formatted data lines."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None,
@@ -93,14 +92,14 @@ _SWEEP_COLUMNS = {
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
-    workers = resolve_workers(None)
+    workers = sweep_workers(cfg, args.mode)
     records = run_sweep(cfg, args.command, mode=args.mode,
                         exact_pep=getattr(args, "exact_pep", False),
                         paper_literal_args=getattr(args, "paper_literal_args", False),
                         workers=workers)
     header = ["snr_db", *_SWEEP_COLUMNS[args.command][args.mode]]
     fields = ["trials" if col == "samples" else col for col in header]
-    rows = [[getattr(r, f) for f in fields] for r in records]
+    rows = [",".join(_fmt(getattr(r, f)) for f in fields) for r in records]
     out = args.out or f"{args.command}.csv"
     _write_csv(out, header, rows)
     _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args, workers)
@@ -108,15 +107,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pep_cells(n_t: int, m_rpm: int) -> list[list]:
-    """Key cells (event, t, t_hat, m, m_hat) of one SNR point's pep rows."""
+def _pep_keys(n_t: int, m_rpm: int) -> list[str]:
+    """Formatted key cells "event,t,t_hat,m,m_hat" of one SNR point's pep rows."""
     ts, ms = list(permutations(range(1, n_t + 1), 2)), list(permutations(range(1, m_rpm + 1), 2))
-    return ([["ssk", *t, "", ""] for t in ts] + [["rpm", "", "", *m] for m in ms]
-            + [["joint", *t, *m] for m in ms for t in ts])
+    return ([f"ssk,{t},{t_hat},," for t, t_hat in ts] + [f"rpm,,,{m},{m_hat}" for m, m_hat in ms]
+            + [f"joint,{t},{t_hat},{m},{m_hat}" for m, m_hat in ms for t, t_hat in ts])
 
 
 def _pep_values(table, n_t: int, m_rpm: int) -> list[float]:
-    """Values of the `_pep_cells` rows from a (K, K) table over flat t-major
+    """Values of the `_pep_keys` rows from a (K, K) table over flat t-major
     pairs: ssk at phase 1, rpm averaged over the antenna, joint as it is."""
     p, ant = table.reshape(n_t, m_rpm, n_t, m_rpm), np.arange(n_t)
     off_t, off_m = ~np.eye(n_t, dtype=bool), ~np.eye(m_rpm, dtype=bool)
@@ -129,13 +128,14 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     chan = make_channel(cfg)
     unit, (d, index) = unit_moments(chan), chan.distances()
     gain = 2.0 if args.paper_literal_args else 1.0
-    cells = _pep_cells(cfg.n_t, cfg.m_rpm)
+    keys = _pep_keys(cfg.n_t, cfg.m_rpm)
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
-    rows: list[list] = []
+    rows: list[str] = []
     for snr_db in cfg.snr_grid_db:
         v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
-        rows.extend([snr_db, *c, exact, chiani] for c, exact, chiani in
-                    zip(cells, _pep_values(v.exact[index], cfg.n_t, cfg.m_rpm),
+        snr = _fmt(snr_db)
+        rows.extend(f"{snr},{key},{exact!r},{chiani!r}" for key, exact, chiani in
+                    zip(keys, _pep_values(v.exact[index], cfg.n_t, cfg.m_rpm),
                         _pep_values(v.chiani[index], cfg.n_t, cfg.m_rpm)))
     out = args.out or "pep.csv"
     _write_csv(out, header, rows)

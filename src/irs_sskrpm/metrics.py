@@ -70,7 +70,9 @@ def _power(p_s) -> np.ndarray:
 
 def _craig_at_order(mom: ErrorEventMoments, p_s: np.ndarray, order: int):
     omega, w = _gl_nodes(order)
-    return laplace(mom, np.divide.outer(p_s, 4.0 * np.sin(omega) ** 2)) @ w / np.pi
+    with np.errstate(over="ignore"):  # an overflowing argument is infinite: laplace gives 0
+        a = np.divide.outer(p_s, 4.0 * np.sin(omega) ** 2)
+    return laplace(mom, a) @ w / np.pi
 
 
 def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:

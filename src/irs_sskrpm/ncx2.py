@@ -101,12 +101,15 @@ def moments_joint(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
 def laplace(mom: ErrorEventMoments, a):
     """E[exp(-a*xi)] = (1 + 2*a*sigma^2)^(-n_r) * exp(-a*s^2 / (1 + 2*a*sigma^2)).
 
-    Finite for every a >= 0; negative a is accepted only inside the stability
-    region 1 + 2*a*sigma^2 > 0.
+    Finite for every a >= 0, and its exact limit 0 where a is infinite or
+    1 + 2*a*sigma^2 overflows; negative a is accepted only inside the
+    stability region 1 + 2*a*sigma^2 > 0.
     """
     a = np.asarray(a, dtype=float)
-    denom = 1.0 + 2.0 * a * mom.sigma_sq
-    if np.any(denom <= 0.0):
-        raise ValueError("transform argument outside the stability region")
-    out = denom ** (-mom.n_r) * np.exp(-a * mom.s_sq / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = 1.0 + 2.0 * a * mom.sigma_sq
+        if np.any(denom <= 0.0):
+            raise ValueError("transform argument outside the stability region")
+        out = denom ** (-mom.n_r) * np.exp(-a * mom.s_sq / denom)
+    out = np.where((denom == np.inf) | (a == np.inf), 0.0, out)
     return out if out.shape else float(out)

@@ -71,6 +71,12 @@ def resolve_workers(workers: int | None = None, points: int | None = None) -> in
     return max(1, min(limits))
 
 
+def sweep_workers(cfg: SystemConfig, mode: str, workers: int | None = None) -> int:
+    """Process-pool size of a `run_sweep` of cfg in mode: 1 (no pool) for an
+    analytic sweep, else `resolve_workers(workers, points)`."""
+    return 1 if mode == "analytic" else resolve_workers(workers, len(cfg.snr_grid_db))
+
+
 def _chunk_rng(seed: int, domain: int, point_index: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, point_index, chunk_index))
     return np.random.Generator(np.random.Philox(ss))
@@ -213,8 +219,8 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     "both". Only quantity's fields are computed, the others stay None. Rows
     are ordered by SNR and the whole sweep is deterministic for a fixed
     cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
-    transform arguments). A simulating sweep maps its points over one pool
-    of `resolve_workers(workers, points)` processes, an analytic one over none.
+    transform arguments). The points are mapped over one pool of
+    `sweep_workers(cfg, mode, workers)` processes when that is above 1.
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
@@ -224,7 +230,7 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     grid = cfg.snr_grid_db
     point = partial(_sweep_point, cfg, quantity, mode, exact_pep, paper_literal_args,
                     make_channel(cfg) if mode != "sim" else None)
-    workers = 1 if mode == "analytic" else resolve_workers(workers, len(grid))
+    workers = sweep_workers(cfg, mode, workers)
     if workers == 1:
         return list(map(point, range(len(grid)), grid))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -241,6 +241,12 @@ def crossing_snr_linear(snr_db, values, level) -> float | None:
 
 # ---- per-event references for the hypothesis-pair table ----------------------
 
+def pair_distances_reference(points: np.ndarray) -> np.ndarray:
+    """The full (K, K) table |c_i - c_j|^2 over the ordered pairs of points,
+    one subtraction per pair (the reference for `Channel.distances()`)."""
+    return np.array([[abs(ci - cj) ** 2 for cj in points] for ci in points])
+
+
 def _hamming(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 

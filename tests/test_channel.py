@@ -1,11 +1,14 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, make_channel, sample_g,
                         steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
-from oracles import full_g_signatures
+from oracles import full_g_signatures, pair_distances_reference
 from test_config import PATH_LOSS_4KM
 
 
@@ -128,3 +131,35 @@ def test_sample_g_frobenius_power(cfg, rng):
         total += np.sum(np.abs(g) ** 2)
     expected = cfg.n_elements * cfg.n_r * cfg.nu_r
     assert total / n_draws == pytest.approx(expected, rel=0.02)
+
+
+@st.composite
+def _constellation_configs(draw):
+    """Validated configs whose antenna phase step is arbitrary, zero
+    (phi_d = 0: all antennas coincide) or a multiple of the RPM phase step."""
+    n_t, m_rpm = draw(st.sampled_from([1, 2, 4, 8])), draw(st.sampled_from([1, 2, 4, 8]))
+    kind = draw(st.sampled_from(["any", "phi_d=0", "on_rpm_phases"]))
+    if kind == "on_rpm_phases":
+        # delta*sin(phi_d) = q/m_rpm cycles per antenna
+        phi_d = draw(st.sampled_from([math.pi / 2, -math.pi / 2, math.pi / 6, math.asin(0.25)]))
+        delta = draw(st.integers(1, 2 * m_rpm)) / (m_rpm * abs(math.sin(phi_d)))
+    else:
+        phi_d = 0.0 if kind == "phi_d=0" else draw(st.floats(-math.pi, math.pi))
+        delta = draw(st.floats(0.05, 2.0))
+    return validate(replace(SystemConfig(), n_t=n_t, m_rpm=m_rpm, phi_d=phi_d,
+                            delta_over_lambda=delta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_constellation_configs())
+def test_distances_are_the_offsets_from_hypothesis_0(cfg):
+    # the antenna phases stay below ~90 rad here, so the two roundings of a
+    # pair's phase (direct, or at its offset) agree to ~1e-14
+    chan = make_channel(cfg)
+    d, index = chan.distances()
+    full = pair_distances_reference(chan.points)
+    np.testing.assert_allclose(d[index], full, rtol=1e-12, atol=1e-15)
+    assert np.all(d[index[full == 0]] == 0)
+    np.testing.assert_array_equal(index, index.T)
+    assert d.size <= chan.points.size
+    assert np.all(np.diff(d) > 0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -211,3 +212,35 @@ def test_zero_bit_config_has_one_rule(tmp_path, capsys):
     out = tmp_path / "pep.csv"
     assert main(["pep", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text() == "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani\n"
+
+
+@pytest.mark.parametrize("mode, grid, pool", [("analytic", "0,20,40", 1), ("sim", "10", 1),
+                                              ("sim", "0,20,40", 2)])
+def test_manifest_records_the_pool_the_sweep_used(tmp_path, monkeypatch, mode, grid, pool):
+    # an analytic sweep opens no pool, a simulating one is clamped to its points
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "2")
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(QUICK.replace("snr_grid_db=0,20,40", f"snr_grid_db={grid}"))
+    out = str(tmp_path / "a.csv")
+    assert main(["aber", "--config", str(cfg), "--mode", mode, "--trials", "200",
+                 "--out", out]) == 0
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh)["workers"] == pool
+
+
+@pytest.mark.parametrize("argv", [["aber", "--mode", "analytic"],
+                                  ["aber", "--mode", "analytic", "--exact-pep"], ["pep"]])
+def test_analytic_layer_is_finite_where_the_transform_overflows(tmp_path, argv):
+    # 4x4 surface, n_r=1, d_r=4: at 3000 dB the Craig transform arguments
+    # overflow, and the transform takes its exact limit 0 there
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(QUICK.replace("snr_grid_db=0,20,40", "snr_grid_db=0,3000"))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {row[0] for row in rows} == {"0.0", "3000.0"}
+    values = [float(v) for row in rows for v in (row[-2:] if argv == ["pep"] else row[1:])]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)

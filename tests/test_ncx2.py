@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -201,6 +203,21 @@ def test_laplace_stability_region():
     assert laplace(mom, -0.2) > 1.0
     with pytest.raises(ValueError):
         laplace(mom, -0.5)
+
+
+def test_laplace_limit_where_the_argument_overflows():
+    # exact limit 0 where a is infinite or 1 + 2 a sigma^2 overflows, with no
+    # warning; every finite, non-overflowing argument keeps the closed form bitwise
+    mom = ErrorEventMoments(s_sq=2.0, sigma_sq=0.5, n_r=2)
+    a = np.array([0.0, 1.0, 1e300, 1.7e308, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = laplace(mom, a)
+        assert laplace(mom, np.inf) == 0.0
+        assert laplace(ErrorEventMoments(s_sq=1.0, sigma_sq=0.0, n_r=1), np.inf) == 0.0
+    denom = 1.0 + 2.0 * a[:3] * mom.sigma_sq
+    np.testing.assert_array_equal(out[:3], denom ** -2 * np.exp(-a[:3] * mom.s_sq / denom))
+    np.testing.assert_array_equal(out[3:], 0.0)
 
 
 def test_laplace_against_quadrature(rng):
