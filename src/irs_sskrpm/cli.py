@@ -13,8 +13,6 @@ import sys
 from dataclasses import asdict, replace
 from itertools import permutations
 
-import numpy as np
-
 from . import __version__
 from .channel import make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
@@ -77,16 +75,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CSV columns after snr_db, per sweep command and mode; "samples" is the
-#: per-point trial count under the capacity command's name for it.
-_SWEEP_COLUMNS = {
-    "aber": {"analytic": ["aber_analytical"],
-             "sim": ["aber_sim", "aber_stderr", "trials"],
-             "both": ["aber_analytical", "aber_sim", "aber_stderr", "trials"]},
-    "capacity": {"analytic": ["cap_closed"],
-                 "sim": ["cap_sim", "samples"],
-                 "both": ["cap_closed", "cap_sim", "samples"]},
-}
+#: CSV columns after snr_db of each sweep command, (analytic, sim); "samples"
+#: is the per-point trial count under the capacity command's name for it.
+_SWEEP_COLUMNS = {"aber": (["aber_analytical"], ["aber_sim", "aber_stderr", "trials"]),
+                  "capacity": (["cap_closed"], ["cap_sim", "samples"])}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -97,7 +89,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         exact_pep=getattr(args, "exact_pep", False),
                         paper_literal_args=getattr(args, "paper_literal_args", False),
                         workers=workers)
-    header = ["snr_db", *_SWEEP_COLUMNS[args.command][args.mode]]
+    analytic, sim = _SWEEP_COLUMNS[args.command]
+    header = ["snr_db", *(analytic if args.mode != "sim" else []),
+              *(sim if args.mode != "analytic" else [])]
     fields = ["trials" if col == "samples" else col for col in header]
     rows = [",".join(_fmt(getattr(r, f)) for f in fields) for r in records]
     out = args.out or f"{args.command}.csv"
@@ -107,36 +101,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pep_keys(n_t: int, m_rpm: int) -> list[str]:
-    """Formatted key cells "event,t,t_hat,m,m_hat" of one SNR point's pep rows."""
-    ts, ms = list(permutations(range(1, n_t + 1), 2)), list(permutations(range(1, m_rpm + 1), 2))
-    return ([f"ssk,{t},{t_hat},," for t, t_hat in ts] + [f"rpm,,,{m},{m_hat}" for m, m_hat in ms]
-            + [f"joint,{t},{t_hat},{m},{m_hat}" for m, m_hat in ms for t, t_hat in ts])
-
-
-def _pep_values(table, n_t: int, m_rpm: int) -> list[float]:
-    """Values of the `_pep_keys` rows from a (K, K) table over flat t-major
-    pairs: ssk at phase 1, rpm averaged over the antenna, joint as it is."""
-    p, ant = table.reshape(n_t, m_rpm, n_t, m_rpm), np.arange(n_t)
-    off_t, off_m = ~np.eye(n_t, dtype=bool), ~np.eye(m_rpm, dtype=bool)
-    return np.concatenate([p[:, 0, :, 0][off_t], p[ant, :, ant, :].mean(axis=0)[off_m],
-                           p.transpose(1, 3, 0, 2)[off_m][:, off_t].ravel()]).tolist()
+def _pep_events(n_t: int, m_rpm: int) -> list[tuple[str, int, int]]:
+    """The pep rows of one SNR point: key cells "event,t,t_hat,m,m_hat" and the
+    flat t-major pair (i, j) of the event. Antenna errors are at phase 1, phase
+    errors at antenna 1 (every antenna has the same pair distance), and joint
+    errors m-major."""
+    ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(m_rpm), 2))
+    return ([(f"ssk,{t + 1},{u + 1},,", t * m_rpm, u * m_rpm) for t, u in ts]
+            + [(f"rpm,,,{m + 1},{n + 1}", m, n) for m, n in ms]
+            + [(f"joint,{t + 1},{u + 1},{m + 1},{n + 1}", t * m_rpm + m, u * m_rpm + n)
+               for m, n in ms for t, u in ts])
 
 
 def _cmd_pep(args: argparse.Namespace) -> int:
+    """Each distinct PEP is formatted once per SNR point; a row reads it
+    through its event's entry of the `Channel.distances()` index."""
     cfg = _load(args)
     chan = make_channel(cfg)
     unit, (d, index) = unit_moments(chan), chan.distances()
     gain = 2.0 if args.paper_literal_args else 1.0
-    keys = _pep_keys(cfg.n_t, cfg.m_rpm)
+    pair = index.tolist()
+    events = [(key, pair[i][j]) for key, i, j in _pep_events(cfg.n_t, cfg.m_rpm)]
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
     rows: list[str] = []
     for snr_db in cfg.snr_grid_db:
         v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
+        cells = [f"{e!r},{c!r}" for e, c in zip(v.exact.tolist(), v.chiani.tolist())]
         snr = _fmt(snr_db)
-        rows.extend(f"{snr},{key},{exact!r},{chiani!r}" for key, exact, chiani in
-                    zip(keys, _pep_values(v.exact[index], cfg.n_t, cfg.m_rpm),
-                        _pep_values(v.chiani[index], cfg.n_t, cfg.m_rpm)))
+        rows.extend(f"{snr},{key},{cells[k]}" for key, k in events)
     out = args.out or "pep.csv"
     _write_csv(out, header, rows)
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args, 1)

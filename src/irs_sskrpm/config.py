@@ -18,8 +18,10 @@ class ConfigError(ValueError):
     """Raised for an invalid parameter value or a malformed config file."""
 
 
-#: Grid values at or above this make the linear power 10**(snr_db/10) overflow.
-_MAX_SNR_DB = 10.0 * math.log10(sys.float_info.max)
+#: Grid values at or above this make 8 P_s overflow, the largest effective
+#: power the analytic layer forms: |c_i - c_j|^2 <= 4, doubled by the
+#: paper-literal convention.
+_MAX_SNR_DB = 10.0 * math.log10(sys.float_info.max / 8.0)
 
 
 def path_loss(rho_0: float, d: float, eta: float) -> float:
@@ -68,18 +70,9 @@ class SystemConfig:
         return self.n_x * self.n_y
 
     @property
-    def bits_bs(self) -> int:
-        """Bits carried by the antenna index, log2(n_t)."""
-        return self.n_t.bit_length() - 1
-
-    @property
-    def bits_irs(self) -> int:
-        """Bits carried by the reflection phase, log2(m_rpm)."""
-        return self.m_rpm.bit_length() - 1
-
-    @property
     def bits_total(self) -> int:
-        return self.bits_bs + self.bits_irs
+        """Bits per channel use, log2(n_t * m_rpm)."""
+        return (self.n_t * self.m_rpm).bit_length() - 1
 
     @property
     def nu(self) -> float:

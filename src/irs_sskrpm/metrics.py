@@ -68,6 +68,13 @@ def _power(p_s) -> np.ndarray:
     return p
 
 
+def _bits(cfg: SystemConfig) -> int:
+    """Bits per channel use; ValueError for a zero-bit config (n_t = m_rpm = 1)."""
+    if cfg.bits_total == 0:
+        raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
+    return cfg.bits_total
+
+
 def _craig_at_order(mom: ErrorEventMoments, p_s: np.ndarray, order: int):
     omega, w = _gl_nodes(order)
     with np.errstate(over="ignore"):  # an overflowing argument is infinite: laplace gives 0
@@ -100,9 +107,7 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
     over the ordered hypothesis pairs of each class, the sum of the PEPs
     weighted by the Hamming distance of the two labels, divided by K*b.
     A zero-bit config (n_t = m_rpm = 1) raises ValueError, as in `simulate_ber`."""
-    b = cfg.bits_total
-    if b == 0:
-        raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
+    b = _bits(cfg)
     d, index = chan.distances()
     v = pep_of_event(unit_moments(chan), _power(p_s) * d)
     same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)

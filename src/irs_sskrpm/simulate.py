@@ -27,7 +27,7 @@ import numpy as np
 from .airlink import label_weights, ml_detect
 from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
-from .metrics import NumericalError, _power, aber_union, capacity_closed, joint_distances
+from .metrics import NumericalError, _bits, _power, aber_union, capacity_closed, joint_distances
 
 #: Trials per RNG chunk. Fixed: changing it changes every simulated result.
 CHUNK_TRIALS = 8192
@@ -126,9 +126,7 @@ def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
     _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    b = cfg.bits_total
-    if b == 0:
-        raise ValueError("nothing to transmit: n_t=1 and m_rpm=1 carry zero bits")
+    b = _bits(cfg)
     chan = make_channel(cfg)
     # exact integer reduction, order-insensitive
     errors = sum(_ber_chunk(chan, p_s, seed, point_index, c, size)

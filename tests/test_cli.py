@@ -229,18 +229,26 @@ def test_manifest_records_the_pool_the_sweep_used(tmp_path, monkeypatch, mode, g
         assert json.load(fh)["workers"] == pool
 
 
+#: The largest grid value `validate` accepts.
+TOP_DB = math.nextafter(10.0 * math.log10(sys.float_info.max / 8.0), 0.0)
+
+
 @pytest.mark.parametrize("argv", [["aber", "--mode", "analytic"],
-                                  ["aber", "--mode", "analytic", "--exact-pep"], ["pep"]])
+                                  ["aber", "--mode", "analytic", "--exact-pep"], ["pep"],
+                                  ["aber", "--mode", "analytic", "--paper-literal-args"],
+                                  ["pep", "--paper-literal-args"],
+                                  ["capacity", "--mode", "analytic"]])
 def test_analytic_layer_is_finite_where_the_transform_overflows(tmp_path, argv):
-    # 4x4 surface, n_r=1, d_r=4: at 3000 dB the Craig transform arguments
-    # overflow, and the transform takes its exact limit 0 there
+    # 4x4 surface, n_r=1, d_r=4: from 3000 dB the Craig transform arguments
+    # overflow, and the transform takes its exact limit 0 there; up to the top
+    # of the accepted grid the effective power itself stays finite
     cfg = tmp_path / "loud.cfg"
-    cfg.write_text(QUICK.replace("snr_grid_db=0,20,40", "snr_grid_db=0,3000"))
+    cfg.write_text(QUICK.replace("snr_grid_db=0,20,40", f"snr_grid_db=0,3000,{TOP_DB!r}"))
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert {row[0] for row in rows} == {"0.0", "3000.0"}
-    values = [float(v) for row in rows for v in (row[-2:] if argv == ["pep"] else row[1:])]
+    assert {row[0] for row in rows} == {"0.0", "3000.0", repr(TOP_DB)}
+    values = [float(v) for row in rows for v in (row[-2:] if argv[0] == "pep" else row[1:])]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)

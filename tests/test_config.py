@@ -1,8 +1,9 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irs_sskrpm import ConfigError, SystemConfig, parse_config, path_loss, validate
 
@@ -100,13 +101,46 @@ def test_validate_reports_offending_field(field, value, frag):
 
 
 def test_validate_rejects_a_grid_whose_linear_power_overflows():
-    top = 10.0 * math.log10(sys.float_info.max)
+    # the analytic layer forms effective powers up to 8 P_s
+    top = 10.0 * math.log10(sys.float_info.max / 8.0)
     for grid in ((0.0, 4000.0), (0.0, top)):
         with pytest.raises(ConfigError, match="snr_grid_db"):
             validate(replace(SystemConfig(), snr_grid_db=grid))
     below = math.nextafter(top, 0.0)
     validate(replace(SystemConfig(), snr_grid_db=(0.0, below)))
-    assert math.isfinite(10.0 ** (below / 10.0))
+    assert math.isfinite(8.0 * 10.0 ** (below / 10.0))
+
+
+FLOAT_FIELDS = [f.name for f in fields(SystemConfig) if f.type == "float"]
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _broken_configs(draw):
+    """(config, finite twin): the twin has every float field at its default and
+    a strictly increasing grid below the limit; the config corrupts at least
+    one float field with a non-finite value or one grid value with a
+    non-finite or over-limit one."""
+    top = 10.0 * math.log10(sys.float_info.max / 8.0)
+    grid = tuple(sorted(draw(st.sets(st.floats(-1e3, top, exclude_max=True),
+                                     min_size=1, max_size=5))))
+    twin = replace(SystemConfig(), snr_grid_db=grid)
+    bad = draw(st.dictionaries(st.sampled_from(FLOAT_FIELDS), NON_FINITE, max_size=3))
+    if not bad or draw(st.booleans()):
+        at = draw(st.integers(0, len(grid) - 1))
+        value = draw(NON_FINITE | st.floats(min_value=top, allow_infinity=False))
+        bad["snr_grid_db"] = grid[:at] + (value,) + grid[at + 1:]
+    return replace(twin, **bad), twin, set(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_broken_configs())
+def test_validate_rejects_non_finite_or_over_limit_values_and_accepts_their_twin(case):
+    cfg, twin, bad = case
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert any(f"{name}=" in str(err.value) for name in bad), (str(err.value), bad)
+    assert validate(twin) is twin
 
 
 CONFIG_TEXT = """\

@@ -147,3 +147,22 @@ def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
         pep_of_event(unit_moments(chan), 100.0 * chan.distances()[0])
     assert main(["pep", "--config", cfg_path, "--out", str(tmp_path / "pep.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
+    # n_t = 8: a phase error m -> m_hat has the same pair index at every
+    # antenna t, and its row is bitwise the PEP read there
+    cfg = validate(replace(SystemConfig(), n_t=8, m_rpm=8, n_x=8, n_y=8, n_r=4,
+                           snr_grid_db=(0.0, 10.0, 20.0)))
+    chan = make_channel(cfg)
+    out = tmp_path / "pep.csv"
+    assert main(["pep", "--config", _write_cfg(tmp_path / "nt8.cfg", cfg), "--out", str(out)]) == 0
+    d, index = chan.distances()
+    unit, k = unit_moments(chan), cfg.m_rpm
+    rows = [line.split(",") for line in out.read_text().splitlines() if ",rpm," in line]
+    assert len(rows) == len(cfg.snr_grid_db) * k * (k - 1)
+    for snr, _, _, _, m, m_hat, exact, chiani in rows:
+        v = pep_of_event(unit, 10.0 ** (float(snr) / 10.0) * d)
+        for t in range(cfg.n_t):
+            at = index[t * k + int(m) - 1, t * k + int(m_hat) - 1]
+            assert [exact, chiani] == [repr(float(v.exact[at])), repr(float(v.chiani[at]))]
