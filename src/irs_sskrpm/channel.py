@@ -130,6 +130,16 @@ class Channel:
         index[self.points[:, None] == self.points] = 0
         return d, index
 
+    def wedges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ML decision regions (`airlink.ml_detect`): the ascending bisectors
+        of the distinct point angles, closed into a ring by the last angle a
+        turn below and the first a turn above, and the flat index winning each
+        interval: an angle in [-pi, pi] decides winners[bisectors below it].
+        Coincident points go to the smallest index; points[0] == 1 owns 0."""
+        angle, owner = np.unique(np.angle(self.points), return_index=True)
+        ring = np.concatenate([angle[-1:] - 2.0 * np.pi, angle, angle[:1] + 2.0 * np.pi])
+        return (ring[:-1] + ring[1:]) / 2.0, np.concatenate([owner[-1:], owner, owner[:1]])
+
 
 def make_channel(cfg: SystemConfig) -> Channel:
     """H, G_bar, the constellation and the g_eff distribution of cfg."""

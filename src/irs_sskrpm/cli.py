@@ -69,9 +69,17 @@ def _load(args: argparse.Namespace) -> SystemConfig:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    """Print the config summary; warn on stderr when hypotheses coincide."""
     cfg = _load(args)
     print(f"ok: N={cfg.n_elements} n_t={cfg.n_t} n_r={cfg.n_r} m_rpm={cfg.m_rpm} "
           f"bits/use={cfg.bits_total} snr points={len(cfg.snr_grid_db)} trials={cfg.trials}")
+    chan = make_channel(cfg)
+    points = chan.points.tolist()
+    never = len(points) + 1 - chan.wedges()[0].size
+    if never:
+        d_min = min(abs(a - b) ** 2 for i, a in enumerate(points) for b in points[:i])
+        print(f"warning: {never} of {len(points)} hypotheses coincide with one of smaller index "
+              f"and are never decided; minimum squared pair distance {d_min!r}", file=sys.stderr)
     return 0
 
 

@@ -3,15 +3,17 @@ joint ML detector) and of the sampled mutual-information expectation, with
 reproducible RNG, and the SNR sweep that runs them.
 
 H is rank-1, so a trial draws only the n_r-vector g_eff = G^H a_irs
-(`channel.Channel`), not the N*n_r entries of G.
+(`channel.Channel`), not the N*n_r entries of G, and the ML detector reads one
+scalar per trial, g_eff^H y, decided by the angle wedge that holds it.
 
 Reproducibility scheme: the estimators split their trials into fixed-size
-chunks, and the RNG for chunk c of sweep point i is a Philox generator keyed
-by (seed, domain, i, c); partial results are reduced in chunk order (integer
-error counts exactly, float partials in a fixed order). The unit of parallel
-work is the SNR point: `run_sweep` maps its points over one process pool per
-simulating sweep, and a point's result does not depend on the process that
-computes it, so a sweep is bit-identical for any number of workers.
+chunks, and the RNG of chunk c of sweep point i is an SFC64 generator seeded by
+SeedSequence(seed, spawn_key=(domain, i, c)); partial results are reduced in
+chunk order (integer error counts exactly, float partials in a fixed order).
+The unit of parallel work is the SNR point: `run_sweep` maps its points over
+one process pool per simulating sweep, and a point's result does not depend on
+the process that computes it, so a sweep is bit-identical for any number of
+workers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .airlink import label_weights, ml_detect
+from .airlink import ml_detect, pair_classes
 from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
 from .metrics import NumericalError, _bits, _power, aber_union, capacity_closed, joint_distances
@@ -79,7 +81,7 @@ def sweep_workers(cfg: SystemConfig, mode: str, workers: int | None = None) -> i
 
 def _chunk_rng(seed: int, domain: int, point_index: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, point_index, chunk_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -89,14 +91,15 @@ def _chunk_sizes(total: int) -> list[int]:
 
 def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """CN(0, 1) entries: real and imaginary parts each of variance 1/2."""
-    w = rng.standard_normal((2, *shape))
-    return math.sqrt(0.5) * (w[0] + 1j * w[1])
+    return math.sqrt(0.5) * rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
-def _ber_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
-               chunk_index: int, n_trials: int) -> int:
+def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np.ndarray,
+               p_s: float, seed: int, point_index: int, chunk_index: int,
+               n_trials: int) -> int:
     """Simulate one chunk of trials with the joint ML detector; returns the
-    bit-error count."""
+    bit-error count; wedges is chan.wedges(), hamming the label distances of
+    `pair_classes`."""
     rng = _chunk_rng(seed, _DOMAIN_BER, point_index, chunk_index)
     n_r = chan.mean.size
     sqrt_p = math.sqrt(p_s)
@@ -105,12 +108,11 @@ def _ber_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
     code = rng.integers(0, chan.points.size, size=n_trials)
     g = chan.mean + chan.scale * _gaussian(rng, (n_trials, n_r))
     z = _gaussian(rng, (n_trials, n_r))
-    y = (sqrt_p * chan.sqrt_nu * chan.points[code])[:, None] * g + z
 
-    ip = chan.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
-    detected = ml_detect(chan.points, ip, sqrt_p)
-
-    return int(label_weights(chan.points.size)[code ^ detected].sum())
+    # g_eff^H y / sqrt(nu) for y = sqrt(P_s nu) points[code] g_eff + z, without forming y
+    energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+    ip = (sqrt_p * chan.sqrt_nu) * energy * chan.points[code] + np.sum(g.conj() * z, axis=1)
+    return int(hamming[code, ml_detect(wedges, ip, sqrt_p)].sum())
 
 
 def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
@@ -128,8 +130,9 @@ def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
         raise ValueError(f"trials={trials} must be >= 1")
     b = _bits(cfg)
     chan = make_channel(cfg)
+    wedges, hamming = chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2]
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_chunk(chan, p_s, seed, point_index, c, size)
+    errors = sum(_ber_chunk(chan, wedges, hamming, p_s, seed, point_index, c, size)
                  for c, size in enumerate(_chunk_sizes(trials)))
     bits = b * trials
     aber = errors / bits

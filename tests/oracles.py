@@ -78,6 +78,15 @@ def full_g_signatures(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
     return (base.T[:, None, :] * phasors[None, :, None]).reshape(-1, g.shape[1])
 
 
+def ml_detect_reference(points: np.ndarray, ip: np.ndarray, sqrt_p: float) -> np.ndarray:
+    """Exhaustive joint ML decisions: the argmin over all K hypotheses of the
+    score -2 sqrt(P_s) Re(conj(points[k]) ip), ip = sqrt(nu) g_eff^H y (one
+    entry per trial); ties, such as every score at P_s = 0 or y = 0, go to
+    the smallest index."""
+    score = -2.0 * sqrt_p * np.real(ip[:, None] * points.conj())
+    return np.argmin(score, axis=1)
+
+
 def sample_xi(cfg: SystemConfig, d: np.ndarray, n_samples: int,
               rng: np.random.Generator) -> np.ndarray:
     """Draw the decision statistic directly: redraw G, form G^H d, take the norm."""

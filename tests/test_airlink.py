@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from irs_sskrpm import (SystemConfig, make_channel, ml_detect, rpm_phases, sample_g,
                         steering_irs, validate)
 from irs_sskrpm.airlink import pair_classes
-from oracles import full_g_signatures
+from oracles import full_g_signatures, ml_detect_reference
+from test_channel import constellation_configs
 
 
 def test_rpm_phases_structure():
@@ -60,16 +61,16 @@ def test_ml_detect_matches_norm_minimization(rng):
         lam = full_g_signatures(cfg, g)
         y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
         ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
-        detected = ml_detect(chan.points, ip, np.sqrt(p_s))
+        detected = ml_detect(chan.wedges(), ip, np.sqrt(p_s))
         dists = np.sum(np.abs(y[:, None, :] - np.sqrt(p_s) * lam[None]) ** 2, axis=2)
         np.testing.assert_array_equal(detected, np.argmin(dists, axis=1))
 
 
 def test_ml_detect_zero_observation_tie_break(chan, rng):
     # y = 0, or P_s = 0 with any y: every score ties, so the decision is index 0
-    assert np.all(ml_detect(chan.points, np.zeros(5, dtype=complex), 2.0) == 0)
+    assert np.all(ml_detect(chan.wedges(), np.zeros(5, dtype=complex), 2.0) == 0)
     ip = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.all(ml_detect(chan.points, ip, 0.0) == 0)
+    assert np.all(ml_detect(chan.wedges(), ip, 0.0) == 0)
 
 
 def test_ml_detect_global_phase_invariance(rng):
@@ -80,8 +81,8 @@ def test_ml_detect_global_phase_invariance(rng):
         g_eff = _g_eff(cfg, sample_g(cfg, chan.g_bar, rng))
         y = (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))) * 3.0
         rot = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        i0 = ml_detect(chan.points, chan.sqrt_nu * y @ g_eff.conj(), np.sqrt(7.0))
-        i1 = ml_detect(chan.points, chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj(), np.sqrt(7.0))
+        i0 = ml_detect(chan.wedges(), chan.sqrt_nu * y @ g_eff.conj(), np.sqrt(7.0))
+        i1 = ml_detect(chan.wedges(), chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj(), np.sqrt(7.0))
         np.testing.assert_array_equal(i0, i1)
 
 
@@ -98,5 +99,31 @@ def test_ml_detect_recovers_noise_free_symbol(n_t, m_rpm, n_r, n_x, n_y, phi_d, 
     p_s = 10.0
     y = np.sqrt(p_s) * full_g_signatures(cfg, g)
     ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
-    np.testing.assert_array_equal(ml_detect(chan.points, ip, np.sqrt(p_s)),
+    np.testing.assert_array_equal(ml_detect(chan.wedges(), ip, np.sqrt(p_s)),
                                   np.arange(n_t * m_rpm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=constellation_configs(), seed=st.integers(0, 2**32 - 1))
+def test_wedge_detector_matches_the_exhaustive_argmin(cfg, seed):
+    # the wedge lookup against the K-score argmin, on random statistics and
+    # ip = 0, at P_s > 0 and P_s = 0; draws within 1e-12 rad of a bisector,
+    # where rounding decides, are left out
+    chan = make_channel(cfg)
+    assume(chan.points.size >= 2)
+    wedges = chan.wedges()
+    rng = np.random.default_rng(seed)
+    ip = np.concatenate([[0.0], rng.standard_normal(400) + 1j * rng.standard_normal(400)])
+    ip *= 10.0 ** rng.uniform(-3, 3, ip.size)
+    gap = np.abs((np.angle(ip)[:, None] - wedges[0] + np.pi) % (2 * np.pi) - np.pi)
+    ip = ip[(gap.min(axis=1) > 1e-12) | (ip == 0)]
+    for sqrt_p in (math.sqrt(5.0), 0.0):
+        detected = ml_detect(wedges, ip, sqrt_p)
+        reference = ml_detect_reference(chan.points, ip, sqrt_p)
+        # Points that differ only by rounding (antenna phase steps on the RPM
+        # phases) split their common wedge at an angle where the reference's
+        # scores tie up to rounding, so the reference itself decides between
+        # them by rounding: there either index is the ML decision.
+        apart = np.abs(chan.points[detected] - chan.points[reference])
+        assert np.all((detected == reference) | ((apart > 0) & (apart <= 1e-12)))
+        assert detected[0] == reference[0] == 0

@@ -134,7 +134,7 @@ def test_sample_g_frobenius_power(cfg, rng):
 
 
 @st.composite
-def _constellation_configs(draw):
+def constellation_configs(draw):
     """Validated configs whose antenna phase step is arbitrary, zero
     (phi_d = 0: all antennas coincide) or a multiple of the RPM phase step."""
     n_t, m_rpm = draw(st.sampled_from([1, 2, 4, 8])), draw(st.sampled_from([1, 2, 4, 8]))
@@ -151,7 +151,7 @@ def _constellation_configs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cfg=_constellation_configs())
+@given(cfg=constellation_configs())
 def test_distances_are_the_offsets_from_hypothesis_0(cfg):
     # the antenna phases stay below ~90 rad here, so the two roundings of a
     # pair's phase (direct, or at its offset) agree to ~1e-14
@@ -163,3 +163,21 @@ def test_distances_are_the_offsets_from_hypothesis_0(cfg):
     np.testing.assert_array_equal(index, index.T)
     assert d.size <= chan.points.size
     assert np.all(np.diff(d) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=constellation_configs())
+def test_wedges_partition_the_circle(cfg):
+    # the distinct point angles, closed into a ring by the last one a turn
+    # below and the first one a turn above: one interval each, won by the
+    # smallest index at that angle (ascending, not strictly: the bisector of
+    # two angles one ulp apart rounds onto one of them)
+    chan = make_channel(cfg)
+    bisectors, winners = chan.wedges()
+    angle = np.angle(chan.points)
+    distinct = np.unique(angle)
+    owner = [np.flatnonzero(angle == a)[0] for a in distinct]
+    assert np.all(np.diff(bisectors) >= 0) and bisectors.size == distinct.size + 1
+    assert bisectors[-1] - bisectors[0] == pytest.approx(2 * np.pi)
+    np.testing.assert_array_equal(winners, [owner[-1], *owner, owner[0]])
+    assert winners[np.sum(0.0 > bisectors)] == 0

@@ -38,6 +38,21 @@ def test_validate_shipped_configs(capsys):
     assert "ok:" in capsys.readouterr().out
 
 
+def test_validate_warns_on_coincident_hypotheses(tmp_path, capsys):
+    # phi_d = 0 puts both antennas on one phase, so hypotheses 2 and 3 repeat
+    # 0 and 1 and are never decided; stdout still starts with "ok:"
+    assert main(["validate", "--config", config_path("aber_n16.cfg")]) == 0
+    assert capsys.readouterr().err == ""
+    path = tmp_path / "phi_d0.cfg"
+    with open(config_path("aber_n16.cfg")) as fh:
+        path.write_text(fh.read().replace("phi_d=0.4174", "phi_d=0"))
+    assert main(["validate", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("ok:")
+    assert err.startswith("warning: 2 of 4 hypotheses") and "never decided" in err
+    assert err.rstrip().endswith("minimum squared pair distance 0.0")
+
+
 def test_validate_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("m_rpm=3\n")

@@ -8,9 +8,10 @@ from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed, joint_distan
                         load_config, make_channel, run_sweep, simulate_ber,
                         simulate_capacity, validate)
 from irs_sskrpm import simulate
+from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
-from oracles import ber_full_g
+from oracles import ber_full_g, ml_detect_reference
 
 FAST = dict(snr_grid_db=(0.0, 10.0, 20.0), trials=4000)
 
@@ -52,6 +53,30 @@ def test_rank1_ber_matches_full_g_reference(name, snr_db):
     ref = ber_full_g(cfg, p_s, trials, np.random.default_rng(404))
     sigma = math.sqrt(fast / trials + ref / trials)
     assert abs(fast - ref) <= 4 * sigma, (fast, ref, sigma)
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("aber_n32.cfg", {}), ("diversity_nr3.cfg", {}), ("aber_n16.cfg", {"phi_d": 0.0}),
+    ("aber_n16.cfg", {"n_t": 8, "m_rpm": 8, "n_r": 4})])
+@pytest.mark.parametrize("snr_db", [-math.inf, 0.0, 10.0, 20.0])
+def test_ber_chunk_counts_the_errors_of_the_full_observation(name, overrides, snr_db):
+    # replay one chunk's draws the long way: the received vector y, the
+    # matched filter ip = sqrt(nu) g_eff^H y, the exhaustive argmin and the
+    # label Hamming distances; the scalar kernel must count the same errors
+    cfg = validate(replace(load_config(config_path(name)), **overrides))
+    chan = make_channel(cfg)
+    p_s = 10 ** (snr_db / 10)
+    sqrt_p, n = math.sqrt(p_s), simulate.CHUNK_TRIALS
+    rng = simulate._chunk_rng(cfg.seed, simulate._DOMAIN_BER, 3, 1)
+    code = rng.integers(0, chan.points.size, size=n)
+    g = chan.mean + chan.scale * simulate._gaussian(rng, (n, cfg.n_r))
+    z = simulate._gaussian(rng, (n, cfg.n_r))
+    y = (sqrt_p * chan.sqrt_nu * chan.points[code])[:, None] * g + z
+    ip = chan.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
+    detected = ml_detect_reference(chan.points, ip, sqrt_p)
+    expected = sum(bin(c ^ d).count("1") for c, d in zip(code.tolist(), detected.tolist()))
+    hamming = pair_classes(cfg.n_t, cfg.m_rpm)[2]
+    assert simulate._ber_chunk(chan, chan.wedges(), hamming, p_s, cfg.seed, 3, 1, n) == expected
 
 
 def test_ber_depends_on_seed_and_point_index(cfg):
