@@ -3,7 +3,8 @@ exact Craig-integral values next to the Chiani closed form, and how the
 union bound on the average bit error rate is assembled from them.
 
 Every event i -> j between flat t-major hypothesis indices has the PEP of
-the one unit law (`unit_moments`) at the effective power P_s*|c_i - c_j|^2.
+the one unit law (`unit_moments`) at the effective power P_s*|c_i - c_j|^2,
+with the distance read from the pair table of `Channel.distances()`.
 
 Run: python demos/pep_anatomy.py
 """
@@ -14,9 +15,10 @@ from irs_sskrpm import (SystemConfig, aber_union_terms, make_channel, pep_of_eve
 cfg = validate(SystemConfig())
 chan = make_channel(cfg)
 unit = unit_moments(chan)
+d, index = chan.distances()
 # antenna error 1 -> 2, phase error 1 -> 2, and both at once
 events = [(0, cfg.m_rpm), (0, 1), (0, cfg.m_rpm + 1)]
-dist = [abs(chan.points[i] - chan.points[j]) ** 2 for i, j in events]
+dist = [d[index[i, j]] for i, j in events]
 
 print(f"{'SNR dB':>6} | {'ssk exact':>10} {'chiani':>10} | {'rpm exact':>10} "
       f"{'chiani':>10} | {'joint exact':>11} {'chiani':>10}")

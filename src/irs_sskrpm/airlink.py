@@ -36,10 +36,9 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     Every signature sqrt(nu) points[k] g_eff has the energy nu ||g_eff||^2, so
     the ML metric ||y - sqrt(P_s nu) points[k] g_eff||^2 is smallest for the
     point nearest in angle to the scalar ip = g_eff^H y (or any positive
-    multiple): the winner of the `Channel.wedges()` interval holding
+    multiple): the location owning the `Channel.wedges()` interval that holds
     angle(ip), found by counting the bisectors below it. Returns flat t-major
-    indices. Coincident points, ip = 0 and P_s = 0 (every score ties) go to
-    the smallest index, i.e. 0 for the last two.
+    indices; ip = 0 and P_s = 0 (every score ties) decide index 0.
     """
     bisectors, winners = wedges
     theta = np.angle(ip) if sqrt_p > 0 else np.zeros(np.shape(ip))

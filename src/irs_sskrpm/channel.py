@@ -14,10 +14,10 @@ so results do not depend on this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .airlink import rpm_phases
 from .config import SystemConfig
 
 
@@ -85,6 +85,17 @@ def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> 
     return w_los * g_bar + w_nlos * w
 
 
+def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for which constellation angles (in turns) coincide: those on one
+    step of a 2^-40-turn grid modulo one turn (with fold, also modulo sign), which the
+    detector's float angle cannot resolve anyway (5.7e-12 rad). Returns each group's
+    first index, ascending by step, and the group of each entry."""
+    key = np.rint(turns * 2.0 ** 40).astype(np.int64) % 2 ** 40
+    key = np.minimum(key, 2 ** 40 - key) if fold else key
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return first, group.reshape(np.shape(turns))
+
+
 @dataclass(frozen=True)
 class Channel:
     """The deterministic part of the link and its rank-1 reduction.
@@ -94,9 +105,9 @@ class Channel:
 
     h       -- BS->IRS matrix, (N, n_t).
     g_bar   -- unit-modulus LoS component of the IRS->UT matrix G, (N, n_r).
-    points  -- the n_t*m_rpm unit-circle points a_bs[t] e^{j phi_m}, t-major;
-               points[0] == 1 exactly.
-    m_rpm   -- reflection phases per antenna (points[k] has t, m = divmod(k, m_rpm)).
+    points  -- the n_t*m_rpm unit-circle points exp(2 pi j turns), t-major; points[0] == 1.
+    turns   -- point t*M + m at m/M - (delta/lambda) sin(phi_d) t turns, in [-1/2, 1/2];
+               a group of `_group` is one location, owned by its smallest index.
     mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
     scale   -- diffuse amplitude w_nlos * sqrt(N).
     sqrt_nu -- amplitude of the BS->IRS path loss.
@@ -105,38 +116,39 @@ class Channel:
     h: np.ndarray
     g_bar: np.ndarray
     points: np.ndarray
-    m_rpm: int
+    turns: np.ndarray
     mean: np.ndarray
     scale: float
     sqrt_nu: float
 
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |c_i - c_j|^2 over all ordered pairs of constellation
-        points, ascending (at most K values), and the (K, K) index of each pair
-        into them.
+        """The distinct |c_i - c_j|^2 over the ordered pairs of points, ascending (at
+        most K; 0 within a location), and the (K, K) index of each pair into them."""
+        return self._pair_table
 
-        a_bs is a geometric sequence and the phases a group, so conj(c_i) c_j
-        is the point at the pair's offset (t_j - t_i, m_j - m_i mod M), taken
-        with t_j >= t_i (and the smaller of m_j - m_i and m_i - m_j mod M when
-        t_j == t_i, so the index is symmetric): every pair distance is
-        |c_0 - c_k|^2 = |1 - c_k|^2 for some k. Coincident points map to 0.
-        """
-        d, inverse = np.unique(np.abs(1.0 - self.points) ** 2, return_inverse=True)
-        t, m = np.divmod(np.arange(self.points.size), self.m_rpm)
-        dt = t[None, :] - t[:, None]
-        dm = np.where(dt < 0, -1, 1) * (m[None, :] - m[:, None]) % self.m_rpm
-        dm = np.where(dt == 0, np.minimum(dm, self.m_rpm - dm), dm)
-        index = inverse.ravel()[np.abs(dt) * self.m_rpm + dm]
-        index[self.points[:, None] == self.points] = 0
-        return d, index
+    @cached_property
+    def _pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # every pair offset is, up to rounding, an offset from hypothesis 0: a
+        # folded group of turns. A pair takes the nearest one, so a rounded offset
+        # on a grid-step boundary cannot open a group of its own.
+        first, group = _group(self.turns)
+        owned = self.turns[first][group]  # a location's points are 0 apart
+        offset = owned[None, :] - owned[:, None]
+        offset = np.abs(offset - np.rint(offset))
+        first, _ = _group(self.turns, fold=True)  # ascending in |turns|, first[0] == 0
+        near = np.append(np.abs(self.turns[first]), np.inf)
+        above = np.searchsorted(near, offset).clip(1)
+        nearest = np.where(offset - near[above - 1] <= near[above] - offset, above - 1, above)
+        d, index = np.unique((np.abs(1.0 - self.points[first]) ** 2)[nearest], return_inverse=True)
+        return d, index.reshape(offset.shape)
 
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ML decision regions (`airlink.ml_detect`): the ascending bisectors
-        of the distinct point angles, closed into a ring by the last angle a
-        turn below and the first a turn above, and the flat index winning each
-        interval: an angle in [-pi, pi] decides winners[bisectors below it].
-        Coincident points go to the smallest index; points[0] == 1 owns 0."""
-        angle, owner = np.unique(np.angle(self.points), return_index=True)
+        """The ML decision regions (`airlink.ml_detect`): the ascending bisectors of
+        the locations' angles, closed into a ring a turn below and above, and the
+        owner of each interval: an angle in [-pi, pi] decides winners[bisectors below it]."""
+        owner, _ = _group(self.turns)
+        owner = owner[np.argsort(self.turns[owner])]
+        angle = 2.0 * np.pi * self.turns[owner]
         ring = np.concatenate([angle[-1:] - 2.0 * np.pi, angle, angle[:1] + 2.0 * np.pi])
         return (ring[:-1] + ring[1:]) / 2.0, np.concatenate([owner[-1:], owner, owner[:1]])
 
@@ -144,13 +156,12 @@ class Channel:
 def make_channel(cfg: SystemConfig) -> Channel:
     """H, G_bar, the constellation and the g_eff distribution of cfg."""
     a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
-    a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
     g_bar = build_g_bar(cfg)
     w_los, w_nlos = rician_weights(cfg)
-    return Channel(h=build_h(cfg), g_bar=g_bar,
-                   points=np.outer(a_bs, np.exp(1j * rpm_phases(cfg.m_rpm))).ravel(),
-                   m_rpm=cfg.m_rpm,
+    t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
+    turns = m / cfg.m_rpm - cfg.delta_over_lambda * np.sin(cfg.phi_d) * t
+    turns -= np.rint(turns)
+    return Channel(h=build_h(cfg), g_bar=g_bar, points=np.exp(2j * np.pi * turns), turns=turns,
                    mean=w_los * (g_bar.conj().T @ a_irs),
                    scale=float(w_nlos * np.sqrt(cfg.n_elements)),
                    sqrt_nu=float(np.sqrt(cfg.nu)))
-

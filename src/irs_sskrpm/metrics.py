@@ -12,11 +12,10 @@ of some texts is the PEP at 2*P_s.
 
 H is rank-1, so the statistic of the error event i -> j is |c_i - c_j|^2
 times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
-is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2. The union
-bound, the closed-form capacity and the `pep` table therefore evaluate xi_1
-once per transmit power, over the distinct constellation distances. An
-error event is a pair (i, j) of flat t-major hypothesis indices, and its
-PEP is pep_of_event(unit_moments(chan), P_s*|c_i - c_j|^2).
+is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2, for a pair
+(i, j) of flat t-major hypothesis indices. The union bound, the closed-form
+capacity and the `pep` table therefore evaluate xi_1 once per transmit power,
+over the distinct constellation distances (`Channel.distances()`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from irs_sskrpm import (SystemConfig, build_g_bar, build_h, make_channel, sample_g,
-                        steering_bs, steering_irs, validate)
+from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
+                        sample_g, steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
 from oracles import full_g_signatures, pair_distances_reference
 from test_config import PATH_LOSS_4KM
@@ -150,34 +151,97 @@ def constellation_configs(draw):
                             delta_over_lambda=delta))
 
 
+STRESS_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "scenarios",
+                             "stress_nt8m8.cfg")
+
+#: n_t = m_rpm = 4 with an antenna phase step of one RPM step (pi/2): the 16
+#: points sit on 4 locations, which rounding alone would keep apart.
+ON_RPM_STEPS = replace(SystemConfig(), n_t=4, m_rpm=4, phi_d=math.pi / 6,
+                       delta_over_lambda=0.5)
+
+
+def _config_turns(cfg: SystemConfig) -> list[float]:
+    """Each point's angle in turns, t-major, from the config alone (with numpy's
+    sine, which may round unlike math.sin, so grid keys agree bitwise)."""
+    s = cfg.delta_over_lambda * float(np.sin(cfg.phi_d))
+    return [m / cfg.m_rpm - s * t for t in range(cfg.n_t) for m in range(cfg.m_rpm)]
+
+
+def _rpm_step_multiple(cfg: SystemConfig) -> int | None:
+    """q when the antenna phase step is q RPM phase steps up to rounding
+    (q = 0 for phi_d = 0), else None."""
+    r = cfg.delta_over_lambda * math.sin(cfg.phi_d) * cfg.m_rpm
+    return round(r) if abs(r - round(r)) <= 1e-14 * max(1, abs(round(r))) else None
+
+
 @settings(max_examples=200, deadline=None)
 @given(cfg=constellation_configs())
+@example(cfg=validate(replace(SystemConfig(), n_t=2, m_rpm=2, phi_d=1e-9,
+                              delta_over_lambda=1.0)))
+@example(cfg=validate(replace(SystemConfig(), n_t=8, m_rpm=1, phi_d=math.asin(1.3 * 2.0 ** -40),
+                              delta_over_lambda=0.5)))
+@example(cfg=validate(replace(SystemConfig(), n_t=8, m_rpm=1, phi_d=1.9894512827678674,
+                              delta_over_lambda=1.166652824169546)))
 def test_distances_are_the_offsets_from_hypothesis_0(cfg):
     # the antenna phases stay below ~90 rad here, so the two roundings of a
-    # pair's phase (direct, or at its offset) agree to ~1e-14
+    # pair's phase (direct, or at its offset) agree to ~1e-14; at phi_d = 1e-9
+    # two distinct offsets near half a turn both give the float 4.0, and at
+    # phi_d = 1.989... rounded pair offsets of one true offset fall on both
+    # sides of a grid-step boundary (9 groups of 8 points when keyed directly)
     chan = make_channel(cfg)
     d, index = chan.distances()
     full = pair_distances_reference(chan.points)
     np.testing.assert_allclose(d[index], full, rtol=1e-12, atol=1e-15)
     assert np.all(d[index[full == 0]] == 0)
+    # the points of one location (one wedge) are exactly 0 apart, also where
+    # they sit 0.65 grid steps apart (antenna phase step 0.65 * 2^-40 turn)
+    key = [round(u * 2 ** 40) % 2 ** 40 for u in _config_turns(cfg)]
+    assert np.all(d[index[np.equal.outer(key, key)]] == 0)
+    q = _rpm_step_multiple(cfg)
+    if q is not None:
+        # hypotheses (t, m) and (t', m') share a location when
+        # m' - m = q (t' - t) mod M, whatever rounding did to their points
+        t, m = np.divmod(np.arange(chan.points.size), cfg.m_rpm)
+        same = (np.subtract.outer(m, m) - q * np.subtract.outer(t, t)) % cfg.m_rpm == 0
+        assert np.all(d[index[same]] == 0)
     np.testing.assert_array_equal(index, index.T)
     assert d.size <= chan.points.size
     assert np.all(np.diff(d) > 0)
 
 
+def test_distances_on_coincident_and_stress_constellations():
+    # 16 points on 4 locations a quarter turn apart: |1 - j|^2 = 2 rounds to
+    # 1.9999999999999996
+    chan = make_channel(validate(ON_RPM_STEPS))
+    d, index = chan.distances()
+    assert d[0] == 0.0 and d[2] == 4.0
+    np.testing.assert_allclose(d, [0.0, 2.0, 4.0], rtol=4e-16)
+    assert np.sum(index == 0) == 16 * 4
+    assert chan.wedges()[0].size == 4 + 1
+    # the true offsets from hypothesis 0 take 61 values (smallest real gap
+    # 0.0035 turns); rounding the points' own distances splits 3 of them
+    stress = validate(load_config(STRESS_CONFIG))
+    assert make_channel(stress).distances()[0].size == 61
+
+
 @settings(max_examples=200, deadline=None)
 @given(cfg=constellation_configs())
+@example(cfg=validate(replace(SystemConfig(), n_t=2, m_rpm=1, phi_d=3.1e-263,
+                              delta_over_lambda=0.5)))
+@example(cfg=validate(ON_RPM_STEPS))
 def test_wedges_partition_the_circle(cfg):
-    # the distinct point angles, closed into a ring by the last one a turn
-    # below and the first one a turn above: one interval each, won by the
-    # smallest index at that angle (ascending, not strictly: the bisector of
-    # two angles one ulp apart rounds onto one of them)
+    # one interval per location, i.e. per angle in turns from the config on a
+    # 2^-40-turn grid modulo one turn (phi_d = 3.1e-263 puts two points 1e-262
+    # rad apart: one location), won by its smallest index; the locations are
+    # closed into a ring by the last one a turn below and the first a turn above
     chan = make_channel(cfg)
     bisectors, winners = chan.wedges()
-    angle = np.angle(chan.points)
-    distinct = np.unique(angle)
-    owner = [np.flatnonzero(angle == a)[0] for a in distinct]
-    assert np.all(np.diff(bisectors) >= 0) and bisectors.size == distinct.size + 1
+    turns = _config_turns(cfg)
+    owner: dict[int, int] = {}
+    for k, u in enumerate(turns):
+        owner.setdefault(round(u * 2 ** 40) % 2 ** 40, k)
+    at = sorted(owner.values(), key=lambda k: turns[k] - round(turns[k]))
+    assert np.all(np.diff(bisectors) >= 0) and bisectors.size == len(owner) + 1
     assert bisectors[-1] - bisectors[0] == pytest.approx(2 * np.pi)
-    np.testing.assert_array_equal(winners, [owner[-1], *owner, owner[0]])
+    np.testing.assert_array_equal(winners, [at[-1], *at, at[0]])
     assert winners[np.sum(0.0 > bisectors)] == 0

@@ -51,6 +51,15 @@ def test_validate_warns_on_coincident_hypotheses(tmp_path, capsys):
     assert out.startswith("ok:")
     assert err.startswith("warning: 2 of 4 hypotheses") and "never decided" in err
     assert err.rstrip().endswith("minimum squared pair distance 0.0")
+    # an antenna phase step of one RPM step (pi/2) puts the 16 hypotheses on
+    # 4 locations, although rounding keeps every point's float distinct
+    path = tmp_path / "on_rpm_steps.cfg"
+    path.write_text("n_t=4\nm_rpm=4\ndelta_over_lambda=0.5\nphi_d=0.5235987755982988\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("ok:")
+    assert err.startswith("warning: 12 of 16 hypotheses") and "never decided" in err
+    assert err.rstrip().endswith("minimum squared pair distance 0.0")
 
 
 def test_validate_bad_config(tmp_path, capsys):

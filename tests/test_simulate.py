@@ -1,8 +1,11 @@
 import math
+import os
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import assume, given, settings, strategies as st
 
 from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed, joint_distances,
                         load_config, make_channel, run_sweep, simulate_ber,
@@ -12,6 +15,7 @@ from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import ber_full_g, ml_detect_reference
+from test_channel import constellation_configs
 
 FAST = dict(snr_grid_db=(0.0, 10.0, 20.0), trials=4000)
 
@@ -175,10 +179,39 @@ def test_run_sweep_repeatable(cfg):
 
 
 @pytest.mark.parametrize("quantity", ["aber", "capacity"])
-def test_run_sweep_deterministic_across_workers(cfg, quantity):
+def test_run_sweep_deterministic_across_workers(cfg, quantity, monkeypatch):
+    # resolve_workers clamps to the CPU count: report 3 CPUs so a 3-process
+    # pool really opens on any host
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
     quick = validate(replace(cfg, **FAST))
+    assert simulate.sweep_workers(quick, "both", 3) == 3
     serial = run_sweep(quick, quantity, "both", workers=1)
     assert serial == run_sweep(quick, quantity, "both", workers=3)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Small validated configs over `constellation_configs`: 1 to 3 receive
+    antennas, any K-factor and seed, 2 or 3 SNR points and a few hundred trials."""
+    grid = sorted(draw(st.sets(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0]),
+                               min_size=2, max_size=3)))
+    return validate(replace(draw(constellation_configs()), n_r=draw(st.integers(1, 3)),
+                            k_r=draw(st.floats(0.0, 10.0)), seed=draw(st.integers(0, 2**31)),
+                            snr_grid_db=tuple(grid), trials=draw(st.integers(1, 600))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(cfg=sweep_configs(), quantity=st.sampled_from(["aber", "capacity"]),
+       mode=st.sampled_from(["sim", "both"]), workers=st.integers(2, 3))
+def test_run_sweep_records_do_not_depend_on_the_worker_count(cfg, quantity, mode, workers):
+    assume(quantity == "capacity" or cfg.bits_total > 0)
+    env = {k: v for k, v in os.environ.items() if k != "IRS_SSKRPM_THREADS"}
+    with mock.patch("os.cpu_count", return_value=3), mock.patch.dict(os.environ, env, clear=True):
+        pooled = min(workers, len(cfg.snr_grid_db))
+        assert simulate.sweep_workers(cfg, mode, workers) == pooled > 1
+        serial = run_sweep(cfg, quantity, mode, workers=1)
+        assert run_sweep(cfg, quantity, mode, workers=workers) == serial
 
 
 def test_run_sweep_opens_one_pool_per_simulating_sweep(cfg, monkeypatch):
