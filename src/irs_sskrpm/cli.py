@@ -31,10 +31,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
-    """Write the header and the already formatted data lines."""
+def _write_csv(path: str, header: list[str], body: str) -> None:
+    """Write the header line, then body: the formatted data lines, each ending in a newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None,
@@ -51,8 +51,7 @@ def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load(args: argparse.Namespace) -> SystemConfig:
@@ -72,11 +71,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     print(f"ok: N={cfg.n_elements} n_t={cfg.n_t} n_r={cfg.n_r} m_rpm={cfg.m_rpm} "
           f"bits/use={cfg.bits_total} snr points={len(cfg.snr_grid_db)} trials={cfg.trials}")
-    k = cfg.n_t * cfg.m_rpm
-    never = k + 1 - make_channel(cfg).wedges()[0].size  # one wedge per location
+    k, chan = cfg.n_t * cfg.m_rpm, make_channel(cfg)
+    never = k + 1 - chan.wedges()[0].size  # one wedge per location
     if never:
+        d = chan.distances()[0]
+        rest = (f"smallest nonzero squared pair distance {d[1]:.6g}" if d.size > 1
+                else f"all {k} hypotheses share one location")
         print(f"warning: {never} of {k} hypotheses coincide with one of smaller index "
-              "and are never decided; minimum squared pair distance 0.0", file=sys.stderr)
+              f"and are never decided; {rest}", file=sys.stderr)
     return 0
 
 
@@ -100,44 +102,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fields = ["trials" if col == "samples" else col for col in header]
     rows = [",".join(_fmt(getattr(r, f)) for f in fields) for r in records]
     out = args.out or f"{args.command}.csv"
-    _write_csv(out, header, rows)
+    _write_csv(out, header, "".join(f"{row}\n" for row in rows))
     _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args, workers)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
-def _pep_events(n_t: int, m_rpm: int) -> list[tuple[str, int, int]]:
-    """The pep rows of one SNR point: key cells "event,t,t_hat,m,m_hat" and the
-    flat t-major pair (i, j) of the event. Antenna errors are at phase 1, phase
-    errors at antenna 1 (every antenna has the same pair distance), and joint
-    errors m-major."""
-    ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(m_rpm), 2))
-    return ([(f"ssk,{t + 1},{u + 1},,", t * m_rpm, u * m_rpm) for t, u in ts]
-            + [(f"rpm,,,{m + 1},{n + 1}", m, n) for m, n in ms]
-            + [(f"joint,{t + 1},{u + 1},{m + 1},{n + 1}", t * m_rpm + m, u * m_rpm + n)
-               for m, n in ms for t, u in ts])
-
-
 def _cmd_pep(args: argparse.Namespace) -> int:
-    """Each distinct PEP is formatted once per SNR point; a row reads it
-    through its event's entry of the `Channel.distances()` index."""
+    """The rows of an SNR point follow one template, built once: each row's key
+    cells "event,t,t_hat,m,m_hat" and the `Channel.distances()` index of its
+    event's flat t-major pair. Antenna errors are at phase 1, phase errors at
+    antenna 1 (every antenna has the same pair distance), and joint errors m-major."""
     cfg = _load(args)
     chan = make_channel(cfg)
     unit, (d, index) = unit_moments(chan), chan.distances()
-    gain = 2.0 if args.paper_literal_args else 1.0
-    pair = index.tolist()
-    events = [(key, pair[i][j]) for key, i, j in _pep_events(cfg.n_t, cfg.m_rpm)]
+    gain, k, pair = 2.0 if args.paper_literal_args else 1.0, cfg.m_rpm, index.tolist()
+    ts, ms = list(permutations(range(cfg.n_t), 2)), list(permutations(range(k), 2))
+    tu, mn = [f"{t + 1},{u + 1}," for t, u in ts], [f"{m + 1},{n + 1}," for m, n in ms]
+    keys = ([f"ssk,{a},," for a in tu] + [f"rpm,,,{b}" for b in mn]
+            + [f"joint,{a}{b}" for b in mn for a in tu])
+    at = ([pair[t * k][u * k] for t, u in ts] + [pair[m][n] for m, n in ms]
+          + [pair[t * k + m][u * k + n] for m, n in ms for t, u in ts])
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
-    rows: list[str] = []
+    body = []
     for snr_db in cfg.snr_grid_db:
         v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
-        cells = [f"{e!r},{c!r}" for e, c in zip(v.exact.tolist(), v.chiani.tolist())]
-        snr = _fmt(snr_db)
-        rows.extend(f"{snr},{key},{cells[k]}" for key, k in events)
+        cells = list(map("{!r},{!r}\n".format, v.exact.tolist(), v.chiani.tolist()))
+        rows = map(str.__add__, keys, map(cells.__getitem__, at))
+        # every row starts with the SNR cell: the separator of a join that starts at ""
+        body.append(f"{_fmt(snr_db)},".join(["", *rows]))
     out = args.out or "pep.csv"
-    _write_csv(out, header, rows)
+    _write_csv(out, header, "".join(body))
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args, 1)
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(f"wrote {out} ({len(cfg.snr_grid_db) * len(keys)} rows)")
     return 0
 
 

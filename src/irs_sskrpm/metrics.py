@@ -5,10 +5,12 @@ closed-form ergodic capacity of the discrete-input channel.
 PEP of an event with statistic xi is E[Q(sqrt(P_s*xi/2))]. Craig's finite
 integral for Q turns this into (1/pi) * int_0^{pi/2} L(P_s/(4*sin^2 w)) dw
 where L is the Laplace transform of xi; the Chiani two-exponential
-approximation of Q gives the closed form L(P_s/4)/12 + L(P_s/3)/4. These
-arguments are the ones consistent with Q(sqrt(P_s*xi/2)) and are validated
-against direct quadrature and Monte-Carlo; the doubled-argument convention
-of some texts is the PEP at 2*P_s.
+approximation of Q gives the closed form L(P_s/4)/12 + L(P_s/3)/4
+(`pep_chiani`). These arguments are the ones consistent with
+Q(sqrt(P_s*xi/2)) and are validated against direct quadrature and
+Monte-Carlo; the doubled-argument convention of some texts is the PEP at
+2*P_s. The union bound reads the Chiani form unless asked for the exact
+one, and only the exact one runs the quadrature.
 
 H is rank-1, so the statistic of the error event i -> j is |c_i - c_j|^2
 times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
@@ -81,6 +83,16 @@ def _craig_at_order(mom: ErrorEventMoments, p_s: np.ndarray, order: int):
     return laplace(mom, a) @ w / np.pi
 
 
+def pep_chiani(mom: ErrorEventMoments, p_s):
+    """Chiani closed-form PEP of an error event at transmit power p_s (unit
+    noise), of p_s's shape; a non-finite value raises NumericalError."""
+    p = _power(p_s)
+    v = laplace(mom, p / 4.0) / 12.0 + laplace(mom, p / 3.0) / 4.0
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("Chiani closed-form PEP is not finite")
+    return v
+
+
 def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     """PEP of an error event at transmit power p_s (unit noise); for an array
     of powers both fields are arrays of its shape.
@@ -97,7 +109,7 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
         raise NumericalError(
             f"Craig quadrature did not converge: spread {spread:.3e} at orders "
             f"{GL_ORDER}/{2 * GL_ORDER}")
-    return PepValue(exact=hi, chiani=laplace(mom, p / 4.0) / 12.0 + laplace(mom, p / 3.0) / 4.0)
+    return PepValue(exact=hi, chiani=pep_chiani(mom, p))
 
 
 def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
@@ -108,9 +120,10 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
     A zero-bit config (n_t = m_rpm = 1) raises ValueError, as in `simulate_ber`."""
     b = _bits(cfg)
     d, index = chan.distances()
-    v = pep_of_event(unit_moments(chan), _power(p_s) * d)
+    mom, p = unit_moments(chan), _power(p_s) * d
+    pep = pep_of_event(mom, p).exact if exact_pep else pep_chiani(mom, p)
     same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
-    weighted = dist * (v.exact if exact_pep else v.chiani)[index] / (dist.shape[0] * b)
+    weighted = dist * pep[index] / (dist.shape[0] * b)
     return (float(weighted[same_m].sum()), float(weighted[same_t].sum()),
             float(weighted[~same_t & ~same_m].sum()))
 

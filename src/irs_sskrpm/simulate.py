@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -116,21 +115,19 @@ def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np
 
 
 def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
-                 point_index: int = 0) -> tuple[float, float]:
+                 point_index: int = 0, link: tuple | None = None) -> tuple[float, float]:
     """Estimate the average bit error rate at transmit power p_s.
 
     Per trial: uniform information bits, channel redraw, noisy reception and
     joint ML detection; returns (errors / (bits * trials), binomial standard
     error over all transmitted bits). Deterministic for fixed (seed, trials,
-    cfg, point_index).
+    cfg, point_index). link is `_link` of the validated cfg, built once per sweep.
     """
-    validate(cfg)
+    chan, wedges, hamming = link or _link(make_channel(validate(cfg)), cfg, "aber")
     _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     b = _bits(cfg)
-    chan = make_channel(cfg)
-    wedges, hamming = chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2]
     # exact integer reduction, order-insensitive
     errors = sum(_ber_chunk(chan, wedges, hamming, p_s, seed, point_index, c, size)
                  for c, size in enumerate(_chunk_sizes(trials)))
@@ -160,23 +157,20 @@ def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
 
 
 def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed: int,
-                      point_index: int = 0, with_stderr: bool = False):
+                      point_index: int = 0, with_stderr: bool = False, link: tuple | None = None):
     """Sampled ergodic capacity: every E[exp(-P_s*xi/2)] is averaged over
     redrawn effective channels with xi computed directly from the
     constellation distance and ||g_eff||^2 (an independent code path from
     the moment-based closed form).
 
     Returns the capacity in bits per channel use, or (capacity, stderr) when
-    with_stderr is True.
+    with_stderr is True. link is `_link` of the validated cfg, built once per sweep.
     """
-    validate(cfg)
+    chan, dist = link or _link(make_channel(validate(cfg)), cfg, "capacity")
     _power(p_s)
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
-    chan = make_channel(cfg)
-    d2, mult = joint_distances(chan, cfg)
-    dist = (chan.sqrt_nu ** 2 * d2, mult)
     partials = [_capacity_chunk(chan, p_s, seed, point_index, c, size, dist)
                 for c, size in enumerate(_chunk_sizes(channel_samples))]
     # reduce in chunk order: the float result is fixed by the chunk keys
@@ -190,9 +184,19 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
     return cap, math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))
 
 
+def _link(chan: Channel, cfg: SystemConfig, quantity: str) -> tuple:
+    """What simulating quantity needs of cfg at every power: the channel and, for
+    "aber", its wedges and the label distances of `pair_classes`; for "capacity",
+    the `metrics.joint_distances` scaled by nu, with their multiplicities."""
+    if quantity == "aber":
+        return chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2]
+    d2, mult = joint_distances(chan, cfg)
+    return chan, (chan.sqrt_nu ** 2 * d2, mult)
+
+
 def _sweep_point(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
-                 paper_literal_args: bool, chan: Channel | None, point_index: int,
-                 snr_db: float) -> SweepRecord:
+                 paper_literal_args: bool, chan: Channel, link: tuple | None,
+                 point_index: int, snr_db: float) -> SweepRecord:
     """One row of `run_sweep`: quantity at SNR point point_index of cfg's grid."""
     p_s = 10.0 ** (snr_db / 10.0)
     analytic, sim = mode != "sim", mode != "analytic"
@@ -201,11 +205,11 @@ def _sweep_point(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
         if quantity == "aber" and analytic:
             aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep)
         if quantity == "aber" and sim:
-            aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed, point_index)
+            aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed, point_index, link=link)
         if quantity == "capacity" and analytic:
             cap_c = capacity_closed(chan, cfg, p_s)
         if quantity == "capacity" and sim:
-            cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed, point_index)
+            cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed, point_index, link=link)
     except NumericalError as exc:
         raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc
     return SweepRecord(snr_db, aber_a, aber_sim, stderr, cap_c, cap_s, cfg.trials)
@@ -228,11 +232,12 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
         raise ValueError(f"mode={mode!r} must be analytic, sim or both")
     if quantity not in ("aber", "capacity"):
         raise ValueError(f"quantity={quantity!r} must be aber or capacity")
-    grid = cfg.snr_grid_db
-    point = partial(_sweep_point, cfg, quantity, mode, exact_pep, paper_literal_args,
-                    make_channel(cfg) if mode != "sim" else None)
+    grid, chan = cfg.snr_grid_db, make_channel(cfg)
+    link = None if mode == "analytic" else _link(chan, cfg, quantity)
+    point = partial(_sweep_point, cfg, quantity, mode, exact_pep, paper_literal_args, chan, link)
     workers = sweep_workers(cfg, mode, workers)
     if workers == 1:
         return list(map(point, range(len(grid)), grid))
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, range(len(grid)), grid))

@@ -9,12 +9,14 @@ These are the reference implementations the library is checked against.
 The per-event loops at the end are the exception: they rebuild the union
 bound, the closed-form capacity and the pep table one error event at a time
 from `pep_of_event(moments_*)` (whose moments and integrals the oracles
-above check), as the reference for the vectorised hypothesis-pair table.
+above check), as the reference for the vectorised hypothesis-pair table;
+`pep_events_reference` lists the pep table's rows one event at a time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -325,3 +327,15 @@ def pep_rows_reference(chan: Channel, cfg: SystemConfig,
                 v = pep_of_event(mom, p_s)
                 rows.append([snr_db, "joint", t, t_hat, m, m_hat, v.exact, v.chiani])
     return rows
+
+
+def pep_events_reference(n_t: int, m_rpm: int) -> list[tuple[str, int, int]]:
+    """The pep rows of one SNR point: key cells "event,t,t_hat,m,m_hat" and the
+    flat t-major pair (i, j) of the event. Antenna errors are at phase 1, phase
+    errors at antenna 1 (every antenna has the same pair distance), and joint
+    errors m-major."""
+    ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(m_rpm), 2))
+    return ([(f"ssk,{t + 1},{u + 1},,", t * m_rpm, u * m_rpm) for t, u in ts]
+            + [(f"rpm,,,{m + 1},{n + 1}", m, n) for m, n in ms]
+            + [(f"joint,{t + 1},{u + 1},{m + 1},{n + 1}", t * m_rpm + m, u * m_rpm + n)
+               for m, n in ms for t, u in ts])

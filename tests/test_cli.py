@@ -50,7 +50,8 @@ def test_validate_warns_on_coincident_hypotheses(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("ok:")
     assert err.startswith("warning: 2 of 4 hypotheses") and "never decided" in err
-    assert err.rstrip().endswith("minimum squared pair distance 0.0")
+    # the warning names the distance that remains between the locations
+    assert err.rstrip().endswith("smallest nonzero squared pair distance 4")
     # an antenna phase step of one RPM step (pi/2) puts the 16 hypotheses on
     # 4 locations, although rounding keeps every point's float distinct
     path = tmp_path / "on_rpm_steps.cfg"
@@ -59,7 +60,14 @@ def test_validate_warns_on_coincident_hypotheses(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("ok:")
     assert err.startswith("warning: 12 of 16 hypotheses") and "never decided" in err
-    assert err.rstrip().endswith("minimum squared pair distance 0.0")
+    assert err.rstrip().endswith("smallest nonzero squared pair distance 2")
+    # with one location there is no distance left to report
+    path = tmp_path / "one_location.cfg"
+    path.write_text("n_t=2\nm_rpm=1\nphi_d=0\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 1 of 2 hypotheses")
+    assert err.rstrip().endswith("never decided; all 2 hypotheses share one location")
 
 
 def test_validate_bad_config(tmp_path, capsys):

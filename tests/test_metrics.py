@@ -7,7 +7,7 @@ from dataclasses import replace
 from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
                         aber_union_terms, capacity_closed, diversity_slope,
                         laplace, make_channel, moments_joint, moments_rpm,
-                        moments_ssk, pep_of_event, run_sweep, unit_moments, validate)
+                        moments_ssk, pep_chiani, pep_of_event, run_sweep, unit_moments, validate)
 from oracles import pep_by_quadrature
 
 
@@ -112,6 +112,16 @@ def test_craig_check_fails_closed_on_nan():
     # a NaN spread is not a converged integral
     with pytest.raises(NumericalError, match="did not converge"):
         pep_of_event(ErrorEventMoments(s_sq=math.nan, sigma_sq=0.5, n_r=1), 1.0)
+
+
+def test_chiani_fails_closed_on_nan(chan, cfg):
+    # the default union bound runs no quadrature, so the closed form itself
+    # rejects a NaN PEP, on array powers too
+    nan = ErrorEventMoments(s_sq=math.nan, sigma_sq=0.5, n_r=1)
+    with pytest.raises(NumericalError, match="not finite"):
+        pep_chiani(nan, np.array([1.0, 10.0]))
+    with pytest.raises(NumericalError, match="not finite"):
+        aber_union(replace(chan, scale=math.nan), cfg, 10.0)
 
 
 def test_chiani_tracks_exact_in_the_low_error_regime(chan, cfg):

@@ -3,7 +3,7 @@ per-event references: `unit_moments` scaled by each pair's distance against
 `moments_ssk/rpm/joint`, array powers against scalar calls, and the
 union-bound components, closed-form capacity and `pep` CSV against the
 loops in `oracles`, plus the Craig convergence check on scalar and array
-powers."""
+powers and on the commands that print an exact PEP."""
 
 import re
 from dataclasses import fields, replace
@@ -19,7 +19,7 @@ from irs_sskrpm import metrics
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
 from oracles import (aber_union_terms_reference, capacity_closed_reference,
-                     pep_rows_reference)
+                     pep_events_reference, pep_rows_reference)
 
 GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 
@@ -147,6 +147,48 @@ def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
         pep_of_event(unit_moments(chan), 100.0 * chan.distances()[0])
     assert main(["pep", "--config", cfg_path, "--out", str(tmp_path / "pep.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m_rpm", [1, 2, 8])
+@pytest.mark.parametrize("n_t", [1, 2, 8])
+def test_pep_csv_is_the_row_by_row_table(n_t, m_rpm, tmp_path):
+    # the template fill, byte for byte, against one formatted line per event
+    # and SNR point; n_t = m_rpm = 1 has no event and writes the header only
+    cfg = validate(replace(SystemConfig(), n_t=n_t, m_rpm=m_rpm, n_r=2,
+                           snr_grid_db=(0.0, 12.5, 30.0)))
+    chan = make_channel(cfg)
+    unit, (d, index) = unit_moments(chan), chan.distances()
+    cfg_path, out = _write_cfg(tmp_path / "case.cfg", cfg), tmp_path / "pep.csv"
+    for lit, gain in ((False, 1.0), (True, 2.0)):
+        argv = ["pep", "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
+        lines = ["snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"]
+        for snr_db in cfg.snr_grid_db:
+            v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
+            for key, i, j in pep_events_reference(n_t, m_rpm):
+                at = index[i, j]
+                lines.append(f"{_fmt(snr_db)},{key},{float(v.exact[at])!r},"
+                             f"{float(v.chiani[at])!r}")
+        assert out.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+
+def test_default_aber_runs_no_quadrature(monkeypatch, tmp_path, capsys):
+    # the default union bound prints the Chiani closed form, so it never evaluates
+    # the Craig integral and cannot fail on it; --exact-pep still runs the
+    # order-doubling check and fails closed
+    cfg_path = _write_cfg(tmp_path / "default.cfg", validate(SystemConfig()))
+    argv = ["aber", "--config", cfg_path, "--mode", "analytic", "--out", str(tmp_path / "a.csv")]
+
+    def forbidden(*args):
+        raise AssertionError("the Craig integral was evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_craig_at_order", forbidden)
+        assert main(argv) == 0
+    monkeypatch.setattr(metrics, "GL_ORDER", 4)
+    assert main(argv) == 0
+    assert main(argv + ["--exact-pep"]) == 2
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent import futures
 from dataclasses import replace
 from unittest import mock
 
@@ -218,14 +219,14 @@ def test_run_sweep_opens_one_pool_per_simulating_sweep(cfg, monkeypatch):
     quick = validate(replace(cfg, **FAST))
     opened = []
 
-    class CountingPool(simulate.ProcessPoolExecutor):
+    class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     pooled = run_sweep(quick, "aber", mode="sim", workers=2)
     assert opened == [2]
     assert pooled == run_sweep(quick, "aber", mode="sim", workers=1)
