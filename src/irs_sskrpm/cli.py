@@ -18,7 +18,7 @@ from .channel import make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
-from .simulate import run_sweep, sweep_workers
+from .simulate import draw_scheme, run_sweep, sweep_workers
 
 
 def _fmt(value) -> str:
@@ -39,6 +39,7 @@ def _write_csv(path: str, header: list[str], body: str) -> None:
 
 def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None,
                     args: argparse.Namespace, workers: int) -> None:
+    """The run's settings; "draws" says how simulated rows draw (None without them)."""
     manifest = {
         "tool": "irs-sskrpm",
         "version": __version__,
@@ -48,6 +49,7 @@ def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None
         "exact_pep": bool(getattr(args, "exact_pep", False)),
         "paper_literal_args": bool(getattr(args, "paper_literal_args", False)),
         "workers": workers,
+        "draws": draw_scheme(command) if mode in ("sim", "both") else None,
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -112,29 +112,31 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     return PepValue(exact=hi, chiani=pep_chiani(mom, p))
 
 
-def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float,
-                     exact_pep: bool = False) -> tuple[float, float, float]:
+def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float, exact_pep: bool = False,
+                     classes: tuple | None = None) -> tuple[float, float, float]:
     """The three union-bound components (antenna-only, phase-only, joint):
     over the ordered hypothesis pairs of each class, the sum of the PEPs
     weighted by the Hamming distance of the two labels, divided by K*b.
+    classes is `pair_classes(cfg.n_t, cfg.m_rpm)` when the caller holds it.
     A zero-bit config (n_t = m_rpm = 1) raises ValueError, as in `simulate_ber`."""
     b = _bits(cfg)
     d, index = chan.distances()
     mom, p = unit_moments(chan), _power(p_s) * d
     pep = pep_of_event(mom, p).exact if exact_pep else pep_chiani(mom, p)
-    same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
+    same_t, same_m, dist = classes or pair_classes(cfg.n_t, cfg.m_rpm)
     weighted = dist * pep[index] / (dist.shape[0] * b)
     return (float(weighted[same_m].sum()), float(weighted[same_t].sum()),
             float(weighted[~same_t & ~same_m].sum()))
 
 
-def aber_union(chan: Channel, cfg: SystemConfig, p_s: float, exact_pep: bool = False) -> float:
+def aber_union(chan: Channel, cfg: SystemConfig, p_s: float, exact_pep: bool = False,
+               classes: tuple | None = None) -> float:
     """Union bound on the average bit error rate.
 
     Uses the Chiani closed-form PEP by default; exact_pep=True switches every
     term to the Craig integral.
     """
-    return float(sum(aber_union_terms(chan, cfg, p_s, exact_pep)))
+    return float(sum(aber_union_terms(chan, cfg, p_s, exact_pep, classes)))
 
 
 def diversity_slope(snr_db, aber) -> float:
@@ -158,15 +160,17 @@ def joint_distances(chan: Channel, cfg: SystemConfig) -> tuple[np.ndarray, np.nd
     return d[ids], mult.astype(float)
 
 
-def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float) -> float:
+def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float,
+                    joint: tuple | None = None) -> float:
     """Closed-form ergodic capacity of the joint discrete-input channel,
     in bits per channel use.
 
     C = 2*log2(n_t*M) - log2(n_t*M + sum over pairs with both indices
     different of L_xi(P_s/2)); it grows from the zero-power baseline to the
-    limit log2(n_t*M).
+    limit log2(n_t*M). joint is `joint_distances(chan, cfg)` when the caller
+    holds it.
     """
     k = cfg.n_t * cfg.m_rpm
-    d, mult = joint_distances(chan, cfg)
+    d, mult = joint or joint_distances(chan, cfg)
     total = np.dot(mult, laplace(unit_moments(chan), _power(p_s) / 2.0 * d))
     return 2.0 * math.log2(k) - math.log2(k + total)

@@ -7,13 +7,21 @@ H is rank-1, so a trial draws only the n_r-vector g_eff = G^H a_irs
 scalar per trial, g_eff^H y, decided by the angle wedge that holds it.
 
 Reproducibility scheme: the estimators split their trials into fixed-size
-chunks, and the RNG of chunk c of sweep point i is an SFC64 generator seeded by
-SeedSequence(seed, spawn_key=(domain, i, c)); partial results are reduced in
-chunk order (integer error counts exactly, float partials in a fixed order).
-The unit of parallel work is the SNR point: `run_sweep` maps its points over
-one process pool per simulating sweep, and a point's result does not depend on
-the process that computes it, so a sweep is bit-identical for any number of
-workers.
+chunks, and the RNG of a chunk is an SFC64 generator seeded by
+SeedSequence(seed, spawn_key=(domain, point, c)) for chunk c; partial results
+are reduced in chunk order (integer error counts exactly, float partials in a
+fixed order). A BER chunk has the key (0, 0, c) at every SNR point: a power
+only rescales the signal term of the scalar g_eff^H y, so one draw of the
+codes, channels and noise is decided at every point of the grid (common random
+numbers). Each row keeps the law and the standard-error formula it has alone;
+only the rows' errors are correlated. A capacity chunk of sweep point i keeps
+the key (1, i, c): the benchmark's capacity check (`perfbench/workloads.py`)
+recomputes each row's stderr with `point_index=i`, so that key changes only
+with the benchmark.
+The unit of parallel work is a contiguous block of SNR points: `run_sweep`
+maps its blocks over one process pool per simulating sweep, a block draws the
+chunks it decides, and a point's result does not depend on its block or
+process, so a sweep is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -94,46 +102,56 @@ def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np.ndarray,
-               p_s: float, seed: int, point_index: int, chunk_index: int,
-               n_trials: int) -> int:
-    """Simulate one chunk of trials with the joint ML detector; returns the
-    bit-error count; wedges is chan.wedges(), hamming the label distances of
-    `pair_classes`."""
-    rng = _chunk_rng(seed, _DOMAIN_BER, point_index, chunk_index)
+               sqrt_ps: np.ndarray, seed: int, chunk_index: int, n_trials: int) -> np.ndarray:
+    """Simulate one chunk of trials with the joint ML detector at every amplitude
+    of sqrt_ps (the square roots of the powers), all on the same draws; returns
+    the bit-error counts, int64. wedges is chan.wedges(), hamming the label
+    distances of `pair_classes`."""
+    rng = _chunk_rng(seed, _DOMAIN_BER, 0, chunk_index)
     n_r = chan.mean.size
-    sqrt_p = math.sqrt(p_s)
 
     # Fixed draw order per chunk: symbol codes, diffuse channel part, noise.
     code = rng.integers(0, chan.points.size, size=n_trials)
     g = chan.mean + chan.scale * _gaussian(rng, (n_trials, n_r))
     z = _gaussian(rng, (n_trials, n_r))
 
-    # g_eff^H y / sqrt(nu) for y = sqrt(P_s nu) points[code] g_eff + z, without forming y
+    # g_eff^H y / sqrt(nu) for y = sqrt(P_s nu) points[code] g_eff + z, without
+    # forming y: only the signal term depends on the power. The powers read the
+    # draws only through energy and noise, so g and z are freed before them.
     energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
-    ip = (sqrt_p * chan.sqrt_nu) * energy * chan.points[code] + np.sum(g.conj() * z, axis=1)
-    return int(hamming[code, ml_detect(wedges, ip, sqrt_p)].sum())
+    noise = np.sum(g.conj() * z, axis=1)
+    del g, z
+    signal = chan.points[code]
+    row, flat = code * hamming.shape[1], hamming.ravel()
+    return np.array([flat[row + ml_detect(wedges, (sqrt_p * chan.sqrt_nu) * energy * signal + noise,
+                                          sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
+                    dtype=np.int64)
 
 
-def simulate_ber(cfg: SystemConfig, p_s: float, trials: int, seed: int,
-                 point_index: int = 0, link: tuple | None = None) -> tuple[float, float]:
-    """Estimate the average bit error rate at transmit power p_s.
+def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int,
+                 link: tuple | None = None) -> tuple:
+    """Estimate the average bit error rate at transmit power p_s, a scalar or a
+    1-D array of powers.
 
     Per trial: uniform information bits, channel redraw, noisy reception and
     joint ML detection; returns (errors / (bits * trials), binomial standard
-    error over all transmitted bits). Deterministic for fixed (seed, trials,
-    cfg, point_index). link is `_link` of the validated cfg, built once per sweep.
+    error over all transmitted bits), each of p_s's shape. Every power decides
+    the same trials, so one power's value does not depend on the others.
+    Deterministic for fixed (seed, trials, cfg). link is `_link` of the
+    validated cfg, built once per sweep.
     """
-    chan, wedges, hamming = link or _link(make_channel(validate(cfg)), cfg, "aber")
-    _power(p_s)
+    chan, wedges, classes = link or _link(make_channel(validate(cfg)), cfg, "aber")
+    p = _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     b = _bits(cfg)
+    sqrt_ps = np.sqrt(p).ravel()
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_chunk(chan, wedges, hamming, p_s, seed, point_index, c, size)
+    errors = sum(_ber_chunk(chan, wedges, classes[2], sqrt_ps, seed, c, size)
                  for c, size in enumerate(_chunk_sizes(trials)))
     bits = b * trials
-    aber = errors / bits
-    return aber, math.sqrt(max(aber * (1.0 - aber), 0.0) / bits)
+    aber = errors.reshape(p.shape) / bits
+    return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)
 
 
 def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
@@ -166,11 +184,12 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
     Returns the capacity in bits per channel use, or (capacity, stderr) when
     with_stderr is True. link is `_link` of the validated cfg, built once per sweep.
     """
-    chan, dist = link or _link(make_channel(validate(cfg)), cfg, "capacity")
+    chan, (d2, mult) = link or _link(make_channel(validate(cfg)), cfg, "capacity")
     _power(p_s)
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k = cfg.n_t * cfg.m_rpm
+    dist = (chan.sqrt_nu ** 2 * d2, mult)
     partials = [_capacity_chunk(chan, p_s, seed, point_index, c, size, dist)
                 for c, size in enumerate(_chunk_sizes(channel_samples))]
     # reduce in chunk order: the float result is fixed by the chunk keys
@@ -185,34 +204,49 @@ def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed:
 
 
 def _link(chan: Channel, cfg: SystemConfig, quantity: str) -> tuple:
-    """What simulating quantity needs of cfg at every power: the channel and, for
-    "aber", its wedges and the label distances of `pair_classes`; for "capacity",
-    the `metrics.joint_distances` scaled by nu, with their multiplicities."""
+    """What quantity needs of cfg at every power, built once per sweep: the channel
+    and, for "aber", its wedges and the `pair_classes`; for "capacity", the
+    `metrics.joint_distances`. The last entry is the pair table of the analytic
+    column."""
     if quantity == "aber":
-        return chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2]
-    d2, mult = joint_distances(chan, cfg)
-    return chan, (chan.sqrt_nu ** 2 * d2, mult)
+        return chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)
+    return chan, joint_distances(chan, cfg)
 
 
-def _sweep_point(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
-                 paper_literal_args: bool, chan: Channel, link: tuple | None,
-                 point_index: int, snr_db: float) -> SweepRecord:
-    """One row of `run_sweep`: quantity at SNR point point_index of cfg's grid."""
-    p_s = 10.0 ** (snr_db / 10.0)
+def draw_scheme(quantity: str) -> dict:
+    """How the simulated rows of a quantity sweep draw, for the run manifest: the
+    trials per RNG chunk, and whether every SNR point decides the same chunks."""
+    return {"chunk_trials": CHUNK_TRIALS, "shared_across_points": quantity == "aber"}
+
+
+def _sweep_block(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
+                 paper_literal_args: bool, link: tuple, points: range) -> list[SweepRecord]:
+    """The rows of `run_sweep` at a contiguous block of cfg's SNR points; the
+    block's simulated ABER is one `simulate_ber` call over its powers."""
+    chan, table = link[0], link[-1]
+    grid = cfg.snr_grid_db[points.start:points.stop]
+    powers = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     analytic, sim = mode != "sim", mode != "analytic"
-    aber_a = aber_sim = stderr = cap_c = cap_s = None
-    try:
-        if quantity == "aber" and analytic:
-            aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep)
-        if quantity == "aber" and sim:
-            aber_sim, stderr = simulate_ber(cfg, p_s, cfg.trials, cfg.seed, point_index, link=link)
-        if quantity == "capacity" and analytic:
-            cap_c = capacity_closed(chan, cfg, p_s)
-        if quantity == "capacity" and sim:
-            cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed, point_index, link=link)
-    except NumericalError as exc:
-        raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc
-    return SweepRecord(snr_db, aber_a, aber_sim, stderr, cap_c, cap_s, cfg.trials)
+    sims = [(None, None)] * len(grid)
+    if quantity == "aber" and sim:
+        est = simulate_ber(cfg, np.array(powers), cfg.trials, cfg.seed, link=link)
+        # one (aber, stderr) per point; a single value is taken to hold at every point
+        sims = list(zip(*(np.broadcast_to(v, len(grid)).tolist() for v in est)))
+    rows = []
+    for point_index, snr_db, p_s, (aber_sim, stderr) in zip(points, grid, powers, sims):
+        aber_a = cap_c = cap_s = None
+        try:
+            if quantity == "aber" and analytic:
+                aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep,
+                                    classes=table)
+            if quantity == "capacity" and analytic:
+                cap_c = capacity_closed(chan, cfg, p_s, joint=table)
+            if quantity == "capacity" and sim:
+                cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed, point_index, link=link)
+        except NumericalError as exc:
+            raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc
+        rows.append(SweepRecord(snr_db, aber_a, aber_sim, stderr, cap_c, cap_s, cfg.trials))
+    return rows
 
 
 def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
@@ -224,20 +258,23 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     "both". Only quantity's fields are computed, the others stay None. Rows
     are ordered by SNR and the whole sweep is deterministic for a fixed
     cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
-    transform arguments). The points are mapped over one pool of
-    `sweep_workers(cfg, mode, workers)` processes when that is above 1.
+    transform arguments). The points are split into one contiguous block per
+    worker of `sweep_workers(cfg, mode, workers)`, mapped over one pool of that
+    many processes when it is above 1.
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
         raise ValueError(f"mode={mode!r} must be analytic, sim or both")
     if quantity not in ("aber", "capacity"):
         raise ValueError(f"quantity={quantity!r} must be aber or capacity")
-    grid, chan = cfg.snr_grid_db, make_channel(cfg)
-    link = None if mode == "analytic" else _link(chan, cfg, quantity)
-    point = partial(_sweep_point, cfg, quantity, mode, exact_pep, paper_literal_args, chan, link)
+    n = len(cfg.snr_grid_db)
+    block = partial(_sweep_block, cfg, quantity, mode, exact_pep, paper_literal_args,
+                    _link(make_channel(cfg), cfg, quantity))
     workers = sweep_workers(cfg, mode, workers)
+    edges = [n * w // workers for w in range(workers + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
     if workers == 1:
-        return list(map(point, range(len(grid)), grid))
+        return [row for rows in map(block, blocks) for row in rows]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, range(len(grid)), grid))
+        return [row for rows in pool.map(block, blocks) for row in rows]

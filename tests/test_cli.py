@@ -261,6 +261,20 @@ def test_manifest_records_the_pool_the_sweep_used(tmp_path, monkeypatch, mode, g
         assert json.load(fh)["workers"] == pool
 
 
+@pytest.mark.parametrize("argv, draws", [
+    (["aber", "--mode", "sim"], {"chunk_trials": 8192, "shared_across_points": True}),
+    (["aber", "--mode", "both"], {"chunk_trials": 8192, "shared_across_points": True}),
+    (["capacity", "--mode", "sim"], {"chunk_trials": 8192, "shared_across_points": False}),
+    (["aber", "--mode", "analytic"], None), (["pep"], None)])
+def test_manifest_records_how_the_simulated_rows_draw(tmp_path, quick_cfg, argv, draws):
+    # BER chunks are shared by every SNR point, capacity chunks are keyed per
+    # point, and a run without simulated rows draws nothing
+    out = str(tmp_path / "o.csv")
+    assert main([*argv, "--config", quick_cfg, "--trials", "100", "--out", out]) == 0
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh)["draws"] == draws
+
+
 #: The largest grid value `validate` accepts.
 TOP_DB = math.nextafter(10.0 * math.log10(sys.float_info.max / 8.0), 0.0)
 

@@ -15,7 +15,7 @@ import pytest
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
                         load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
                         pep_of_event, unit_moments, validate)
-from irs_sskrpm import metrics
+from irs_sskrpm import airlink, metrics, simulate
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
 from oracles import (aber_union_terms_reference, capacity_closed_reference,
@@ -208,3 +208,24 @@ def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
         for t in range(cfg.n_t):
             at = index[t * k + int(m) - 1, t * k + int(m_hat) - 1]
             assert [exact, chiani] == [repr(float(v.exact[at])), repr(float(v.chiani[at]))]
+
+
+@pytest.mark.parametrize("command", ["aber", "capacity"])
+@pytest.mark.parametrize("mode", ["analytic", "both"])
+def test_a_sweep_builds_its_pair_classes_once(command, mode, monkeypatch, tmp_path):
+    # the pair classes, and the joint distances read from them, do not depend
+    # on the SNR: a sweep builds them once for all its points
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return airlink.pair_classes(*args)
+
+    for module in (metrics, simulate):
+        monkeypatch.setattr(module, "pair_classes", counted)
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "1")
+    cfg = config_path("aber_n16.cfg")
+    assert len(validate(load_config(cfg)).snr_grid_db) > 1
+    assert main([command, "--config", cfg, "--mode", mode, "--trials", "100",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == [(2, 2)]

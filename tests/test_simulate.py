@@ -60,19 +60,24 @@ def test_rank1_ber_matches_full_g_reference(name, snr_db):
     assert abs(fast - ref) <= 4 * sigma, (fast, ref, sigma)
 
 
+#: The powers of one `_ber_chunk` call in the chunk replay test, in dB.
+CHUNK_SNR_DB = (-math.inf, 0.0, 10.0, 20.0)
+
+
 @pytest.mark.parametrize("name,overrides", [
     ("aber_n32.cfg", {}), ("diversity_nr3.cfg", {}), ("aber_n16.cfg", {"phi_d": 0.0}),
     ("aber_n16.cfg", {"n_t": 8, "m_rpm": 8, "n_r": 4})])
-@pytest.mark.parametrize("snr_db", [-math.inf, 0.0, 10.0, 20.0])
+@pytest.mark.parametrize("snr_db", CHUNK_SNR_DB)
 def test_ber_chunk_counts_the_errors_of_the_full_observation(name, overrides, snr_db):
-    # replay one chunk's draws the long way: the received vector y, the
-    # matched filter ip = sqrt(nu) g_eff^H y, the exhaustive argmin and the
-    # label Hamming distances; the scalar kernel must count the same errors
+    # replay one chunk's draws the long way at snr_db: the received vector y,
+    # the matched filter ip = sqrt(nu) g_eff^H y, the exhaustive argmin and the
+    # label Hamming distances; the scalar kernel, deciding the chunk at all
+    # CHUNK_SNR_DB in one call, must count the same errors at snr_db
     cfg = validate(replace(load_config(config_path(name)), **overrides))
     chan = make_channel(cfg)
     p_s = 10 ** (snr_db / 10)
     sqrt_p, n = math.sqrt(p_s), simulate.CHUNK_TRIALS
-    rng = simulate._chunk_rng(cfg.seed, simulate._DOMAIN_BER, 3, 1)
+    rng = simulate._chunk_rng(cfg.seed, simulate._DOMAIN_BER, 0, 1)
     code = rng.integers(0, chan.points.size, size=n)
     g = chan.mean + chan.scale * simulate._gaussian(rng, (n, cfg.n_r))
     z = simulate._gaussian(rng, (n, cfg.n_r))
@@ -81,14 +86,10 @@ def test_ber_chunk_counts_the_errors_of_the_full_observation(name, overrides, sn
     detected = ml_detect_reference(chan.points, ip, sqrt_p)
     expected = sum(bin(c ^ d).count("1") for c, d in zip(code.tolist(), detected.tolist()))
     hamming = pair_classes(cfg.n_t, cfg.m_rpm)[2]
-    assert simulate._ber_chunk(chan, chan.wedges(), hamming, p_s, cfg.seed, 3, 1, n) == expected
-
-
-def test_ber_depends_on_seed_and_point_index(cfg):
-    a = simulate_ber(cfg, 40.0, 20_000, seed=11)
-    b = simulate_ber(cfg, 40.0, 20_000, seed=12)
-    c = simulate_ber(cfg, 40.0, 20_000, seed=11, point_index=5)
-    assert a != b and a != c
+    sqrt_ps = np.sqrt(10 ** (np.array(CHUNK_SNR_DB) / 10))
+    counts = simulate._ber_chunk(chan, chan.wedges(), hamming, sqrt_ps, cfg.seed, 1, n)
+    assert counts.dtype == np.int64 and counts.shape == sqrt_ps.shape
+    assert counts[CHUNK_SNR_DB.index(snr_db)] == expected
 
 
 def test_capacity_sim_zero_power_is_exact(cfg):
@@ -213,6 +214,28 @@ def test_run_sweep_records_do_not_depend_on_the_worker_count(cfg, quantity, mode
         assert simulate.sweep_workers(cfg, mode, workers) == pooled > 1
         serial = run_sweep(cfg, quantity, mode, workers=1)
         assert run_sweep(cfg, quantity, mode, workers=workers) == serial
+
+
+@settings(max_examples=8, deadline=None)
+@given(cfg=sweep_configs())
+def test_ber_sweep_rows_are_common_random_numbers(cfg):
+    # every row of a simulated ABER sweep is decided on the same draws: row i
+    # is simulate_ber at its own power alone, a point's value does not depend
+    # on the other points of the grid, and the draws move with the seed
+    assume(cfg.bits_total > 0)
+    rows = run_sweep(cfg, "aber", "sim")
+    for r in rows:
+        alone = simulate_ber(cfg, 10.0 ** (r.snr_db / 10.0), cfg.trials, cfg.seed)
+        assert (r.aber_sim, r.aber_stderr) == alone
+    last = validate(replace(cfg, snr_grid_db=cfg.snr_grid_db[-1:]))
+    assert run_sweep(last, "aber", "sim") == rows[-1:]
+    # at zero power over one chunk the error count alone has a spread of over
+    # 45, so three other seeds all reproducing every value has odds below 1e-6
+    p = np.array([0.0, *(10.0 ** (np.array(cfg.snr_grid_db) / 10.0))])
+    n = simulate.CHUNK_TRIALS
+    values = simulate_ber(cfg, p, n, cfg.seed)[0]
+    assert any(not np.array_equal(simulate_ber(cfg, p, n, cfg.seed + k)[0], values)
+               for k in (1, 2, 3))
 
 
 def test_run_sweep_opens_one_pool_per_simulating_sweep(cfg, monkeypatch):
