@@ -9,7 +9,7 @@ from .channel import (Channel, build_g_bar, build_h, make_channel, sample_g, ste
                       steering_irs)
 from .config import ConfigError, SystemConfig, load_config, parse_config, path_loss, validate
 from .metrics import (NumericalError, PepValue, aber_union, aber_union_terms,
-                      capacity_closed, diversity_slope, joint_distances, pep_chiani, pep_of_event)
+                      capacity_closed, joint_distances, pep_chiani, pep_of_event)
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm,
                    moments_ssk, unit_moments)
 from .simulate import (SweepRecord, run_sweep, simulate_ber,
@@ -24,6 +24,6 @@ __all__ = [
     "ErrorEventMoments", "moments_ssk", "moments_rpm", "moments_joint",
     "unit_moments", "laplace",
     "PepValue", "NumericalError", "pep_chiani", "pep_of_event", "aber_union", "aber_union_terms",
-    "diversity_slope", "capacity_closed", "joint_distances",
+    "capacity_closed", "joint_distances",
     "SweepRecord", "simulate_ber", "simulate_capacity", "run_sweep",
 ]

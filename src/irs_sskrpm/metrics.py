@@ -1,6 +1,6 @@
 """Analytical performance: pairwise error probabilities, the Hamming-weighted
-union bound on the average bit error rate, high-SNR diversity slope, and the
-closed-form ergodic capacity of the discrete-input channel.
+union bound on the average bit error rate and the closed-form ergodic
+capacity of the discrete-input channel.
 
 PEP of an event with statistic xi is E[Q(sqrt(P_s*xi/2))]. Craig's finite
 integral for Q turns this into (1/pi) * int_0^{pi/2} L(P_s/(4*sin^2 w)) dw
@@ -17,7 +17,8 @@ times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
 is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2, for a pair
 (i, j) of flat t-major hypothesis indices. The union bound, the closed-form
 capacity and the `pep` table therefore evaluate xi_1 once per transmit power,
-over the distinct constellation distances (`Channel.distances()`).
+over the distinct constellation distances (`Channel.distances()`), and take
+one power or an array of powers, building their pair tables once per call.
 """
 
 from __future__ import annotations
@@ -112,43 +113,41 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     return PepValue(exact=hi, chiani=pep_chiani(mom, p))
 
 
-def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s: float, exact_pep: bool = False,
-                     classes: tuple | None = None) -> tuple[float, float, float]:
-    """The three union-bound components (antenna-only, phase-only, joint):
+def _shaped(values, p: np.ndarray):
+    """values, one per entry of p in C order: a float for a scalar p, else an
+    array of p's shape."""
+    out = np.array(values, dtype=float).reshape(p.shape)
+    return out if out.shape else float(out)
+
+
+def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False) -> tuple:
+    """The three union-bound components (antenna-only, phase-only, joint) at
+    p_s, a scalar or an array of powers (floats or arrays of p_s's shape):
     over the ordered hypothesis pairs of each class, the sum of the PEPs
-    weighted by the Hamming distance of the two labels, divided by K*b.
-    classes is `pair_classes(cfg.n_t, cfg.m_rpm)` when the caller holds it.
-    A zero-bit config (n_t = m_rpm = 1) raises ValueError, as in `simulate_ber`."""
+    weighted by the Hamming distance of the two labels, divided by K*b; each
+    power's sums are its own. A zero-bit config (n_t = m_rpm = 1) raises
+    ValueError, as in `simulate_ber`."""
     b = _bits(cfg)
     d, index = chan.distances()
-    mom, p = unit_moments(chan), _power(p_s) * d
-    pep = pep_of_event(mom, p).exact if exact_pep else pep_chiani(mom, p)
-    same_t, same_m, dist = classes or pair_classes(cfg.n_t, cfg.m_rpm)
-    weighted = dist * pep[index] / (dist.shape[0] * b)
-    return (float(weighted[same_m].sum()), float(weighted[same_t].sum()),
-            float(weighted[~same_t & ~same_m].sum()))
+    p = _power(p_s)
+    mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
+    pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
+    same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
+    masks, scale = (same_m, same_t, ~same_t & ~same_m), dist.shape[0] * b
+    # one K x K gather and 1-D sums per power: a (P, K, K) gather raises the peak
+    # memory, and a 2-D sum over all powers rounds differently from a lone call
+    terms = [[w[mask].sum() for mask in masks] for w in (dist * row[index] / scale for row in pep)]
+    return tuple(_shaped(column, p) for column in np.reshape(terms, (-1, 3)).T)
 
 
-def aber_union(chan: Channel, cfg: SystemConfig, p_s: float, exact_pep: bool = False,
-               classes: tuple | None = None) -> float:
-    """Union bound on the average bit error rate.
+def aber_union(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False):
+    """Union bound on the average bit error rate at p_s, a scalar or an array
+    of powers (a float or an array of p_s's shape).
 
     Uses the Chiani closed-form PEP by default; exact_pep=True switches every
     term to the Craig integral.
     """
-    return float(sum(aber_union_terms(chan, cfg, p_s, exact_pep, classes)))
-
-
-def diversity_slope(snr_db, aber) -> float:
-    """Empirical diversity order: the negated least-squares slope of
-    log10(aber) against snr_db / 10."""
-    snr_db = np.asarray(snr_db, dtype=float)
-    aber = np.asarray(aber, dtype=float)
-    keep = aber > 0
-    if keep.sum() < 2:
-        raise ValueError("need at least 2 points with positive error rate")
-    coeff = np.polyfit(snr_db[keep] / 10.0, np.log10(aber[keep]), 1)
-    return float(-coeff[0])
+    return sum(aber_union_terms(chan, cfg, p_s, exact_pep))
 
 
 def joint_distances(chan: Channel, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -160,17 +159,17 @@ def joint_distances(chan: Channel, cfg: SystemConfig) -> tuple[np.ndarray, np.nd
     return d[ids], mult.astype(float)
 
 
-def capacity_closed(chan: Channel, cfg: SystemConfig, p_s: float,
-                    joint: tuple | None = None) -> float:
+def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):
     """Closed-form ergodic capacity of the joint discrete-input channel,
-    in bits per channel use.
+    in bits per channel use, at p_s, a scalar or an array of powers (a float
+    or an array of p_s's shape; one dot product per power).
 
     C = 2*log2(n_t*M) - log2(n_t*M + sum over pairs with both indices
     different of L_xi(P_s/2)); it grows from the zero-power baseline to the
-    limit log2(n_t*M). joint is `joint_distances(chan, cfg)` when the caller
-    holds it.
+    limit log2(n_t*M).
     """
     k = cfg.n_t * cfg.m_rpm
-    d, mult = joint or joint_distances(chan, cfg)
-    total = np.dot(mult, laplace(unit_moments(chan), _power(p_s) / 2.0 * d))
-    return 2.0 * math.log2(k) - math.log2(k + total)
+    d, mult = joint_distances(chan, cfg)
+    p = _power(p_s)
+    lap = laplace(unit_moments(chan), np.multiply.outer(p.ravel() / 2.0, d))
+    return _shaped([2.0 * math.log2(k) - math.log2(k + np.dot(mult, row)) for row in lap], p)

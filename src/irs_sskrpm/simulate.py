@@ -15,13 +15,13 @@ only rescales the signal term of the scalar g_eff^H y, so one draw of the
 codes, channels and noise is decided at every point of the grid (common random
 numbers). Each row keeps the law and the standard-error formula it has alone;
 only the rows' errors are correlated. A capacity chunk of sweep point i keeps
-the key (1, i, c): the benchmark's capacity check (`perfbench/workloads.py`)
-recomputes each row's stderr with `point_index=i`, so that key changes only
-with the benchmark.
+the key (1, i, c) (power q of a call draws point point_index + q): the
+benchmark's capacity check (`perfbench/workloads.py`) recomputes each row's
+stderr with `point_index=i`, so that key changes only with the benchmark.
 The unit of parallel work is a contiguous block of SNR points: `run_sweep`
-maps its blocks over one process pool per simulating sweep, a block draws the
-chunks it decides, and a point's result does not depend on its block or
-process, so a sweep is bit-identical for any number of workers.
+maps its blocks over one process pool per simulating sweep, a block makes one
+call per column over its powers, and a point's result does not depend on its
+block or process, so a sweep is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 from .airlink import ml_detect, pair_classes
 from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
-from .metrics import NumericalError, _bits, _power, aber_union, capacity_closed, joint_distances
+from .metrics import (NumericalError, _bits, _power, _shaped, aber_union, capacity_closed,
+                      joint_distances)
 
 #: Trials per RNG chunk. Fixed: changing it changes every simulated result.
 CHUNK_TRIALS = 8192
@@ -128,8 +129,7 @@ def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np
                     dtype=np.int64)
 
 
-def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int,
-                 link: tuple | None = None) -> tuple:
+def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     """Estimate the average bit error rate at transmit power p_s, a scalar or a
     1-D array of powers.
 
@@ -137,19 +137,18 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int,
     joint ML detection; returns (errors / (bits * trials), binomial standard
     error over all transmitted bits), each of p_s's shape. Every power decides
     the same trials, so one power's value does not depend on the others.
-    Deterministic for fixed (seed, trials, cfg). link is `_link` of the
-    validated cfg, built once per sweep.
+    Deterministic for fixed (seed, trials, cfg).
     """
-    chan, wedges, classes = link or _link(make_channel(validate(cfg)), cfg, "aber")
+    chan = make_channel(validate(cfg))
     p = _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    b = _bits(cfg)
+    bits = _bits(cfg) * trials
     sqrt_ps = np.sqrt(p).ravel()
+    wedges, hamming = chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2]
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_chunk(chan, wedges, classes[2], sqrt_ps, seed, c, size)
+    errors = sum(_ber_chunk(chan, wedges, hamming, sqrt_ps, seed, c, size)
                  for c, size in enumerate(_chunk_sizes(trials)))
-    bits = b * trials
     aber = errors.reshape(p.shape) / bits
     return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)
 
@@ -174,43 +173,37 @@ def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
     return float(agg.sum()), float(np.dot(agg, agg))
 
 
-def simulate_capacity(cfg: SystemConfig, p_s: float, channel_samples: int, seed: int,
-                      point_index: int = 0, with_stderr: bool = False, link: tuple | None = None):
+def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
+                      point_index: int = 0, with_stderr: bool = False):
     """Sampled ergodic capacity: every E[exp(-P_s*xi/2)] is averaged over
     redrawn effective channels with xi computed directly from the
     constellation distance and ||g_eff||^2 (an independent code path from
     the moment-based closed form).
 
-    Returns the capacity in bits per channel use, or (capacity, stderr) when
-    with_stderr is True. link is `_link` of the validated cfg, built once per sweep.
+    p_s is a scalar or an array of powers; the q-th power (C order) draws the
+    chunks of sweep point point_index + q. Returns the capacity in bits per
+    channel use, or (capacity, stderr) when with_stderr is True, each a float
+    or an array of p_s's shape.
     """
-    chan, (d2, mult) = link or _link(make_channel(validate(cfg)), cfg, "capacity")
-    _power(p_s)
+    chan = make_channel(validate(cfg))
+    p = _power(p_s)
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
-    k = cfg.n_t * cfg.m_rpm
+    k, n = cfg.n_t * cfg.m_rpm, channel_samples
+    d2, mult = joint_distances(chan, cfg)
     dist = (chan.sqrt_nu ** 2 * d2, mult)
-    partials = [_capacity_chunk(chan, p_s, seed, point_index, c, size, dist)
-                for c, size in enumerate(_chunk_sizes(channel_samples))]
-    # reduce in chunk order: the float result is fixed by the chunk keys
-    sum_a, sum_a_sq = (sum(column) for column in zip(*partials))
-    n = channel_samples
-    mean_a = sum_a / n
-    cap = 2.0 * math.log2(k) - math.log2(k + mean_a)
-    if not with_stderr:
-        return cap
-    var_a = max(sum_a_sq / n - mean_a ** 2, 0.0) * n / (n - 1) if n > 1 else math.inf
-    return cap, math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))
-
-
-def _link(chan: Channel, cfg: SystemConfig, quantity: str) -> tuple:
-    """What quantity needs of cfg at every power, built once per sweep: the channel
-    and, for "aber", its wedges and the `pair_classes`; for "capacity", the
-    `metrics.joint_distances`. The last entry is the pair table of the analytic
-    column."""
-    if quantity == "aber":
-        return chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)
-    return chan, joint_distances(chan, cfg)
+    est = []
+    for q, p_q in enumerate(p.ravel().tolist()):
+        partials = [_capacity_chunk(chan, p_q, seed, point_index + q, c, size, dist)
+                    for c, size in enumerate(_chunk_sizes(n))]
+        # reduce in chunk order: the float result is fixed by the chunk keys
+        sum_a, sum_a_sq = (sum(column) for column in zip(*partials))
+        mean_a = sum_a / n
+        var_a = max(sum_a_sq / n - mean_a ** 2, 0.0) * n / (n - 1) if n > 1 else math.inf
+        est.append((2.0 * math.log2(k) - math.log2(k + mean_a),
+                    math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))))
+    cap, stderr = (_shaped(v, p) for v in np.reshape(est, (-1, 2)).T)
+    return (cap, stderr) if with_stderr else cap
 
 
 def draw_scheme(quantity: str) -> dict:
@@ -220,33 +213,28 @@ def draw_scheme(quantity: str) -> dict:
 
 
 def _sweep_block(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
-                 paper_literal_args: bool, link: tuple, points: range) -> list[SweepRecord]:
-    """The rows of `run_sweep` at a contiguous block of cfg's SNR points; the
-    block's simulated ABER is one `simulate_ber` call over its powers."""
-    chan, table = link[0], link[-1]
+                 paper_literal_args: bool, points: range) -> list[SweepRecord]:
+    """The rows of `run_sweep` at a contiguous block of cfg's SNR points: one
+    call per requested column over the block's powers."""
     grid = cfg.snr_grid_db[points.start:points.stop]
-    powers = [10.0 ** (snr_db / 10.0) for snr_db in grid]
+    powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
     analytic, sim = mode != "sim", mode != "analytic"
-    sims = [(None, None)] * len(grid)
-    if quantity == "aber" and sim:
-        est = simulate_ber(cfg, np.array(powers), cfg.trials, cfg.seed, link=link)
-        # one (aber, stderr) per point; a single value is taken to hold at every point
-        sims = list(zip(*(np.broadcast_to(v, len(grid)).tolist() for v in est)))
-    rows = []
-    for point_index, snr_db, p_s, (aber_sim, stderr) in zip(points, grid, powers, sims):
-        aber_a = cap_c = cap_s = None
-        try:
-            if quantity == "aber" and analytic:
-                aber_a = aber_union(chan, cfg, 2 * p_s if paper_literal_args else p_s, exact_pep,
-                                    classes=table)
-            if quantity == "capacity" and analytic:
-                cap_c = capacity_closed(chan, cfg, p_s, joint=table)
-            if quantity == "capacity" and sim:
-                cap_s = simulate_capacity(cfg, p_s, cfg.trials, cfg.seed, point_index, link=link)
-        except NumericalError as exc:
-            raise NumericalError(f"sweep point snr_db={snr_db}: {exc}") from exc
-        rows.append(SweepRecord(snr_db, aber_a, aber_sim, stderr, cap_c, cap_s, cfg.trials))
-    return rows
+    columns: list = [None] * 5  # aber_analytical, aber_sim, aber_stderr, cap_closed, cap_sim
+    try:
+        if quantity == "aber" and analytic:
+            columns[0] = aber_union(make_channel(cfg), cfg,
+                                    2 * powers if paper_literal_args else powers, exact_pep)
+        if quantity == "aber" and sim:
+            columns[1:3] = simulate_ber(cfg, powers, cfg.trials, cfg.seed)
+        if quantity == "capacity" and analytic:
+            columns[3] = capacity_closed(make_channel(cfg), cfg, powers)
+        if quantity == "capacity" and sim:
+            columns[4] = simulate_capacity(cfg, powers, cfg.trials, cfg.seed, points.start)
+    except NumericalError as exc:
+        raise NumericalError(f"sweep points snr_db={list(grid)}: {exc}") from exc
+    # a single value (None for a column not computed) holds at every point of the block
+    values = [np.broadcast_to(v, len(grid)).tolist() for v in columns]
+    return [SweepRecord(snr_db, *row, cfg.trials) for snr_db, *row in zip(grid, *values)]
 
 
 def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
@@ -268,8 +256,7 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     if quantity not in ("aber", "capacity"):
         raise ValueError(f"quantity={quantity!r} must be aber or capacity")
     n = len(cfg.snr_grid_db)
-    block = partial(_sweep_block, cfg, quantity, mode, exact_pep, paper_literal_args,
-                    _link(make_channel(cfg), cfg, quantity))
+    block = partial(_sweep_block, cfg, quantity, mode, exact_pep, paper_literal_args)
     workers = sweep_workers(cfg, mode, workers)
     edges = [n * w // workers for w in range(workers + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]

@@ -250,6 +250,18 @@ def crossing_snr_linear(snr_db, values, level) -> float | None:
     return None
 
 
+def diversity_slope(snr_db, aber) -> float:
+    """Empirical diversity order: the negated least-squares slope of
+    log10(aber) against snr_db / 10."""
+    snr_db = np.asarray(snr_db, dtype=float)
+    aber = np.asarray(aber, dtype=float)
+    keep = aber > 0
+    if keep.sum() < 2:
+        raise ValueError("need at least 2 points with positive error rate")
+    coeff = np.polyfit(snr_db[keep] / 10.0, np.log10(aber[keep]), 1)
+    return float(-coeff[0])
+
+
 # ---- per-event references for the hypothesis-pair table ----------------------
 
 def pair_distances_reference(points: np.ndarray) -> np.ndarray:

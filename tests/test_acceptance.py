@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from irs_sskrpm import (ErrorEventMoments, SystemConfig, aber_union,
-                        capacity_closed, diversity_slope, laplace,
+                        capacity_closed, laplace,
                         load_config, make_channel, moments_joint, moments_rpm,
                         moments_ssk, pep_of_event, run_sweep,
                         simulate_capacity, validate)
 from irs_sskrpm.cli import main as cli_main
 from conftest import config_path
-from oracles import (crossing_snr, crossing_snr_linear, event_direction,
+from oracles import (crossing_snr, crossing_snr_linear, diversity_slope, event_direction,
                      laplace_by_quadrature, pairwise_error_rate,
                      pdf_mass, pep_by_quadrature, sample_xi)
 

@@ -298,3 +298,19 @@ def test_analytic_layer_is_finite_where_the_transform_overflows(tmp_path, argv):
     assert {row[0] for row in rows} == {"0.0", "3000.0", repr(TOP_DB)}
     values = [float(v) for row in rows for v in (row[-2:] if argv[0] == "pep" else row[1:])]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg, monkeypatch,
+                                                             capsys):
+    # an analytic sweep is one block, evaluated in one call per column: a
+    # failure names every SNR value of the block
+    from irs_sskrpm import metrics
+
+    def failing(*args):
+        raise metrics.NumericalError("Chiani closed-form PEP is not finite")
+
+    monkeypatch.setattr(metrics, "pep_chiani", failing)
+    assert main(["aber", "--config", quick_cfg, "--mode", "analytic",
+                 "--out", str(tmp_path / "a.csv")]) == 2
+    assert ("numerical failure: sweep points snr_db=[0.0, 20.0, 40.0]: Chiani closed-form PEP"
+            in capsys.readouterr().err)

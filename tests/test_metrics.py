@@ -5,10 +5,10 @@ import pytest
 from dataclasses import replace
 
 from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
-                        aber_union_terms, capacity_closed, diversity_slope,
-                        laplace, make_channel, moments_joint, moments_rpm,
-                        moments_ssk, pep_chiani, pep_of_event, run_sweep, unit_moments, validate)
-from oracles import pep_by_quadrature
+                        aber_union_terms, capacity_closed, laplace, make_channel,
+                        moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
+                        run_sweep, unit_moments, validate)
+from oracles import diversity_slope, pep_by_quadrature
 
 
 def test_pep_at_zero_power(chan, cfg):

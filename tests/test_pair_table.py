@@ -85,6 +85,19 @@ def test_array_powers_match_scalar_calls(case):
             assert chiani == pytest.approx(ref.chiani, rel=1e-14, abs=0)
 
 
+def test_a_call_over_the_grid_is_bitwise_the_scalar_calls(case):
+    # each power's union terms and capacity are its own 1-D sums and its own
+    # dot product, never one reduction over all the powers' rows
+    cfg, chan = case
+    p = 10.0 ** (np.array(cfg.snr_grid_db) / 10.0)
+    for column in (lambda p: capacity_closed(chan, cfg, p),
+                   lambda p: aber_union_terms(chan, cfg, p),
+                   lambda p: aber_union_terms(chan, cfg, p, exact_pep=True)):
+        want = np.stack([np.array(column(float(v))) for v in p], axis=-1)
+        got = np.array(column(p))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("lit", [False, True])
 def test_union_terms_match_per_event_reference(case, lit):
     cfg, chan = case
@@ -214,7 +227,9 @@ def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
 @pytest.mark.parametrize("mode", ["analytic", "both"])
 def test_a_sweep_builds_its_pair_classes_once(command, mode, monkeypatch, tmp_path):
     # the pair classes, and the joint distances read from them, do not depend
-    # on the SNR: a sweep builds them once for all its points
+    # on the SNR: each requested column builds them once in its one call over
+    # the block's powers, so a 21-point sweep builds them as often as a
+    # 2-point one
     calls = []
 
     def counted(*args):
@@ -224,8 +239,13 @@ def test_a_sweep_builds_its_pair_classes_once(command, mode, monkeypatch, tmp_pa
     for module in (metrics, simulate):
         monkeypatch.setattr(module, "pair_classes", counted)
     monkeypatch.setenv("IRS_SSKRPM_THREADS", "1")
-    cfg = config_path("aber_n16.cfg")
-    assert len(validate(load_config(cfg)).snr_grid_db) > 1
-    assert main([command, "--config", cfg, "--mode", mode, "--trials", "100",
-                 "--out", str(tmp_path / "s.csv")]) == 0
-    assert calls == [(2, 2)]
+    full = validate(load_config(config_path("aber_n16.cfg")))
+    assert len(full.snr_grid_db) == 21
+    counts = []
+    for cfg in (replace(full, snr_grid_db=full.snr_grid_db[:2]), full):
+        calls.clear()
+        assert main([command, "--config", _write_cfg(tmp_path / "s.cfg", cfg), "--mode", mode,
+                     "--trials", "100", "--out", str(tmp_path / "s.csv")]) == 0
+        assert set(calls) == {(2, 2)}
+        counts.append(len(calls))
+    assert counts == [1 if mode == "analytic" else 2] * 2

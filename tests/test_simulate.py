@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from irs_sskrpm import (ConfigError, SystemConfig, capacity_closed, joint_distances,
-                        load_config, make_channel, run_sweep, simulate_ber,
-                        simulate_capacity, validate)
+from irs_sskrpm import (ConfigError, NumericalError, SystemConfig, aber_union, aber_union_terms,
+                        capacity_closed, joint_distances, load_config, make_channel, run_sweep,
+                        simulate_ber, simulate_capacity, validate)
 from irs_sskrpm import simulate
 from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.simulate import resolve_workers
@@ -236,6 +236,51 @@ def test_ber_sweep_rows_are_common_random_numbers(cfg):
     values = simulate_ber(cfg, p, n, cfg.seed)[0]
     assert any(not np.array_equal(simulate_ber(cfg, p, n, cfg.seed + k)[0], values)
                for k in (1, 2, 3))
+
+
+def _outcome(column, p, at):
+    """column(p, at), or None where a numerical check fails closed."""
+    try:
+        return column(p, at)
+    except NumericalError:
+        return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(cfg=sweep_configs(), data=st.data())
+def test_a_call_over_powers_is_the_scalar_calls_at_each_power(cfg, data):
+    # every column takes a vector of powers; each power's value is bitwise the
+    # scalar call at that power (for the sampled capacity, at point index
+    # point_index + q), whatever other powers share the call, so splitting the
+    # vector into two calls changes nothing; a check failing at one power
+    # fails every call that holds it
+    powers = st.one_of(st.just(0.0), st.floats(1e-2, 1e5))
+    p = np.array(sorted(data.draw(st.lists(powers, min_size=2, max_size=5))))
+    cut, at = data.draw(st.integers(1, p.size - 1)), data.draw(st.integers(0, 40))
+    chan, n = make_channel(cfg), cfg.trials
+    columns = {
+        "capacity_closed": lambda p, at: capacity_closed(chan, cfg, p),
+        "simulate_capacity": lambda p, at: simulate_capacity(cfg, p, n, cfg.seed, at, True),
+    }
+    if cfg.bits_total > 0:
+        columns.update({
+            "aber_union": lambda p, at: aber_union(chan, cfg, p),
+            "aber_union exact": lambda p, at: aber_union(chan, cfg, p, exact_pep=True),
+            "aber_union_terms": lambda p, at: aber_union_terms(chan, cfg, p),
+            "simulate_ber": lambda p, at: simulate_ber(cfg, p, n, cfg.seed),
+        })
+    for name, column in columns.items():
+        alone = [_outcome(column, float(v), at + q) for q, v in enumerate(p)]
+        scalars = np.array([a for a in alone if a is not None], dtype=object)
+        assert all(isinstance(v, float) for v in scalars.ravel()), name
+        calls = ((p, at, alone), (p[:cut], at, alone[:cut]), (p[cut:], at + cut, alone[cut:]))
+        for powers, first, want in calls:
+            got = _outcome(column, powers, first)
+            if any(v is None for v in want):
+                assert got is None, name
+            else:
+                got, want = np.array(got), np.stack([np.array(v) for v in want], axis=-1)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_run_sweep_opens_one_pool_per_simulating_sweep(cfg, monkeypatch):
