@@ -152,6 +152,14 @@ class Channel:
         ring = np.concatenate([angle[-1:] - 2.0 * np.pi, angle, angle[:1] + 2.0 * np.pi])
         return (ring[:-1] + ring[1:]) / 2.0, np.concatenate([owner[-1:], owner, owner[:1]])
 
+    @cached_property
+    def homes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's owner, and its radians down and up to its owner's `wedges()` edges."""
+        owner, bisectors = np.take(*_group(self.turns)), self.wedges()[0]
+        angle = 2.0 * np.pi * (self.turns - np.rint(self.turns - self.turns[owner]))
+        upper = np.searchsorted(bisectors, 2.0 * np.pi * self.turns[owner])
+        return owner, np.array([angle - bisectors[upper - 1], bisectors[upper] - angle])
+
 
 def make_channel(cfg: SystemConfig) -> Channel:
     """H, G_bar, the constellation and the g_eff distribution of cfg."""

@@ -99,18 +99,34 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     of powers both fields are arrays of its shape.
 
     The exact value is the Craig integral evaluated with fixed-order
-    Gauss-Legendre quadrature; a relative spread above 1e-9 between the
-    base and doubled orders, at any power, raises NumericalError.
+    Gauss-Legendre quadrature, checked against the doubled order at every
+    power: a relative spread above 1e-9 raises NumericalError. Below an
+    effective power of 1 the integrand turns within about sqrt(p_s) of w = 0,
+    which the base orders may not resolve, so a power there that fails escalates
+    alone, to orders 2x/4x and then 4x/8x of GL_ORDER, and takes the higher
+    order of the first pair that agrees; every other value is the base pair's.
     """
     p = _power(p_s)
-    lo = _craig_at_order(mom, p, GL_ORDER)
-    hi = _craig_at_order(mom, p, 2 * GL_ORDER)
-    spread = np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300))
-    if not spread <= _MAX_REL_SPREAD:
+    order, lo = 2 * GL_ORDER, _craig_at_order(mom, p, GL_ORDER)
+    hi = np.array(_craig_at_order(mom, p, order))
+    # a failing power escalates with its whole row (the last axis of p), so its
+    # value does not depend on the other rows of the call
+    rows = (-1, p.shape[-1] if p.ndim else 1)
+    flat, grid = hi.reshape(rows), p.reshape(rows)
+    spread = (np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300)).reshape(rows)
+    last = np.full(spread.shape, order)
+    while order < 8 * GL_ORDER and np.any(bad := ~(spread <= _MAX_REL_SPREAD) & (grid < 1.0)):
+        order *= 2
+        redo = np.any(bad, axis=1)
+        fresh = _craig_at_order(mom, grid[redo], order)[bad[redo]]
+        spread[bad] = np.abs(fresh - flat[bad]) / np.maximum(np.abs(fresh), 1e-300)
+        flat[bad], last[bad] = fresh, order
+    if not np.max(spread) <= _MAX_REL_SPREAD:
+        worst = np.argmax(spread)
         raise NumericalError(
-            f"Craig quadrature did not converge: spread {spread:.3e} at orders "
-            f"{GL_ORDER}/{2 * GL_ORDER}")
-    return PepValue(exact=hi, chiani=pep_chiani(mom, p))
+            f"Craig quadrature did not converge: spread {spread.flat[worst]:.3e} at orders "
+            f"{last.flat[worst] // 2}/{last.flat[worst]}")
+    return PepValue(exact=hi[()], chiani=pep_chiani(mom, p))
 
 
 def _shaped(values, p: np.ndarray):

@@ -13,7 +13,9 @@ are reduced in chunk order (integer error counts exactly, float partials in a
 fixed order). A BER chunk has the key (0, 0, c) at every SNR point: a power
 only rescales the signal term of the scalar g_eff^H y, so one draw of the
 codes, channels and noise is decided at every point of the grid (common random
-numbers). Each row keeps the law and the standard-error formula it has alone;
+numbers); as the power grows, the scalar's angle moves monotonically towards the
+sent point's, and a trial goes to the detector only until it is in its home
+wedge. Each row keeps the law and the standard-error formula it has alone;
 only the rows' errors are correlated. A capacity chunk of sweep point i keeps
 the key (1, i, c) (power q of a call draws point point_index + q): the
 benchmark's capacity check (`perfbench/workloads.py`) recomputes each row's
@@ -45,6 +47,9 @@ CHUNK_TRIALS = 8192
 #: Upper bound on the (samples x pair distances) block evaluated at once by
 #: the capacity kernel, in array elements.
 _PAIR_BLOCK_ELEMENTS = 1 << 20
+
+#: `_ber_chunk`'s batch step in (trial, power) pairs and its settled test's relative slack.
+_BATCH_PAIRS, _SLACK = 2048, 1e-9
 
 _DOMAIN_BER = 0
 _DOMAIN_CAPACITY = 1
@@ -107,7 +112,10 @@ def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np
     """Simulate one chunk of trials with the joint ML detector at every amplitude
     of sqrt_ps (the square roots of the powers), all on the same draws; returns
     the bit-error counts, int64. wedges is chan.wedges(), hamming the label
-    distances of `pair_classes`."""
+    distances of `pair_classes`. With ip conj(c_k) = A + n' (A > 0 growing with the
+    amplitude), a trial past (|Im n'| cot h - Re n') / (sqrt_nu ||g_eff||^2), h the half-width
+    of its home wedge (`Channel.homes`) on the side of Im n', adds hamming[code, owner];
+    the rest (within `_SLACK`) and zero power go to `ml_detect` in batches of whole powers."""
     rng = _chunk_rng(seed, _DOMAIN_BER, 0, chunk_index)
     n_r = chan.mean.size
 
@@ -122,11 +130,35 @@ def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np
     energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
     noise = np.sum(g.conj() * z, axis=1)
     del g, z
-    signal = chan.points[code]
     row, flat = code * hamming.shape[1], hamming.ravel()
-    return np.array([flat[row + ml_detect(wedges, (sqrt_p * chan.sqrt_nu) * energy * signal + noise,
-                                          sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
-                    dtype=np.int64)
+    amps, inverse = np.unique(sqrt_ps, return_inverse=True)
+    zero, amps = np.count_nonzero(amps == 0.0), amps[amps > 0.0]  # zero power ties every score
+    counts = np.full(amps.size + zero, flat[row + ml_detect(wedges, noise, 0.0)].sum() if zero else 0)
+    owner, half = chan.homes
+    narrow = np.minimum(half.min(axis=0), np.pi / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a point at its edge never settles
+        rel = chan.points.conj()[code]
+        rel *= noise
+        crit = np.abs(rel.imag) / np.tan(half)[(rel.imag >= 0).astype(np.intp), code] - rel.real
+        del rel
+        crit += _SLACK * (np.abs(crit) + np.abs(noise)) / np.sin(narrow[code])
+    crit = np.where(narrow[code] > _SLACK, crit / (chan.sqrt_nu * energy), np.inf)
+    live = np.flatnonzero(crit >= amps.min(initial=np.inf))
+    live = live[np.argsort(-crit[live])]  # the first busy[j] are undecided at power j
+    busy = np.searchsorted(-crit[live], -amps, side="right")
+    settled = flat[row + owner[code]]
+    counts[zero:] = settled.sum() - np.concatenate([[0], np.cumsum(settled[live])])[busy]
+    busy = busy[busy > 0]
+    del crit, settled
+    # a batch ends where the running pair count crosses a multiple of _BATCH_PAIRS
+    starts = np.flatnonzero(np.diff((np.cumsum(busy) - 1) // _BATCH_PAIRS, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [busy.size]):
+        sizes = busy[lo:hi]
+        at = live[np.concatenate([np.arange(k) for k in sizes.tolist()])]
+        ip = (amps[lo:hi] * chan.sqrt_nu).repeat(sizes) * energy[at] * chan.points[code[at]] + noise[at]
+        errors = flat[row[at] + ml_detect(wedges, ip, amps[lo])]
+        counts[zero + lo:zero + hi] += np.add.reduceat(errors, np.cumsum(sizes) - sizes)
+    return counts[inverse]
 
 
 def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:

@@ -11,6 +11,8 @@ bound, the closed-form capacity and the pep table one error event at a time
 from `pep_of_event(moments_*)` (whose moments and integrals the oracles
 above check), as the reference for the vectorised hypothesis-pair table;
 `pep_events_reference` lists the pep table's rows one event at a time.
+`ber_chunk_reference` is the dense per-power BER chunk the library's kernel
+must count exactly: every trial decided by `ml_detect` at every power.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate, special, stats
 
-from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, moments_joint,
-                        moments_rpm, moments_ssk, pep_of_event, rpm_phases)
+from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, ml_detect,
+                        moments_joint, moments_rpm, moments_ssk, pep_of_event, rpm_phases, simulate)
 from irs_sskrpm.channel import Channel, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
@@ -183,6 +185,26 @@ def ber_full_g(cfg: SystemConfig, p_s: float, trials: int,
         errors += int(popcount[code ^ detected].sum())
         done += block
     return errors / (cfg.bits_total * trials)
+
+
+def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
+                        hamming: np.ndarray, sqrt_ps: np.ndarray, seed: int,
+                        chunk_index: int, n_trials: int) -> np.ndarray:
+    """The bit-error counts of `simulate._ber_chunk` the dense way: the chunk's
+    draws (the library's own generator and draw order), then one `ml_detect`
+    pass over every trial at each amplitude of sqrt_ps, in the given order."""
+    rng = simulate._chunk_rng(seed, simulate._DOMAIN_BER, 0, chunk_index)
+    code = rng.integers(0, chan.points.size, size=n_trials)
+    g = chan.mean + chan.scale * simulate._gaussian(rng, (n_trials, chan.mean.size))
+    z = simulate._gaussian(rng, (n_trials, chan.mean.size))
+    energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+    noise = np.sum(g.conj() * z, axis=1)
+    del g, z
+    signal = chan.points[code]
+    row, flat = code * hamming.shape[1], hamming.ravel()
+    return np.array([flat[row + ml_detect(wedges, (sqrt_p * chan.sqrt_nu) * energy * signal + noise,
+                                          sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
+                    dtype=np.int64)
 
 
 def pdf_mass(mom: ErrorEventMoments) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
-                        sample_g, steering_bs, steering_irs, validate)
+                        ml_detect, sample_g, steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
 from oracles import full_g_signatures, pair_distances_reference
 from test_config import PATH_LOSS_4KM
@@ -245,3 +245,25 @@ def test_wedges_partition_the_circle(cfg):
     assert bisectors[-1] - bisectors[0] == pytest.approx(2 * np.pi)
     np.testing.assert_array_equal(winners, [at[-1], *at, at[0]])
     assert winners[np.sum(0.0 > bisectors)] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(ON_RPM_STEPS))
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
+def test_homes_measure_each_point_to_its_owner_wedge_edges(cfg):
+    # a noise-free point decides its owner, and its half-widths reach the
+    # owner's wedge edges: a step inside either edge still decides the owner,
+    # a step outside decides another location (unless there is only one)
+    chan = make_channel(cfg)
+    owner, half = chan.homes
+    wedges = chan.wedges()
+    np.testing.assert_array_equal(ml_detect(wedges, chan.points, 1.0), owner)
+    ok = half.min(axis=0) > 0
+    angle, step = 2 * np.pi * chan.turns[ok], np.minimum(half.min(axis=0)[ok] / 4, 1e-9)
+    for edge in (angle - half[0, ok], angle + half[1, ok]):
+        inward = np.sign(angle - edge)
+        inside = ml_detect(wedges, np.exp(1j * (edge + inward * step)), 1.0)
+        outside = ml_detect(wedges, np.exp(1j * (edge - inward * step)), 1.0)
+        np.testing.assert_array_equal(inside, owner[ok])
+        assert wedges[0].size == 2 or np.all(outside != owner[ok])

@@ -314,3 +314,18 @@ def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg
                  "--out", str(tmp_path / "a.csv")]) == 2
     assert ("numerical failure: sweep points snr_db=[0.0, 20.0, 40.0]: Chiani closed-form PEP"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["aber", "--mode", "analytic", "--exact-pep"], ["pep"]])
+def test_exact_pep_converges_at_small_effective_powers(tmp_path, argv):
+    # pair distance 0.0289: at -30 and -20 dB the Craig check escalates past
+    # orders 96/192 and converges, so both commands print every row
+    cfg = tmp_path / "small_step.cfg"
+    cfg.write_text("n_t=2\nm_rpm=1\nn_r=1\nk_r=0.5\ndelta_over_lambda=0.05078125\n"
+                   "phi_d=0.5625\nsnr_grid_db=-30,-20,0\n")
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert sorted({row[0] for row in rows}) == ["-20.0", "-30.0", "0.0"]
+    values = [float(v) for row in rows for v in (row[-2:] if argv[0] == "pep" else row[1:])]
+    assert values and all(0.0 < v <= 0.5 for v in values)

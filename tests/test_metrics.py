@@ -8,6 +8,7 @@ from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_un
                         aber_union_terms, capacity_closed, laplace, make_channel,
                         moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
                         run_sweep, unit_moments, validate)
+from irs_sskrpm import metrics
 from oracles import diversity_slope, pep_by_quadrature
 
 
@@ -112,6 +113,30 @@ def test_craig_check_fails_closed_on_nan():
     # a NaN spread is not a converged integral
     with pytest.raises(NumericalError, match="did not converge"):
         pep_of_event(ErrorEventMoments(s_sq=math.nan, sigma_sq=0.5, n_r=1), 1.0)
+
+
+#: Two antennas a small phase step apart: pair distance 0.0289, so the effective
+#: powers of -30 and -20 dB fail the base Craig orders 96/192.
+SMALL_STEP = replace(SystemConfig(), n_t=2, m_rpm=1, n_r=1, k_r=0.5,
+                     delta_over_lambda=0.05078125, phi_d=0.5625)
+
+
+def test_craig_check_escalates_only_the_failing_powers():
+    # -30 and -20 dB (spreads 3.7e-8 and 1.1e-9 at 96/192) escalate alone and
+    # converge at 192/384; the powers that pass 96/192 keep the order-192
+    # value bitwise; at P_s d = 3e-8 even 384/768 disagree, and the check
+    # fails closed, alone or among passing powers
+    chan = make_channel(validate(SMALL_STEP))
+    mom, d = unit_moments(chan), chan.distances()[0][1]
+    p = np.array([1e-3, 1e-2, 1.0, 10.0]) * d
+    exact = pep_of_event(mom, p).exact
+    order = metrics.GL_ORDER
+    assert exact[2:].tobytes() == metrics._craig_at_order(mom, p, 2 * order)[2:].tobytes()
+    np.testing.assert_allclose(exact[:2], metrics._craig_at_order(mom, p[:2], 8 * order),
+                               rtol=1e-9, atol=0)
+    for bad in (3e-8, np.array([1.0, 3e-8])):
+        with pytest.raises(NumericalError, match="did not converge.*at orders 384/768"):
+            pep_of_event(mom, bad)
 
 
 def test_chiani_fails_closed_on_nan(chan, cfg):

@@ -1,12 +1,13 @@
 import math
 import os
+import tracemalloc
 from concurrent import futures
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from irs_sskrpm import (ConfigError, NumericalError, SystemConfig, aber_union, aber_union_terms,
                         capacity_closed, joint_distances, load_config, make_channel, run_sweep,
@@ -15,8 +16,8 @@ from irs_sskrpm import simulate
 from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
-from oracles import ber_full_g, ml_detect_reference
-from test_channel import constellation_configs
+from oracles import ber_chunk_reference, ber_full_g, ml_detect_reference
+from test_channel import ON_RPM_STEPS, STRESS_CONFIG, constellation_configs
 
 FAST = dict(snr_grid_db=(0.0, 10.0, 20.0), trials=4000)
 
@@ -61,7 +62,7 @@ def test_rank1_ber_matches_full_g_reference(name, snr_db):
 
 
 #: The powers of one `_ber_chunk` call in the chunk replay test, in dB.
-CHUNK_SNR_DB = (-math.inf, 0.0, 10.0, 20.0)
+CHUNK_SNR_DB = (-math.inf, -30.0, 0.0, 10.0, 20.0, 60.0)
 
 
 @pytest.mark.parametrize("name,overrides", [
@@ -201,6 +202,61 @@ def sweep_configs(draw):
     return validate(replace(draw(constellation_configs()), n_r=draw(st.integers(1, 3)),
                             k_r=draw(st.floats(0.0, 10.0)), seed=draw(st.integers(0, 2**31)),
                             snr_grid_db=tuple(grid), trials=draw(st.integers(1, 600))))
+
+
+#: Powers of the kernel's property test, in dB: zero power and -30 to 60 dB.
+KERNEL_SNR_DB = st.sampled_from([-math.inf, *np.arange(-30.0, 61.0, 2.5).tolist()])
+
+
+@settings(max_examples=40, deadline=None)
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0, n_r=2)),
+         snr_db=[20.0, -math.inf, 60.0, 20.0, -30.0], chunk=0, n=2000)
+@example(cfg=validate(replace(ON_RPM_STEPS, n_r=2)), snr_db=[10.0, 0.0, 10.0, -math.inf],
+         chunk=1, n=2000)
+@example(cfg=validate(load_config(STRESS_CONFIG)), snr_db=[40.0, 0.0, 20.0, -math.inf, 0.0],
+         chunk=2, n=3000)
+@given(cfg=sweep_configs(), snr_db=st.lists(KERNEL_SNR_DB, min_size=1, max_size=8),
+       chunk=st.integers(0, 3), n=st.integers(1, 4096))
+def test_ber_chunk_counts_exactly_what_the_dense_reference_counts(cfg, snr_db, chunk, n):
+    # a trial leaves the power sweep once its scalar is in its home wedge; the
+    # settled trials' owner distances plus the pairs still decided by ml_detect
+    # must be the int64 counts of deciding every pair with ml_detect, for powers
+    # in any order, repeated, and zero
+    chan, hamming = make_channel(cfg), pair_classes(cfg.n_t, cfg.m_rpm)[2]
+    sqrt_ps = np.sqrt(10.0 ** (np.array(snr_db) / 10.0))
+    args = (chan, chan.wedges(), hamming, sqrt_ps, cfg.seed, chunk, n)
+    counts = simulate._ber_chunk(*args)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, ber_chunk_reference(*args))
+
+
+def test_ber_chunk_memory_stays_within_the_dense_pass(monkeypatch):
+    # on the stress scenario at -30 to 0 dB almost no trial settles, so nearly
+    # every (trial, power) pair goes to ml_detect; decided in batches of whole
+    # powers, the traced peak stays within 1.25 times that of the dense pass
+    # (one list of all 31 x 8192 pairs would need several times it)
+    cfg = validate(load_config(STRESS_CONFIG))
+    chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
+    sqrt_ps = np.sqrt(10.0 ** (np.arange(-30.0, 1.0) / 10.0))
+    args = (chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2], sqrt_ps, cfg.seed, 0, n)
+    peaks, decided = [], []
+    for kernel in (ber_chunk_reference, simulate._ber_chunk):
+        tracemalloc.start()
+        try:
+            kernel(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    detect = simulate.ml_detect
+
+    def counting(wedges, ip, sqrt_p):
+        decided.append(ip.size)
+        return detect(wedges, ip, sqrt_p)
+
+    monkeypatch.setattr(simulate, "ml_detect", counting)
+    simulate._ber_chunk(*args)
+    assert sum(decided) >= 0.9 * sqrt_ps.size * n
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @settings(max_examples=8, deadline=None)
