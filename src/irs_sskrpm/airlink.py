@@ -5,11 +5,21 @@ and reflection-phase index m in [1, m_rpm]. Its bit label is the natural
 binary code of t-1 (width log2(n_t)) followed by that of m-1 (width
 log2(m_rpm)), so the label read as an integer is the flat hypothesis index
 (t-1)*m_rpm + (m-1): the flat index is the label.
+
+`ml_detect` decides one scalar per trial; `_ber_decide` counts the detector's bit
+errors on a block of trials at a whole grid of powers, by walking each trial's
+wedge-edge crossings (`Channel.edges`) instead of detecting every (trial, power).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .channel import Channel
+
+#: `_ber_decide`'s relative slack on a crossing amplitude, and the angle in radians
+#: within which an edge or a trial's angle is too near its point or the antipode to walk.
+_SLACK, _NEAR = 1e-9, 1e-7
 
 
 def rpm_phases(m_rpm: int) -> np.ndarray:
@@ -44,3 +54,90 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     theta = np.angle(ip) if sqrt_p > 0 else np.zeros(np.shape(ip))
     below = np.sum(theta > bisectors[:, None], axis=0, dtype=np.min_scalar_type(bisectors.size))
     return winners[below]
+
+
+def _ber_walk(chan: Channel, hamming: np.ndarray, sqrt_ps: np.ndarray) -> tuple:
+    """`_ber_decide`'s tables at the amplitudes sqrt_ps: the distinct amplitudes and each
+    entry's index into them; per row side * K + code of `Channel.edges`, whether the home
+    edge is within `_NEAR` and the home's Hamming distance; per edge, (J, 2K), its cot and
+    1/sin (-inf and 0 within `_NEAR` of the antipode) and the Hamming step of crossing it."""
+    amps, inverse = np.unique(sqrt_ps, return_inverse=True)
+    beta, owner = chan.edges
+    k, seen = chan.points.size, beta < np.pi - _NEAR
+    bits = hamming[np.arange(k)[:, None], owner].astype(float)  # bincount weighs in floats
+    with np.errstate(divide="ignore"):  # a point on its home edge is left to the detector
+        edge = (np.where(seen, 1.0 / np.tan(beta), -np.inf), np.where(seen, 1.0 / np.sin(beta), 0.0),
+                np.where(seen, np.diff(bits, axis=-1), 0.0))
+    return (amps, inverse, (beta[..., 0] <= _NEAR).ravel(), bits[..., 0].ravel(),
+            *(v.reshape(2 * k, -1).T.copy() for v in edge), hamming.ravel())  # flat Hamming table
+
+
+@np.errstate(invalid="ignore")
+def _crossing(cot: np.ndarray, invsin: np.ndarray, r: np.ndarray, y: np.ndarray, x: np.ndarray):
+    """The amplitude a = y cot[r] - x where the angle of a + x + jy (y > 0) crosses an edge
+    (cot, 1/sin), and the top a + tol of the band where rounding may put the detector on
+    either side of it. At cot -inf, 1/sin 0 the top is NaN: never crossed."""
+    a = cot[r] * y - x
+    return a, (np.abs(a) + y + np.abs(x)) * invsin[r] * _SLACK + a
+
+
+def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tuple,
+                code: np.ndarray, energy: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The bit-error counts (int64) of the joint ML detector on the trials (code, energy,
+    noise) of `simulate._ber_draw` at every amplitude of the `_ber_walk` tables walk.
+
+    With u = conj(points[code]) noise / (sqrt_nu energy), the detector reads the angle of
+    A + u at amplitude A, which moves monotonically towards 0 as A grows: it crosses edge
+    j of `Channel.edges` (on the side of Im u) once, at a_j = |Im u| cot beta_j - Re u,
+    decreasing in j. A trial counts its home's Hamming distance plus a step per edge
+    crossed, walked edge by edge (one searchsorted and one bincount each) until its next
+    crossing is below the smallest amplitude. `ml_detect` decides zero power, the pairs
+    within `_SLACK` of a crossing, and every pair of a trial whose u or home edge is within
+    `_NEAR` of the real axis or the point: the counts are bitwise `ml_detect`'s."""
+    amps, inverse, narrow, home, cot, invsin, step, flat = walk
+    k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
+    amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
+    if zero:
+        counts[0] = flat[code * k + ml_detect(wedges, noise, 0.0)].sum()
+    if not amps.size:
+        return counts[inverse]
+    u = chan.points.conj()[code] * noise / (chan.sqrt_nu * energy)
+    row = k * (u.imag >= 0) + code
+    y, x = np.abs(u.imag), u.real.copy()
+    del u
+    dense = ~(y > 2.0 * _NEAR * np.abs(x)) | narrow[row]
+    y[dense] = np.nan  # the walk passes them by
+    ids, live, gains, hits = None, (row, y, x), np.zeros(amps.size + 1), []
+    below = np.append(-np.inf, amps)  # below[i]: the largest of the first i amplitudes
+    for j in range(cot.shape[0]):
+        a, top = _crossing(cot[j], invsin[j], *live)
+        go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
+        if not go.size:
+            break
+        ids, a, top = go if ids is None else ids[go], a[go], top[go]
+        live = tuple(v[go] for v in live)
+        above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
+        gains += np.bincount(above, step[j][live[0]], amps.size + 1)
+        a = 2.0 * a - top  # the bottom of the band
+        hit = np.flatnonzero(below[above] >= a)
+        hits.append((ids[hit], np.searchsorted(amps, a[hit]), above[hit]))
+        del a, top, above
+    counts[zero:] = home[row].sum() + np.cumsum(gains[::-1])[::-1][1:]
+    # ml_detect decides every amplitude of a dense trial and those in each band, each
+    # pair once, in place of the walk's count
+    dense = np.flatnonzero(dense)
+    t, lo, hi = (np.concatenate(v) for v in zip((dense, 0 * dense, 0 * dense + amps.size), *hits))
+    size = hi - lo
+    pair = np.sort(np.repeat(t * amps.size + lo - np.cumsum(size) + size, size) + np.arange(size.sum()))
+    pair = pair[np.diff(pair, prepend=-1) > 0]
+    if pair.size:
+        t, p = np.divmod(pair, amps.size)
+        r, model, on = row[t], home[row[t]], True
+        for j in range(cot.shape[0]):  # the walk's count of each pair, replayed
+            top = _crossing(cot[j], invsin[j], r, y[t], x[t])[1]
+            model += on * (amps[p] <= top) * step[j][r]
+            on &= top >= amps[0]
+        ip = (amps[p] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
+        errors = flat[code[t] * k + ml_detect(wedges, ip, amps[0])] - model
+        counts[zero:] += np.bincount(p, errors, amps.size).astype(np.int64)
+    return counts[inverse]

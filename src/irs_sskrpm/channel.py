@@ -153,12 +153,25 @@ class Channel:
         return (ring[:-1] + ring[1:]) / 2.0, np.concatenate([owner[-1:], owner, owner[:1]])
 
     @cached_property
-    def homes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's owner, and its radians down and up to its owner's `wedges()` edges."""
-        owner, bisectors = np.take(*_group(self.turns)), self.wedges()[0]
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's `wedges()` edges on each side (0: below its angle, 1: above), from
+        its home wedge outward: the radians from the point to each edge short of the
+        antipode, (2, K, J), padded with pi, and the owner of each wedge on the way,
+        (2, K, J + 1), home first and the last repeated."""
+        owner, (bisectors, winners) = np.take(*_group(self.turns)), self.wedges()
+        n, side = bisectors.size - 1, np.arange(2)[:, None, None]
         angle = 2.0 * np.pi * (self.turns - np.rint(self.turns - self.turns[owner]))
-        upper = np.searchsorted(bisectors, 2.0 * np.pi * self.turns[owner])
-        return owner, np.array([angle - bisectors[upper - 1], bisectors[upper] - angle])
+        # ring index e of each edge outward (column 0: the home's other edge): edge e lies at
+        # bisectors[1 + (e - 1) % n] plus whole turns, and winners[1 + (e + side - 1) % n]
+        # owns the wedge past it
+        ring = (np.searchsorted(bisectors, 2.0 * np.pi * self.turns[owner])[:, None] + side - 1
+                + (2 * side - 1) * np.arange(-1, n))
+        beta = (2 * side - 1) * (bisectors[1 + (ring - 1) % n] + 2.0 * np.pi * ((ring - 1) // n)
+                                 - angle[:, None])
+        reach = np.sum(beta[..., 1:] < np.pi, axis=-1, keepdims=True)  # edges ascend outward
+        j = np.arange(max(1, reach.max()) + 1)
+        return (np.where(j[1:] <= reach, beta[..., j[1:]], np.pi),
+                winners[1 + (np.take_along_axis(ring, np.minimum(j, reach), -1) + side - 1) % n])
 
 
 def make_channel(cfg: SystemConfig) -> Channel:

@@ -14,12 +14,13 @@ fixed order). A BER chunk has the key (0, 0, c) at every SNR point: a power
 only rescales the signal term of the scalar g_eff^H y, so one draw of the
 codes, channels and noise is decided at every point of the grid (common random
 numbers); as the power grows, the scalar's angle moves monotonically towards the
-sent point's, and a trial goes to the detector only until it is in its home
-wedge. Each row keeps the law and the standard-error formula it has alone;
-only the rows' errors are correlated. A capacity chunk of sweep point i keeps
-the key (1, i, c) (power q of a call draws point point_index + q): the
-benchmark's capacity check (`perfbench/workloads.py`) recomputes each row's
-stderr with `point_index=i`, so that key changes only with the benchmark.
+sent point's, crossing each wedge edge once at an amplitude in closed form, and a
+chunk is decided by walking those crossings. Each row keeps the law and the
+standard-error formula it has alone; only the rows' errors are correlated. A
+capacity chunk of sweep point i keeps the key (1, i, c) (power q of a call draws
+point point_index + q): the benchmark's capacity check (`perfbench/workloads.py`)
+recomputes each row's stderr with `point_index=i`, so that key changes only with
+the benchmark.
 The unit of parallel work is a contiguous block of SNR points: `run_sweep`
 maps its blocks over one process pool per simulating sweep, a block makes one
 call per column over its powers, and a point's result does not depend on its
@@ -35,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .airlink import ml_detect, pair_classes
+from .airlink import _ber_decide, _ber_walk, pair_classes
 from .channel import Channel, make_channel
 from .config import ConfigError, SystemConfig, validate
 from .metrics import (NumericalError, _bits, _power, _shaped, aber_union, capacity_closed,
@@ -47,9 +48,6 @@ CHUNK_TRIALS = 8192
 #: Upper bound on the (samples x pair distances) block evaluated at once by
 #: the capacity kernel, in array elements.
 _PAIR_BLOCK_ELEMENTS = 1 << 20
-
-#: `_ber_chunk`'s batch step in (trial, power) pairs and its settled test's relative slack.
-_BATCH_PAIRS, _SLACK = 2048, 1e-9
 
 _DOMAIN_BER = 0
 _DOMAIN_CAPACITY = 1
@@ -107,58 +105,24 @@ def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return math.sqrt(0.5) * rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
+def _ber_draw(chan: Channel, seed: int, chunk_index: int,
+              n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A BER chunk's draws, in a fixed order: each trial's symbol code, then g_eff and z,
+    kept as ||g_eff||^2 and g_eff^H z (g_eff^H y / sqrt(nu) = sqrt(P_s nu) ||g_eff||^2
+    points[code] + g_eff^H z, so only the signal term depends on the power)."""
+    rng = _chunk_rng(seed, _DOMAIN_BER, 0, chunk_index)
+    code = rng.integers(0, chan.points.size, size=n_trials)
+    g = chan.mean + chan.scale * _gaussian(rng, (n_trials, chan.mean.size))
+    z = _gaussian(rng, (n_trials, chan.mean.size))
+    return code, np.sum(g.real ** 2 + g.imag ** 2, axis=1), np.sum(g.conj() * z, axis=1)
+
+
 def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np.ndarray,
                sqrt_ps: np.ndarray, seed: int, chunk_index: int, n_trials: int) -> np.ndarray:
-    """Simulate one chunk of trials with the joint ML detector at every amplitude
-    of sqrt_ps (the square roots of the powers), all on the same draws; returns
-    the bit-error counts, int64. wedges is chan.wedges(), hamming the label
-    distances of `pair_classes`. With ip conj(c_k) = A + n' (A > 0 growing with the
-    amplitude), a trial past (|Im n'| cot h - Re n') / (sqrt_nu ||g_eff||^2), h the half-width
-    of its home wedge (`Channel.homes`) on the side of Im n', adds hamming[code, owner];
-    the rest (within `_SLACK`) and zero power go to `ml_detect` in batches of whole powers."""
-    rng = _chunk_rng(seed, _DOMAIN_BER, 0, chunk_index)
-    n_r = chan.mean.size
-
-    # Fixed draw order per chunk: symbol codes, diffuse channel part, noise.
-    code = rng.integers(0, chan.points.size, size=n_trials)
-    g = chan.mean + chan.scale * _gaussian(rng, (n_trials, n_r))
-    z = _gaussian(rng, (n_trials, n_r))
-
-    # g_eff^H y / sqrt(nu) for y = sqrt(P_s nu) points[code] g_eff + z, without
-    # forming y: only the signal term depends on the power. The powers read the
-    # draws only through energy and noise, so g and z are freed before them.
-    energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
-    noise = np.sum(g.conj() * z, axis=1)
-    del g, z
-    row, flat = code * hamming.shape[1], hamming.ravel()
-    amps, inverse = np.unique(sqrt_ps, return_inverse=True)
-    zero, amps = np.count_nonzero(amps == 0.0), amps[amps > 0.0]  # zero power ties every score
-    counts = np.full(amps.size + zero, flat[row + ml_detect(wedges, noise, 0.0)].sum() if zero else 0)
-    owner, half = chan.homes
-    narrow = np.minimum(half.min(axis=0), np.pi / 2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a point at its edge never settles
-        rel = chan.points.conj()[code]
-        rel *= noise
-        crit = np.abs(rel.imag) / np.tan(half)[(rel.imag >= 0).astype(np.intp), code] - rel.real
-        del rel
-        crit += _SLACK * (np.abs(crit) + np.abs(noise)) / np.sin(narrow[code])
-    crit = np.where(narrow[code] > _SLACK, crit / (chan.sqrt_nu * energy), np.inf)
-    live = np.flatnonzero(crit >= amps.min(initial=np.inf))
-    live = live[np.argsort(-crit[live])]  # the first busy[j] are undecided at power j
-    busy = np.searchsorted(-crit[live], -amps, side="right")
-    settled = flat[row + owner[code]]
-    counts[zero:] = settled.sum() - np.concatenate([[0], np.cumsum(settled[live])])[busy]
-    busy = busy[busy > 0]
-    del crit, settled
-    # a batch ends where the running pair count crosses a multiple of _BATCH_PAIRS
-    starts = np.flatnonzero(np.diff((np.cumsum(busy) - 1) // _BATCH_PAIRS, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [busy.size]):
-        sizes = busy[lo:hi]
-        at = live[np.concatenate([np.arange(k) for k in sizes.tolist()])]
-        ip = (amps[lo:hi] * chan.sqrt_nu).repeat(sizes) * energy[at] * chan.points[code[at]] + noise[at]
-        errors = flat[row[at] + ml_detect(wedges, ip, amps[lo])]
-        counts[zero + lo:zero + hi] += np.add.reduceat(errors, np.cumsum(sizes) - sizes)
-    return counts[inverse]
+    """The bit-error counts (int64) of one chunk at every amplitude of sqrt_ps; wedges
+    is chan.wedges() and hamming the label distances of `pair_classes`."""
+    return _ber_decide(chan, wedges, _ber_walk(chan, hamming, sqrt_ps),
+                       *_ber_draw(chan, seed, chunk_index, n_trials))
 
 
 def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
@@ -176,10 +140,10 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     bits = _bits(cfg) * trials
-    sqrt_ps = np.sqrt(p).ravel()
-    wedges, hamming = chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2]
+    wedges = chan.wedges()
+    walk = _ber_walk(chan, pair_classes(cfg.n_t, cfg.m_rpm)[2], np.sqrt(p).ravel())
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_chunk(chan, wedges, hamming, sqrt_ps, seed, c, size)
+    errors = sum(_ber_decide(chan, wedges, walk, *_ber_draw(chan, seed, c, size))
                  for c, size in enumerate(_chunk_sizes(trials)))
     aber = errors.reshape(p.shape) / bits
     return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)

@@ -12,7 +12,9 @@ from `pep_of_event(moments_*)` (whose moments and integrals the oracles
 above check), as the reference for the vectorised hypothesis-pair table;
 `pep_events_reference` lists the pep table's rows one event at a time.
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
-must count exactly: every trial decided by `ml_detect` at every power.
+must count exactly: its draws (`ber_draw_reference`) and every trial decided by
+`ml_detect` at every power (`ber_decide_reference`, which also takes synthetic
+trials).
 """
 
 from __future__ import annotations
@@ -187,24 +189,39 @@ def ber_full_g(cfg: SystemConfig, p_s: float, trials: int,
     return errors / (cfg.bits_total * trials)
 
 
-def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
-                        hamming: np.ndarray, sqrt_ps: np.ndarray, seed: int,
-                        chunk_index: int, n_trials: int) -> np.ndarray:
-    """The bit-error counts of `simulate._ber_chunk` the dense way: the chunk's
-    draws (the library's own generator and draw order), then one `ml_detect`
-    pass over every trial at each amplitude of sqrt_ps, in the given order."""
+def ber_draw_reference(chan: Channel, seed: int, chunk_index: int,
+                       n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A BER chunk's draws with the library's own generator and draw order: each
+    trial's symbol code, ||g_eff||^2 and g_eff^H z."""
     rng = simulate._chunk_rng(seed, simulate._DOMAIN_BER, 0, chunk_index)
     code = rng.integers(0, chan.points.size, size=n_trials)
     g = chan.mean + chan.scale * simulate._gaussian(rng, (n_trials, chan.mean.size))
     z = simulate._gaussian(rng, (n_trials, chan.mean.size))
     energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
     noise = np.sum(g.conj() * z, axis=1)
-    del g, z
+    return code, energy, noise
+
+
+def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
+                         hamming: np.ndarray, sqrt_ps: np.ndarray, code: np.ndarray,
+                         energy: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The bit-error counts of `airlink._ber_decide` the dense way: one `ml_detect`
+    pass over every trial (code, energy, noise) at each amplitude of sqrt_ps, in the
+    given order."""
     signal = chan.points[code]
     row, flat = code * hamming.shape[1], hamming.ravel()
     return np.array([flat[row + ml_detect(wedges, (sqrt_p * chan.sqrt_nu) * energy * signal + noise,
                                           sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
                     dtype=np.int64)
+
+
+def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
+                        hamming: np.ndarray, sqrt_ps: np.ndarray, seed: int,
+                        chunk_index: int, n_trials: int) -> np.ndarray:
+    """The bit-error counts of `simulate._ber_chunk` the dense way: the chunk's draws
+    (`ber_draw_reference`) decided by `ber_decide_reference`."""
+    return ber_decide_reference(chan, wedges, hamming, sqrt_ps,
+                                *ber_draw_reference(chan, seed, chunk_index, n_trials))
 
 
 def pdf_mass(mom: ErrorEventMoments) -> float:

@@ -160,6 +160,17 @@ ON_RPM_STEPS = replace(SystemConfig(), n_t=4, m_rpm=4, phi_d=math.pi / 6,
                        delta_over_lambda=0.5)
 
 
+#: Four locations 1.6e-9 rad apart in a row: wedges narrower than the walk resolves.
+NEAR_LOCATIONS = replace(SystemConfig(), n_t=4, m_rpm=1, phi_d=1e-9, delta_over_lambda=0.25)
+
+#: Two locations of two points each, 2^-40 turn apart, point 1 exactly on its home edge.
+POINT_ON_EDGE = replace(SystemConfig(), n_t=4, m_rpm=1, phi_d=1.78e-12, delta_over_lambda=0.25)
+
+#: Three locations a third of a turn apart: each point has a wedge edge at its antipode.
+ANTIPODAL_EDGES = replace(SystemConfig(), n_t=4, m_rpm=1, phi_d=math.pi / 2,
+                          delta_over_lambda=1.0 / 3.0)
+
+
 def _config_turns(cfg: SystemConfig) -> list[float]:
     """Each point's angle in turns, t-major, from the config alone (with numpy's
     sine, which may round unlike math.sin, so grid keys agree bitwise)."""
@@ -251,19 +262,35 @@ def test_wedges_partition_the_circle(cfg):
 @given(cfg=constellation_configs())
 @example(cfg=validate(ON_RPM_STEPS))
 @example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
-def test_homes_measure_each_point_to_its_owner_wedge_edges(cfg):
-    # a noise-free point decides its owner, and its half-widths reach the
-    # owner's wedge edges: a step inside either edge still decides the owner,
-    # a step outside decides another location (unless there is only one)
+@example(cfg=validate(NEAR_LOCATIONS))
+@example(cfg=validate(ANTIPODAL_EDGES))
+@example(cfg=validate(POINT_ON_EDGE))
+def test_edges_list_each_wedge_edge_and_owner_outward_from_each_point(cfg):
+    # brute force over the bisectors: on each side of each point, every bisector
+    # less than pi away, ascending, then pi (an edge within rounding of the antipode
+    # may stand in for it); and the middle of each wedge on the way (from the point to
+    # its first edge, between two edges, from the last edge to the antipode) decides
+    # the owner listed for it, which repeats past the last edge
     chan = make_channel(cfg)
-    owner, half = chan.homes
+    beta, owner = chan.edges
     wedges = chan.wedges()
-    np.testing.assert_array_equal(ml_detect(wedges, chan.points, 1.0), owner)
-    ok = half.min(axis=0) > 0
-    angle, step = 2 * np.pi * chan.turns[ok], np.minimum(half.min(axis=0)[ok] / 4, 1e-9)
-    for edge in (angle - half[0, ok], angle + half[1, ok]):
-        inward = np.sign(angle - edge)
-        inside = ml_detect(wedges, np.exp(1j * (edge + inward * step)), 1.0)
-        outside = ml_detect(wedges, np.exp(1j * (edge - inward * step)), 1.0)
-        np.testing.assert_array_equal(inside, owner[ok])
-        assert wedges[0].size == 2 or np.all(outside != owner[ok])
+    assert beta.shape[:2] == (2, chan.points.size)
+    assert owner.shape == (*beta.shape[:2], beta.shape[2] + 1)
+    ring = (wedges[0][1:] + 2 * np.pi * np.arange(-1, 2)[:, None]).ravel()  # each edge, +-1 turn
+    turns, first = _config_turns(cfg), {}
+    home = [first.setdefault(round(u * 2 ** 40) % 2 ** 40, k) for k, u in enumerate(turns)]
+    for k, centre in enumerate(np.angle(chan.points[home])):
+        angle = centre + np.angle(chan.points[k] * chan.points[home[k]].conj())
+        for side, sign in enumerate((-1, 1)):
+            # the edges outward from the owner's angle, measured from the point's
+            seen = np.sort(sign * (ring - centre))
+            seen = seen[seen > 0][:wedges[0].size - 1] + sign * (centre - angle)
+            seen = seen[seen < np.pi - 1e-12]
+            reach = seen.size
+            np.testing.assert_allclose(beta[side, k, :reach], seen, rtol=0, atol=1e-12)
+            assert np.all(beta[side, k, reach:] >= np.pi - 1e-12) and np.all(beta <= np.pi)
+            ends = np.concatenate([[0.0], seen, [np.pi]])
+            probe = ml_detect(wedges, np.exp(1j * (angle + sign * (ends[:-1] + ends[1:]) / 2)), 1.0)
+            wide = np.diff(ends) > 1e-9  # a point on or past its own edge has no home to probe
+            np.testing.assert_array_equal(probe[wide], owner[side, k, :reach + 1][wide])
+            assert np.all(owner[side, k, reach + 1:] == owner[side, k, -1])

@@ -12,12 +12,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from irs_sskrpm import (ConfigError, NumericalError, SystemConfig, aber_union, aber_union_terms,
                         capacity_closed, joint_distances, load_config, make_channel, run_sweep,
                         simulate_ber, simulate_capacity, validate)
-from irs_sskrpm import simulate
+from irs_sskrpm import airlink, simulate
 from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
-from oracles import ber_chunk_reference, ber_full_g, ml_detect_reference
-from test_channel import ON_RPM_STEPS, STRESS_CONFIG, constellation_configs
+from oracles import (ber_chunk_reference, ber_decide_reference, ber_draw_reference, ber_full_g,
+                     ml_detect_reference)
+from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_ON_EDGE,
+                          STRESS_CONFIG, constellation_configs)
 
 FAST = dict(snr_grid_db=(0.0, 10.0, 20.0), trials=4000)
 
@@ -230,33 +232,85 @@ def test_ber_chunk_counts_exactly_what_the_dense_reference_counts(cfg, snr_db, c
     np.testing.assert_array_equal(counts, ber_chunk_reference(*args))
 
 
-def test_ber_chunk_memory_stays_within_the_dense_pass(monkeypatch):
-    # on the stress scenario at -30 to 0 dB almost no trial settles, so nearly
-    # every (trial, power) pair goes to ml_detect; decided in batches of whole
-    # powers, the traced peak stays within 1.25 times that of the dense pass
-    # (one list of all 31 x 8192 pairs would need several times it)
+#: Amplitudes of the adversarial decision test besides the crossings: zero power,
+#: -200 dB, 0 dB and +200 dB.
+EXTREME_AMPS = (0.0, 1e-10, 1.0, 1e10)
+
+
+@settings(max_examples=60, deadline=None)
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)), seed=0)
+@example(cfg=validate(ON_RPM_STEPS), seed=1)
+@example(cfg=validate(load_config(STRESS_CONFIG)), seed=2)
+@example(cfg=validate(NEAR_LOCATIONS), seed=3)
+@example(cfg=validate(ANTIPODAL_EDGES), seed=4)
+@example(cfg=validate(POINT_ON_EDGE), seed=5)
+@given(cfg=constellation_configs(), seed=st.integers(0, 2**32 - 1))
+def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
+    # synthetic trials made to sit where the edge walk's model is least sure: the
+    # scalar n' = conj(c_k) n / (sqrt(nu) ||g_eff||^2) on an edge of the point (a
+    # rotated bisector), on an absolute bisector, real (Im n' == 0, exactly for the
+    # point 1), random; at amplitudes exactly at walked crossings and one ulp either
+    # side, among zero power and +-200 dB, repeated and unsorted. The int64 counts must
+    # be the dense pass's; ml_detect runs once at zero power (every trial) and once on
+    # the pairs the walk leaves to it, among them every exact crossing
+    rng = np.random.default_rng(seed)
+    chan, hamming, n = make_channel(cfg), pair_classes(cfg.n_t, cfg.m_rpm)[2], 300
+    wedges, (beta, _) = chan.wedges(), chan.edges
+    code = rng.integers(0, chan.points.size, n)
+    energy = rng.exponential(size=n)
+    side, j = rng.integers(0, 2, n), rng.integers(0, beta.shape[2], n)
+    angle = np.angle(chan.points[code])
+    theta = np.select([np.arange(n) % 4 == q for q in range(3)],
+                      [angle + (2 * side - 1) * beta[side, code, j],
+                       wedges[0][rng.integers(0, wedges[0].size, n)],
+                       angle + np.pi * side], rng.uniform(-np.pi, np.pi, n))
+    noise = rng.exponential(size=n) * np.exp(1j * theta)
+    real = np.arange(n) % 4 == 2
+    noise[real & (code == 0)] = noise[real & (code == 0)].real
+    # the crossings a = |Im n'| cot(beta) - Re n' the walk computes, and their neighbours
+    u = chan.points.conj()[code] * noise / (chan.sqrt_nu * energy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = 1.0 / np.tan(beta[(u.imag >= 0).astype(int), code])
+        a = np.abs(u.imag)[:, None] * cot - u.real[:, None]
+    a = rng.permutation(a[np.isfinite(a) & (a > 0)])[:8]
+    amps = np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), EXTREME_AMPS, a[:2]])
+    amps = rng.permutation(amps)
+    walk = airlink._ber_walk(chan, hamming, amps)
+    with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
+        counts = airlink._ber_decide(chan, wedges, walk, code, energy, noise)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, ber_decide_reference(chan, wedges, hamming, amps,
+                                                               code, energy, noise))
+    sizes = [np.size(call.args[1]) for call in detect.call_args_list]
+    assert len(sizes) <= 2 and sizes[0] == n and sum(sizes[1:]) >= a.size
+
+
+def test_ber_chunk_memory_stays_within_the_dense_pass():
+    # on the stress scenario at -30 to 0 dB the walk is at its heaviest: at the
+    # lowest power over 90% of the trials are past a non-home edge, so most trials
+    # walk several edges; its traced peak stays within 1.25 times that of the dense
+    # pass. On the aber_n32 benchmark grid (0 to 40 dB in 2 dB steps) it stays
+    # within the dense pass's peak
     cfg = validate(load_config(STRESS_CONFIG))
     chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
-    sqrt_ps = np.sqrt(10.0 ** (np.arange(-30.0, 1.0) / 10.0))
-    args = (chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2], sqrt_ps, cfg.seed, 0, n)
-    peaks, decided = [], []
-    for kernel in (ber_chunk_reference, simulate._ber_chunk):
-        tracemalloc.start()
-        try:
-            kernel(*args)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-    detect = simulate.ml_detect
-
-    def counting(wedges, ip, sqrt_p):
-        decided.append(ip.size)
-        return detect(wedges, ip, sqrt_p)
-
-    monkeypatch.setattr(simulate, "ml_detect", counting)
-    simulate._ber_chunk(*args)
-    assert sum(decided) >= 0.9 * sqrt_ps.size * n
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+    code, energy, noise = ber_draw_reference(chan, cfg.seed, 0, n)
+    rel = np.angle((10 ** -1.5 * chan.sqrt_nu) * energy + chan.points.conj()[code] * noise)
+    assert np.mean(np.abs(rel) > chan.edges[0][(rel >= 0).astype(int), code, 1]) >= 0.9
+    for path, snr_db, bound in ((STRESS_CONFIG, np.arange(-30.0, 1.0), 1.25),
+                                (config_path("aber_n32.cfg"), np.arange(0.0, 41.0, 2.0), 1.0)):
+        cfg = validate(load_config(path))
+        chan = make_channel(cfg)
+        sqrt_ps = np.sqrt(10.0 ** (snr_db / 10.0))
+        args = (chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2], sqrt_ps, cfg.seed, 0, n)
+        peaks = []
+        for kernel in (ber_chunk_reference, simulate._ber_chunk):
+            tracemalloc.start()
+            try:
+                kernel(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert peaks[1] <= bound * peaks[0], (path, peaks)
 
 
 @settings(max_examples=8, deadline=None)
