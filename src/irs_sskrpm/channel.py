@@ -128,9 +128,9 @@ class Channel:
 
     @cached_property
     def _pair_table(self) -> tuple[np.ndarray, np.ndarray]:
-        # every pair offset is, up to rounding, an offset from hypothesis 0: a
-        # folded group of turns. A pair takes the nearest one, so a rounded offset
-        # on a grid-step boundary cannot open a group of its own.
+        # every pair offset is, up to rounding, an offset from hypothesis 0: a folded
+        # group of turns, and pair (0, first[g]) is exactly at group g. A pair takes the
+        # nearest one, so a rounded offset on a grid-step boundary opens no group of its own.
         first, group = _group(self.turns)
         owned = self.turns[first][group]  # a location's points are 0 apart
         offset = owned[None, :] - owned[:, None]
@@ -139,8 +139,8 @@ class Channel:
         near = np.append(np.abs(self.turns[first]), np.inf)
         above = np.searchsorted(near, offset).clip(1)
         nearest = np.where(offset - near[above - 1] <= near[above] - offset, above - 1, above)
-        d, index = np.unique((np.abs(1.0 - self.points[first]) ** 2)[nearest], return_inverse=True)
-        return d, index.reshape(offset.shape)
+        d, group = np.unique(np.abs(1.0 - self.points[first]) ** 2, return_inverse=True)
+        return d, group[nearest]
 
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:
         """The ML decision regions (`airlink.ml_detect`): the ascending bisectors of

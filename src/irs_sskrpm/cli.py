@@ -11,7 +11,7 @@ import datetime
 import json
 import sys
 from dataclasses import asdict, replace
-from itertools import permutations
+from itertools import chain, permutations
 
 from . import __version__
 from .channel import make_channel
@@ -31,10 +31,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], body: str) -> None:
-    """Write the header line, then body: the formatted data lines, each ending in a newline."""
+def _write_csv(path: str, header: list[str], body: list[str]) -> None:
+    """Write the header line, then the pieces of body: runs of lines, each ending in a newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.writelines([",".join(header) + "\n", *body])
 
 
 def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None,
@@ -102,41 +102,46 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     header = ["snr_db", *(analytic if args.mode != "sim" else []),
               *(sim if args.mode != "analytic" else [])]
     fields = ["trials" if col == "samples" else col for col in header]
-    rows = [",".join(_fmt(getattr(r, f)) for f in fields) for r in records]
+    rows = [",".join(_fmt(getattr(r, f)) for f in fields) + "\n" for r in records]
     out = args.out or f"{args.command}.csv"
-    _write_csv(out, header, "".join(f"{row}\n" for row in rows))
+    _write_csv(out, header, rows)
     _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args, workers)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_pep(args: argparse.Namespace) -> int:
-    """The rows of an SNR point follow one template, built once: each row's key
-    cells "event,t,t_hat,m,m_hat" and the `Channel.distances()` index of its
-    event's flat t-major pair. Antenna errors are at phase 1, phase errors at
-    antenna 1 (every antenna has the same pair distance), and joint errors m-major."""
+    """One unit law per SNR point, one template fill per table: a row is five slots of one
+    list (SNR cell, event, "t,t_hat,", "m,m_hat,", PEP cells), the key slots filled once.
+    Antenna errors are at phase 1, phase errors at antenna 1 (every antenna has the same
+    pair distance), and joint errors m-major."""
     cfg = _load(args)
     chan = make_channel(cfg)
     unit, (d, index) = unit_moments(chan), chan.distances()
-    gain, k, pair = 2.0 if args.paper_literal_args else 1.0, cfg.m_rpm, index.tolist()
-    ts, ms = list(permutations(range(cfg.n_t), 2)), list(permutations(range(k), 2))
+    gain, k, n_t = 2.0 if args.paper_literal_args else 1.0, cfg.m_rpm, cfg.n_t
+    ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(k), 2))
+    # pair (t k + m, u k + n) at [m k + n, t n_t + u]: ssk rows read row 0, rpm rows column 0
+    grid = index.reshape(n_t, k, n_t, k).transpose(1, 3, 0, 2).reshape(k * k, n_t * n_t)
+    tp, mp = [t * n_t + u for t, u in ts], [m * k + n for m, n in ms]
+    at = grid[0, tp].tolist() + grid[mp, 0].tolist() + grid[mp][:, tp].ravel().tolist()
     tu, mn = [f"{t + 1},{u + 1}," for t, u in ts], [f"{m + 1},{n + 1}," for m, n in ms]
-    keys = ([f"ssk,{a},," for a in tu] + [f"rpm,,,{b}" for b in mn]
-            + [f"joint,{a}{b}" for b in mn for a in tu])
-    at = ([pair[t * k][u * k] for t, u in ts] + [pair[m][n] for m, n in ms]
-          + [pair[t * k + m][u * k + n] for m, n in ms for t, u in ts])
+    parts, n_ts, n_ms = [""] * (5 * len(at)), len(ts), len(ms)
+    parts[1::5] = ["ssk,"] * n_ts + ["rpm,,,"] * n_ms + ["joint,"] * (n_ts * n_ms)
+    parts[2::5] = tu + [""] * n_ms + tu * n_ms
+    # joint rows: under each phase error, one per antenna error, so each m piece n_ts times
+    parts[3::5] = [",,"] * n_ts + mn + [*chain.from_iterable(zip(*[mn] * n_ts))]
     header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
     body = []
     for snr_db in cfg.snr_grid_db:
         v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
         cells = list(map("{!r},{!r}\n".format, v.exact.tolist(), v.chiani.tolist()))
-        rows = map(str.__add__, keys, map(cells.__getitem__, at))
-        # every row starts with the SNR cell: the separator of a join that starts at ""
-        body.append(f"{_fmt(snr_db)},".join(["", *rows]))
+        parts[0::5] = [f"{_fmt(snr_db)},"] * len(at)
+        parts[4::5] = map(cells.__getitem__, at)
+        body.append("".join(parts))
     out = args.out or "pep.csv"
-    _write_csv(out, header, "".join(body))
+    _write_csv(out, header, body)
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args, 1)
-    print(f"wrote {out} ({len(cfg.snr_grid_db) * len(keys)} rows)")
+    print(f"wrote {out} ({len(cfg.snr_grid_db) * len(at)} rows)")
     return 0
 
 

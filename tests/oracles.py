@@ -10,7 +10,10 @@ The per-event loops at the end are the exception: they rebuild the union
 bound, the closed-form capacity and the pep table one error event at a time
 from `pep_of_event(moments_*)` (whose moments and integrals the oracles
 above check), as the reference for the vectorised hypothesis-pair table;
-`pep_events_reference` lists the pep table's rows one event at a time.
+`pep_events_reference` lists the pep table's rows one event at a time, and
+`pep_csv_reference` formats the whole CSV from them line by line.
+`distances_reference` is `Channel.distances()` deduplicated over the full
+(K, K) table of gathered group distances.
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
 must count exactly: its draws (`ber_draw_reference`) and every trial decided by
 `ml_detect` at every power (`ber_decide_reference`, which also takes synthetic
@@ -25,9 +28,10 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate, special, stats
 
-from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, ml_detect,
-                        moments_joint, moments_rpm, moments_ssk, pep_of_event, rpm_phases, simulate)
-from irs_sskrpm.channel import Channel, rician_weights
+from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, make_channel,
+                        ml_detect, moments_joint, moments_rpm, moments_ssk, pep_of_event,
+                        rpm_phases, simulate, unit_moments)
+from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
 
@@ -309,6 +313,22 @@ def pair_distances_reference(points: np.ndarray) -> np.ndarray:
     return np.array([[abs(ci - cj) ** 2 for cj in points] for ci in points])
 
 
+def distances_reference(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """`Channel.distances()` by the rule that deduplicates the gathered (K, K) table:
+    each pair takes the folded group of turns nearest its offset, and `np.unique`
+    runs over the group distances read at every pair."""
+    first, group = _group(chan.turns)
+    owned = chan.turns[first][group]
+    offset = owned[None, :] - owned[:, None]
+    offset = np.abs(offset - np.rint(offset))
+    first, _ = _group(chan.turns, fold=True)
+    near = np.append(np.abs(chan.turns[first]), np.inf)
+    above = np.searchsorted(near, offset).clip(1)
+    nearest = np.where(offset - near[above - 1] <= near[above] - offset, above - 1, above)
+    d, index = np.unique((np.abs(1.0 - chan.points[first]) ** 2)[nearest], return_inverse=True)
+    return d, index.reshape(offset.shape)
+
+
 def _hamming(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 
@@ -378,6 +398,20 @@ def pep_rows_reference(chan: Channel, cfg: SystemConfig,
                 v = pep_of_event(mom, p_s)
                 rows.append([snr_db, "joint", t, t_hat, m, m_hat, v.exact, v.chiani])
     return rows
+
+
+def pep_csv_reference(cfg: SystemConfig, paper_literal_args: bool = False) -> str:
+    """The text of the `pep` CSV, one formatted line per event and SNR point: the
+    PEPs of the one unit law at each distinct distance, read through the pair index."""
+    chan = make_channel(cfg)
+    unit, (d, index) = unit_moments(chan), chan.distances()
+    lines = ["snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"]
+    for snr_db in cfg.snr_grid_db:
+        v = pep_of_event(unit, (2.0 if paper_literal_args else 1.0) * 10.0 ** (snr_db / 10.0) * d)
+        for key, i, j in pep_events_reference(cfg.n_t, cfg.m_rpm):
+            at = index[i, j]
+            lines.append(f"{float(snr_db)!r},{key},{float(v.exact[at])!r},{float(v.chiani[at])!r}")
+    return "\n".join(lines) + "\n"
 
 
 def pep_events_reference(n_t: int, m_rpm: int) -> list[tuple[str, int, int]]:

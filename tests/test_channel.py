@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
                         ml_detect, sample_g, steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
-from oracles import full_g_signatures, pair_distances_reference
+from oracles import distances_reference, full_g_signatures, pair_distances_reference
 from test_config import PATH_LOSS_4KM
 
 
@@ -233,6 +233,27 @@ def test_distances_on_coincident_and_stress_constellations():
     # 0.0035 turns); rounding the points' own distances splits 3 of them
     stress = validate(load_config(STRESS_CONFIG))
     assert make_channel(stress).distances()[0].size == 61
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(ON_RPM_STEPS))
+@example(cfg=validate(replace(SystemConfig(), n_t=8, m_rpm=8, phi_d=0.0)))
+@example(cfg=validate(NEAR_LOCATIONS))
+@example(cfg=validate(POINT_ON_EDGE))
+@example(cfg=validate(ANTIPODAL_EDGES))
+@example(cfg=validate(replace(SystemConfig(), n_t=4, m_rpm=4, phi_d=4.75202301763078e-13,
+                              delta_over_lambda=1.0)))
+@example(cfg=validate(load_config(STRESS_CONFIG)))
+def test_distances_deduplicate_the_group_distances_bitwise(cfg):
+    # the distinct distances come from the <= K group distances that some pair
+    # uses, not from the (K, K) table read at every pair: the same floats and
+    # the same index, bit for bit
+    d, index = make_channel(cfg).distances()
+    ref_d, ref_index = distances_reference(make_channel(cfg))
+    assert d.dtype == ref_d.dtype and index.dtype == ref_index.dtype
+    assert d.tobytes() == ref_d.tobytes()
+    np.testing.assert_array_equal(index, ref_index)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,11 +6,15 @@ loops in `oracles`, plus the Craig convergence check on scalar and array
 powers and on the commands that print an exact PEP."""
 
 import re
+import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
                         load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
@@ -18,8 +22,9 @@ from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity
 from irs_sskrpm import airlink, metrics, simulate
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
-from oracles import (aber_union_terms_reference, capacity_closed_reference,
-                     pep_events_reference, pep_rows_reference)
+from test_channel import ON_RPM_STEPS, STRESS_CONFIG, constellation_configs
+from oracles import (aber_union_terms_reference, capacity_closed_reference, pep_csv_reference,
+                     pep_rows_reference)
 
 GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 
@@ -169,20 +174,60 @@ def test_pep_csv_is_the_row_by_row_table(n_t, m_rpm, tmp_path):
     # and SNR point; n_t = m_rpm = 1 has no event and writes the header only
     cfg = validate(replace(SystemConfig(), n_t=n_t, m_rpm=m_rpm, n_r=2,
                            snr_grid_db=(0.0, 12.5, 30.0)))
-    chan = make_channel(cfg)
-    unit, (d, index) = unit_moments(chan), chan.distances()
     cfg_path, out = _write_cfg(tmp_path / "case.cfg", cfg), tmp_path / "pep.csv"
-    for lit, gain in ((False, 1.0), (True, 2.0)):
+    for lit in (False, True):
         argv = ["pep", "--config", cfg_path, "--out", str(out)]
         assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
-        lines = ["snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"]
-        for snr_db in cfg.snr_grid_db:
-            v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
-            for key, i, j in pep_events_reference(n_t, m_rpm):
-                at = index[i, j]
-                lines.append(f"{_fmt(snr_db)},{key},{float(v.exact[at])!r},"
-                             f"{float(v.chiani[at])!r}")
-        assert out.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+        assert out.read_text(encoding="ascii") == pep_csv_reference(cfg, lit)
+
+
+#: SNR grids of 1 to 5 values: negative, fractional and tiny ones among them,
+#: some of them repeated (which `validate` rejects: the grid is strictly increasing).
+SNR_GRIDS = st.lists(st.one_of(st.sampled_from([-2.5, 0.001, -10.0, 0.0, 17.5]),
+                               st.floats(-20.0, 60.0)), min_size=1, max_size=5).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=constellation_configs(), grid=SNR_GRIDS, lit=st.booleans())
+@example(cfg=validate(ON_RPM_STEPS), grid=[-2.5, 0.001, 0.001], lit=False)
+@example(cfg=validate(replace(SystemConfig(), n_t=8, m_rpm=8, phi_d=0.0)), grid=[-2.5, 0.001],
+         lit=True)
+def test_pep_csv_is_the_row_by_row_table_on_any_constellation(cfg, grid, lit):
+    # the template fill against one formatted line per event and SNR point, byte
+    # for byte; a grid with a repeated value is refused and writes no table
+    with tempfile.TemporaryDirectory() as tmp:
+        case = replace(cfg, snr_grid_db=tuple(grid))
+        out = Path(tmp) / "pep.csv"
+        argv = ["pep", "--config", _write_cfg(Path(tmp) / "case.cfg", case), "--out", str(out)]
+        code = main(argv + (["--paper-literal-args"] if lit else []))
+        if len(set(grid)) < len(grid):
+            assert code == 1 and not out.exists()
+            return
+        try:
+            expected = pep_csv_reference(validate(case), lit)
+        except NumericalError:
+            assert code == 2
+            return
+        assert code == 0
+        assert out.read_text(encoding="ascii") == expected
+
+
+def test_pep_writes_its_table_in_pieces():
+    # the per-point bodies go to the file as they are: the traced peak of one
+    # call stays within 3 times the CSV, where one joined body, its copy with
+    # the header and its encoding took 4.7 times
+    cfg = validate(replace(load_config(STRESS_CONFIG), snr_grid_db=(0.0, 10.0, 20.0)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "pep.csv"
+        argv = ["pep", "--config", _write_cfg(Path(tmp) / "stress.cfg", cfg), "--out", str(out)]
+        assert main(argv) == 0  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.stat().st_size
 
 
 def test_default_aber_runs_no_quadrature(monkeypatch, tmp_path, capsys):
