@@ -5,6 +5,8 @@ and its rank-1 Monte-Carlo kernel: statistics are sampled from raw draws of
 the full N x n_r matrix G and signature differences, and integrals are
 evaluated with scipy's adaptive quadrature against the closed-form density.
 These are the reference implementations the library is checked against.
+`craig_by_quadrature` integrates Craig's form itself, with the transform
+written out, as the reference for the library's node rule.
 
 The per-event loops at the end are the exception: they rebuild the union
 bound, the closed-form capacity and the pep table one error event at a time
@@ -265,6 +267,22 @@ def pep_by_quadrature(mom: ErrorEventMoments, p_s: float) -> float:
     val, _ = integrate.quad(integrand, 0.0, cut, points=pts or None,
                             limit=500, epsabs=1e-16, epsrel=1e-11)
     return val
+
+
+def craig_by_quadrature(mom: ErrorEventMoments, a: float) -> float:
+    """Adaptive quadrature of Craig's form (1/pi) int_0^{pi/2} L(a/(4 sin^2 w)) dw
+    at effective power a, with L the closed-form transform of xi; breakpoints at
+    sqrt(a)*10^k, k = -3..3, bracket the layer near w = 0 where L turns."""
+    def integrand(w):
+        s = a / (4.0 * math.sin(w) ** 2)
+        denom = 1.0 + 2.0 * s * mom.sigma_sq
+        return denom ** -mom.n_r * math.exp(-s * mom.s_sq / denom)
+
+    pts = [math.sqrt(a) * 10.0 ** k for k in range(-3, 4)]
+    val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0,
+                            points=[p for p in pts if 0 < p < math.pi / 2.0] or None,
+                            limit=400, epsabs=0.0, epsrel=1e-13)
+    return val / math.pi
 
 
 def crossing_snr(snr_db, values, level) -> float | None:

@@ -316,16 +316,31 @@ def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg
             in capsys.readouterr().err)
 
 
+#: -300 dB to 60 dB: effective powers from about 1e-32 to 4e6
+LOW_TO_HIGH = "snr_grid_db=-300,-140,-50,-30,-20,0,60\n"
+SMALL_STEP_CFG = ("n_t=2\nm_rpm=1\nn_r=1\nk_r=0.5\ndelta_over_lambda=0.05078125\n"
+                  "phi_d=0.5625\n")
+
+
+@pytest.mark.parametrize("scenario", ["small_step", "stress_nt8m8"])
 @pytest.mark.parametrize("argv", [["aber", "--mode", "analytic", "--exact-pep"], ["pep"]])
-def test_exact_pep_converges_at_small_effective_powers(tmp_path, argv):
-    # pair distance 0.0289: at -30 and -20 dB the Craig check escalates past
-    # orders 96/192 and converges, so both commands print every row
-    cfg = tmp_path / "small_step.cfg"
-    cfg.write_text("n_t=2\nm_rpm=1\nn_r=1\nk_r=0.5\ndelta_over_lambda=0.05078125\n"
-                   "phi_d=0.5625\nsnr_grid_db=-30,-20,0\n")
+def test_exact_pep_converges_at_small_effective_powers(tmp_path, argv, scenario):
+    # pair distances 0.0289 (small_step) and 0.0071 (stress_nt8m8): the Craig
+    # check passes at every point down to -300 dB, and every PEP is in (0, 1/2]
+    if scenario == "stress_nt8m8":
+        stress = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "scenarios",
+                              "stress_nt8m8.cfg")
+        with open(stress) as f:
+            text = "".join(line for line in f if not line.startswith("snr_grid_db="))
+    else:
+        text = SMALL_STEP_CFG
+    cfg = tmp_path / f"{scenario}.cfg"
+    cfg.write_text(text + LOW_TO_HIGH)
     out = tmp_path / "x.csv"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert sorted({row[0] for row in rows}) == ["-20.0", "-30.0", "0.0"]
+    assert sorted({float(row[0]) for row in rows}) == [-300, -140, -50, -30, -20, 0, 60]
     values = [float(v) for row in rows for v in (row[-2:] if argv[0] == "pep" else row[1:])]
-    assert values and all(0.0 < v <= 0.5 for v in values)
+    # the union bound sums Hamming-weighted PEPs, so only a lone pair keeps it below 1/2
+    top = 0.5 if argv[0] == "pep" or scenario == "small_step" else math.inf
+    assert values and all(0.0 < v <= top for v in values)

@@ -1,15 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
-                        aber_union_terms, capacity_closed, laplace, make_channel,
+                        aber_union_terms, capacity_closed, laplace, load_config, make_channel,
                         moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
                         run_sweep, unit_moments, validate)
-from irs_sskrpm import metrics
-from oracles import diversity_slope, pep_by_quadrature
+from oracles import craig_by_quadrature, diversity_slope, pep_by_quadrature
 
 
 def test_pep_at_zero_power(chan, cfg):
@@ -115,28 +115,47 @@ def test_craig_check_fails_closed_on_nan():
         pep_of_event(ErrorEventMoments(s_sq=math.nan, sigma_sq=0.5, n_r=1), 1.0)
 
 
-#: Two antennas a small phase step apart: pair distance 0.0289, so the effective
-#: powers of -30 and -20 dB fail the base Craig orders 96/192.
+#: Two antennas a small phase step apart: pair distance 0.0289, so -30 and
+#: -20 dB are the effective powers 2.9e-5 and 2.9e-4, inside the layer of the
+#: Craig integrand at w = 0.
 SMALL_STEP = replace(SystemConfig(), n_t=2, m_rpm=1, n_r=1, k_r=0.5,
                      delta_over_lambda=0.05078125, phi_d=0.5625)
 
+STRESS_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "scenarios",
+                             "stress_nt8m8.cfg")
 
-def test_craig_check_escalates_only_the_failing_powers():
-    # -30 and -20 dB (spreads 3.7e-8 and 1.1e-9 at 96/192) escalate alone and
-    # converge at 192/384; the powers that pass 96/192 keep the order-192
-    # value bitwise; at P_s d = 3e-8 even 384/768 disagree, and the check
-    # fails closed, alone or among passing powers
-    chan = make_channel(validate(SMALL_STEP))
-    mom, d = unit_moments(chan), chan.distances()[0][1]
-    p = np.array([1e-3, 1e-2, 1.0, 10.0]) * d
-    exact = pep_of_event(mom, p).exact
-    order = metrics.GL_ORDER
-    assert exact[2:].tobytes() == metrics._craig_at_order(mom, p, 2 * order)[2:].tobytes()
-    np.testing.assert_allclose(exact[:2], metrics._craig_at_order(mom, p[:2], 8 * order),
-                               rtol=1e-9, atol=0)
-    for bad in (3e-8, np.array([1.0, 3e-8])):
-        with pytest.raises(NumericalError, match="did not converge.*at orders 384/768"):
-            pep_of_event(mom, bad)
+
+def _unit_law(name: str):
+    """The unit law and the distinct pair distances of a named scenario."""
+    cfg = load_config(STRESS_CONFIG) if name == "stress_nt8m8" else validate(SMALL_STEP)
+    chan = make_channel(cfg)
+    return unit_moments(chan), chan.distances()[0]
+
+
+@pytest.mark.parametrize("name", ["stress_nt8m8", "small_step"])
+def test_pep_matches_the_craig_form_by_quadrature(name):
+    # the integrand turns within about sqrt(a) of w = 0, from a = 1e-20 to 1e10
+    # and at SMALL_STEP's -30/-20 dB and a = 3e-8; at a = 1e-14 nodes that miss
+    # the layer miss it at both orders alike, so the value is off while the
+    # order-doubling check passes
+    mom, d = _unit_law(name)
+    a = 10.0 ** (np.arange(-40, 21) / 2.0)
+    if name == "small_step":
+        a = np.concatenate([a, np.array([1e-3, 1e-2]) * d[1], [3e-8]])
+    assert 1e-14 in a
+    ref = [craig_by_quadrature(mom, float(x)) for x in a]
+    np.testing.assert_allclose(pep_of_event(mom, a).exact, ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("name", ["stress_nt8m8", "small_step"])
+def test_pep_stays_in_zero_half_and_falls_with_power(name):
+    # the rule overshoots 1/2 by a few ulps near zero power; the value is capped
+    # there, as Q(x) <= 1/2 for x >= 0
+    mom, d = _unit_law(name)
+    p = np.multiply.outer(10.0 ** (np.arange(-300, 61) / 10.0), d)
+    for exact in (pep_of_event(mom, p).exact, pep_of_event(mom, np.array([0.0, 1e-30])).exact):
+        assert np.all((exact >= 0.0) & (exact <= 0.5))
+        assert np.all(np.diff(exact, axis=0) <= 0.0)
 
 
 def test_chiani_fails_closed_on_nan(chan, cfg):
