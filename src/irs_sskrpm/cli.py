@@ -11,6 +11,7 @@ import datetime
 import json
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from itertools import chain, permutations
 
 from . import __version__
@@ -18,7 +19,7 @@ from .channel import make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
-from .simulate import draw_scheme, run_sweep, sweep_workers
+from .simulate import draw_scheme, run_sweep
 
 
 def _fmt(value) -> str:
@@ -38,7 +39,7 @@ def _write_csv(path: str, header: list[str], body: list[str]) -> None:
 
 
 def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None,
-                    args: argparse.Namespace, workers: int) -> None:
+                    args: argparse.Namespace) -> None:
     """The run's settings; "draws" says how simulated rows draw (None without them)."""
     manifest = {
         "tool": "irs-sskrpm",
@@ -48,7 +49,6 @@ def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None
         "config": asdict(cfg),
         "exact_pep": bool(getattr(args, "exact_pep", False)),
         "paper_literal_args": bool(getattr(args, "paper_literal_args", False)),
-        "workers": workers,
         "draws": draw_scheme(command) if mode in ("sim", "both") else None,
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -93,11 +93,9 @@ _SWEEP_COLUMNS = {"aber": (["aber_analytical"], ["aber_sim", "aber_stderr", "tri
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
-    workers = sweep_workers(cfg, args.mode)
     records = run_sweep(cfg, args.command, mode=args.mode,
                         exact_pep=getattr(args, "exact_pep", False),
-                        paper_literal_args=getattr(args, "paper_literal_args", False),
-                        workers=workers)
+                        paper_literal_args=getattr(args, "paper_literal_args", False))
     analytic, sim = _SWEEP_COLUMNS[args.command]
     header = ["snr_db", *(analytic if args.mode != "sim" else []),
               *(sim if args.mode != "analytic" else [])]
@@ -105,7 +103,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [",".join(_fmt(getattr(r, f)) for f in fields) + "\n" for r in records]
     out = args.out or f"{args.command}.csv"
     _write_csv(out, header, rows)
-    _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args, workers)
+    _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -140,11 +138,12 @@ def _cmd_pep(args: argparse.Namespace) -> int:
         body.append("".join(parts))
     out = args.out or "pep.csv"
     _write_csv(out, header, body)
-    _write_manifest(out + ".manifest.json", cfg, "pep", None, args, 1)
+    _write_manifest(out + ".manifest.json", cfg, "pep", None, args)
     print(f"wrote {out} ({len(cfg.snr_grid_db) * len(at)} rows)")
     return 0
 
 
+@cache  # one tree per process, built on the first main() call rather than at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irs-sskrpm",

@@ -36,7 +36,7 @@ class SystemConfig:
     """All physical and dimensional parameters of one scenario.
 
     Immutable after construction; `validate` checks the invariants and returns
-    the same object, so a validated config is safe to share across workers.
+    the same object.
     """
 
     n_t: int = 2                      # BS transmit antennas (power of two)

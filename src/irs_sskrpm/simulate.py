@@ -21,24 +21,18 @@ capacity chunk of sweep point i keeps the key (1, i, c) (power q of a call draws
 point point_index + q): the benchmark's capacity check (`perfbench/workloads.py`)
 recomputes each row's stderr with `point_index=i`, so that key changes only with
 the benchmark.
-The unit of parallel work is a contiguous block of SNR points: `run_sweep`
-maps its blocks over one process pool per simulating sweep, a block makes one
-call per column over its powers, and a point's result does not depend on its
-block or process, so a sweep is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .airlink import _ber_decide, _ber_walk, pair_classes
 from .channel import Channel, make_channel
-from .config import ConfigError, SystemConfig, validate
+from .config import SystemConfig, validate
 from .metrics import (NumericalError, _bits, _power, _shaped, aber_union, capacity_closed,
                       joint_distances)
 
@@ -66,28 +60,9 @@ class SweepRecord:
     trials: int
 
 
-def resolve_workers(workers: int | None = None, points: int | None = None) -> int:
-    """Process-pool size for a sweep's SNR points.
-
-    The IRS_SSKRPM_THREADS environment variable caps it (and supplies the
-    default when workers is None); the result is further clamped to the CPU
-    count and, when given, to the number of points.
-    """
-    env = os.environ.get("IRS_SSKRPM_THREADS")
-    try:
-        cap = None if env is None else max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"IRS_SSKRPM_THREADS={env!r} must be an integer") from None
-    if workers is None:
-        workers = cap or 1
-    limits = [v for v in (workers, cap, points, os.cpu_count() or 1) if v is not None]
-    return max(1, min(limits))
-
-
-def sweep_workers(cfg: SystemConfig, mode: str, workers: int | None = None) -> int:
-    """Process-pool size of a `run_sweep` of cfg in mode: 1 (no pool) for an
-    analytic sweep, else `resolve_workers(workers, points)`."""
-    return 1 if mode == "analytic" else resolve_workers(workers, len(cfg.snr_grid_db))
+def resolve_workers(_=None) -> int:
+    """1: every sweep runs in one process. Only the benchmark's run record reads it."""
+    return 1
 
 
 def _chunk_rng(seed: int, domain: int, point_index: int, chunk_index: int) -> np.random.Generator:
@@ -208,11 +183,25 @@ def draw_scheme(quantity: str) -> dict:
     return {"chunk_trials": CHUNK_TRIALS, "shared_across_points": quantity == "aber"}
 
 
-def _sweep_block(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
-                 paper_literal_args: bool, points: range) -> list[SweepRecord]:
-    """The rows of `run_sweep` at a contiguous block of cfg's SNR points: one
-    call per requested column over the block's powers."""
-    grid = cfg.snr_grid_db[points.start:points.stop]
+def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
+              paper_literal_args: bool = False) -> list[SweepRecord]:
+    """Evaluate quantity ("aber" or "capacity") at every SNR point of cfg's grid.
+
+    mode selects how: "analytic" (union bound, closed-form capacity), "sim"
+    (Monte-Carlo ABER and sampled capacity at cfg.trials per point) or
+    "both". Only quantity's fields are computed, the others stay None. Rows
+    are ordered by SNR and the whole sweep is deterministic for a fixed
+    cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
+    transform arguments). Each requested column is one call over the grid's powers.
+    """
+    validate(cfg)
+    if mode not in ("analytic", "sim", "both"):
+        raise ValueError(f"mode={mode!r} must be analytic, sim or both")
+    if quantity not in ("aber", "capacity"):
+        raise ValueError(f"quantity={quantity!r} must be aber or capacity")
+    grid = cfg.snr_grid_db
+    if not grid:
+        return []
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
     analytic, sim = mode != "sim", mode != "analytic"
     columns: list = [None] * 5  # aber_analytical, aber_sim, aber_stderr, cap_closed, cap_sim
@@ -225,39 +214,9 @@ def _sweep_block(cfg: SystemConfig, quantity: str, mode: str, exact_pep: bool,
         if quantity == "capacity" and analytic:
             columns[3] = capacity_closed(make_channel(cfg), cfg, powers)
         if quantity == "capacity" and sim:
-            columns[4] = simulate_capacity(cfg, powers, cfg.trials, cfg.seed, points.start)
+            columns[4] = simulate_capacity(cfg, powers, cfg.trials, cfg.seed)
     except NumericalError as exc:
         raise NumericalError(f"sweep points snr_db={list(grid)}: {exc}") from exc
-    # a single value (None for a column not computed) holds at every point of the block
+    # a single value (None for a column not computed) holds at every point
     values = [np.broadcast_to(v, len(grid)).tolist() for v in columns]
     return [SweepRecord(snr_db, *row, cfg.trials) for snr_db, *row in zip(grid, *values)]
-
-
-def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
-              paper_literal_args: bool = False, workers: int | None = 1) -> list[SweepRecord]:
-    """Evaluate quantity ("aber" or "capacity") at every SNR point of cfg's grid.
-
-    mode selects how: "analytic" (union bound, closed-form capacity), "sim"
-    (Monte-Carlo ABER and sampled capacity at cfg.trials per point) or
-    "both". Only quantity's fields are computed, the others stay None. Rows
-    are ordered by SNR and the whole sweep is deterministic for a fixed
-    cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
-    transform arguments). The points are split into one contiguous block per
-    worker of `sweep_workers(cfg, mode, workers)`, mapped over one pool of that
-    many processes when it is above 1.
-    """
-    validate(cfg)
-    if mode not in ("analytic", "sim", "both"):
-        raise ValueError(f"mode={mode!r} must be analytic, sim or both")
-    if quantity not in ("aber", "capacity"):
-        raise ValueError(f"quantity={quantity!r} must be aber or capacity")
-    n = len(cfg.snr_grid_db)
-    block = partial(_sweep_block, cfg, quantity, mode, exact_pep, paper_literal_args)
-    workers = sweep_workers(cfg, mode, workers)
-    edges = [n * w // workers for w in range(workers + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    if workers == 1:
-        return [row for rows in map(block, blocks) for row in rows]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(block, blocks) for row in rows]

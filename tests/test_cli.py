@@ -218,13 +218,6 @@ def test_capacity_sim_csv(tmp_path, quick_cfg, monkeypatch):
     assert caps == sorted(caps)
 
 
-def test_bad_thread_count_is_a_config_error(tmp_path, quick_cfg, monkeypatch, capsys):
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "lots")
-    assert main(["aber", "--config", quick_cfg, "--mode", "sim",
-                 "--out", str(tmp_path / "x.csv")]) == 1
-    assert "IRS_SSKRPM_THREADS" in capsys.readouterr().err
-
-
 def test_zero_bit_config_has_one_rule(tmp_path, capsys):
     # n_t = m_rpm = 1 carries no bits: every aber mode exits 1 without
     # writing a CSV, while capacity (0 bits/use) and pep (header only) run
@@ -246,19 +239,46 @@ def test_zero_bit_config_has_one_rule(tmp_path, capsys):
     assert out.read_text() == "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani\n"
 
 
-@pytest.mark.parametrize("mode, grid, pool", [("analytic", "0,20,40", 1), ("sim", "10", 1),
-                                              ("sim", "0,20,40", 2)])
-def test_manifest_records_the_pool_the_sweep_used(tmp_path, monkeypatch, mode, grid, pool):
-    # an analytic sweep opens no pool, a simulating one is clamped to its points
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "2")
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    cfg = tmp_path / "w.cfg"
-    cfg.write_text(QUICK.replace("snr_grid_db=0,20,40", f"snr_grid_db={grid}"))
-    out = str(tmp_path / "a.csv")
-    assert main(["aber", "--config", str(cfg), "--mode", mode, "--trials", "200",
-                 "--out", out]) == 0
-    with open(out + ".manifest.json") as fh:
-        assert json.load(fh)["workers"] == pool
+def test_sweeps_run_in_one_process_whatever_the_environment(tmp_path, quick_cfg, monkeypatch):
+    # no sweep opens a process pool or reads IRS_SSKRPM_THREADS, and the
+    # manifest records no worker count
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep opened a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for command in ("aber", "capacity"):
+        outputs = []
+        for threads in (None, "lots"):
+            if threads is None:
+                monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("IRS_SSKRPM_THREADS", threads)
+            out = str(tmp_path / f"{command}_{threads}.csv")
+            assert main([command, "--config", quick_cfg, "--mode", "both", "--out", out]) == 0
+            with open(out + ".manifest.json") as fh:
+                assert "workers" not in json.load(fh)
+            outputs.append(open(out, "rb").read())
+        assert outputs[0] == outputs[1]
+
+
+def test_a_second_main_call_builds_no_parser(monkeypatch):
+    # the argparse tree is built once per process, on the first call
+    import argparse
+
+    argv = ["validate", "--config", config_path("aber_n16.cfg")]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("argv, draws", [
@@ -302,8 +322,8 @@ def test_analytic_layer_is_finite_where_the_transform_overflows(tmp_path, argv):
 
 def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg, monkeypatch,
                                                              capsys):
-    # an analytic sweep is one block, evaluated in one call per column: a
-    # failure names every SNR value of the block
+    # a sweep is evaluated in one call per column over its grid: a failure
+    # names every SNR value of the sweep
     from irs_sskrpm import metrics
 
     def failing(*args):

@@ -273,7 +273,7 @@ def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
 def test_a_sweep_builds_its_pair_classes_once(command, mode, monkeypatch, tmp_path):
     # the pair classes, and the joint distances read from them, do not depend
     # on the SNR: each requested column builds them once in its one call over
-    # the block's powers, so a 21-point sweep builds them as often as a
+    # the grid's powers, so a 21-point sweep builds them as often as a
     # 2-point one
     calls = []
 
@@ -283,7 +283,6 @@ def test_a_sweep_builds_its_pair_classes_once(command, mode, monkeypatch, tmp_pa
 
     for module in (metrics, simulate):
         monkeypatch.setattr(module, "pair_classes", counted)
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "1")
     full = validate(load_config(config_path("aber_n16.cfg")))
     assert len(full.snr_grid_db) == 21
     counts = []

@@ -1,7 +1,5 @@
 import math
-import os
 import tracemalloc
-from concurrent import futures
 from dataclasses import replace
 from unittest import mock
 
@@ -9,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from irs_sskrpm import (ConfigError, NumericalError, SystemConfig, aber_union, aber_union_terms,
+from irs_sskrpm import (NumericalError, SystemConfig, aber_union, aber_union_terms,
                         capacity_closed, joint_distances, load_config, make_channel, run_sweep,
                         simulate_ber, simulate_capacity, validate)
 from irs_sskrpm import airlink, simulate
 from irs_sskrpm.airlink import pair_classes
-from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import (ber_chunk_reference, ber_decide_reference, ber_draw_reference, ber_full_g,
                      ml_detect_reference)
@@ -144,35 +141,10 @@ def test_capacity_pair_blocks_do_not_change_the_estimate(monkeypatch):
     assert simulate_capacity(cfg, 10.0, 3000, seed=8) == pytest.approx(whole, rel=1e-13)
 
 
-def test_resolve_workers_env_not_an_integer(monkeypatch):
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "two")
-    with pytest.raises(ConfigError, match="IRS_SSKRPM_THREADS"):
-        resolve_workers(None)
-
-
-def test_resolve_workers_clamps(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(64) == 4
-    assert resolve_workers(64, points=3) == 3
-    assert resolve_workers(2, points=10) == 2
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "10000")
-    assert resolve_workers(None) == 4
-    assert resolve_workers(None, points=2) == 2
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "3")
-    assert resolve_workers(8) == 3
-    monkeypatch.setenv("IRS_SSKRPM_THREADS", "0")
-    assert resolve_workers(None) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert resolve_workers(8) == 1
-
-
 def test_run_sweep_empty_grid(cfg):
     empty = validate(replace(cfg, snr_grid_db=()))
     assert run_sweep(empty, "aber", mode="analytic") == []
-    assert run_sweep(empty, "capacity", mode="sim", workers=2) == []
+    assert run_sweep(empty, "capacity", mode="sim") == []
 
 
 def test_run_sweep_repeatable(cfg):
@@ -181,18 +153,6 @@ def test_run_sweep_repeatable(cfg):
     second = run_sweep(quick, "aber", mode="both")
     assert first == second
     assert [r.snr_db for r in first] == [0.0, 10.0, 20.0]
-
-
-@pytest.mark.parametrize("quantity", ["aber", "capacity"])
-def test_run_sweep_deterministic_across_workers(cfg, quantity, monkeypatch):
-    # resolve_workers clamps to the CPU count: report 3 CPUs so a 3-process
-    # pool really opens on any host
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
-    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
-    quick = validate(replace(cfg, **FAST))
-    assert simulate.sweep_workers(quick, "both", 3) == 3
-    serial = run_sweep(quick, quantity, "both", workers=1)
-    assert serial == run_sweep(quick, quantity, "both", workers=3)
 
 
 @st.composite
@@ -314,19 +274,6 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
 
 
 @settings(max_examples=8, deadline=None)
-@given(cfg=sweep_configs(), quantity=st.sampled_from(["aber", "capacity"]),
-       mode=st.sampled_from(["sim", "both"]), workers=st.integers(2, 3))
-def test_run_sweep_records_do_not_depend_on_the_worker_count(cfg, quantity, mode, workers):
-    assume(quantity == "capacity" or cfg.bits_total > 0)
-    env = {k: v for k, v in os.environ.items() if k != "IRS_SSKRPM_THREADS"}
-    with mock.patch("os.cpu_count", return_value=3), mock.patch.dict(os.environ, env, clear=True):
-        pooled = min(workers, len(cfg.snr_grid_db))
-        assert simulate.sweep_workers(cfg, mode, workers) == pooled > 1
-        serial = run_sweep(cfg, quantity, mode, workers=1)
-        assert run_sweep(cfg, quantity, mode, workers=workers) == serial
-
-
-@settings(max_examples=8, deadline=None)
 @given(cfg=sweep_configs())
 def test_ber_sweep_rows_are_common_random_numbers(cfg):
     # every row of a simulated ABER sweep is decided on the same draws: row i
@@ -391,26 +338,6 @@ def test_a_call_over_powers_is_the_scalar_calls_at_each_power(cfg, data):
             else:
                 got, want = np.array(got), np.stack([np.array(v) for v in want], axis=-1)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-
-
-def test_run_sweep_opens_one_pool_per_simulating_sweep(cfg, monkeypatch):
-    quick = validate(replace(cfg, **FAST))
-    opened = []
-
-    class CountingPool(futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
-    pooled = run_sweep(quick, "aber", mode="sim", workers=2)
-    assert opened == [2]
-    assert pooled == run_sweep(quick, "aber", mode="sim", workers=1)
-    assert opened == [2]
-    run_sweep(quick, "capacity", mode="analytic", workers=2)
-    assert opened == [2]
 
 
 def test_run_sweep_modes(cfg):
