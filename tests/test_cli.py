@@ -239,7 +239,9 @@ def test_zero_bit_config_has_one_rule(tmp_path, capsys):
     assert out.read_text() == "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani\n"
 
 
-def test_sweeps_run_in_one_process_whatever_the_environment(tmp_path, quick_cfg, monkeypatch):
+@pytest.mark.parametrize("command", ["aber", "capacity"])
+def test_sweeps_run_in_one_process_whatever_the_environment(tmp_path, quick_cfg, monkeypatch,
+                                                            command):
     # no sweep opens a process pool or reads IRS_SSKRPM_THREADS, and the
     # manifest records no worker count
     import concurrent.futures
@@ -248,19 +250,39 @@ def test_sweeps_run_in_one_process_whatever_the_environment(tmp_path, quick_cfg,
         raise AssertionError("a sweep opened a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for command in ("aber", "capacity"):
-        outputs = []
-        for threads in (None, "lots"):
-            if threads is None:
-                monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("IRS_SSKRPM_THREADS", threads)
-            out = str(tmp_path / f"{command}_{threads}.csv")
-            assert main([command, "--config", quick_cfg, "--mode", "both", "--out", out]) == 0
-            with open(out + ".manifest.json") as fh:
-                assert "workers" not in json.load(fh)
-            outputs.append(open(out, "rb").read())
-        assert outputs[0] == outputs[1]
+    outputs = []
+    for threads in (None, "lots"):
+        if threads is None:
+            monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IRS_SSKRPM_THREADS", threads)
+        out = str(tmp_path / f"{command}_{threads}.csv")
+        assert main([command, "--config", quick_cfg, "--mode", "both", "--out", out]) == 0
+        with open(out + ".manifest.json") as fh:
+            assert "workers" not in json.load(fh)
+        outputs.append(open(out, "rb").read())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["aber", "--mode", "sim"], ["capacity", "--mode", "analytic"],
+                                  ["pep"]], ids=["aber-sim", "capacity-analytic", "pep"])
+def test_manifest_holds_exactly_the_run_settings(tmp_path, quick_cfg, argv):
+    # the sidecar's keys are the settings a rerun needs plus its start time;
+    # the config snapshot is every SystemConfig field
+    from dataclasses import fields
+
+    from irs_sskrpm import SystemConfig
+
+    out = str(tmp_path / "o.csv")
+    assert main([*argv, "--config", quick_cfg, "--trials", "100", "--out", out]) == 0
+    with open(out + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert set(manifest) == {"tool", "version", "command", "mode", "config", "exact_pep",
+                             "paper_literal_args", "draws", "started_utc"}
+    assert manifest["command"] == argv[0]
+    assert manifest["mode"] == (argv[2] if len(argv) > 2 else None)
+    assert set(manifest["config"]) == {f.name for f in fields(SystemConfig)}
+    assert manifest["config"]["trials"] == 100
 
 
 def test_a_second_main_call_builds_no_parser(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -12,6 +13,7 @@ from irs_sskrpm import (NumericalError, SystemConfig, aber_union, aber_union_ter
                         simulate_ber, simulate_capacity, validate)
 from irs_sskrpm import airlink, simulate
 from irs_sskrpm.airlink import pair_classes
+from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import (ber_chunk_reference, ber_decide_reference, ber_draw_reference, ber_full_g,
                      ml_detect_reference)
@@ -141,6 +143,43 @@ def test_capacity_pair_blocks_do_not_change_the_estimate(monkeypatch):
     assert simulate_capacity(cfg, 10.0, 3000, seed=8) == pytest.approx(whole, rel=1e-13)
 
 
+def test_resolve_workers_env_not_an_integer(monkeypatch):
+    # IRS_SSKRPM_THREADS is not read: a value that is not an integer is no error
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "two")
+    assert resolve_workers(None) == 1
+
+
+def test_resolve_workers_clamps(monkeypatch):
+    # every sweep runs in one process, whatever is requested, set in
+    # IRS_SSKRPM_THREADS or reported as the CPU count
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.delenv("IRS_SSKRPM_THREADS", raising=False)
+    for threads in (None, "10000", "3", "0"):
+        if threads is not None:
+            monkeypatch.setenv("IRS_SSKRPM_THREADS", threads)
+        assert [resolve_workers(n) for n in (None, 0, 2, 8, 64)] == [1] * 5
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert resolve_workers(8) == 1
+
+
+def _rows_of_blocks(cfg, quantity, mode, blocks):
+    """The rows of cfg's sweep evaluated as `blocks` contiguous blocks of its grid,
+    each block swept on its own; a block's sampled capacity draws the chunks of its
+    points' indices in the whole grid."""
+    rows = []
+    for block in np.array_split(np.arange(len(cfg.snr_grid_db)), blocks):
+        if not block.size:
+            continue
+        part = validate(replace(cfg, snr_grid_db=tuple(cfg.snr_grid_db[i] for i in block)))
+        got = run_sweep(part, quantity, mode)
+        if quantity == "capacity" and mode != "analytic":
+            p = np.array([10.0 ** (snr_db / 10.0) for snr_db in part.snr_grid_db])
+            caps = simulate_capacity(part, p, cfg.trials, cfg.seed, point_index=int(block[0]))
+            got = [replace(r, cap_sim=c) for r, c in zip(got, caps.tolist())]
+        rows += got
+    return rows
+
+
 def test_run_sweep_empty_grid(cfg):
     empty = validate(replace(cfg, snr_grid_db=()))
     assert run_sweep(empty, "aber", mode="analytic") == []
@@ -153,6 +192,32 @@ def test_run_sweep_repeatable(cfg):
     second = run_sweep(quick, "aber", mode="both")
     assert first == second
     assert [r.snr_db for r in first] == [0.0, 10.0, 20.0]
+
+
+@pytest.mark.parametrize("quantity", ["aber", "capacity"])
+def test_run_sweep_deterministic_across_workers(cfg, quantity, monkeypatch):
+    # the one-process sweep is the sweep of any split of its grid into
+    # contiguous blocks, which a pool of workers would evaluate one each, and
+    # neither the CPU count nor IRS_SSKRPM_THREADS changes it
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.setenv("IRS_SSKRPM_THREADS", "3")
+    quick = validate(replace(cfg, **FAST))
+    serial = run_sweep(quick, quantity, "both")
+    assert serial == _rows_of_blocks(quick, quantity, "both", 3)
+    assert serial == _rows_of_blocks(quick, quantity, "both", 2)
+    monkeypatch.delenv("IRS_SSKRPM_THREADS")
+    assert run_sweep(quick, quantity, "both") == serial
+
+
+def test_capacity_sweep_rows_draw_at_their_point_index(cfg):
+    # row i of a sampled capacity sweep is simulate_capacity alone at its power
+    # with point_index=i, the call the benchmark's capacity check makes
+    quick = validate(replace(cfg, **FAST))
+    rows = run_sweep(quick, "capacity", "sim")
+    for i, r in enumerate(rows):
+        p = 10.0 ** (r.snr_db / 10.0)
+        assert r.cap_sim == simulate_capacity(quick, p, quick.trials, quick.seed, point_index=i)
+    assert len({r.cap_sim for r in rows}) == len(rows)
 
 
 @st.composite
@@ -271,6 +336,21 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
         assert peaks[1] <= bound * peaks[0], (path, peaks)
+
+
+@settings(max_examples=8, deadline=None)
+@given(cfg=sweep_configs(), quantity=st.sampled_from(["aber", "capacity"]),
+       mode=st.sampled_from(["sim", "both"]), workers=st.integers(2, 3))
+def test_run_sweep_records_do_not_depend_on_the_worker_count(cfg, quantity, mode, workers):
+    # splitting the grid into `workers` blocks, as a pool of workers would,
+    # gives the one-process sweep's records, and IRS_SSKRPM_THREADS is not read
+    assume(quantity == "capacity" or cfg.bits_total > 0)
+    env = {k: v for k, v in os.environ.items() if k != "IRS_SSKRPM_THREADS"}
+    with mock.patch.dict(os.environ, env, clear=True):
+        serial = run_sweep(cfg, quantity, mode)
+    assert _rows_of_blocks(cfg, quantity, mode, workers) == serial
+    with mock.patch.dict(os.environ, {"IRS_SSKRPM_THREADS": str(workers)}):
+        assert run_sweep(cfg, quantity, mode) == serial
 
 
 @settings(max_examples=8, deadline=None)
