@@ -72,11 +72,10 @@ def _ber_walk(chan: Channel, hamming: np.ndarray, sqrt_ps: np.ndarray) -> tuple:
             *(v.reshape(2 * k, -1).T.copy() for v in edge), hamming.ravel())  # flat Hamming table
 
 
-@np.errstate(invalid="ignore")
 def _crossing(cot: np.ndarray, invsin: np.ndarray, r: np.ndarray, y: np.ndarray, x: np.ndarray):
     """The amplitude a = y cot[r] - x where the angle of a + x + jy (y > 0) crosses an edge
     (cot, 1/sin), and the top a + tol of the band where rounding may put the detector on
-    either side of it. At cot -inf, 1/sin 0 the top is NaN: never crossed."""
+    either side of it. At cot -inf, 1/sin 0 the top is NaN (callers silence it): never crossed."""
     a = cot[r] * y - x
     return a, (np.abs(a) + y + np.abs(x)) * invsin[r] * _SLACK + a
 
@@ -91,9 +90,10 @@ def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tupl
     j of `Channel.edges` (on the side of Im u) once, at a_j = |Im u| cot beta_j - Re u,
     decreasing in j. A trial counts its home's Hamming distance plus a step per edge
     crossed, walked edge by edge (one searchsorted and one bincount each) until its next
-    crossing is below the smallest amplitude. `ml_detect` decides zero power, the pairs
-    within `_SLACK` of a crossing, and every pair of a trial whose u or home edge is within
-    `_NEAR` of the real axis or the point: the counts are bitwise `ml_detect`'s."""
+    crossing is below the smallest amplitude. `ml_detect` decides zero power and, replayed
+    only if the chunk has any, the pairs within `_SLACK` of a crossing and every pair of a
+    trial whose u or home edge is within `_NEAR` of the real axis or the point: the counts
+    are bitwise `ml_detect`'s."""
     amps, inverse, narrow, home, cot, invsin, step, flat = walk
     k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
     amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
@@ -101,7 +101,7 @@ def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tupl
         counts[0] = flat[code * k + ml_detect(wedges, noise, 0.0)].sum()
     if not amps.size:
         return counts[inverse]
-    u = chan.points.conj()[code] * noise / (chan.sqrt_nu * energy)
+    u = chan.points.conj()[code] * noise * (1.0 / (chan.sqrt_nu * energy))  # bitwise the quotient
     row = k * (u.imag >= 0) + code
     y, x = np.abs(u.imag), u.real.copy()
     del u
@@ -109,20 +109,24 @@ def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tupl
     y[dense] = np.nan  # the walk passes them by
     ids, live, gains, hits = None, (row, y, x), np.zeros(amps.size + 1), []
     below = np.append(-np.inf, amps)  # below[i]: the largest of the first i amplitudes
-    for j in range(cot.shape[0]):
-        a, top = _crossing(cot[j], invsin[j], *live)
-        go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
-        if not go.size:
-            break
-        ids, a, top = go if ids is None else ids[go], a[go], top[go]
-        live = tuple(v[go] for v in live)
-        above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
-        gains += np.bincount(above, step[j][live[0]], amps.size + 1)
-        a = 2.0 * a - top  # the bottom of the band
-        hit = np.flatnonzero(below[above] >= a)
-        hits.append((ids[hit], np.searchsorted(amps, a[hit]), above[hit]))
-        del a, top, above
+    with np.errstate(invalid="ignore"):
+        for j in range(cot.shape[0]):
+            a, top = _crossing(cot[j], invsin[j], *live)
+            go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
+            if not go.size:
+                break
+            ids, a, top = go if ids is None else ids[go], a[go], top[go]
+            live = tuple(v[go] for v in live)
+            above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
+            gains += np.bincount(above, step[j][live[0]], amps.size + 1)
+            a = 2.0 * a - top  # the bottom of the band
+            hit = np.flatnonzero(below[above] >= a)
+            if hit.size:
+                hits.append((ids[hit], np.searchsorted(amps, a[hit]), above[hit]))
+            del a, top, above
     counts[zero:] = home[row].sum() + np.cumsum(gains[::-1])[::-1][1:]
+    if not (hits or dense.any()):
+        return counts[inverse]
     # ml_detect decides every amplitude of a dense trial and those in each band, each
     # pair once, in place of the walk's count
     dense = np.flatnonzero(dense)
@@ -130,14 +134,14 @@ def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tupl
     size = hi - lo
     pair = np.sort(np.repeat(t * amps.size + lo - np.cumsum(size) + size, size) + np.arange(size.sum()))
     pair = pair[np.diff(pair, prepend=-1) > 0]
-    if pair.size:
-        t, p = np.divmod(pair, amps.size)
-        r, model, on = row[t], home[row[t]], True
+    t, p = np.divmod(pair, amps.size)  # not empty: a dense trial or a band has a pair
+    r, model, on = row[t], home[row[t]], True
+    with np.errstate(invalid="ignore"):
         for j in range(cot.shape[0]):  # the walk's count of each pair, replayed
             top = _crossing(cot[j], invsin[j], r, y[t], x[t])[1]
             model += on * (amps[p] <= top) * step[j][r]
             on &= top >= amps[0]
-        ip = (amps[p] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
-        errors = flat[code[t] * k + ml_detect(wedges, ip, amps[0])] - model
-        counts[zero:] += np.bincount(p, errors, amps.size).astype(np.int64)
+    ip = (amps[p] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
+    errors = flat[code[t] * k + ml_detect(wedges, ip, amps[0])] - model
+    counts[zero:] += np.bincount(p, errors, amps.size).astype(np.int64)
     return counts[inverse]

@@ -146,6 +146,10 @@ class Channel:
         """The ML decision regions (`airlink.ml_detect`): the ascending bisectors of
         the locations' angles, closed into a ring a turn below and above, and the
         owner of each interval: an angle in [-pi, pi] decides winners[bisectors below it]."""
+        return self._wedge_table
+
+    @cached_property
+    def _wedge_table(self) -> tuple[np.ndarray, np.ndarray]:
         owner, _ = _group(self.turns)
         owner = owner[np.argsort(self.turns[owner])]
         angle = 2.0 * np.pi * self.turns[owner]

@@ -10,7 +10,7 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from functools import cache
 from itertools import chain, permutations
 
@@ -46,7 +46,7 @@ def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None
         "version": __version__,
         "command": command,
         "mode": mode,
-        "config": asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "exact_pep": bool(getattr(args, "exact_pep", False)),
         "paper_literal_args": bool(getattr(args, "paper_literal_args", False)),
         "draws": draw_scheme(command) if mode in ("sim", "both") else None,
@@ -99,8 +99,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     analytic, sim = _SWEEP_COLUMNS[args.command]
     header = ["snr_db", *(analytic if args.mode != "sim" else []),
               *(sim if args.mode != "analytic" else [])]
-    fields = ["trials" if col == "samples" else col for col in header]
-    rows = [",".join(_fmt(getattr(r, f)) for f in fields) + "\n" for r in records]
+    attrs = ["trials" if col == "samples" else col for col in header]
+    rows = [",".join(_fmt(getattr(r, a)) for a in attrs) + "\n" for r in records]
     out = args.out or f"{args.command}.csv"
     _write_csv(out, header, rows)
     _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args)

@@ -76,8 +76,9 @@ def _chunk_sizes(total: int) -> list[int]:
 
 
 def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """CN(0, 1) entries: real and imaginary parts each of variance 1/2."""
-    return math.sqrt(0.5) * rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+    """CN(0, 1) entries: a float draw scaled in place to variance 1/2, viewed as complex."""
+    parts = rng.standard_normal((*shape, 2))
+    return np.multiply(parts, math.sqrt(0.5), out=parts).view(np.complex128)[..., 0]
 
 
 def _ber_draw(chan: Channel, seed: int, chunk_index: int,

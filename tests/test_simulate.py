@@ -242,6 +242,9 @@ KERNEL_SNR_DB = st.sampled_from([-math.inf, *np.arange(-30.0, 61.0, 2.5).tolist(
          chunk=1, n=2000)
 @example(cfg=validate(load_config(STRESS_CONFIG)), snr_db=[40.0, 0.0, 20.0, -math.inf, 0.0],
          chunk=2, n=3000)
+# the benchmark's grid on a full chunk, which leaves no pair to ml_detect (no replay)
+@example(cfg=validate(load_config(config_path("aber_n32.cfg"))),
+         snr_db=np.arange(0.0, 41.0, 2.0).tolist(), chunk=0, n=8192)
 @given(cfg=sweep_configs(), snr_db=st.lists(KERNEL_SNR_DB, min_size=1, max_size=8),
        chunk=st.integers(0, 3), n=st.integers(1, 4096))
 def test_ber_chunk_counts_exactly_what_the_dense_reference_counts(cfg, snr_db, chunk, n):
