@@ -94,7 +94,8 @@ def pep_chiani(mom: ErrorEventMoments, p_s):
     """Chiani closed-form PEP of an error event at transmit power p_s (unit
     noise), of p_s's shape; a non-finite value raises NumericalError."""
     p = _power(p_s)
-    v = laplace(mom, p / 4.0) / 12.0 + laplace(mom, p / 3.0) / 4.0
+    quarter, third = laplace(mom, np.stack([p / 4.0, p / 3.0]))
+    v = quarter / 12.0 + third / 4.0
     if not np.all(np.isfinite(v)):
         raise NumericalError("Chiani closed-form PEP is not finite")
     return v
@@ -113,7 +114,7 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     """
     p = _power(p_s)
     lo, hi = (_craig_at_order(mom, p, order) for order in (GL_ORDER, 2 * GL_ORDER))
-    spread = np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300))
+    spread = np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300), initial=0.0)
     if not spread <= _MAX_REL_SPREAD:
         raise NumericalError(f"Craig quadrature did not converge: spread {spread:.3e} at "
                              f"orders {GL_ORDER}/{2 * GL_ORDER}")
@@ -140,10 +141,10 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = Fa
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
     same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
-    masks, scale = (same_m, same_t, ~same_t & ~same_m), dist.shape[0] * b
-    # one K x K gather and 1-D sums per power: a (P, K, K) gather raises the peak
-    # memory, and a 2-D sum over all powers rounds differently from a lone call
-    terms = [[w[mask].sum() for mask in masks] for w in (dist * row[index] / scale for row in pep)]
+    masks = (same_m, same_t, ~same_t & ~same_m)
+    classes, scale = [(index[mask], dist[mask]) for mask in masks], dist.shape[0] * b
+    # each class gathered once; one 1-D sum per class and power, as a lone call makes
+    terms = [[(weight * row[at] / scale).sum() for at, weight in classes] for row in pep]
     return tuple(_shaped(column, p) for column in np.reshape(terms, (-1, 3)).T)
 
 

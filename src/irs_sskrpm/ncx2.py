@@ -101,15 +101,20 @@ def moments_joint(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
 def laplace(mom: ErrorEventMoments, a):
     """E[exp(-a*xi)] = (1 + 2*a*sigma^2)^(-n_r) * exp(-a*s^2 / (1 + 2*a*sigma^2)).
 
-    Finite for every a >= 0, and its exact limit 0 where a is infinite or
-    1 + 2*a*sigma^2 overflows; negative a is accepted only inside the
-    stability region 1 + 2*a*sigma^2 > 0.
+    Evaluated with no pow, as exp(-a*s^2*x) times x^n_r, x = 1/(1 + 2*a*sigma^2). Finite
+    for every a >= 0, with the exact limit 0 where a is infinite or 1 + 2*a*sigma^2
+    overflows; negative a is accepted only inside the stability region 1 + 2*a*sigma^2 > 0.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = 1.0 + 2.0 * a * mom.sigma_sq
+        denom = 1.0 + a * (2.0 * mom.sigma_sq)
         if np.any(denom <= 0.0):
             raise ValueError("transform argument outside the stability region")
-        out = denom ** (-mom.n_r) * np.exp(-a * mom.s_sq / denom)
-    out = np.where((denom == np.inf) | (a == np.inf), 0.0, out)
+        x = 1.0 / denom
+        out, n = np.exp(a * -mom.s_sq * x), mom.n_r
+        while n:  # times x^n_r by square-and-multiply
+            out, n = (out * x if n & 1 else out), n >> 1
+            x = x * x if n else x
+    limit = np.isinf(denom) if mom.sigma_sq else a == np.inf  # denom is NaN at sigma^2 = 0
+    out = np.where(limit, 0.0, out) if limit.any() else out
     return out if out.shape else float(out)

@@ -102,8 +102,8 @@ def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np
 
 
 def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
-    """Estimate the average bit error rate at transmit power p_s, a scalar or a
-    1-D array of powers.
+    """Estimate the average bit error rate at transmit power p_s, a scalar or an
+    array of powers (an empty one included).
 
     Per trial: uniform information bits, channel redraw, noisy reception and
     joint ML detection; returns (errors / (bits * trials), binomial standard

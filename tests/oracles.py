@@ -15,7 +15,8 @@ above check), as the reference for the vectorised hypothesis-pair table;
 `pep_events_reference` lists the pep table's rows one event at a time, and
 `pep_csv_reference` formats the whole CSV from them line by line.
 `distances_reference` is `Channel.distances()` deduplicated over the full
-(K, K) table of gathered group distances.
+(K, K) table of gathered group distances, and `aber_union_terms_table_reference`
+sums the library's PEPs through the full (K, K) table of weighted terms.
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
 must count exactly: its draws (`ber_draw_reference`) and every trial decided by
 `ml_detect` at every power (`ber_decide_reference`, which also takes synthetic
@@ -31,8 +32,9 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, make_channel,
-                        ml_detect, moments_joint, moments_rpm, moments_ssk, pep_of_event,
-                        rpm_phases, simulate, unit_moments)
+                        ml_detect, moments_joint, moments_rpm, moments_ssk, pep_chiani,
+                        pep_of_event, rpm_phases, simulate, unit_moments)
+from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
@@ -382,6 +384,24 @@ def aber_union_terms_reference(chan: Channel, cfg: SystemConfig, p_s: float,
             mom = moments_joint(h, g_bar, cfg, t, t_hat, m, m_hat)
             p_joint += d * pick(pep_of_event(mom, p_s))
     return (p_ssk, p_rpm, p_joint / (cfg.m_rpm * cfg.n_t * b))
+
+
+def aber_union_terms_table_reference(chan: Channel, cfg: SystemConfig, p_s,
+                                     exact_pep: bool = False) -> tuple:
+    """`aber_union_terms` from the library's PEPs at the distinct distances, summed
+    through the full (K, K) table: per power, the Hamming-weighted terms
+    dist * pep[index] / (K b) of every ordered pair, compressed through each class
+    mask (antenna-only, phase-only, joint) and summed in 1-D. Floats for a scalar
+    p_s, else arrays of its shape."""
+    d, index = chan.distances()
+    p = np.asarray(p_s, dtype=float)
+    mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
+    pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
+    same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
+    masks, scale = (same_m, same_t, ~same_t & ~same_m), dist.shape[0] * cfg.bits_total
+    terms = [[w[mask].sum() for mask in masks] for w in (dist * row[index] / scale for row in pep)]
+    return tuple(float(c[0]) if not p.shape else np.array(c, dtype=float).reshape(p.shape)
+                 for c in np.reshape(terms, (-1, 3)).T)
 
 
 def capacity_closed_reference(chan: Channel, cfg: SystemConfig, p_s: float) -> float:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
                         aber_union_terms, capacity_closed, laplace, load_config, make_channel,
                         moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
-                        run_sweep, unit_moments, validate)
+                        run_sweep, simulate_ber, simulate_capacity, unit_moments, validate)
 from oracles import craig_by_quadrature, diversity_slope, pep_by_quadrature
 
 
@@ -107,6 +107,27 @@ def test_non_finite_power_is_rejected(chan, cfg, bad):
         aber_union(chan, cfg, bad, exact_pep=True)
     with pytest.raises(ValueError, match="finite"):
         capacity_closed(chan, cfg, bad)
+
+
+#: Every function that takes an array of powers, as a map from p to its arrays.
+ARRAY_FUNCTIONS = {
+    "pep_of_event": lambda chan, cfg, p: vars(pep_of_event(unit_moments(chan), p)).values(),
+    "pep_chiani": lambda chan, cfg, p: (pep_chiani(unit_moments(chan), p),),
+    "aber_union": lambda chan, cfg, p: (aber_union(chan, cfg, p),),
+    "aber_union exact": lambda chan, cfg, p: (aber_union(chan, cfg, p, exact_pep=True),),
+    "capacity_closed": lambda chan, cfg, p: (capacity_closed(chan, cfg, p),),
+    "simulate_ber": lambda chan, cfg, p: simulate_ber(cfg, p, 200, seed=1),
+    "simulate_capacity": lambda chan, cfg, p: simulate_capacity(cfg, p, 200, 1, with_stderr=True),
+}
+
+
+@pytest.mark.parametrize("p", [np.array([]), np.array([[0.0, 1.0], [10.0, 1e3]])],
+                         ids=["empty", "2x2"])
+@pytest.mark.parametrize("name", sorted(ARRAY_FUNCTIONS))
+def test_array_powers_return_the_shape_of_p(chan, cfg, name, p):
+    # an empty array of powers is an empty answer, not a failed reduction
+    for value in ARRAY_FUNCTIONS[name](chan, cfg, p):
+        assert isinstance(value, np.ndarray) and value.shape == p.shape, name
 
 
 def test_craig_check_fails_closed_on_nan():

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -237,3 +238,44 @@ def test_laplace_decreasing_and_log_convex():
     assert np.all(np.diff(vals) < 0)
     log_vals = np.log(vals)
     assert np.all(np.diff(log_vals, 2) >= -1e-12)
+
+
+#: (s^2, sigma^2) of the 50-digit check: central, the stress scenario's unit law,
+#: and two noncentral laws up to s^2 / (2 sigma^2) = 21, where exp's argument,
+#: and so its rounding, is largest.
+MP_LAWS = [(0.0, 0.8), (1.153411170414086, 0.43983597025763155), (2.0, 0.5), (25.0, 0.6)]
+#: a from 1e-20 to 1e300 in steps of a quarter decade.
+MP_ARGS = 10.0 ** (np.arange(-80, 1201) / 4.0)
+
+
+def _closed_form_50_digits(s_sq: float, sigma_sq: float, n_r: int, a: float) -> float:
+    """(1 + 2 a sigma^2)^(-n_r) exp(-a s^2 / (1 + 2 a sigma^2)) at 50 digits, rounded once."""
+    with mpmath.workdps(50):
+        a, denom = mpmath.mpf(a), 1 + 2 * mpmath.mpf(a) * mpmath.mpf(sigma_sq)
+        return float(denom ** -n_r * mpmath.exp(-a * mpmath.mpf(s_sq) / denom))
+
+
+@pytest.mark.parametrize("n_r", range(1, 9))
+def test_laplace_matches_the_closed_form_to_50_digits(n_r):
+    # n_r = 1..8 runs every branch of the square-and-multiply power: within 1e-14
+    # of the 50-digit value wherever it exceeds 1e-290, exactly 0 where a is
+    # infinite or 1 + 2 a sigma^2 overflows, NaN for NaN, a float for a float
+    for s_sq, sigma_sq in MP_LAWS:
+        mom = ErrorEventMoments(s_sq=s_sq, sigma_sq=sigma_sq, n_r=n_r)
+        want = np.array([_closed_form_50_digits(s_sq, sigma_sq, n_r, a) for a in MP_ARGS])
+        got, keep = laplace(mom, MP_ARGS), want > 1e-290
+        assert keep[:200].all()  # a up to 1e30 at least
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-14, atol=0)
+        assert np.all((got[~keep] >= 0.0) & (got[~keep] <= 1e-289))
+        if 2.0 * sigma_sq > 1.0 / 0.9:  # 1 + 2 a sigma^2 overflows from a = 0.9 * max on
+            big = np.finfo(float).max * np.array([0.9, 1.0])
+            np.testing.assert_array_equal(laplace(mom, big), 0.0)
+        assert type(laplace(mom, 0.5)) is float and laplace(mom, np.inf) == 0.0
+        assert laplace(mom, 1.0) == laplace(mom, np.array([1.0]))[0]
+        assert np.isnan(laplace(mom, np.nan)) and np.isnan(laplace(mom, [1.0, np.nan])[1])
+        assert laplace(mom, -0.999 / (2.0 * sigma_sq)) > 1.0
+        for outside in (-1.0 / (2.0 * sigma_sq), -1e300, -np.inf):
+            with pytest.raises(ValueError, match="stability region"):
+                laplace(mom, np.array([1.0, outside]))
+    singular = ErrorEventMoments(s_sq=0.7, sigma_sq=0.0, n_r=n_r)
+    assert laplace(singular, np.inf) == 0.0 and laplace(singular, 2.0) == np.exp(-1.4)

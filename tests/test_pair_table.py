@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
                         load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
@@ -23,8 +23,9 @@ from irs_sskrpm import airlink, metrics, simulate
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
 from test_channel import ON_RPM_STEPS, STRESS_CONFIG, constellation_configs
-from oracles import (aber_union_terms_reference, capacity_closed_reference, pep_csv_reference,
-                     pep_rows_reference)
+from test_simulate import sweep_configs
+from oracles import (aber_union_terms_reference, aber_union_terms_table_reference,
+                     capacity_closed_reference, pep_csv_reference, pep_rows_reference)
 
 GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 
@@ -101,6 +102,29 @@ def test_a_call_over_the_grid_is_bitwise_the_scalar_calls(case):
         want = np.stack([np.array(column(float(v))) for v in p], axis=-1)
         got = np.array(column(p))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+#: Powers of the union-bound oracle test: zero and -30 to 60 dB.
+UNION_POWERS = st.one_of(st.just(0.0), st.floats(-30.0, 60.0).map(lambda db: 10.0 ** (db / 10.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@example(cfg=validate(load_config(STRESS_CONFIG)), powers=[1.0, 10.0, 1e3, 1e6, 0.0])
+@example(cfg=validate(CASES["coincident"]()), powers=[0.0, 1.0, 1e3])
+@example(cfg=validate(ON_RPM_STEPS), powers=[1e-3, 3.0, 1e5])
+@given(cfg=sweep_configs(), powers=st.lists(UNION_POWERS, min_size=1, max_size=6))
+def test_union_terms_are_bitwise_the_pair_table_sum(cfg, powers):
+    # one gather per pair class and 1-D sums per power against the (K, K) table
+    # compressed through the class masks: the same terms in the same order, so
+    # the same bits, for Chiani and exact PEPs, scalar and array powers
+    assume(cfg.bits_total > 0)
+    chan = make_channel(cfg)
+    for p_s in (powers[0], np.array(powers), np.resize(powers, (2, 2))):
+        for exact in (False, True):
+            for got, want in zip(aber_union_terms(chan, cfg, p_s, exact),
+                                 aber_union_terms_table_reference(chan, cfg, p_s, exact)):
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("lit", [False, True])
