@@ -1,12 +1,16 @@
-"""Compare the CSVs two source trees write for the shipped scenarios.
+"""Compare what two source trees write and print for the shipped scenarios.
 
     python3 scripts/compare_outputs.py PARENT_TREE CHANGE_TREE [--out DIR]
 
 Each tree's `src/` runs `aber` (every mode, --exact-pep, --paper-literal-args),
 `capacity` and `pep` on configs/*.cfg and perfbench/scenarios/*.cfg of this
-checkout, in one process per tree. The script prints the byte-identical files,
-then per column the cells that moved, of all cells compared, and the largest
-relative change |b - a| / |a|. Standard library only.
+checkout, in one process per tree. Each run leaves three files: its CSV; its
+exit code, stdout and stderr (`<command>.run.json`, with the side's output
+folder replaced by `<out>`); and its manifest without `started_utc`
+(`<command>.csv.manifest.json`). The script prints each file as identical or
+differing, then per CSV column the cells that moved, of all cells compared,
+and the largest relative change |b - a| / |a|, and last the count of identical
+files. Standard library only.
 """
 
 from __future__ import annotations
@@ -25,20 +29,37 @@ COMMANDS = {f"aber_{mode}": ["aber", "--mode", mode] for mode in ("analytic", "s
 COMMANDS.update(aber_exact=["aber", "--mode", "analytic", "--exact-pep"],
                 aber_literal=["aber", "--mode", "analytic", "--paper-literal-args"],
                 capacity=["capacity", "--mode", "both"], pep=["pep"])
-RUN = "import json, sys, irs_sskrpm.cli as cli\n[cli.main(a) for a in json.loads(sys.argv[1])]"
+# each run's exit code, stdout and stderr, captured around cli.main in the one process
+RUN = """\
+import contextlib, io, json, sys, irs_sskrpm.cli as cli
+for record, argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    with open(record, "w", encoding="utf-8") as fh:
+        json.dump({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, fh)
+"""
 
 
 def write_outputs(tree: Path, out: Path) -> None:
-    """Every command on every scenario, with tree's package, into out/<scenario>/<command>.csv."""
+    """Every command on every scenario, with tree's package, into out/<scenario>/<command>.*;
+    then the run records and manifests rewritten without the side's folder and start time."""
     runs = []
     for cfg in sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/scenarios/*.cfg")):
         folder = out / f"{cfg.parent.name}_{cfg.stem}"
         folder.mkdir(parents=True, exist_ok=True)
-        runs += [argv + ["--config", str(cfg), "--out", str(folder / f"{name}.csv")]
+        runs += [(str(folder / f"{name}.run.json"),
+                  argv + ["--config", str(cfg), "--out", str(folder / f"{name}.csv")])
                  for name, argv in COMMANDS.items()]
     subprocess.run([sys.executable, "-c", RUN, json.dumps(runs)], check=True, cwd=out,
-                   env={**os.environ, "PYTHONPATH": str(tree.resolve() / "src")},
-                   stdout=subprocess.DEVNULL)
+                   env={**os.environ, "PYTHONPATH": str(tree.resolve() / "src")})
+    for record in out.glob("*/*.run.json"):
+        record.write_text(record.read_text(encoding="utf-8").replace(str(out), "<out>"),
+                          encoding="utf-8")
+    for path in out.glob("*/*.manifest.json"):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest.pop("started_utc", None)
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def relative(a: str, b: str) -> float:
@@ -53,18 +74,23 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--out", type=Path, default=None, help="keep the CSVs here")
+    parser.add_argument("--out", type=Path, default=None, help="keep the outputs here")
     args = parser.parse_args()
-    out = args.out or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    out = (args.out or Path(tempfile.mkdtemp(prefix="compare_outputs_"))).resolve()
     for side, tree in (("a", args.parent), ("b", args.change)):
         write_outputs(tree, out / side)
-    columns: dict[str, list] = {}
-    for a in sorted((out / "a").glob("*/*.csv")):
+    files = sorted((out / "a").glob("*/*"))
+    same = 0
+    for a in files:
         b = out / "b" / a.relative_to(out / "a")
         if not b.is_file():
             sys.exit(f"{b}: not written")
-        if b.read_bytes() == a.read_bytes():
-            print(f"identical {a.relative_to(out / 'a')}")
+        identical = b.read_bytes() == a.read_bytes()
+        same += identical
+        print(f"{'identical' if identical else 'differs'} {a.relative_to(out / 'a')}")
+    columns: dict[str, list] = {}
+    for a in (f for f in files if f.suffix == ".csv"):
+        b = out / "b" / a.relative_to(out / "a")
         rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
         if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
             sys.exit(f"{b}: header or row count differs")
@@ -74,6 +100,7 @@ def main() -> None:
             columns[key] = [stat[0] + len(moved), stat[1] + len(col_a), max([stat[2], *moved])]
     for key, (moved, total, worst) in columns.items():
         print(f"column {key}: {moved} of {total} cells moved, largest relative change {worst:.2e}")
+    print(f"{same} of {len(files)} files identical")
 
 
 if __name__ == "__main__":

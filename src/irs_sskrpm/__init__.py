@@ -12,8 +12,7 @@ from .metrics import (NumericalError, PepValue, aber_union, aber_union_terms,
                       capacity_closed, joint_distances, pep_chiani, pep_of_event)
 from .ncx2 import (ErrorEventMoments, laplace, moments_joint, moments_rpm,
                    moments_ssk, unit_moments)
-from .simulate import (SweepRecord, run_sweep, simulate_ber,
-                       simulate_capacity)
+from .simulate import run_sweep, simulate_ber, simulate_capacity
 
 __all__ = [
     "__version__",
@@ -25,5 +24,5 @@ __all__ = [
     "unit_moments", "laplace",
     "PepValue", "NumericalError", "pep_chiani", "pep_of_event", "aber_union", "aber_union_terms",
     "capacity_closed", "joint_distances",
-    "SweepRecord", "simulate_ber", "simulate_capacity", "run_sweep",
+    "simulate_ber", "simulate_capacity", "run_sweep",
 ]

@@ -84,25 +84,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CSV columns after snr_db of each sweep command, (analytic, sim); "samples"
-#: is the per-point trial count under the capacity command's name for it.
-_SWEEP_COLUMNS = {"aber": (["aber_analytical"], ["aber_sim", "aber_stderr", "trials"]),
-                  "capacity": (["cap_closed"], ["cap_sim", "samples"])}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
-    records = run_sweep(cfg, args.command, mode=args.mode,
+    columns = run_sweep(cfg, args.command, mode=args.mode,
                         exact_pep=getattr(args, "exact_pep", False),
                         paper_literal_args=getattr(args, "paper_literal_args", False))
-    analytic, sim = _SWEEP_COLUMNS[args.command]
-    header = ["snr_db", *(analytic if args.mode != "sim" else []),
-              *(sim if args.mode != "analytic" else [])]
-    attrs = ["trials" if col == "samples" else col for col in header]
-    rows = [",".join(_fmt(getattr(r, a)) for a in attrs) + "\n" for r in records]
+    rows = [",".join(map(_fmt, row)) + "\n" for row in zip(*columns.values())]
     out = args.out or f"{args.command}.csv"
-    _write_csv(out, header, rows)
+    _write_csv(out, list(columns), rows)
     _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0

@@ -125,16 +125,11 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-_INT_FIELDS = {"n_t", "n_r", "n_x", "n_y", "m_rpm", "seed", "trials"}
-
-
 def _parse_value(key: str, raw: str, lineno: int):
     try:
         if key == "snr_grid_db":
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if key in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return type(getattr(SystemConfig, key))(raw)  # int or float, as the field's default
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: cannot parse {key}={raw!r}") from exc
 

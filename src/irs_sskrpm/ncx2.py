@@ -103,12 +103,13 @@ def laplace(mom: ErrorEventMoments, a):
 
     Evaluated with no pow, as exp(-a*s^2*x) times x^n_r, x = 1/(1 + 2*a*sigma^2). Finite
     for every a >= 0, with the exact limit 0 where a is infinite or 1 + 2*a*sigma^2
-    overflows; negative a is accepted only inside the stability region 1 + 2*a*sigma^2 > 0.
+    overflows; NaN stays NaN. A finite negative a is accepted only inside the stability
+    region 1 + 2*a*sigma^2 > 0, and a = -inf never, whatever sigma^2.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = 1.0 + a * (2.0 * mom.sigma_sq)
-        if np.any(denom <= 0.0):
+        if np.any(denom <= 0.0 if mom.sigma_sq else a == -np.inf):  # 1 + -inf * 0 is NaN
             raise ValueError("transform argument outside the stability region")
         x = 1.0 / denom
         out, n = np.exp(a * -mom.s_sq * x), mom.n_r

@@ -26,7 +26,6 @@ the benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,19 +44,6 @@ _PAIR_BLOCK_ELEMENTS = 1 << 20
 
 _DOMAIN_BER = 0
 _DOMAIN_CAPACITY = 1
-
-
-@dataclass
-class SweepRecord:
-    """One (SNR, config) row of a sweep; fields not requested are None."""
-
-    snr_db: float
-    aber_analytical: float | None
-    aber_sim: float | None
-    aber_stderr: float | None
-    cap_closed: float | None
-    cap_sim: float | None
-    trials: int
 
 
 def resolve_workers(_=None) -> int:
@@ -185,15 +171,18 @@ def draw_scheme(quantity: str) -> dict:
 
 
 def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
-              paper_literal_args: bool = False) -> list[SweepRecord]:
+              paper_literal_args: bool = False) -> dict[str, list]:
     """Evaluate quantity ("aber" or "capacity") at every SNR point of cfg's grid.
 
     mode selects how: "analytic" (union bound, closed-form capacity), "sim"
     (Monte-Carlo ABER and sampled capacity at cfg.trials per point) or
-    "both". Only quantity's fields are computed, the others stay None. Rows
-    are ordered by SNR and the whole sweep is deterministic for a fixed
+    "both". Returns the sweep's CSV columns, keyed by header name in CSV order,
+    one entry per SNR point: snr_db; aber_analytical or cap_closed unless mode
+    is "sim"; aber_sim, aber_stderr, trials or cap_sim, samples unless mode is
+    "analytic". Only quantity's columns are computed, each by one call over
+    the grid's powers, and the whole sweep is deterministic for a fixed
     cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
-    transform arguments). Each requested column is one call over the grid's powers.
+    transform arguments).
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
@@ -201,23 +190,22 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     if quantity not in ("aber", "capacity"):
         raise ValueError(f"quantity={quantity!r} must be aber or capacity")
     grid = cfg.snr_grid_db
-    if not grid:
-        return []
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in grid])
     analytic, sim = mode != "sim", mode != "analytic"
-    columns: list = [None] * 5  # aber_analytical, aber_sim, aber_stderr, cap_closed, cap_sim
+    columns = {"snr_db": grid}
     try:
         if quantity == "aber" and analytic:
-            columns[0] = aber_union(make_channel(cfg), cfg,
-                                    2 * powers if paper_literal_args else powers, exact_pep)
+            columns["aber_analytical"] = aber_union(
+                make_channel(cfg), cfg, 2 * powers if paper_literal_args else powers, exact_pep)
         if quantity == "aber" and sim:
-            columns[1:3] = simulate_ber(cfg, powers, cfg.trials, cfg.seed)
+            aber, stderr = simulate_ber(cfg, powers, cfg.trials, cfg.seed)
+            columns.update(aber_sim=aber, aber_stderr=stderr, trials=cfg.trials)
         if quantity == "capacity" and analytic:
-            columns[3] = capacity_closed(make_channel(cfg), cfg, powers)
+            columns["cap_closed"] = capacity_closed(make_channel(cfg), cfg, powers)
         if quantity == "capacity" and sim:
-            columns[4] = simulate_capacity(cfg, powers, cfg.trials, cfg.seed)
+            columns.update(cap_sim=simulate_capacity(cfg, powers, cfg.trials, cfg.seed),
+                           samples=cfg.trials)
     except NumericalError as exc:
         raise NumericalError(f"sweep points snr_db={list(grid)}: {exc}") from exc
-    # a single value (None for a column not computed) holds at every point
-    values = [np.broadcast_to(v, len(grid)).tolist() for v in columns]
-    return [SweepRecord(snr_db, *row, cfg.trials) for snr_db, *row in zip(grid, *values)]
+    # a single value, such as the trial count, holds at every point
+    return {key: np.broadcast_to(v, len(grid)).tolist() for key, v in columns.items()}

@@ -113,10 +113,21 @@ def test_aber_both_csv_contract(tmp_path, quick_cfg):
     assert manifest["config"]["seed"] == 7
 
 
-def test_aber_analytic_mode_header(tmp_path, quick_cfg):
+SWEEP_HEADERS = {
+    ("aber", "analytic"): "snr_db,aber_analytical",
+    ("aber", "sim"): "snr_db,aber_sim,aber_stderr,trials",
+    ("aber", "both"): "snr_db,aber_analytical,aber_sim,aber_stderr,trials",
+    ("capacity", "analytic"): "snr_db,cap_closed",
+    ("capacity", "sim"): "snr_db,cap_sim,samples",
+    ("capacity", "both"): "snr_db,cap_closed,cap_sim,samples",
+}
+
+
+@pytest.mark.parametrize("command, mode", SWEEP_HEADERS)
+def test_sweep_mode_header(tmp_path, quick_cfg, command, mode):
     out = str(tmp_path / "a.csv")
-    assert main(["aber", "--config", quick_cfg, "--mode", "analytic", "--out", out]) == 0
-    assert open(out).readline().strip() == "snr_db,aber_analytical"
+    assert main([command, "--config", quick_cfg, "--mode", mode, "--out", out]) == 0
+    assert open(out).readline().strip() == SWEEP_HEADERS[command, mode]
 
 
 def test_aber_csv_is_reproducible(tmp_path, quick_cfg):

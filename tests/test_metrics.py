@@ -91,9 +91,9 @@ def test_paper_literal_args_doubles_transform_argument(chan, cfg):
 
 def test_run_sweep_literal_rows_are_the_bound_at_double_power(chan, cfg):
     for exact in (False, True):
-        rows = run_sweep(cfg, "aber", mode="analytic", exact_pep=exact,
-                         paper_literal_args=True)
-        assert [r.aber_analytical for r in rows] == [
+        columns = run_sweep(cfg, "aber", mode="analytic", exact_pep=exact,
+                            paper_literal_args=True)
+        assert columns["aber_analytical"] == [
             aber_union(chan, cfg, 2.0 * 10.0 ** (s / 10.0), exact) for s in cfg.snr_grid_db]
 
 

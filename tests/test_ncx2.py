@@ -204,6 +204,14 @@ def test_laplace_stability_region():
     assert laplace(mom, -0.2) > 1.0
     with pytest.raises(ValueError):
         laplace(mom, -0.5)
+    # at sigma^2 = 0 every finite a is inside the region, but a = -inf is not,
+    # while NaN stays NaN and +inf gives the limit 0
+    for s_sq in (0.0, 0.7):
+        flat = ErrorEventMoments(s_sq=s_sq, sigma_sq=0.0, n_r=2)
+        for a in (-np.inf, np.array([1.0, -np.inf])):
+            with pytest.raises(ValueError, match="stability region"):
+                laplace(flat, a)
+        assert np.isnan(laplace(flat, np.nan)) and laplace(flat, np.inf) == 0.0
 
 
 def test_laplace_limit_where_the_argument_overflows():

@@ -162,11 +162,11 @@ def test_resolve_workers_clamps(monkeypatch):
     assert resolve_workers(8) == 1
 
 
-def _rows_of_blocks(cfg, quantity, mode, blocks):
-    """The rows of cfg's sweep evaluated as `blocks` contiguous blocks of its grid,
-    each block swept on its own; a block's sampled capacity draws the chunks of its
-    points' indices in the whole grid."""
-    rows = []
+def _sweep_of_blocks(cfg, quantity, mode, blocks):
+    """The columns of cfg's sweep evaluated as `blocks` contiguous blocks of its
+    grid, each block swept on its own and the blocks' columns joined in order; a
+    block's sampled capacity draws the chunks of its points' indices in the whole grid."""
+    columns = {}
     for block in np.array_split(np.arange(len(cfg.snr_grid_db)), blocks):
         if not block.size:
             continue
@@ -175,15 +175,18 @@ def _rows_of_blocks(cfg, quantity, mode, blocks):
         if quantity == "capacity" and mode != "analytic":
             p = np.array([10.0 ** (snr_db / 10.0) for snr_db in part.snr_grid_db])
             caps = simulate_capacity(part, p, cfg.trials, cfg.seed, point_index=int(block[0]))
-            got = [replace(r, cap_sim=c) for r, c in zip(got, caps.tolist())]
-        rows += got
-    return rows
+            got["cap_sim"] = caps.tolist()
+        for key, values in got.items():
+            columns.setdefault(key, []).extend(values)
+    return columns
 
 
 def test_run_sweep_empty_grid(cfg):
+    # an empty grid gives the mode's columns, each with no entry
     empty = validate(replace(cfg, snr_grid_db=()))
-    assert run_sweep(empty, "aber", mode="analytic") == []
-    assert run_sweep(empty, "capacity", mode="sim") == []
+    assert run_sweep(empty, "aber", mode="analytic") == {"snr_db": [], "aber_analytical": []}
+    assert run_sweep(empty, "capacity", mode="sim") == {"snr_db": [], "cap_sim": [],
+                                                        "samples": []}
 
 
 def test_run_sweep_repeatable(cfg):
@@ -191,33 +194,33 @@ def test_run_sweep_repeatable(cfg):
     first = run_sweep(quick, "aber", mode="both")
     second = run_sweep(quick, "aber", mode="both")
     assert first == second
-    assert [r.snr_db for r in first] == [0.0, 10.0, 20.0]
+    assert first["snr_db"] == [0.0, 10.0, 20.0]
 
 
 @pytest.mark.parametrize("quantity", ["aber", "capacity"])
-def test_run_sweep_deterministic_across_workers(cfg, quantity, monkeypatch):
-    # the one-process sweep is the sweep of any split of its grid into
-    # contiguous blocks, which a pool of workers would evaluate one each, and
-    # neither the CPU count nor IRS_SSKRPM_THREADS changes it
+def test_run_sweep_equals_the_sweep_of_its_contiguous_blocks(cfg, quantity, monkeypatch):
+    # a sweep is the sweep of any split of its grid into contiguous blocks,
+    # each swept on its own, and neither the CPU count nor a leftover
+    # IRS_SSKRPM_THREADS (read by nothing) changes it
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setenv("IRS_SSKRPM_THREADS", "3")
     quick = validate(replace(cfg, **FAST))
-    serial = run_sweep(quick, quantity, "both")
-    assert serial == _rows_of_blocks(quick, quantity, "both", 3)
-    assert serial == _rows_of_blocks(quick, quantity, "both", 2)
+    whole = run_sweep(quick, quantity, "both")
+    assert whole == _sweep_of_blocks(quick, quantity, "both", 3)
+    assert whole == _sweep_of_blocks(quick, quantity, "both", 2)
     monkeypatch.delenv("IRS_SSKRPM_THREADS")
-    assert run_sweep(quick, quantity, "both") == serial
+    assert run_sweep(quick, quantity, "both") == whole
 
 
 def test_capacity_sweep_rows_draw_at_their_point_index(cfg):
     # row i of a sampled capacity sweep is simulate_capacity alone at its power
     # with point_index=i, the call the benchmark's capacity check makes
     quick = validate(replace(cfg, **FAST))
-    rows = run_sweep(quick, "capacity", "sim")
-    for i, r in enumerate(rows):
-        p = 10.0 ** (r.snr_db / 10.0)
-        assert r.cap_sim == simulate_capacity(quick, p, quick.trials, quick.seed, point_index=i)
-    assert len({r.cap_sim for r in rows}) == len(rows)
+    columns = run_sweep(quick, "capacity", "sim")
+    for i, (snr_db, cap) in enumerate(zip(columns["snr_db"], columns["cap_sim"])):
+        p = 10.0 ** (snr_db / 10.0)
+        assert cap == simulate_capacity(quick, p, quick.trials, quick.seed, point_index=i)
+    assert len(set(columns["cap_sim"])) == len(columns["snr_db"])
 
 
 @st.composite
@@ -343,17 +346,17 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
 
 @settings(max_examples=8, deadline=None)
 @given(cfg=sweep_configs(), quantity=st.sampled_from(["aber", "capacity"]),
-       mode=st.sampled_from(["sim", "both"]), workers=st.integers(2, 3))
-def test_run_sweep_records_do_not_depend_on_the_worker_count(cfg, quantity, mode, workers):
-    # splitting the grid into `workers` blocks, as a pool of workers would,
-    # gives the one-process sweep's records, and IRS_SSKRPM_THREADS is not read
+       mode=st.sampled_from(["sim", "both"]), blocks=st.integers(2, 3))
+def test_any_sweep_equals_the_sweep_of_its_contiguous_blocks(cfg, quantity, mode, blocks):
+    # splitting the grid into 2 or 3 contiguous blocks, each swept on its own,
+    # gives the whole sweep's columns, and IRS_SSKRPM_THREADS is not read
     assume(quantity == "capacity" or cfg.bits_total > 0)
     env = {k: v for k, v in os.environ.items() if k != "IRS_SSKRPM_THREADS"}
     with mock.patch.dict(os.environ, env, clear=True):
-        serial = run_sweep(cfg, quantity, mode)
-    assert _rows_of_blocks(cfg, quantity, mode, workers) == serial
-    with mock.patch.dict(os.environ, {"IRS_SSKRPM_THREADS": str(workers)}):
-        assert run_sweep(cfg, quantity, mode) == serial
+        whole = run_sweep(cfg, quantity, mode)
+    assert _sweep_of_blocks(cfg, quantity, mode, blocks) == whole
+    with mock.patch.dict(os.environ, {"IRS_SSKRPM_THREADS": str(blocks)}):
+        assert run_sweep(cfg, quantity, mode) == whole
 
 
 @settings(max_examples=8, deadline=None)
@@ -363,12 +366,12 @@ def test_ber_sweep_rows_are_common_random_numbers(cfg):
     # is simulate_ber at its own power alone, a point's value does not depend
     # on the other points of the grid, and the draws move with the seed
     assume(cfg.bits_total > 0)
-    rows = run_sweep(cfg, "aber", "sim")
-    for r in rows:
-        alone = simulate_ber(cfg, 10.0 ** (r.snr_db / 10.0), cfg.trials, cfg.seed)
-        assert (r.aber_sim, r.aber_stderr) == alone
+    columns = run_sweep(cfg, "aber", "sim")
+    for snr_db, *row in zip(columns["snr_db"], columns["aber_sim"], columns["aber_stderr"]):
+        alone = simulate_ber(cfg, 10.0 ** (snr_db / 10.0), cfg.trials, cfg.seed)
+        assert tuple(row) == alone
     last = validate(replace(cfg, snr_grid_db=cfg.snr_grid_db[-1:]))
-    assert run_sweep(last, "aber", "sim") == rows[-1:]
+    assert run_sweep(last, "aber", "sim") == {k: v[-1:] for k, v in columns.items()}
     # at zero power over one chunk the error count alone has a spread of over
     # 45, so three other seeds all reproducing every value has odds below 1e-6
     p = np.array([0.0, *(10.0 ** (np.array(cfg.snr_grid_db) / 10.0))])
@@ -425,12 +428,16 @@ def test_a_call_over_powers_is_the_scalar_calls_at_each_power(cfg, data):
 
 def test_run_sweep_modes(cfg):
     quick = validate(replace(cfg, **FAST))
+    # a mode's columns are computed at every point, and no other column is present
     aber = run_sweep(quick, "aber", mode="analytic")
-    assert all(r.aber_analytical is not None and r.aber_sim is None for r in aber)
+    assert list(aber) == ["snr_db", "aber_analytical"] and len(aber["aber_analytical"]) == 3
+    assert None not in aber["aber_analytical"]
     capacity = run_sweep(quick, "capacity", mode="analytic")
-    assert all(r.cap_closed is not None and r.cap_sim is None for r in capacity)
+    assert list(capacity) == ["snr_db", "cap_closed"] and len(capacity["cap_closed"]) == 3
+    assert None not in capacity["cap_closed"]
     sim = run_sweep(quick, "aber", mode="sim")
-    assert all(r.aber_analytical is None and r.aber_sim is not None for r in sim)
+    assert list(sim) == ["snr_db", "aber_sim", "aber_stderr", "trials"]
+    assert len(sim["aber_sim"]) == 3 and None not in sim["aber_sim"]
     with pytest.raises(ValueError, match="mode"):
         run_sweep(quick, "aber", mode="exact")
 
@@ -443,36 +450,39 @@ def test_run_sweep_computes_only_requested_quantities(cfg, monkeypatch):
 
     for name in ("capacity_closed", "simulate_capacity"):
         monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
-    rows = run_sweep(quick, "aber", mode="both")
-    assert all(r.cap_closed is None and r.cap_sim is None for r in rows)
-    assert all(r.aber_analytical is not None and r.aber_sim is not None for r in rows)
+    columns = run_sweep(quick, "aber", mode="both")
+    assert "cap_closed" not in columns and "cap_sim" not in columns
+    assert None not in columns["aber_analytical"] + columns["aber_sim"]
     monkeypatch.undo()
     for name in ("aber_union", "simulate_ber"):
         monkeypatch.setattr(f"irs_sskrpm.simulate.{name}", forbidden)
-    rows = run_sweep(quick, "capacity", mode="both")
-    assert all(r.aber_analytical is None and r.aber_sim is None for r in rows)
-    assert all(r.cap_closed is not None and r.cap_sim is not None for r in rows)
+    columns = run_sweep(quick, "capacity", mode="both")
+    assert "aber_analytical" not in columns and "aber_sim" not in columns
+    assert None not in columns["cap_closed"] + columns["cap_sim"]
     with pytest.raises(ValueError, match="quantity"):
         run_sweep(quick, "ber")
 
 
 def test_run_sweep_stderr_contract(cfg):
     quick = validate(replace(cfg, **FAST))
-    for r in run_sweep(quick, "aber", mode="sim"):
-        expected = np.sqrt(r.aber_sim * (1 - r.aber_sim) / (r.trials * quick.bits_total))
-        assert r.aber_stderr == pytest.approx(expected, rel=1e-12)
-        assert 0.0 <= r.aber_sim <= 1.0
+    columns = run_sweep(quick, "aber", mode="sim")
+    for aber, stderr, trials in zip(columns["aber_sim"], columns["aber_stderr"],
+                                    columns["trials"]):
+        expected = np.sqrt(aber * (1 - aber) / (trials * quick.bits_total))
+        assert stderr == pytest.approx(expected, rel=1e-12)
+        assert 0.0 <= aber <= 1.0
 
 
 def test_sim_agrees_with_union_bound(cfg):
     # the exact-PEP union bound sits above the simulation, within 3 sigma,
     # and within a factor 3 in its tight regime
     quick = validate(replace(cfg, snr_grid_db=(26.0, 30.0, 34.0), trials=60_000))
-    records = run_sweep(quick, "aber", mode="both", exact_pep=True)
-    for r in records:
-        assert r.aber_analytical >= r.aber_sim - 3 * r.aber_stderr
-        if 1e-4 <= r.aber_sim <= 1e-1:
-            assert r.aber_analytical / r.aber_sim <= 3.0
+    columns = run_sweep(quick, "aber", mode="both", exact_pep=True)
+    for bound, aber, stderr in zip(columns["aber_analytical"], columns["aber_sim"],
+                                   columns["aber_stderr"]):
+        assert bound >= aber - 3 * stderr
+        if 1e-4 <= aber <= 1e-1:
+            assert bound / aber <= 3.0
 
 
 def test_diversity_config_levels():
