@@ -13,9 +13,11 @@ wedge-edge crossings (`Channel.edges`) instead of detecting every (trial, power)
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .channel import Channel
+from .channel import _CACHED_GEOMETRIES, Channel, _frozen
 
 #: `_ber_decide`'s relative slack on a crossing amplitude, and the angle in radians
 #: within which an edge or a trial's angle is too near its point or the antipode to walk.
@@ -31,12 +33,17 @@ def rpm_phases(m_rpm: int) -> np.ndarray:
 
 def pair_classes(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Over the ordered pairs (i, j) of flat hypothesis indices, each (K, K):
-    same antenna, same phase, and the Hamming distance of the two bit labels."""
+    same antenna, same phase, the labels' Hamming distance; read-only, one per (n_t, m_rpm)."""
+    return _pair_classes(n_t, m_rpm)
+
+
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _pair_classes(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     idx = np.arange(n_t * m_rpm)
     t, m = np.divmod(idx, m_rpm)
     weight = np.array([bin(v).count("1") for v in range(idx.size)])
-    return (t[:, None] == t[None, :], m[:, None] == m[None, :],
-            weight[np.bitwise_xor.outer(idx, idx)])
+    return _frozen(t[:, None] == t[None, :], m[:, None] == m[None, :],
+                   weight[np.bitwise_xor.outer(idx, idx)])
 
 
 def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,

@@ -14,11 +14,14 @@ so results do not depend on this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, _geometry
+
+#: Geometries whose tables a process keeps, least recently used dropped first.
+_CACHED_GEOMETRIES = 16
 
 
 def steering_irs(phi_a: float, phi_e: float, n_x: int, n_y: int,
@@ -85,6 +88,13 @@ def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> 
     return w_los * g_bar + w_nlos * w
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """arrays, made read-only: a cached table is shared by every later caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The one rule for which constellation angles (in turns) coincide: those on one
     step of a 2^-40-turn grid modulo one turn (with fold, also modulo sign), which the
@@ -98,7 +108,7 @@ def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class Channel:
-    """The deterministic part of the link and its rank-1 reduction.
+    """The deterministic part of the link and its rank-1 reduction; read-only, as its tables.
 
     H = sqrt(nu) a_irs a_bs^T, so hypothesis k has the noise-free signature
     sqrt_nu * points[k] * g_eff, where g_eff = G^H a_irs ~ CN(mean, scale^2 I_{n_r}).
@@ -140,7 +150,7 @@ class Channel:
         above = np.searchsorted(near, offset).clip(1)
         nearest = np.where(offset - near[above - 1] <= near[above] - offset, above - 1, above)
         d, group = np.unique(np.abs(1.0 - self.points[first]) ** 2, return_inverse=True)
-        return d, group[nearest]
+        return _frozen(d, group[nearest])
 
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:
         """The ML decision regions (`airlink.ml_detect`): the ascending bisectors of
@@ -154,7 +164,7 @@ class Channel:
         owner = owner[np.argsort(self.turns[owner])]
         angle = 2.0 * np.pi * self.turns[owner]
         ring = np.concatenate([angle[-1:] - 2.0 * np.pi, angle, angle[:1] + 2.0 * np.pi])
-        return (ring[:-1] + ring[1:]) / 2.0, np.concatenate([owner[-1:], owner, owner[:1]])
+        return _frozen((ring[:-1] + ring[1:]) / 2.0, np.concatenate([owner[-1:], owner, owner[:1]]))
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -174,19 +184,25 @@ class Channel:
                                  - angle[:, None])
         reach = np.sum(beta[..., 1:] < np.pi, axis=-1, keepdims=True)  # edges ascend outward
         j = np.arange(max(1, reach.max()) + 1)
-        return (np.where(j[1:] <= reach, beta[..., j[1:]], np.pi),
-                winners[1 + (np.take_along_axis(ring, np.minimum(j, reach), -1) + side - 1) % n])
+        ring = np.take_along_axis(ring, np.minimum(j, reach), -1) + side - 1
+        return _frozen(np.where(j[1:] <= reach, beta[..., j[1:]], np.pi), winners[1 + ring % n])
 
 
 def make_channel(cfg: SystemConfig) -> Channel:
-    """H, G_bar, the constellation and the g_eff distribution of cfg."""
+    """H, G_bar, the constellation and the g_eff distribution of cfg: one read-only instance per
+    geometry (all fields but snr_grid_db, seed and trials), for the last `_CACHED_GEOMETRIES`."""
+    return _channel(_geometry(cfg))
+
+
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _channel(cfg: SystemConfig) -> Channel:
     a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
     g_bar = build_g_bar(cfg)
     w_los, w_nlos = rician_weights(cfg)
     t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
     turns = m / cfg.m_rpm - cfg.delta_over_lambda * np.sin(cfg.phi_d) * t
     turns -= np.rint(turns)
-    return Channel(h=build_h(cfg), g_bar=g_bar, points=np.exp(2j * np.pi * turns), turns=turns,
-                   mean=w_los * (g_bar.conj().T @ a_irs),
-                   scale=float(w_nlos * np.sqrt(cfg.n_elements)),
-                   sqrt_nu=float(np.sqrt(cfg.nu)))
+    h, g_bar, points, turns, mean = _frozen(build_h(cfg), g_bar, np.exp(2j * np.pi * turns), turns,
+                                            w_los * (g_bar.conj().T @ a_irs))
+    return Channel(h=h, g_bar=g_bar, points=points, turns=turns, mean=mean,
+                   scale=float(w_nlos * np.sqrt(cfg.n_elements)), sqrt_nu=float(np.sqrt(cfg.nu)))

@@ -11,12 +11,12 @@ import datetime
 import json
 import sys
 from dataclasses import fields, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, permutations
 
 from . import __version__
-from .channel import make_channel
-from .config import ConfigError, SystemConfig, load_config, validate
+from .channel import _CACHED_GEOMETRIES, make_channel
+from .config import ConfigError, SystemConfig, _geometry, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
 from .simulate import draw_scheme, run_sweep
@@ -57,15 +57,8 @@ def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None
 
 
 def _load(args: argparse.Namespace) -> SystemConfig:
-    cfg = load_config(args.config)
-    overrides = {}
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return validate(cfg)
+    given = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
+    return validate(replace(load_config(args.config), **given))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -98,15 +91,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pep(args: argparse.Namespace) -> int:
-    """One unit law per SNR point, one template fill per table: a row is five slots of one
-    list (SNR cell, event, "t,t_hat,", "m,m_hat,", PEP cells), the key slots filled once.
-    Antenna errors are at phase 1, phase errors at antenna 1 (every antenna has the same
-    pair distance), and joint errors m-major."""
-    cfg = _load(args)
-    chan = make_channel(cfg)
-    unit, (d, index) = unit_moments(chan), chan.distances()
-    gain, k, n_t = 2.0 if args.paper_literal_args else 1.0, cfg.m_rpm, cfg.n_t
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _pep_layout(cfg: SystemConfig) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """A geometry's pep rows: each one's distance index, and a template of five slots a row
+    (SNR cell, event, "t,t_hat,", "m,m_hat,", PEP cells), the key slots filled. Antenna errors
+    are at phase 1, phase errors at antenna 1 (every antenna has the same pair distance)."""
+    index, k, n_t = make_channel(cfg).distances()[1], cfg.m_rpm, cfg.n_t
     ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(k), 2))
     # pair (t k + m, u k + n) at [m k + n, t n_t + u]: ssk rows read row 0, rpm rows column 0
     grid = index.reshape(n_t, k, n_t, k).transpose(1, 3, 0, 2).reshape(k * k, n_t * n_t)
@@ -118,8 +108,15 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     parts[2::5] = tu + [""] * n_ms + tu * n_ms
     # joint rows: under each phase error, one per antenna error, so each m piece n_ts times
     parts[3::5] = [",,"] * n_ts + mn + [*chain.from_iterable(zip(*[mn] * n_ts))]
-    header = ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"]
-    body = []
+    return tuple(at), tuple(parts)
+
+
+def _cmd_pep(args: argparse.Namespace) -> int:
+    """One unit law per SNR point, one fill of the geometry's `_pep_layout` template per table."""
+    cfg = _load(args)
+    chan, (at, parts) = make_channel(cfg), _pep_layout(_geometry(cfg))
+    unit, d, parts = unit_moments(chan), chan.distances()[0], list(parts)
+    gain, body = 2.0 if args.paper_literal_args else 1.0, []
     for snr_db in cfg.snr_grid_db:
         v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
         cells = list(map("{!r},{!r}\n".format, v.exact.tolist(), v.chiani.tolist()))
@@ -127,7 +124,7 @@ def _cmd_pep(args: argparse.Namespace) -> int:
         parts[4::5] = map(cells.__getitem__, at)
         body.append("".join(parts))
     out = args.out or "pep.csv"
-    _write_csv(out, header, body)
+    _write_csv(out, ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"], body)
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args)
     print(f"wrote {out} ({len(cfg.snr_grid_db) * len(at)} rows)")
     return 0
@@ -164,12 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "aber": _cmd_sweep,
-    "capacity": _cmd_sweep,
-    "pep": _cmd_pep,
-}
+_HANDLERS = {"validate": _cmd_validate, "aber": _cmd_sweep, "capacity": _cmd_sweep, "pep": _cmd_pep}
 
 
 def main(argv: list[str] | None = None) -> int:

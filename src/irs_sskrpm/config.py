@@ -86,18 +86,24 @@ class SystemConfig:
 
 
 def _is_power_of_two(n: int) -> bool:
-    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
+    return type(n) is int and n >= 1 and (n & (n - 1)) == 0
+
+
+def _geometry(cfg: SystemConfig) -> SystemConfig:
+    """cfg less the grid, seed and trial count, which no channel reads: the cache key."""
+    return replace(cfg, snr_grid_db=(), seed=0, trials=1)
 
 
 def validate(cfg: SystemConfig) -> SystemConfig:
-    """Check every invariant; return cfg unchanged or raise ConfigError naming the first offender."""
+    """Check every invariant; return cfg unchanged or raise ConfigError naming the first offender.
+    An integer field takes an int only: not a bool, which would pass as 0 or 1."""
     if not _is_power_of_two(cfg.n_t):
         raise ConfigError(f"n_t={cfg.n_t} not a power of two")
     if not _is_power_of_two(cfg.m_rpm):
         raise ConfigError(f"m_rpm={cfg.m_rpm} not a power of two")
     for name in ("n_r", "n_x", "n_y"):
         v = getattr(cfg, name)
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise ConfigError(f"{name}={v} must be a positive integer")
     for name in ("d_t", "d_r", "d_0", "eta", "rho_0", "kappa_over_lambda", "delta_over_lambda"):
         v = getattr(cfg, name)
@@ -118,9 +124,9 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"snr_grid_db={list(grid)} must be finite and below {_MAX_SNR_DB:.1f} dB")
     if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
         raise ConfigError(f"snr_grid_db={list(grid)} must be strictly increasing")
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
+    if type(cfg.seed) is not int or not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"seed={cfg.seed} must be a 64-bit unsigned integer")
-    if not isinstance(cfg.trials, int) or cfg.trials < 1:
+    if type(cfg.trials) is not int or cfg.trials < 1:
         raise ConfigError(f"trials={cfg.trials} must be a positive integer")
     return cfg
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from irs_sskrpm import SystemConfig, make_channel, validate
+from irs_sskrpm import SystemConfig, airlink, channel, cli, make_channel, validate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -27,3 +27,23 @@ def chan(cfg):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(987)
+
+
+@pytest.fixture()
+def cold_caches():
+    """Empties the per-geometry caches (channel, pair classes, pep layout) now and at each
+    call of the function it returns, so the next call of each builds its tables."""
+    def clear():
+        for cached in (channel._channel, airlink._pair_classes, cli._pep_layout):
+            cached.cache_clear()
+    clear()
+    return clear
+
+
+@pytest.fixture()
+def channel_builds(cold_caches, monkeypatch):
+    """The configs a channel is built for from now on (one per `build_g_bar` call), with
+    the caches emptied first."""
+    built, build = [], channel.build_g_bar
+    monkeypatch.setattr(channel, "build_g_bar", lambda cfg: built.append(cfg) or build(cfg))
+    return built

@@ -1,6 +1,6 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
                         ml_detect, sample_g, steering_bs, steering_irs, validate)
+from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.channel import rician_weights
 from oracles import distances_reference, full_g_signatures, pair_distances_reference
 from test_config import PATH_LOSS_4KM
@@ -323,3 +324,51 @@ def test_edges_list_each_wedge_edge_and_owner_outward_from_each_point(cfg):
             wide = np.diff(ends) > 1e-9  # a point on or past its own edge has no home to probe
             np.testing.assert_array_equal(probe[wide], owner[side, k, :reach + 1][wide])
             assert np.all(owner[side, k, reach + 1:] == owner[side, k, -1])
+
+
+def test_shared_tables_are_read_only(cold_caches):
+    # one instance serves every later call, so no caller can write into it
+    cfg = validate(SystemConfig())
+    chan = make_channel(cfg)
+    shared = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances(),
+              *chan.wedges(), *chan.edges, *pair_classes(cfg.n_t, cfg.m_rpm)]
+    assert len(shared) == 14
+    for table in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = table
+    assert make_channel(cfg) is chan and pair_classes(cfg.n_t, cfg.m_rpm)[2] is shared[-1]
+
+
+#: A valid new value of each field the channel reads, from `_GEOMETRY_BASE` (two receive
+#: antennas: at one, psi_d leaves the channel as it is).
+_GEOMETRY_BASE = replace(SystemConfig(), n_r=2)
+GEOMETRY_CHANGES = dict(n_t=4, n_r=3, n_x=2, n_y=3, m_rpm=4, d_t=1.5, d_r=3.0, d_0=0.5, eta=2.0,
+                        rho_0=2.0, k_r=1.0, kappa_over_lambda=0.25, delta_over_lambda=0.25,
+                        phi_a=1.0, phi_e=1.0, phi_d=0.3, psi_a=1.0, psi_e=1.0, psi_d=0.5)
+
+
+def test_configs_of_one_geometry_share_one_channel(cold_caches):
+    # the grid, the seed and the trial count are the only fields no channel reads
+    unread = {f.name for f in fields(SystemConfig)} - set(GEOMETRY_CHANGES)
+    assert unread == {"snr_grid_db", "seed", "trials"}
+    base = validate(SystemConfig())
+    chan = make_channel(base)
+    for other in (replace(base, snr_grid_db=(1.0, 3.0)), replace(base, seed=5),
+                  replace(base, trials=7)):
+        assert make_channel(validate(other)) is chan
+
+
+def _channel_bytes(chan) -> list[bytes]:
+    arrays = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances()]
+    return [a.tobytes() for a in arrays] + [np.float64([chan.scale, chan.sqrt_nu]).tobytes()]
+
+
+@pytest.mark.parametrize("field", GEOMETRY_CHANGES)
+def test_each_geometry_gets_its_own_channel_bitwise_a_cold_build(field, cold_caches):
+    base = validate(_GEOMETRY_BASE)
+    other = validate(replace(base, **{field: GEOMETRY_CHANGES[field]}))
+    chan, warm = make_channel(base), make_channel(other)
+    assert warm is not chan and _channel_bytes(warm) != _channel_bytes(chan)
+    cold_caches()
+    cold = make_channel(other)
+    assert cold is not warm and _channel_bytes(cold) == _channel_bytes(warm)

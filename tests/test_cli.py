@@ -313,6 +313,20 @@ def test_a_second_main_call_builds_no_parser(monkeypatch):
     assert built == []
 
 
+def test_a_second_main_call_builds_no_channel(channel_builds, tmp_path, capsys):
+    # the channel, its pair tables and the pep layout are built once per geometry and
+    # process: the warm calls build none and write and print what the cold ones did
+    runs = [["pep"], ["aber", "--mode", "analytic"]]
+    outputs = []
+    for _ in ("cold", "warm"):
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{i}.csv"
+            assert main([*argv, "--config", config_path("aber_n16.cfg"), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert len(channel_builds) == 1
+    assert outputs[2:] == outputs[:2]
+
+
 @pytest.mark.parametrize("argv, draws", [
     (["aber", "--mode", "sim"], {"chunk_trials": 8192, "shared_across_points": True}),
     (["aber", "--mode", "both"], {"chunk_trials": 8192, "shared_across_points": True}),

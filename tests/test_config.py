@@ -94,6 +94,9 @@ def test_validate_is_idempotent():
     ("eta", float("inf"), "eta"),
     ("rho_0", float("inf"), "rho_0"),
     ("d_r", float("nan"), "d_r"),
+    # a bool is no integer: True would pass as 1 and share 1's cached channel
+    *((name, True, name) for name in ("n_t", "n_r", "n_x", "n_y", "m_rpm", "seed", "trials")),
+    ("seed", False, "seed"),
 ])
 def test_validate_reports_offending_field(field, value, frag):
     with pytest.raises(ConfigError, match=frag):

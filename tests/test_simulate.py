@@ -23,6 +23,14 @@ from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_O
 FAST = dict(snr_grid_db=(0.0, 10.0, 20.0), trials=4000)
 
 
+@pytest.mark.parametrize("quantity", ["aber", "capacity"])
+def test_a_both_sweep_builds_one_channel(quantity, channel_builds):
+    # the analytic and the simulated columns read the one channel of the geometry
+    cfg = replace(validate(SystemConfig()), snr_grid_db=(0.0, 10.0), trials=300)
+    run_sweep(cfg, quantity, "both")
+    assert len(channel_builds) == 1
+
+
 def test_ber_zero_errors_at_extreme_power(cfg):
     aber, stderr = simulate_ber(cfg, 10 ** 6.0, 10_000, seed=3)
     assert aber == 0.0 and stderr == 0.0
