@@ -13,12 +13,12 @@ so results do not depend on this choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, _geometry
+from .config import SystemConfig
 
 #: Geometries whose tables a process keeps, least recently used dropped first.
 _CACHED_GEOMETRIES = 16
@@ -186,6 +186,12 @@ class Channel:
         j = np.arange(max(1, reach.max()) + 1)
         ring = np.take_along_axis(ring, np.minimum(j, reach), -1) + side - 1
         return _frozen(np.where(j[1:] <= reach, beta[..., j[1:]], np.pi), winners[1 + ring % n])
+
+
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _geometry(cfg: SystemConfig) -> SystemConfig:
+    """The geometry cache key: cfg less the grid, seed and trial count, which no channel reads."""
+    return replace(cfg, snr_grid_db=(), seed=0, trials=1)
 
 
 def make_channel(cfg: SystemConfig) -> Channel:

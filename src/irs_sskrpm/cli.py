@@ -13,10 +13,11 @@ import sys
 from dataclasses import fields, replace
 from functools import cache, lru_cache
 from itertools import chain, permutations
+from operator import itemgetter
 
 from . import __version__
-from .channel import _CACHED_GEOMETRIES, make_channel
-from .config import ConfigError, SystemConfig, _geometry, load_config, validate
+from .channel import _CACHED_GEOMETRIES, _geometry, make_channel
+from .config import ConfigError, SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
 from .simulate import draw_scheme, run_sweep
@@ -25,8 +26,6 @@ from .simulate import draw_scheme, run_sweep
 def _fmt(value) -> str:
     """CSV cell formatting: '.' decimal point, lowercase scientific notation,
     shortest round-trip form for floats."""
-    if value is None:
-        return ""
     if isinstance(value, (str, int)):
         return str(value)
     return repr(float(value))
@@ -92,9 +91,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 @lru_cache(maxsize=_CACHED_GEOMETRIES)
-def _pep_layout(cfg: SystemConfig) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """A geometry's pep rows: each one's distance index, and a template of five slots a row
-    (SNR cell, event, "t,t_hat,", "m,m_hat,", PEP cells), the key slots filled. Antenna errors
+def _pep_layout(cfg: SystemConfig) -> tuple[itemgetter, tuple[str, ...]]:
+    """A geometry's pep rows: the gather of each one's distance index, and a template of an SNR
+    slot, then per row its key cells "event,t,t_hat,m,m_hat," and a PEP slot. Antenna errors
     are at phase 1, phase errors at antenna 1 (every antenna has the same pair distance)."""
     index, k, n_t = make_channel(cfg).distances()[1], cfg.m_rpm, cfg.n_t
     ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(k), 2))
@@ -103,30 +102,29 @@ def _pep_layout(cfg: SystemConfig) -> tuple[tuple[int, ...], tuple[str, ...]]:
     tp, mp = [t * n_t + u for t, u in ts], [m * k + n for m, n in ms]
     at = grid[0, tp].tolist() + grid[mp, 0].tolist() + grid[mp][:, tp].ravel().tolist()
     tu, mn = [f"{t + 1},{u + 1}," for t, u in ts], [f"{m + 1},{n + 1}," for m, n in ms]
-    parts, n_ts, n_ms = [""] * (5 * len(at)), len(ts), len(ms)
-    parts[1::5] = ["ssk,"] * n_ts + ["rpm,,,"] * n_ms + ["joint,"] * (n_ts * n_ms)
-    parts[2::5] = tu + [""] * n_ms + tu * n_ms
-    # joint rows: under each phase error, one per antenna error, so each m piece n_ts times
-    parts[3::5] = [",,"] * n_ts + mn + [*chain.from_iterable(zip(*[mn] * n_ts))]
-    return tuple(at), tuple(parts)
+    keys = ([f"ssk,{p},," for p in tu] + [f"rpm,,,{q}" for q in mn]
+            + [f"joint,{p}{q}" for q in mn for p in tu])  # joint rows m-major
+    # itemgetter() takes at least one index: with no rows, an empty slice
+    return itemgetter(*at or [slice(0)]), ("", *chain.from_iterable((key, "") for key in keys))
 
 
 def _cmd_pep(args: argparse.Namespace) -> int:
-    """One unit law per SNR point, one fill of the geometry's `_pep_layout` template per table."""
+    """One unit law per SNR point and one fill of the `_pep_layout` template: each distinct PEP
+    pair formatted once, ending in the next row's SNR cell, and gathered in one slice."""
     cfg = _load(args)
-    chan, (at, parts) = make_channel(cfg), _pep_layout(_geometry(cfg))
+    chan, (gather, parts) = make_channel(cfg), _pep_layout(_geometry(cfg))
     unit, d, parts = unit_moments(chan), chan.distances()[0], list(parts)
     gain, body = 2.0 if args.paper_literal_args else 1.0, []
     for snr_db in cfg.snr_grid_db:
-        v = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d)
-        cells = list(map("{!r},{!r}\n".format, v.exact.tolist(), v.chiani.tolist()))
-        parts[0::5] = [f"{_fmt(snr_db)},"] * len(at)
-        parts[4::5] = map(cells.__getitem__, at)
+        v, parts[0] = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d), f"{_fmt(snr_db)},"
+        cells = map(("{!r},{!r}\n" + parts[0]).format, v.exact.tolist(), v.chiani.tolist())
+        parts[2::2] = gather(list(cells))
+        parts[-1] = parts[-1][:-len(parts[0])]  # no next row (with no row at all, no SNR cell)
         body.append("".join(parts))
     out = args.out or "pep.csv"
     _write_csv(out, ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"], body)
     _write_manifest(out + ".manifest.json", cfg, "pep", None, args)
-    print(f"wrote {out} ({len(cfg.snr_grid_db) * len(at)} rows)")
+    print(f"wrote {out} ({len(cfg.snr_grid_db) * (len(parts) // 2)} rows)")
     return 0
 
 

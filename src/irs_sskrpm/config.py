@@ -89,11 +89,6 @@ def _is_power_of_two(n: int) -> bool:
     return type(n) is int and n >= 1 and (n & (n - 1)) == 0
 
 
-def _geometry(cfg: SystemConfig) -> SystemConfig:
-    """cfg less the grid, seed and trial count, which no channel reads: the cache key."""
-    return replace(cfg, snr_grid_db=(), seed=0, trials=1)
-
-
 def validate(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant; return cfg unchanged or raise ConfigError naming the first offender.
     An integer field takes an int only: not a bool, which would pass as 0 or 1."""

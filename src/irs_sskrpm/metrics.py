@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .airlink import pair_classes
-from .channel import Channel
+from .channel import Channel, _frozen
 from .config import SystemConfig
 from .ncx2 import ErrorEventMoments, laplace, unit_moments
 
@@ -51,12 +51,12 @@ _MAX_REL_SPREAD = 1e-9
 
 @lru_cache(maxsize=8)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights on (0, pi/2): Gauss-Legendre on v in (0, 1) under
-    w = (pi/2) v^4, the weights carrying the Jacobian 2 pi v^3, so the nodes
-    cluster at w = 0 as v^4."""
+    """Craig's 4 sin^2 w at the nodes on (0, pi/2), and the weights, read-only: Gauss-Legendre
+    on v in (0, 1) under w = (pi/2) v^4, the weights carrying the Jacobian 2 pi v^3, so the
+    nodes cluster at w = 0 as v^4."""
     x, w = np.polynomial.legendre.leggauss(order)
     v = (x + 1.0) / 2.0
-    return (np.pi / 2.0) * v ** 4, w * np.pi * v ** 3
+    return _frozen(4.0 * np.sin((np.pi / 2.0) * v ** 4) ** 2, w * np.pi * v ** 3)
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ def _bits(cfg: SystemConfig) -> int:
 
 
 def _craig_at_order(mom: ErrorEventMoments, p_s: np.ndarray, order: int):
-    omega, w = _gl_nodes(order)
+    four_sin_sq, w = _gl_nodes(order)
     with np.errstate(over="ignore"):  # an overflowing argument is infinite: laplace gives 0
-        a = np.divide.outer(p_s, 4.0 * np.sin(omega) ** 2)
+        a = np.divide.outer(p_s, four_sin_sq)
     return laplace(mom, a) @ w / np.pi
 
 

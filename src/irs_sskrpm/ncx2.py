@@ -101,21 +101,22 @@ def moments_joint(h: np.ndarray, g_bar: np.ndarray, cfg: SystemConfig,
 def laplace(mom: ErrorEventMoments, a):
     """E[exp(-a*xi)] = (1 + 2*a*sigma^2)^(-n_r) * exp(-a*s^2 / (1 + 2*a*sigma^2)).
 
-    Evaluated with no pow, as exp(-a*s^2*x) times x^n_r, x = 1/(1 + 2*a*sigma^2). Finite
-    for every a >= 0, with the exact limit 0 where a is infinite or 1 + 2*a*sigma^2
-    overflows; NaN stays NaN. A finite negative a is accepted only inside the stability
-    region 1 + 2*a*sigma^2 > 0, and a = -inf never, whatever sigma^2.
+    Evaluated with no pow, as exp(-a*s^2*x) times x^n_r, x = 1/(1 + 2*a*sigma^2), in three
+    buffers filled in place (never in a). Finite for every a >= 0, with the exact limit 0 where
+    a is infinite or 1 + 2*a*sigma^2 overflows; NaN stays NaN. A finite negative a is accepted
+    only inside the stability region 1 + 2*a*sigma^2 > 0, and a = -inf never, whatever sigma^2.
     """
     a = np.asarray(a, dtype=float)
+    denom, x, out = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = 1.0 + a * (2.0 * mom.sigma_sq)
+        np.add(1.0, np.multiply(a, 2.0 * mom.sigma_sq, out=denom), out=denom)
         if np.any(denom <= 0.0 if mom.sigma_sq else a == -np.inf):  # 1 + -inf * 0 is NaN
             raise ValueError("transform argument outside the stability region")
-        x = 1.0 / denom
-        out, n = np.exp(a * -mom.s_sq * x), mom.n_r
+        np.multiply(np.multiply(a, -mom.s_sq, out=out), np.divide(1.0, denom, out=x), out=out)
+        out, n = np.exp(out, out=out), mom.n_r
         while n:  # times x^n_r by square-and-multiply
-            out, n = (out * x if n & 1 else out), n >> 1
-            x = x * x if n else x
+            out, n = (np.multiply(out, x, out=out) if n & 1 else out), n >> 1
+            x = np.multiply(x, x, out=x) if n else x
     limit = np.isinf(denom) if mom.sigma_sq else a == np.inf  # denom is NaN at sigma^2 = 0
-    out = np.where(limit, 0.0, out) if limit.any() else out
+    np.copyto(out, 0.0, where=limit)
     return out if out.shape else float(out)

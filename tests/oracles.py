@@ -6,7 +6,9 @@ the full N x n_r matrix G and signature differences, and integrals are
 evaluated with scipy's adaptive quadrature against the closed-form density.
 These are the reference implementations the library is checked against.
 `craig_by_quadrature` integrates Craig's form itself, with the transform
-written out, as the reference for the library's node rule.
+written out, as the reference for the library's node rule, and
+`laplace_reference` is the library's transform computed out of place, the
+bitwise reference for its in-place buffers.
 
 The per-event loops at the end are the exception: they rebuild the union
 bound, the closed-form capacity and the pep table one error event at a time
@@ -255,6 +257,24 @@ def laplace_by_quadrature(mom: ErrorEventMoments, a: float) -> float:
     val, _ = integrate.quad(lambda x: math.exp(-a * x) * ncx2_pdf(x, mom), 0.0, cut,
                             points=pts or None, limit=400, epsabs=1e-14, epsrel=1e-12)
     return val
+
+
+def laplace_reference(mom: ErrorEventMoments, a):
+    """`ncx2.laplace` written out of place: the same operations in the same order, each
+    into a new array, so its values are bitwise the library's."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = 1.0 + a * (2.0 * mom.sigma_sq)
+        if np.any(denom <= 0.0 if mom.sigma_sq else a == -np.inf):
+            raise ValueError("transform argument outside the stability region")
+        x = 1.0 / denom
+        out, n = np.exp(a * -mom.s_sq * x), mom.n_r
+        while n:
+            out, n = (out * x if n & 1 else out), n >> 1
+            x = x * x if n else x
+    limit = np.isinf(denom) if mom.sigma_sq else a == np.inf
+    out = np.where(limit, 0.0, out) if limit.any() else out
+    return out if out.shape else float(out)
 
 
 def pep_by_quadrature(mom: ErrorEventMoments, p_s: float) -> float:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from irs_sskrpm import (ErrorEventMoments, SystemConfig, build_g_bar, build_h,
                         laplace, moments_joint, moments_rpm, moments_ssk,
                         validate)
-from oracles import (event_direction, laplace_by_quadrature, ncx2_pdf,
+from oracles import (event_direction, laplace_by_quadrature, laplace_reference, ncx2_pdf,
                      pdf_mass, pdf_mean, sample_xi)
 
 
@@ -227,6 +227,31 @@ def test_laplace_limit_where_the_argument_overflows():
     denom = 1.0 + 2.0 * a[:3] * mom.sigma_sq
     np.testing.assert_array_equal(out[:3], denom ** -2 * np.exp(-a[:3] * mom.s_sq / denom))
     np.testing.assert_array_equal(out[3:], 0.0)
+
+
+def _laplace_arguments(rng) -> list:
+    """A Python float, then arrays of shapes (), (5,) and (3, 61, 96): a over 1e-20..1e300,
+    with 0, inf and values at which 1 + 2 a sigma^2 overflows among them."""
+    big = rng.random((3, 61, 96)) * 10.0 ** rng.uniform(-20.0, 300.0, (3, 61, 96))
+    big.flat[:4] = [0.0, np.inf, 1.7e308, np.finfo(float).max]
+    return [2.5, np.array(0.75), np.array([0.0, 1e-3, 1e300, 1.7e308, np.inf]), big]
+
+
+@pytest.mark.parametrize("read_only", [True, False])
+def test_laplace_leaves_its_argument_alone_and_keeps_its_bits(rng, read_only):
+    # the three in-place buffers give bitwise the out-of-place values, of the same
+    # type, and never write into a: a read-only table, or a writeable array
+    for n_r in range(1, 9):
+        for s_sq, sigma_sq in ((0.0, 0.8), (1.2, 0.44), (0.7, 0.0), (25.0, 0.6)):
+            mom = ErrorEventMoments(s_sq=s_sq, sigma_sq=sigma_sq, n_r=n_r)
+            for a in _laplace_arguments(rng):
+                before = np.array(a, copy=True)
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = not read_only
+                got, want = laplace(mom, a), laplace_reference(mom, a)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert np.asarray(a).tobytes() == before.tobytes()
 
 
 def test_laplace_against_quadrature(rng):

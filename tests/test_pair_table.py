@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
                         load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
                         pep_of_event, unit_moments, validate)
-from irs_sskrpm import airlink, metrics, simulate
+from irs_sskrpm import airlink, metrics
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
 from test_channel import ON_RPM_STEPS, STRESS_CONFIG, constellation_configs
@@ -205,6 +205,21 @@ def test_pep_csv_is_the_row_by_row_table(n_t, m_rpm, tmp_path):
         assert out.read_text(encoding="ascii") == pep_csv_reference(cfg, lit)
 
 
+@pytest.mark.parametrize("grid", [(), (-3.5,)], ids=["no-point", "one-point"])
+@pytest.mark.parametrize("n_t, m_rpm", [(2, 1), (1, 2)])
+def test_pep_csv_is_the_row_by_row_table_at_its_edges(n_t, m_rpm, grid, tmp_path, capsys):
+    # two rows, the fewest of a table that has any, on one SNR point and on none
+    # (header only): the fill's leading SNR cell and its trimmed last row meet
+    cfg = validate(replace(SystemConfig(), n_t=n_t, m_rpm=m_rpm, snr_grid_db=grid))
+    cfg_path, out = _write_cfg(tmp_path / "case.cfg", cfg), tmp_path / "pep.csv"
+    for lit in (False, True):
+        argv = ["pep", "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
+        text = out.read_text(encoding="ascii")
+        assert text == pep_csv_reference(cfg, lit) and text.count("\n") == 1 + 2 * len(grid)
+        assert capsys.readouterr().out == f"wrote {out} ({2 * len(grid)} rows)\n"
+
+
 #: SNR grids of 1 to 5 values: negative, fractional and tiny ones among them,
 #: some of them repeated (which `validate` rejects: the grid is strictly increasing).
 SNR_GRIDS = st.lists(st.one_of(st.sampled_from([-2.5, 0.001, -10.0, 0.0, 17.5]),
@@ -294,26 +309,15 @@ def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
 
 @pytest.mark.parametrize("command", ["aber", "capacity"])
 @pytest.mark.parametrize("mode", ["analytic", "both"])
-def test_a_sweep_builds_its_pair_classes_once(command, mode, monkeypatch, tmp_path):
-    # the pair classes, and the joint distances read from them, do not depend
-    # on the SNR: each requested column builds them once in its one call over
-    # the grid's powers, so a 21-point sweep builds them as often as a
-    # 2-point one
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return airlink.pair_classes(*args)
-
-    for module in (metrics, simulate):
-        monkeypatch.setattr(module, "pair_classes", counted)
+def test_a_sweep_builds_its_pair_classes_once(command, mode, cold_caches, tmp_path):
+    # the pair classes, and the joint distances read from them, depend on neither
+    # the SNR nor the mode: from cold caches, a sweep builds them once, so a
+    # 21-point sweep builds them as often as a 2-point one, and --mode both as
+    # often as one column
     full = validate(load_config(config_path("aber_n16.cfg")))
     assert len(full.snr_grid_db) == 21
-    counts = []
     for cfg in (replace(full, snr_grid_db=full.snr_grid_db[:2]), full):
-        calls.clear()
+        cold_caches()
         assert main([command, "--config", _write_cfg(tmp_path / "s.cfg", cfg), "--mode", mode,
                      "--trials", "100", "--out", str(tmp_path / "s.csv")]) == 0
-        assert set(calls) == {(2, 2)}
-        counts.append(len(calls))
-    assert counts == [1 if mode == "analytic" else 2] * 2
+        assert airlink._pair_classes.cache_info().misses == 1
