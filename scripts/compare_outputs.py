@@ -7,10 +7,12 @@ Each tree's `src/` runs `aber` (every mode, --exact-pep, --paper-literal-args),
 checkout, in one process per tree. Each run leaves three files: its CSV; its
 exit code, stdout and stderr (`<command>.run.json`, with the side's output
 folder replaced by `<out>`); and its manifest without `started_utc`
-(`<command>.csv.manifest.json`). The script prints each file as identical or
-differing, then per CSV column the cells that moved, of all cells compared,
-and the largest relative change |b - a| / |a|, and last the count of identical
-files. Standard library only.
+(`<command>.csv.manifest.json`). Each tree also runs its own demos/*.py with
+its `src/`, one process per demo, keeping the demo's stdout (and an `exit N`
+line if it fails). The script prints each file as identical or differing,
+then per CSV column the cells that moved, of all cells compared, and the
+largest relative change |b - a| / |a|, then each demo's stdout as identical
+or differing, and last the count of identical files. Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ def write_outputs(tree: Path, out: Path) -> None:
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def run_demos(tree: Path, out: Path) -> None:
+    """Each demo of tree, with tree's package and out as working folder, its stdout into
+    out/<demo>.stdout, followed by an `exit N` line when it exits with N != 0."""
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    for demo in sorted(tree.resolve().glob("demos/*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=out, capture_output=True,
+                              text=True, env=env)
+        code = f"exit {proc.returncode}\n" if proc.returncode else ""
+        (out / f"{demo.stem}.stdout").write_text(proc.stdout + code, encoding="utf-8")
+
+
 def relative(a: str, b: str) -> float:
     try:
         x, y = float(a), float(b)
@@ -79,6 +93,7 @@ def main() -> None:
     out = (args.out or Path(tempfile.mkdtemp(prefix="compare_outputs_"))).resolve()
     for side, tree in (("a", args.parent), ("b", args.change)):
         write_outputs(tree, out / side)
+        run_demos(tree, out / f"{side}_demos")
     files = sorted((out / "a").glob("*/*"))
     same = 0
     for a in files:
@@ -100,6 +115,10 @@ def main() -> None:
             columns[key] = [stat[0] + len(moved), stat[1] + len(col_a), max([stat[2], *moved])]
     for key, (moved, total, worst) in columns.items():
         print(f"column {key}: {moved} of {total} cells moved, largest relative change {worst:.2e}")
+    for name in sorted({p.name for side in ("a", "b") for p in (out / f"{side}_demos").iterdir()}):
+        a, b = out / "a_demos" / name, out / "b_demos" / name
+        same_demo = a.is_file() and b.is_file() and b.read_bytes() == a.read_bytes()
+        print(f"demo {Path(name).stem}: {'identical' if same_demo else 'differs'}")
     print(f"{same} of {len(files)} files identical")
 
 

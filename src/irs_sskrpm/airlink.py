@@ -4,7 +4,7 @@ A transmitted hypothesis is the pair (t, m): active BS antenna t in [1, n_t]
 and reflection-phase index m in [1, m_rpm]. Its bit label is the natural
 binary code of t-1 (width log2(n_t)) followed by that of m-1 (width
 log2(m_rpm)), so the label read as an integer is the flat hypothesis index
-(t-1)*m_rpm + (m-1): the flat index is the label.
+(t-1)*m_rpm + (m-1): the flat index is the label (see `Channel.hamming`).
 
 `ml_detect` decides one scalar per trial; `_ber_decide` counts the detector's bit
 errors on a block of trials at a whole grid of powers, by walking each trial's
@@ -13,11 +13,9 @@ wedge-edge crossings (`Channel.edges`) instead of detecting every (trial, power)
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .channel import _CACHED_GEOMETRIES, Channel, _frozen
+from .channel import Channel
 
 #: `_ber_decide`'s relative slack on a crossing amplitude, and the angle in radians
 #: within which an edge or a trial's angle is too near its point or the antipode to walk.
@@ -29,21 +27,6 @@ def rpm_phases(m_rpm: int) -> np.ndarray:
     if m_rpm < 1:
         raise ValueError(f"m_rpm={m_rpm} must be >= 1")
     return 2.0 * np.pi * np.arange(m_rpm) / m_rpm
-
-
-def pair_classes(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Over the ordered pairs (i, j) of flat hypothesis indices, each (K, K):
-    same antenna, same phase, the labels' Hamming distance; read-only, one per (n_t, m_rpm)."""
-    return _pair_classes(n_t, m_rpm)
-
-
-@lru_cache(maxsize=_CACHED_GEOMETRIES)
-def _pair_classes(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    idx = np.arange(n_t * m_rpm)
-    t, m = np.divmod(idx, m_rpm)
-    weight = np.array([bin(v).count("1") for v in range(idx.size)])
-    return _frozen(t[:, None] == t[None, :], m[:, None] == m[None, :],
-                   weight[np.bitwise_xor.outer(idx, idx)])
 
 
 def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
@@ -63,7 +46,7 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     return winners[below]
 
 
-def _ber_walk(chan: Channel, hamming: np.ndarray, sqrt_ps: np.ndarray) -> tuple:
+def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
     """`_ber_decide`'s tables at the amplitudes sqrt_ps: the distinct amplitudes and each
     entry's index into them; per row side * K + code of `Channel.edges`, whether the home
     edge is within `_NEAR` and the home's Hamming distance; per edge, (J, 2K), its cot and
@@ -71,12 +54,12 @@ def _ber_walk(chan: Channel, hamming: np.ndarray, sqrt_ps: np.ndarray) -> tuple:
     amps, inverse = np.unique(sqrt_ps, return_inverse=True)
     beta, owner = chan.edges
     k, seen = chan.points.size, beta < np.pi - _NEAR
-    bits = hamming[np.arange(k)[:, None], owner].astype(float)  # bincount weighs in floats
+    bits = chan.hamming[np.arange(k)[:, None], owner].astype(float)  # bincount weighs in floats
     with np.errstate(divide="ignore"):  # a point on its home edge is left to the detector
         edge = (np.where(seen, 1.0 / np.tan(beta), -np.inf), np.where(seen, 1.0 / np.sin(beta), 0.0),
                 np.where(seen, np.diff(bits, axis=-1), 0.0))
     return (amps, inverse, (beta[..., 0] <= _NEAR).ravel(), bits[..., 0].ravel(),
-            *(v.reshape(2 * k, -1).T.copy() for v in edge), hamming.ravel())  # flat Hamming table
+            *(v.reshape(2 * k, -1).T.copy() for v in edge))
 
 
 def _crossing(cot: np.ndarray, invsin: np.ndarray, r: np.ndarray, y: np.ndarray, x: np.ndarray):
@@ -87,8 +70,8 @@ def _crossing(cot: np.ndarray, invsin: np.ndarray, r: np.ndarray, y: np.ndarray,
     return a, (np.abs(a) + y + np.abs(x)) * invsin[r] * _SLACK + a
 
 
-def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tuple,
-                code: np.ndarray, energy: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _ber_decide(chan: Channel, walk: tuple, code: np.ndarray, energy: np.ndarray,
+                noise: np.ndarray) -> np.ndarray:
     """The bit-error counts (int64) of the joint ML detector on the trials (code, energy,
     noise) of `simulate._ber_draw` at every amplitude of the `_ber_walk` tables walk.
 
@@ -101,11 +84,11 @@ def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tupl
     only if the chunk has any, the pairs within `_SLACK` of a crossing and every pair of a
     trial whose u or home edge is within `_NEAR` of the real axis or the point: the counts
     are bitwise `ml_detect`'s."""
-    amps, inverse, narrow, home, cot, invsin, step, flat = walk
+    amps, inverse, narrow, home, cot, invsin, step = walk
     k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
     amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
     if zero:
-        counts[0] = flat[code * k + ml_detect(wedges, noise, 0.0)].sum()
+        counts[0] = chan.hamming[code, ml_detect(chan.wedges(), noise, 0.0)].sum()
     if not amps.size:
         return counts[inverse]
     u = chan.points.conj()[code] * noise * (1.0 / (chan.sqrt_nu * energy))  # bitwise the quotient
@@ -149,6 +132,6 @@ def _ber_decide(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], walk: tupl
             model += on * (amps[p] <= top) * step[j][r]
             on &= top >= amps[0]
     ip = (amps[p] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
-    errors = flat[code[t] * k + ml_detect(wedges, ip, amps[0])] - model
+    errors = chan.hamming[code[t], ml_detect(chan.wedges(), ip, amps[0])] - model
     counts[zero:] += np.bincount(p, errors, amps.size).astype(np.int64)
     return counts[inverse]

@@ -106,9 +106,10 @@ def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarra
     return first, group.reshape(np.shape(turns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """The deterministic part of the link and its rank-1 reduction; read-only, as its tables.
+    """The deterministic part of the link and its rank-1 reduction; read-only, as its tables,
+    and one instance per geometry, so identity is equality.
 
     H = sqrt(nu) a_irs a_bs^T, so hypothesis k has the noise-free signature
     sqrt_nu * points[k] * g_eff, where g_eff = G^H a_irs ~ CN(mean, scale^2 I_{n_r}).
@@ -121,6 +122,7 @@ class Channel:
     mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
     scale   -- diffuse amplitude w_nlos * sqrt(N).
     sqrt_nu -- amplitude of the BS->IRS path loss.
+    m_rpm   -- phases per antenna: the label of point t*M + m is its flat index.
     """
 
     h: np.ndarray
@@ -130,6 +132,7 @@ class Channel:
     mean: np.ndarray
     scale: float
     sqrt_nu: float
+    m_rpm: int
 
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct |c_i - c_j|^2 over the ordered pairs of points, ascending (at
@@ -151,6 +154,24 @@ class Channel:
         nearest = np.where(offset - near[above - 1] <= near[above] - offset, above - 1, above)
         d, group = np.unique(np.abs(1.0 - self.points[first]) ** 2, return_inverse=True)
         return _frozen(d, group[nearest])
+
+    @cached_property
+    def hamming(self) -> np.ndarray:
+        """The (K, K) Hamming distance of the labels of each ordered pair, popcount(i ^ j)."""
+        idx = np.arange(self.points.size)
+        weight = np.array([bin(v).count("1") for v in idx.tolist()])
+        return _frozen(weight[np.bitwise_xor.outer(idx, idx)])[0]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per error event class -- antenna-only (same phase), phase-only (same antenna), both
+        with the diagonal, and joint -- the `distances()` index and the Hamming distance of its
+        ordered pairs, in (K, K) row-major order."""
+        idx, index = np.arange(self.points.size), self.distances()[1]
+        xor = np.bitwise_xor.outer(idx, idx)
+        same_m, same_t = (xor & (self.m_rpm - 1)) == 0, xor < self.m_rpm
+        return tuple(_frozen(index[mask], self.hamming[mask])
+                     for mask in (same_m, same_t, ~same_t & ~same_m))
 
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:
         """The ML decision regions (`airlink.ml_detect`): the ascending bisectors of
@@ -211,4 +232,5 @@ def _channel(cfg: SystemConfig) -> Channel:
     h, g_bar, points, turns, mean = _frozen(build_h(cfg), g_bar, np.exp(2j * np.pi * turns), turns,
                                             w_los * (g_bar.conj().T @ a_irs))
     return Channel(h=h, g_bar=g_bar, points=points, turns=turns, mean=mean,
-                   scale=float(w_nlos * np.sqrt(cfg.n_elements)), sqrt_nu=float(np.sqrt(cfg.nu)))
+                   scale=float(w_nlos * np.sqrt(cfg.n_elements)), sqrt_nu=float(np.sqrt(cfg.nu)),
+                   m_rpm=cfg.m_rpm)

@@ -16,7 +16,7 @@ from itertools import chain, permutations
 from operator import itemgetter
 
 from . import __version__
-from .channel import _CACHED_GEOMETRIES, _geometry, make_channel
+from .channel import _CACHED_GEOMETRIES, Channel, make_channel
 from .config import ConfigError, SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
@@ -91,11 +91,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 @lru_cache(maxsize=_CACHED_GEOMETRIES)
-def _pep_layout(cfg: SystemConfig) -> tuple[itemgetter, tuple[str, ...]]:
-    """A geometry's pep rows: the gather of each one's distance index, and a template of an SNR
+def _pep_layout(chan: Channel) -> tuple[itemgetter, tuple[str, ...]]:
+    """A channel's pep rows: the gather of each one's distance index, and a template of an SNR
     slot, then per row its key cells "event,t,t_hat,m,m_hat," and a PEP slot. Antenna errors
     are at phase 1, phase errors at antenna 1 (every antenna has the same pair distance)."""
-    index, k, n_t = make_channel(cfg).distances()[1], cfg.m_rpm, cfg.n_t
+    index, k, n_t = chan.distances()[1], chan.m_rpm, chan.points.size // chan.m_rpm
     ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(k), 2))
     # pair (t k + m, u k + n) at [m k + n, t n_t + u]: ssk rows read row 0, rpm rows column 0
     grid = index.reshape(n_t, k, n_t, k).transpose(1, 3, 0, 2).reshape(k * k, n_t * n_t)
@@ -112,7 +112,8 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     """One unit law per SNR point and one fill of the `_pep_layout` template: each distinct PEP
     pair formatted once, ending in the next row's SNR cell, and gathered in one slice."""
     cfg = _load(args)
-    chan, (gather, parts) = make_channel(cfg), _pep_layout(_geometry(cfg))
+    chan = make_channel(cfg)
+    gather, parts = _pep_layout(chan)
     unit, d, parts = unit_moments(chan), chan.distances()[0], list(parts)
     gain, body = 2.0 if args.paper_literal_args else 1.0, []
     for snr_db in cfg.snr_grid_db:

@@ -20,7 +20,7 @@ is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2, for a pair
 (i, j) of flat t-major hypothesis indices. The union bound, the closed-form
 capacity and the `pep` table therefore evaluate xi_1 once per transmit power,
 over the distinct constellation distances (`Channel.distances()`), and take
-one power or an array of powers, building their pair tables once per call.
+one power or an array of powers; the pair classes are the channel's (`Channel.classes`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .airlink import pair_classes
 from .channel import Channel, _frozen
 from .config import SystemConfig
 from .ncx2 import ErrorEventMoments, laplace, unit_moments
@@ -136,15 +135,12 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = Fa
     power's sums are its own. A zero-bit config (n_t = m_rpm = 1) raises
     ValueError, as in `simulate_ber`."""
     b = _bits(cfg)
-    d, index = chan.distances()
-    p = _power(p_s)
+    d, p = chan.distances()[0], _power(p_s)
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
-    same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
-    masks = (same_m, same_t, ~same_t & ~same_m)
-    classes, scale = [(index[mask], dist[mask]) for mask in masks], dist.shape[0] * b
+    scale = chan.points.size * b
     # each class gathered once; one 1-D sum per class and power, as a lone call makes
-    terms = [[(weight * row[at] / scale).sum() for at, weight in classes] for row in pep]
+    terms = [[(weight * row[at] / scale).sum() for at, weight in chan.classes] for row in pep]
     return tuple(_shaped(column, p) for column in np.reshape(terms, (-1, 3)).T)
 
 
@@ -158,13 +154,11 @@ def aber_union(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False):
     return sum(aber_union_terms(chan, cfg, p_s, exact_pep))
 
 
-def joint_distances(chan: Channel, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
     """The distinct |c_i - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, ascending, with their multiplicities."""
-    d, index = chan.distances()
-    same_t, same_m, _ = pair_classes(cfg.n_t, cfg.m_rpm)
-    ids, mult = np.unique(index[~same_t & ~same_m], return_counts=True)
-    return d[ids], mult.astype(float)
+    ids, mult = np.unique(chan.classes[2][0], return_counts=True)
+    return chan.distances()[0][ids], mult.astype(float)
 
 
 def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):
@@ -177,7 +171,7 @@ def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):
     limit log2(n_t*M).
     """
     k = cfg.n_t * cfg.m_rpm
-    d, mult = joint_distances(chan, cfg)
+    d, mult = joint_distances(chan)
     p = _power(p_s)
     lap = laplace(unit_moments(chan), np.multiply.outer(p.ravel() / 2.0, d))
     return _shaped([2.0 * math.log2(k) - math.log2(k + np.dot(mult, row)) for row in lap], p)

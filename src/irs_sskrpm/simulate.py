@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .airlink import _ber_decide, _ber_walk, pair_classes
+from .airlink import _ber_decide, _ber_walk
 from .channel import Channel, make_channel
 from .config import SystemConfig, validate
 from .metrics import (NumericalError, _bits, _power, _shaped, aber_union, capacity_closed,
@@ -79,14 +79,6 @@ def _ber_draw(chan: Channel, seed: int, chunk_index: int,
     return code, np.sum(g.real ** 2 + g.imag ** 2, axis=1), np.sum(g.conj() * z, axis=1)
 
 
-def _ber_chunk(chan: Channel, wedges: tuple[np.ndarray, np.ndarray], hamming: np.ndarray,
-               sqrt_ps: np.ndarray, seed: int, chunk_index: int, n_trials: int) -> np.ndarray:
-    """The bit-error counts (int64) of one chunk at every amplitude of sqrt_ps; wedges
-    is chan.wedges() and hamming the label distances of `pair_classes`."""
-    return _ber_decide(chan, wedges, _ber_walk(chan, hamming, sqrt_ps),
-                       *_ber_draw(chan, seed, chunk_index, n_trials))
-
-
 def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     """Estimate the average bit error rate at transmit power p_s, a scalar or an
     array of powers (an empty one included).
@@ -102,10 +94,9 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     bits = _bits(cfg) * trials
-    wedges = chan.wedges()
-    walk = _ber_walk(chan, pair_classes(cfg.n_t, cfg.m_rpm)[2], np.sqrt(p).ravel())
+    walk = _ber_walk(chan, np.sqrt(p).ravel())
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_decide(chan, wedges, walk, *_ber_draw(chan, seed, c, size))
+    errors = sum(_ber_decide(chan, walk, *_ber_draw(chan, seed, c, size))
                  for c, size in enumerate(_chunk_sizes(trials)))
     aber = errors.reshape(p.shape) / bits
     return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)
@@ -148,7 +139,7 @@ def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
     k, n = cfg.n_t * cfg.m_rpm, channel_samples
-    d2, mult = joint_distances(chan, cfg)
+    d2, mult = joint_distances(chan)
     dist = (chan.sqrt_nu ** 2 * d2, mult)
     est = []
     for q, p_q in enumerate(p.ravel().tolist()):

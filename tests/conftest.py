@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from irs_sskrpm import SystemConfig, airlink, channel, cli, make_channel, validate
+from irs_sskrpm import SystemConfig, channel, cli, make_channel, validate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -31,10 +31,10 @@ def rng():
 
 @pytest.fixture()
 def cold_caches():
-    """Empties the per-geometry caches (channel, pair classes, pep layout) now and at each
-    call of the function it returns, so the next call of each builds its tables."""
+    """Empties the per-geometry caches (channel, pep layout) now and at each call of the
+    function it returns, so the next call of each builds its tables."""
     def clear():
-        for cached in (channel._channel, airlink._pair_classes, cli._pep_layout):
+        for cached in (channel._channel, cli._pep_layout):
             cached.cache_clear()
     clear()
     return clear

@@ -22,7 +22,9 @@ sums the library's PEPs through the full (K, K) table of weighted terms.
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
 must count exactly: its draws (`ber_draw_reference`) and every trial decided by
 `ml_detect` at every power (`ber_decide_reference`, which also takes synthetic
-trials).
+trials); `ber_chunk` runs the library's kernel on one chunk as `simulate_ber`
+does. `pair_classes_reference` builds the label tables from the flat indices'
+antenna and phase indices, independently of `Channel.hamming` and `Channel.classes`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy import integrate, special, stats
 from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, make_channel,
                         ml_detect, moments_joint, moments_rpm, moments_ssk, pep_chiani,
                         pep_of_event, rpm_phases, simulate, unit_moments)
-from irs_sskrpm.airlink import pair_classes
+from irs_sskrpm.airlink import _ber_decide, _ber_walk
 from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
@@ -212,6 +214,24 @@ def ber_draw_reference(chan: Channel, seed: int, chunk_index: int,
     return code, energy, noise
 
 
+def pair_classes_reference(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the ordered pairs (i, j) of flat hypothesis indices, each (K, K): same antenna,
+    same phase, and the labels' Hamming distance popcount(i ^ j)."""
+    idx = np.arange(n_t * m_rpm)
+    t, m = np.divmod(idx, m_rpm)
+    weight = np.array([bin(v).count("1") for v in range(idx.size)])
+    return (t[:, None] == t[None, :], m[:, None] == m[None, :],
+            weight[np.bitwise_xor.outer(idx, idx)])
+
+
+def ber_chunk(chan: Channel, sqrt_ps: np.ndarray, seed: int, chunk_index: int,
+              n_trials: int) -> np.ndarray:
+    """The library's bit-error counts of one chunk at every amplitude of sqrt_ps, as
+    `simulate_ber` counts each of its chunks."""
+    return _ber_decide(chan, _ber_walk(chan, sqrt_ps),
+                       *simulate._ber_draw(chan, seed, chunk_index, n_trials))
+
+
 def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                          hamming: np.ndarray, sqrt_ps: np.ndarray, code: np.ndarray,
                          energy: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -228,7 +248,7 @@ def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
 def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                         hamming: np.ndarray, sqrt_ps: np.ndarray, seed: int,
                         chunk_index: int, n_trials: int) -> np.ndarray:
-    """The bit-error counts of `simulate._ber_chunk` the dense way: the chunk's draws
+    """The bit-error counts of `ber_chunk` the dense way: the chunk's draws
     (`ber_draw_reference`) decided by `ber_decide_reference`."""
     return ber_decide_reference(chan, wedges, hamming, sqrt_ps,
                                 *ber_draw_reference(chan, seed, chunk_index, n_trials))
@@ -417,7 +437,7 @@ def aber_union_terms_table_reference(chan: Channel, cfg: SystemConfig, p_s,
     p = np.asarray(p_s, dtype=float)
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
-    same_t, same_m, dist = pair_classes(cfg.n_t, cfg.m_rpm)
+    same_t, same_m, dist = pair_classes_reference(cfg.n_t, cfg.m_rpm)
     masks, scale = (same_m, same_t, ~same_t & ~same_m), dist.shape[0] * cfg.bits_total
     terms = [[w[mask].sum() for mask in masks] for w in (dist * row[index] / scale for row in pep)]
     return tuple(float(c[0]) if not p.shape else np.array(c, dtype=float).reshape(p.shape)

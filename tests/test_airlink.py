@@ -7,8 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from irs_sskrpm import (SystemConfig, make_channel, ml_detect, rpm_phases, sample_g,
                         steering_irs, validate)
-from irs_sskrpm.airlink import pair_classes
-from oracles import full_g_signatures, ml_detect_reference
+from oracles import full_g_signatures, ml_detect_reference, pair_classes_reference
 from test_channel import ON_RPM_STEPS, constellation_configs
 
 
@@ -24,14 +23,14 @@ def test_rpm_phases_structure():
 def test_bit_mapping_bijection(n_t, m_rpm):
     # the label of a hypothesis is the natural binary code of its antenna
     # index followed by that of its phase index, so the flat t-major index
-    # read as bits is the label; pair_classes reads both masks and every
-    # Hamming distance off the flat indices
+    # read as bits is the label; pair_classes_reference reads both masks and
+    # every Hamming distance off the flat indices
     b_t, b_m = n_t.bit_length() - 1, m_rpm.bit_length() - 1
     labels = [format(t, f"0{b_t}b") + format(m, f"0{b_m}b")
               for t in range(n_t) for m in range(m_rpm)]
     assert [int(label, 2) for label in labels] == list(range(n_t * m_rpm))
     assert all(len(label) == b_t + b_m for label in labels)
-    same_t, same_m, dist = pair_classes(n_t, m_rpm)
+    same_t, same_m, dist = pair_classes_reference(n_t, m_rpm)
     for i, j in itertools.product(range(n_t * m_rpm), repeat=2):
         (t, m), (t_hat, m_hat) = divmod(i, m_rpm), divmod(j, m_rpm)
         assert same_t[i, j] == (t == t_hat) and same_m[i, j] == (m == m_hat)

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
                         ml_detect, sample_g, steering_bs, steering_irs, validate)
-from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.channel import rician_weights
-from oracles import distances_reference, full_g_signatures, pair_distances_reference
+from oracles import (distances_reference, full_g_signatures, pair_classes_reference,
+                     pair_distances_reference)
 from test_config import PATH_LOSS_4KM
 
 
@@ -331,12 +331,33 @@ def test_shared_tables_are_read_only(cold_caches):
     cfg = validate(SystemConfig())
     chan = make_channel(cfg)
     shared = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances(),
-              *chan.wedges(), *chan.edges, *pair_classes(cfg.n_t, cfg.m_rpm)]
-    assert len(shared) == 14
+              *chan.wedges(), *chan.edges, chan.hamming, *(a for c in chan.classes for a in c)]
+    assert len(shared) == 18
     for table in shared:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = table
-    assert make_channel(cfg) is chan and pair_classes(cfg.n_t, cfg.m_rpm)[2] is shared[-1]
+    assert make_channel(cfg) is chan and chan.classes[2][1] is shared[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(replace(SystemConfig(), n_t=1, m_rpm=4)))
+@example(cfg=validate(replace(SystemConfig(), n_t=4, m_rpm=1)))
+@example(cfg=validate(replace(SystemConfig(), n_t=1, m_rpm=1)))
+@example(cfg=validate(load_config(STRESS_CONFIG)))
+def test_pair_classes_are_the_label_masks_bitwise(cfg):
+    # the label Hamming table and the antenna-only (same phase), phase-only (same
+    # antenna) and joint classes, the first two with the diagonal, are the masks of the
+    # flat indices' antenna and phase indices applied to distances()[1], dtypes included
+    chan = make_channel(cfg)
+    same_t, same_m, dist = pair_classes_reference(cfg.n_t, cfg.m_rpm)
+    index = chan.distances()[1]
+    got = [chan.hamming, *(a for c in chan.classes for a in c)]
+    want = [dist, *(a[mask] for mask in (same_m, same_t, ~same_t & ~same_m) for a in (index, dist))]
+    assert len(got) == len(want) == 7
+    for table, ref in zip(got, want):
+        assert table.dtype == ref.dtype and table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()
 
 
 #: A valid new value of each field the channel reads, from `_GEOMETRY_BASE` (two receive

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from irs_sskrpm import cli
 from irs_sskrpm.cli import main
 from conftest import config_path
 
@@ -317,13 +318,14 @@ def test_a_second_main_call_builds_no_channel(channel_builds, tmp_path, capsys):
     # the channel, its pair tables and the pep layout are built once per geometry and
     # process: the warm calls build none and write and print what the cold ones did
     runs = [["pep"], ["aber", "--mode", "analytic"]]
-    outputs = []
+    outputs, layouts = [], []
     for _ in ("cold", "warm"):
         for i, argv in enumerate(runs):
             out = tmp_path / f"{i}.csv"
             assert main([*argv, "--config", config_path("aber_n16.cfg"), "--out", str(out)]) == 0
             outputs.append((out.read_bytes(), capsys.readouterr().out))
-    assert len(channel_builds) == 1
+        layouts.append(cli._pep_layout.cache_info().misses)
+    assert len(channel_builds) == 1 and layouts == [1, 1]
     assert outputs[2:] == outputs[:2]
 
 

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union_terms, capacity_closed,
                         load_config, make_channel, moments_joint, moments_rpm, moments_ssk,
                         pep_of_event, unit_moments, validate)
-from irs_sskrpm import airlink, metrics
+from irs_sskrpm import channel, metrics
 from irs_sskrpm.cli import _fmt, main
 from conftest import config_path
 from test_channel import ON_RPM_STEPS, STRESS_CONFIG, constellation_configs
@@ -311,13 +311,13 @@ def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
 @pytest.mark.parametrize("mode", ["analytic", "both"])
 def test_a_sweep_builds_its_pair_classes_once(command, mode, cold_caches, tmp_path):
     # the pair classes, and the joint distances read from them, depend on neither
-    # the SNR nor the mode: from cold caches, a sweep builds them once, so a
-    # 21-point sweep builds them as often as a 2-point one, and --mode both as
-    # often as one column
+    # the SNR nor the mode, and the one channel of the geometry holds them: from cold
+    # caches, a sweep builds one channel, so a 21-point sweep builds the classes as
+    # often as a 2-point one, and --mode both as often as one column
     full = validate(load_config(config_path("aber_n16.cfg")))
     assert len(full.snr_grid_db) == 21
     for cfg in (replace(full, snr_grid_db=full.snr_grid_db[:2]), full):
         cold_caches()
         assert main([command, "--config", _write_cfg(tmp_path / "s.cfg", cfg), "--mode", mode,
                      "--trials", "100", "--out", str(tmp_path / "s.csv")]) == 0
-        assert airlink._pair_classes.cache_info().misses == 1
+        assert channel._channel.cache_info().misses == 1

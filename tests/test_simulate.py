@@ -12,11 +12,10 @@ from irs_sskrpm import (NumericalError, SystemConfig, aber_union, aber_union_ter
                         capacity_closed, joint_distances, load_config, make_channel, run_sweep,
                         simulate_ber, simulate_capacity, validate)
 from irs_sskrpm import airlink, simulate
-from irs_sskrpm.airlink import pair_classes
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
-from oracles import (ber_chunk_reference, ber_decide_reference, ber_draw_reference, ber_full_g,
-                     ml_detect_reference)
+from oracles import (ber_chunk, ber_chunk_reference, ber_decide_reference, ber_draw_reference,
+                     ber_full_g, ml_detect_reference, pair_classes_reference)
 from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_ON_EDGE,
                           STRESS_CONFIG, constellation_configs)
 
@@ -70,7 +69,7 @@ def test_rank1_ber_matches_full_g_reference(name, snr_db):
     assert abs(fast - ref) <= 4 * sigma, (fast, ref, sigma)
 
 
-#: The powers of one `_ber_chunk` call in the chunk replay test, in dB.
+#: The powers of one `ber_chunk` call in the chunk replay test, in dB.
 CHUNK_SNR_DB = (-math.inf, -30.0, 0.0, 10.0, 20.0, 60.0)
 
 
@@ -95,9 +94,8 @@ def test_ber_chunk_counts_the_errors_of_the_full_observation(name, overrides, sn
     ip = chan.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
     detected = ml_detect_reference(chan.points, ip, sqrt_p)
     expected = sum(bin(c ^ d).count("1") for c, d in zip(code.tolist(), detected.tolist()))
-    hamming = pair_classes(cfg.n_t, cfg.m_rpm)[2]
     sqrt_ps = np.sqrt(10 ** (np.array(CHUNK_SNR_DB) / 10))
-    counts = simulate._ber_chunk(chan, chan.wedges(), hamming, sqrt_ps, cfg.seed, 1, n)
+    counts = ber_chunk(chan, sqrt_ps, cfg.seed, 1, n)
     assert counts.dtype == np.int64 and counts.shape == sqrt_ps.shape
     assert counts[CHUNK_SNR_DB.index(snr_db)] == expected
 
@@ -124,7 +122,7 @@ def test_capacity_sim_approaches_limit(cfg):
 
 def test_capacity_pair_distances_cover_every_joint_pair():
     cfg = validate(SystemConfig(n_t=8, m_rpm=8, phi_d=0.3))
-    d2, mult = joint_distances(make_channel(cfg), cfg)
+    d2, mult = joint_distances(make_channel(cfg))
     assert mult.sum() == 8 * 7 * 8 * 7
     assert np.all(np.diff(d2) > 0) and d2[0] >= 0.0
     # the pair set is closed under swapping the two hypotheses
@@ -138,7 +136,7 @@ def test_capacity_pair_distances_cover_every_joint_pair():
     # every pair distance is |c_0 - c_k|^2 at the pair's offset k, which
     # agrees with the directly computed one up to rounding
     ref = np.sort((np.abs(points[:, None] - points) ** 2)[joint])
-    d2, mult = joint_distances(make_channel(cfg), cfg)
+    d2, mult = joint_distances(make_channel(cfg))
     assert mult.sum() == ref.size
     assert np.all(np.diff(d2) > 0) and np.all(mult % 2 == 0)
     np.testing.assert_allclose(np.repeat(d2, mult.astype(int)), ref, rtol=1e-12, atol=0)
@@ -263,12 +261,12 @@ def test_ber_chunk_counts_exactly_what_the_dense_reference_counts(cfg, snr_db, c
     # settled trials' owner distances plus the pairs still decided by ml_detect
     # must be the int64 counts of deciding every pair with ml_detect, for powers
     # in any order, repeated, and zero
-    chan, hamming = make_channel(cfg), pair_classes(cfg.n_t, cfg.m_rpm)[2]
+    chan, hamming = make_channel(cfg), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2]
     sqrt_ps = np.sqrt(10.0 ** (np.array(snr_db) / 10.0))
-    args = (chan, chan.wedges(), hamming, sqrt_ps, cfg.seed, chunk, n)
-    counts = simulate._ber_chunk(*args)
+    counts = ber_chunk(chan, sqrt_ps, cfg.seed, chunk, n)
     assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, ber_chunk_reference(*args))
+    np.testing.assert_array_equal(
+        counts, ber_chunk_reference(chan, chan.wedges(), hamming, sqrt_ps, cfg.seed, chunk, n))
 
 
 #: Amplitudes of the adversarial decision test besides the crossings: zero power,
@@ -293,7 +291,7 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     # be the dense pass's; ml_detect runs once at zero power (every trial) and once on
     # the pairs the walk leaves to it, among them every exact crossing
     rng = np.random.default_rng(seed)
-    chan, hamming, n = make_channel(cfg), pair_classes(cfg.n_t, cfg.m_rpm)[2], 300
+    chan, hamming, n = make_channel(cfg), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], 300
     wedges, (beta, _) = chan.wedges(), chan.edges
     code = rng.integers(0, chan.points.size, n)
     energy = rng.exponential(size=n)
@@ -314,9 +312,9 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     a = rng.permutation(a[np.isfinite(a) & (a > 0)])[:8]
     amps = np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), EXTREME_AMPS, a[:2]])
     amps = rng.permutation(amps)
-    walk = airlink._ber_walk(chan, hamming, amps)
+    walk = airlink._ber_walk(chan, amps)
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, wedges, walk, code, energy, noise)
+        counts = airlink._ber_decide(chan, walk, code, energy, noise)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, ber_decide_reference(chan, wedges, hamming, amps,
                                                                code, energy, noise))
@@ -340,9 +338,11 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
         cfg = validate(load_config(path))
         chan = make_channel(cfg)
         sqrt_ps = np.sqrt(10.0 ** (snr_db / 10.0))
-        args = (chan, chan.wedges(), pair_classes(cfg.n_t, cfg.m_rpm)[2], sqrt_ps, cfg.seed, 0, n)
+        reference = (chan, chan.wedges(), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], sqrt_ps,
+                     cfg.seed, 0, n)
         peaks = []
-        for kernel in (ber_chunk_reference, simulate._ber_chunk):
+        for kernel, args in ((ber_chunk_reference, reference),
+                             (ber_chunk, (chan, sqrt_ps, cfg.seed, 0, n))):
             tracemalloc.start()
             try:
                 kernel(*args)
