@@ -12,7 +12,8 @@ its `src/`, one process per demo, keeping the demo's stdout (and an `exit N`
 line if it fails). The script prints each file as identical or differing,
 then per CSV column the cells that moved, of all cells compared, and the
 largest relative change |b - a| / |a|, then each demo's stdout as identical
-or differing, and last the count of identical files. Standard library only.
+or differing, then the line count of each tree's `src/` (`src/ lines: A -> B`),
+and last the count of identical files. Standard library only.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def run_demos(tree: Path, out: Path) -> None:
         (out / f"{demo.stem}.stdout").write_text(proc.stdout + code, encoding="utf-8")
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of every .py file under tree's src/, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
+
+
 def relative(a: str, b: str) -> float:
     try:
         x, y = float(a), float(b)
@@ -119,6 +125,7 @@ def main() -> None:
         a, b = out / "a_demos" / name, out / "b_demos" / name
         same_demo = a.is_file() and b.is_file() and b.read_bytes() == a.read_bytes()
         print(f"demo {Path(name).stem}: {'identical' if same_demo else 'differs'}")
+    print(f"src/ lines: {src_lines(args.parent)} -> {src_lines(args.change)}")
     print(f"{same} of {len(files)} files identical")
 
 

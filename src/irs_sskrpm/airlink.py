@@ -62,14 +62,6 @@ def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
             *(v.reshape(2 * k, -1).T.copy() for v in edge))
 
 
-def _crossing(cot: np.ndarray, invsin: np.ndarray, r: np.ndarray, y: np.ndarray, x: np.ndarray):
-    """The amplitude a = y cot[r] - x where the angle of a + x + jy (y > 0) crosses an edge
-    (cot, 1/sin), and the top a + tol of the band where rounding may put the detector on
-    either side of it. At cot -inf, 1/sin 0 the top is NaN (callers silence it): never crossed."""
-    a = cot[r] * y - x
-    return a, (np.abs(a) + y + np.abs(x)) * invsin[r] * _SLACK + a
-
-
 def _ber_decide(chan: Channel, walk: tuple, code: np.ndarray, energy: np.ndarray,
                 noise: np.ndarray) -> np.ndarray:
     """The bit-error counts (int64) of the joint ML detector on the trials (code, energy,
@@ -80,10 +72,11 @@ def _ber_decide(chan: Channel, walk: tuple, code: np.ndarray, energy: np.ndarray
     j of `Channel.edges` (on the side of Im u) once, at a_j = |Im u| cot beta_j - Re u,
     decreasing in j. A trial counts its home's Hamming distance plus a step per edge
     crossed, walked edge by edge (one searchsorted and one bincount each) until its next
-    crossing is below the smallest amplitude. `ml_detect` decides zero power and, replayed
-    only if the chunk has any, the pairs within `_SLACK` of a crossing and every pair of a
-    trial whose u or home edge is within `_NEAR` of the real axis or the point: the counts
-    are bitwise `ml_detect`'s."""
+    crossing is below the smallest amplitude. `ml_detect` decides zero power and every
+    amplitude of the trials the walk leaves: those whose u or home edge is within `_NEAR` of
+    the real axis or the point, and those with an amplitude within `_SLACK` of a crossing,
+    where rounding may put the detector on either side; a walk that meets one walks again
+    without it. The counts are bitwise `ml_detect`'s."""
     amps, inverse, narrow, home, cot, invsin, step = walk
     k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
     amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
@@ -95,43 +88,33 @@ def _ber_decide(chan: Channel, walk: tuple, code: np.ndarray, energy: np.ndarray
     row = k * (u.imag >= 0) + code
     y, x = np.abs(u.imag), u.real.copy()
     del u
-    dense = ~(y > 2.0 * _NEAR * np.abs(x)) | narrow[row]
-    y[dense] = np.nan  # the walk passes them by
-    ids, live, gains, hits = None, (row, y, x), np.zeros(amps.size + 1), []
+    left = ~(y > 2.0 * _NEAR * np.abs(x)) | narrow[row]
     below = np.append(-np.inf, amps)  # below[i]: the largest of the first i amplitudes
-    with np.errstate(invalid="ignore"):
-        for j in range(cot.shape[0]):
-            a, top = _crossing(cot[j], invsin[j], *live)
-            go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
-            if not go.size:
-                break
-            ids, a, top = go if ids is None else ids[go], a[go], top[go]
-            live = tuple(v[go] for v in live)
-            above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
-            gains += np.bincount(above, step[j][live[0]], amps.size + 1)
-            a = 2.0 * a - top  # the bottom of the band
-            hit = np.flatnonzero(below[above] >= a)
-            if hit.size:
-                hits.append((ids[hit], np.searchsorted(amps, a[hit]), above[hit]))
-            del a, top, above
-    counts[zero:] = home[row].sum() + np.cumsum(gains[::-1])[::-1][1:]
-    if not (hits or dense.any()):
-        return counts[inverse]
-    # ml_detect decides every amplitude of a dense trial and those in each band, each
-    # pair once, in place of the walk's count
-    dense = np.flatnonzero(dense)
-    t, lo, hi = (np.concatenate(v) for v in zip((dense, 0 * dense, 0 * dense + amps.size), *hits))
-    size = hi - lo
-    pair = np.sort(np.repeat(t * amps.size + lo - np.cumsum(size) + size, size) + np.arange(size.sum()))
-    pair = pair[np.diff(pair, prepend=-1) > 0]
-    t, p = np.divmod(pair, amps.size)  # not empty: a dense trial or a band has a pair
-    r, model, on = row[t], home[row[t]], True
-    with np.errstate(invalid="ignore"):
-        for j in range(cot.shape[0]):  # the walk's count of each pair, replayed
-            top = _crossing(cot[j], invsin[j], r, y[t], x[t])[1]
-            model += on * (amps[p] <= top) * step[j][r]
-            on &= top >= amps[0]
-    ip = (amps[p] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
-    errors = chan.hamming[code[t], ml_detect(chan.wedges(), ip, amps[0])] - model
-    counts[zero:] += np.bincount(p, errors, amps.size).astype(np.int64)
+    again = True
+    while again:  # ends: each pass leaves more trials, and a trial left never walks again
+        y[left], again = np.nan, False  # the walk passes them by
+        ids, r, yr, xr, gains = None, row, y, x, np.zeros(amps.size + 1)
+        with np.errstate(invalid="ignore"):
+            for j in range(cot.shape[0]):
+                # the amplitude a where the angle of a + x + jy (y > 0) crosses edge j and the top
+                # of its rounding band, where the detector may read either side (NaN: never crossed)
+                a = cot[j][r] * yr - xr
+                top = (np.abs(a) + yr + np.abs(xr)) * invsin[j][r] * _SLACK + a
+                go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
+                if not go.size:
+                    break
+                ids, a, top = go if ids is None else ids[go], a[go], top[go]
+                r, yr, xr = r[go], yr[go], xr[go]
+                above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
+                gains += np.bincount(above, step[j][r], amps.size + 1)
+                a = 2.0 * a - top  # the bottom of the band
+                hit = ids[below[above] >= a]
+                left[hit], again = True, again or hit.size > 0
+                del a, top, above
+    counts[zero:] = home[row[~left]].sum() + np.cumsum(gains[::-1])[::-1][1:]
+    t = np.flatnonzero(left)
+    if t.size:
+        ip = (amps[:, None] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
+        decided = ml_detect(chan.wedges(), ip.ravel(), amps[0]).reshape(ip.shape)
+        counts[zero:] += chan.hamming[code[t], decided].sum(axis=1)
     return counts[inverse]

@@ -251,7 +251,7 @@ KERNEL_SNR_DB = st.sampled_from([-math.inf, *np.arange(-30.0, 61.0, 2.5).tolist(
          chunk=1, n=2000)
 @example(cfg=validate(load_config(STRESS_CONFIG)), snr_db=[40.0, 0.0, 20.0, -math.inf, 0.0],
          chunk=2, n=3000)
-# the benchmark's grid on a full chunk, which leaves no pair to ml_detect (no replay)
+# the benchmark's grid on a full chunk: no trial left to ml_detect
 @example(cfg=validate(load_config(config_path("aber_n32.cfg"))),
          snr_db=np.arange(0.0, 41.0, 2.0).tolist(), chunk=0, n=8192)
 @given(cfg=sweep_configs(), snr_db=st.lists(KERNEL_SNR_DB, min_size=1, max_size=8),
@@ -289,7 +289,7 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     # point 1), random; at amplitudes exactly at walked crossings and one ulp either
     # side, among zero power and +-200 dB, repeated and unsorted. The int64 counts must
     # be the dense pass's; ml_detect runs once at zero power (every trial) and once on
-    # the pairs the walk leaves to it, among them every exact crossing
+    # every amplitude of the trials the walk leaves, among them every exact crossing
     rng = np.random.default_rng(seed)
     chan, hamming, n = make_channel(cfg), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], 300
     wedges, (beta, _) = chan.wedges(), chan.edges
@@ -320,6 +320,36 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
                                                                code, energy, noise))
     sizes = [np.size(call.args[1]) for call in detect.call_args_list]
     assert len(sizes) <= 2 and sizes[0] == n and sum(sizes[1:]) >= a.size
+
+
+def test_ber_decide_walks_again_without_the_trials_in_a_band():
+    # a full aber_n32 chunk on the benchmark's 21 amplitudes, zero power, and the exact
+    # crossing of 3 trials with one ulp either side: those 3 trials fall in a rounding
+    # band, so the walk leaves them to ml_detect and walks the chunk again without them.
+    # The int64 counts must be the dense pass's; ml_detect runs once at zero power (every
+    # trial) and once on exactly those 3 trials at every nonzero amplitude
+    cfg = validate(load_config(config_path("aber_n32.cfg")))
+    chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
+    code, energy, noise = ber_draw_reference(chan, cfg.seed, 0, n)
+    amps = np.sqrt(10.0 ** (np.arange(0.0, 41.0, 2.0) / 10.0))
+    u = chan.points.conj()[code] * noise / (chan.sqrt_nu * energy)
+    cot = 1.0 / np.tan(chan.edges[0][(u.imag >= 0).astype(int), code, 0])
+    a = np.abs(u.imag) * cot - u.real  # each trial's crossing of its home edge
+    t = np.flatnonzero((a > 2.0) & (a < 50.0))[:3]
+    a = a[t]
+    amps = np.concatenate([amps, [0.0], a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
+    walk = airlink._ber_walk(chan, amps)
+    with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
+        counts = airlink._ber_decide(chan, walk, code, energy, noise)
+    assert counts.dtype == np.int64
+    hamming = pair_classes_reference(cfg.n_t, cfg.m_rpm)[2]
+    np.testing.assert_array_equal(
+        counts, ber_decide_reference(chan, chan.wedges(), hamming, amps, code, energy, noise))
+    calls = [call.args[1] for call in detect.call_args_list]
+    assert len(calls) <= 2 and np.size(calls[0]) == n
+    nonzero = np.unique(amps[amps > 0.0])
+    left = (nonzero[:, None] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
+    np.testing.assert_array_equal(np.sort(calls[1]), np.sort(left.ravel()))
 
 
 def test_ber_chunk_memory_stays_within_the_dense_pass():
