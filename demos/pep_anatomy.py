@@ -4,7 +4,7 @@ union bound on the average bit error rate is assembled from them.
 
 Every event i -> j between flat t-major hypothesis indices has the PEP of
 the one unit law (`unit_moments`) at the effective power P_s*|c_i - c_j|^2,
-with the distance read from the pair table of `Channel.distances()`.
+with the distance read from the pair table of `Channel.distances`.
 
 Run: python demos/pep_anatomy.py
 """
@@ -15,7 +15,7 @@ from irs_sskrpm import (SystemConfig, aber_union_terms, make_channel, pep_of_eve
 cfg = validate(SystemConfig())
 chan = make_channel(cfg)
 unit = unit_moments(chan)
-d, index = chan.distances()
+d, index = chan.distances
 # antenna error 1 -> 2, phase error 1 -> 2, and both at once
 events = [(0, cfg.m_rpm), (0, 1), (0, cfg.m_rpm + 1)]
 dist = [d[index[i, j]] for i, j in events]

@@ -2,18 +2,22 @@
 
     python3 scripts/compare_outputs.py PARENT_TREE CHANGE_TREE [--out DIR]
 
-Each tree's `src/` runs `aber` (every mode, --exact-pep, --paper-literal-args),
-`capacity` and `pep` on configs/*.cfg and perfbench/scenarios/*.cfg of this
-checkout, in one process per tree. Each run leaves three files: its CSV; its
-exit code, stdout and stderr (`<command>.run.json`, with the side's output
-folder replaced by `<out>`); and its manifest without `started_utc`
-(`<command>.csv.manifest.json`). Each tree also runs its own demos/*.py with
-its `src/`, one process per demo, keeping the demo's stdout (and an `exit N`
-line if it fails). The script prints each file as identical or differing,
-then per CSV column the cells that moved, of all cells compared, and the
-largest relative change |b - a| / |a|, then each demo's stdout as identical
-or differing, then the line count of each tree's `src/` (`src/ lines: A -> B`),
-and last the count of identical files. Standard library only.
+A tree is a folder or a git revision of this checkout, unpacked with `git archive`
+into the output folder: `python3 scripts/compare_outputs.py HEAD .` compares the
+working tree with its last commit. Each tree's `src/` runs `aber` (every mode,
+--exact-pep, --paper-literal-args), `capacity` and `pep` on configs/*.cfg and
+perfbench/scenarios/*.cfg of this checkout, in one process per tree. Each run
+leaves three files: its CSV; its exit code, stdout and stderr
+(`<command>.run.json`, with the side's output folder replaced by `<out>`); and
+its manifest without `started_utc` (`<command>.csv.manifest.json`). Each tree
+also runs its own demos/*.py with its `src/`, one process per demo, keeping the
+demo's stdout (and an `exit N` line if it fails). The script prints each file
+as identical or differing, then per CSV column the cells that moved, of all
+cells compared, and the largest relative change |b - a| / |a|, then each demo's
+stdout as identical or differing, then the line count of each tree's `src/`
+(`src/ lines: A -> B`), and last the count of identical files. It exits 1 if
+any file or demo differs. Standard library only (and git and tar to unpack a
+revision).
 """
 
 from __future__ import annotations
@@ -42,6 +46,18 @@ for record, argv in json.loads(sys.argv[1]):
     with open(record, "w", encoding="utf-8") as fh:
         json.dump({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, fh)
 """
+
+
+def unpack(tree: str, out: Path) -> Path:
+    """tree if it is a folder, else the files of git revision tree of this checkout in out."""
+    if Path(tree).is_dir():
+        return Path(tree)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", tree], stdout=subprocess.PIPE)
+    if archive.returncode:
+        sys.exit(f"{tree}: neither a folder nor a git revision")
+    out.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
+    return out
 
 
 def write_outputs(tree: Path, out: Path) -> None:
@@ -92,12 +108,14 @@ def relative(a: str, b: str) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", help="folder or git revision")
+    parser.add_argument("change", help="folder or git revision")
     parser.add_argument("--out", type=Path, default=None, help="keep the outputs here")
     args = parser.parse_args()
     out = (args.out or Path(tempfile.mkdtemp(prefix="compare_outputs_"))).resolve()
-    for side, tree in (("a", args.parent), ("b", args.change)):
+    trees = [unpack(tree, out / f"{side}_tree") for side, tree in (("a", args.parent),
+                                                                   ("b", args.change))]
+    for side, tree in zip("ab", trees):
         write_outputs(tree, out / side)
         run_demos(tree, out / f"{side}_demos")
     files = sorted((out / "a").glob("*/*"))
@@ -121,12 +139,16 @@ def main() -> None:
             columns[key] = [stat[0] + len(moved), stat[1] + len(col_a), max([stat[2], *moved])]
     for key, (moved, total, worst) in columns.items():
         print(f"column {key}: {moved} of {total} cells moved, largest relative change {worst:.2e}")
+    demos_differ = False
     for name in sorted({p.name for side in ("a", "b") for p in (out / f"{side}_demos").iterdir()}):
         a, b = out / "a_demos" / name, out / "b_demos" / name
         same_demo = a.is_file() and b.is_file() and b.read_bytes() == a.read_bytes()
+        demos_differ |= not same_demo
         print(f"demo {Path(name).stem}: {'identical' if same_demo else 'differs'}")
-    print(f"src/ lines: {src_lines(args.parent)} -> {src_lines(args.change)}")
+    print(f"src/ lines: {src_lines(trees[0])} -> {src_lines(trees[1])}")
     print(f"{same} of {len(files)} files identical")
+    if demos_differ or same < len(files):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

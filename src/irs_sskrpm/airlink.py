@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel
+from .channel import _NEAR, Channel
 
-#: `_ber_decide`'s relative slack on a crossing amplitude, and the angle in radians
-#: within which an edge or a trial's angle is too near its point or the antipode to walk.
-_SLACK, _NEAR = 1e-9, 1e-7
+#: `_ber_decide`'s relative slack on a crossing amplitude.
+_SLACK = 1e-9
 
 
 def rpm_phases(m_rpm: int) -> np.ndarray:
@@ -36,7 +35,7 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     Every signature sqrt(nu) points[k] g_eff has the energy nu ||g_eff||^2, so
     the ML metric ||y - sqrt(P_s nu) points[k] g_eff||^2 is smallest for the
     point nearest in angle to the scalar ip = g_eff^H y (or any positive
-    multiple): the location owning the `Channel.wedges()` interval that holds
+    multiple): the location owning the `Channel.wedges` interval that holds
     angle(ip), found by counting the bisectors below it. Returns flat t-major
     indices; ip = 0 and P_s = 0 (every score ties) decide index 0.
     """
@@ -46,42 +45,27 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     return winners[below]
 
 
-def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
-    """`_ber_decide`'s tables at the amplitudes sqrt_ps: the distinct amplitudes and each
-    entry's index into them; per row side * K + code of `Channel.edges`, whether the home
-    edge is within `_NEAR` and the home's Hamming distance; per edge, (J, 2K), its cot and
-    1/sin (-inf and 0 within `_NEAR` of the antipode) and the Hamming step of crossing it."""
-    amps, inverse = np.unique(sqrt_ps, return_inverse=True)
-    beta, owner = chan.edges
-    k, seen = chan.points.size, beta < np.pi - _NEAR
-    bits = chan.hamming[np.arange(k)[:, None], owner].astype(float)  # bincount weighs in floats
-    with np.errstate(divide="ignore"):  # a point on its home edge is left to the detector
-        edge = (np.where(seen, 1.0 / np.tan(beta), -np.inf), np.where(seen, 1.0 / np.sin(beta), 0.0),
-                np.where(seen, np.diff(bits, axis=-1), 0.0))
-    return (amps, inverse, (beta[..., 0] <= _NEAR).ravel(), bits[..., 0].ravel(),
-            *(v.reshape(2 * k, -1).T.copy() for v in edge))
-
-
-def _ber_decide(chan: Channel, walk: tuple, code: np.ndarray, energy: np.ndarray,
+def _ber_decide(chan: Channel, sqrt_ps: np.ndarray, code: np.ndarray, energy: np.ndarray,
                 noise: np.ndarray) -> np.ndarray:
     """The bit-error counts (int64) of the joint ML detector on the trials (code, energy,
-    noise) of `simulate._ber_draw` at every amplitude of the `_ber_walk` tables walk.
+    noise) of `simulate._ber_draw` at every amplitude of sqrt_ps, in any order.
 
     With u = conj(points[code]) noise / (sqrt_nu energy), the detector reads the angle of
     A + u at amplitude A, which moves monotonically towards 0 as A grows: it crosses edge
     j of `Channel.edges` (on the side of Im u) once, at a_j = |Im u| cot beta_j - Re u,
     decreasing in j. A trial counts its home's Hamming distance plus a step per edge
-    crossed, walked edge by edge (one searchsorted and one bincount each) until its next
-    crossing is below the smallest amplitude. `ml_detect` decides zero power and every
-    amplitude of the trials the walk leaves: those whose u or home edge is within `_NEAR` of
-    the real axis or the point, and those with an amplitude within `_SLACK` of a crossing,
-    where rounding may put the detector on either side; a walk that meets one walks again
-    without it. The counts are bitwise `ml_detect`'s."""
-    amps, inverse, narrow, home, cot, invsin, step = walk
+    crossed (the tables of `Channel.walk`), walked edge by edge (one searchsorted and one
+    bincount each) until its next crossing is below the smallest amplitude. `ml_detect`
+    decides zero power and every amplitude of the trials the walk leaves: those whose u or
+    home edge is within `_NEAR` of the real axis or the point, and those with an amplitude
+    within `_SLACK` of a crossing, where rounding may put the detector on either side; a
+    walk that meets one walks again without it. The counts are bitwise `ml_detect`'s."""
+    amps, inverse = np.unique(sqrt_ps, return_inverse=True)
+    narrow, home, cot, invsin, step = chan.walk
     k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
     amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
     if zero:
-        counts[0] = chan.hamming[code, ml_detect(chan.wedges(), noise, 0.0)].sum()
+        counts[0] = chan.hamming[code, ml_detect(chan.wedges, noise, 0.0)].sum()
     if not amps.size:
         return counts[inverse]
     u = chan.points.conj()[code] * noise * (1.0 / (chan.sqrt_nu * energy))  # bitwise the quotient
@@ -115,6 +99,6 @@ def _ber_decide(chan: Channel, walk: tuple, code: np.ndarray, energy: np.ndarray
     t = np.flatnonzero(left)
     if t.size:
         ip = (amps[:, None] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
-        decided = ml_detect(chan.wedges(), ip.ravel(), amps[0]).reshape(ip.shape)
+        decided = ml_detect(chan.wedges, ip.ravel(), amps[0]).reshape(ip.shape)
         counts[zero:] += chan.hamming[code[t], decided].sum(axis=1)
     return counts[inverse]

@@ -95,6 +95,11 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+#: The radians within which an edge or a trial's angle is too near its point or the antipode
+#: for the edge walk (`Channel.walk`), far above the 5.7e-12 rad that `_group` resolves.
+_NEAR = 1e-7
+
+
 def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The one rule for which constellation angles (in turns) coincide: those on one
     step of a 2^-40-turn grid modulo one turn (with fold, also modulo sign), which the
@@ -108,8 +113,9 @@ def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """The deterministic part of the link and its rank-1 reduction; read-only, as its tables,
-    and one instance per geometry, so identity is equality.
+    """The deterministic part of the link and its rank-1 reduction; read-only, as its tables
+    (the cached properties `distances`, `hamming`, `classes`, `wedges`, `edges` and `walk`,
+    each built on first read), and one instance per geometry, so identity is equality.
 
     H = sqrt(nu) a_irs a_bs^T, so hypothesis k has the noise-free signature
     sqrt_nu * points[k] * g_eff, where g_eff = G^H a_irs ~ CN(mean, scale^2 I_{n_r}).
@@ -134,13 +140,10 @@ class Channel:
     sqrt_nu: float
     m_rpm: int
 
+    @cached_property
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct |c_i - c_j|^2 over the ordered pairs of points, ascending (at
         most K; 0 within a location), and the (K, K) index of each pair into them."""
-        return self._pair_table
-
-    @cached_property
-    def _pair_table(self) -> tuple[np.ndarray, np.ndarray]:
         # every pair offset is, up to rounding, an offset from hypothesis 0: a folded
         # group of turns, and pair (0, first[g]) is exactly at group g. A pair takes the
         # nearest one, so a rounded offset on a grid-step boundary opens no group of its own.
@@ -165,22 +168,19 @@ class Channel:
     @cached_property
     def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per error event class -- antenna-only (same phase), phase-only (same antenna), both
-        with the diagonal, and joint -- the `distances()` index and the Hamming distance of its
+        with the diagonal, and joint -- the `distances` index and the Hamming distance of its
         ordered pairs, in (K, K) row-major order."""
-        idx, index = np.arange(self.points.size), self.distances()[1]
+        idx, index = np.arange(self.points.size), self.distances[1]
         xor = np.bitwise_xor.outer(idx, idx)
         same_m, same_t = (xor & (self.m_rpm - 1)) == 0, xor < self.m_rpm
         return tuple(_frozen(index[mask], self.hamming[mask])
                      for mask in (same_m, same_t, ~same_t & ~same_m))
 
+    @cached_property
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:
         """The ML decision regions (`airlink.ml_detect`): the ascending bisectors of
         the locations' angles, closed into a ring a turn below and above, and the
         owner of each interval: an angle in [-pi, pi] decides winners[bisectors below it]."""
-        return self._wedge_table
-
-    @cached_property
-    def _wedge_table(self) -> tuple[np.ndarray, np.ndarray]:
         owner, _ = _group(self.turns)
         owner = owner[np.argsort(self.turns[owner])]
         angle = 2.0 * np.pi * self.turns[owner]
@@ -189,11 +189,11 @@ class Channel:
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's `wedges()` edges on each side (0: below its angle, 1: above), from
+        """Each point's `wedges` edges on each side (0: below its angle, 1: above), from
         its home wedge outward: the radians from the point to each edge short of the
         antipode, (2, K, J), padded with pi, and the owner of each wedge on the way,
         (2, K, J + 1), home first and the last repeated."""
-        owner, (bisectors, winners) = np.take(*_group(self.turns)), self.wedges()
+        owner, (bisectors, winners) = np.take(*_group(self.turns)), self.wedges
         n, side = bisectors.size - 1, np.arange(2)[:, None, None]
         angle = 2.0 * np.pi * (self.turns - np.rint(self.turns - self.turns[owner]))
         # ring index e of each edge outward (column 0: the home's other edge): edge e lies at
@@ -207,6 +207,21 @@ class Channel:
         j = np.arange(max(1, reach.max()) + 1)
         ring = np.take_along_axis(ring, np.minimum(j, reach), -1) + side - 1
         return _frozen(np.where(j[1:] <= reach, beta[..., j[1:]], np.pi), winners[1 + ring % n])
+
+    @cached_property
+    def walk(self) -> tuple[np.ndarray, ...]:
+        """The `edges` as `airlink._ber_decide` walks them. Per row side * K + code: whether the
+        home edge is within `_NEAR` of the point, and the home's Hamming distance. Per edge,
+        (J, 2K): its cot and 1/sin (-inf and 0 within `_NEAR` of the antipode, so never
+        crossed), and the Hamming step of crossing it, hamming[code, owner] differenced."""
+        (beta, owner), k = self.edges, self.points.size
+        seen = beta < np.pi - _NEAR
+        bits = self.hamming[np.arange(k)[:, None], owner].astype(float)  # bincount weighs in floats
+        with np.errstate(divide="ignore"):  # a point on its home edge is left to the detector
+            edge = (np.where(seen, 1.0 / np.tan(beta), -np.inf),
+                    np.where(seen, 1.0 / np.sin(beta), 0.0), np.diff(bits, axis=-1))
+        return _frozen((beta[..., 0] <= _NEAR).ravel(), bits[..., 0].ravel(),
+                       *(v.reshape(2 * k, -1).T.copy() for v in edge))
 
 
 @lru_cache(maxsize=_CACHED_GEOMETRIES)

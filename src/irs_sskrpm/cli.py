@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from . import __version__
 from .channel import _CACHED_GEOMETRIES, Channel, make_channel
-from .config import ConfigError, SystemConfig, load_config, validate
+from .config import SystemConfig, load_config, validate
 from .metrics import NumericalError, pep_of_event
 from .ncx2 import unit_moments
 from .simulate import draw_scheme, run_sweep
@@ -66,9 +66,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"ok: N={cfg.n_elements} n_t={cfg.n_t} n_r={cfg.n_r} m_rpm={cfg.m_rpm} "
           f"bits/use={cfg.bits_total} snr points={len(cfg.snr_grid_db)} trials={cfg.trials}")
     k, chan = cfg.n_t * cfg.m_rpm, make_channel(cfg)
-    never = k + 1 - chan.wedges()[0].size  # one wedge per location
+    never = k + 1 - chan.wedges[0].size  # one wedge per location
     if never:
-        d = chan.distances()[0]
+        d = chan.distances[0]
         rest = (f"smallest nonzero squared pair distance {d[1]:.6g}" if d.size > 1
                 else f"all {k} hypotheses share one location")
         print(f"warning: {never} of {k} hypotheses coincide with one of smaller index "
@@ -95,7 +95,7 @@ def _pep_layout(chan: Channel) -> tuple[itemgetter, tuple[str, ...]]:
     """A channel's pep rows: the gather of each one's distance index, and a template of an SNR
     slot, then per row its key cells "event,t,t_hat,m,m_hat," and a PEP slot. Antenna errors
     are at phase 1, phase errors at antenna 1 (every antenna has the same pair distance)."""
-    index, k, n_t = chan.distances()[1], chan.m_rpm, chan.points.size // chan.m_rpm
+    index, k, n_t = chan.distances[1], chan.m_rpm, chan.points.size // chan.m_rpm
     ts, ms = list(permutations(range(n_t), 2)), list(permutations(range(k), 2))
     # pair (t k + m, u k + n) at [m k + n, t n_t + u]: ssk rows read row 0, rpm rows column 0
     grid = index.reshape(n_t, k, n_t, k).transpose(1, 3, 0, 2).reshape(k * k, n_t * n_t)
@@ -114,7 +114,7 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     chan = make_channel(cfg)
     gather, parts = _pep_layout(chan)
-    unit, d, parts = unit_moments(chan), chan.distances()[0], list(parts)
+    unit, d, parts = unit_moments(chan), chan.distances[0], list(parts)
     gain, body = 2.0 if args.paper_literal_args else 1.0, []
     for snr_db in cfg.snr_grid_db:
         v, parts[0] = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d), f"{_fmt(snr_db)},"
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -129,7 +129,7 @@ def validate(cfg: SystemConfig) -> SystemConfig:
 def _parse_value(key: str, raw: str, lineno: int):
     try:
         if key == "snr_grid_db":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return tuple(float(tok) for tok in raw.split(",")) if raw else ()  # empty: no point
         return type(getattr(SystemConfig, key))(raw)  # int or float, as the field's default
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: cannot parse {key}={raw!r}") from exc

@@ -19,7 +19,7 @@ times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
 is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2, for a pair
 (i, j) of flat t-major hypothesis indices. The union bound, the closed-form
 capacity and the `pep` table therefore evaluate xi_1 once per transmit power,
-over the distinct constellation distances (`Channel.distances()`), and take
+over the distinct constellation distances (`Channel.distances`), and take
 one power or an array of powers; the pair classes are the channel's (`Channel.classes`).
 """
 
@@ -135,7 +135,7 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = Fa
     power's sums are its own. A zero-bit config (n_t = m_rpm = 1) raises
     ValueError, as in `simulate_ber`."""
     b = _bits(cfg)
-    d, p = chan.distances()[0], _power(p_s)
+    d, p = chan.distances[0], _power(p_s)
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
     scale = chan.points.size * b
@@ -158,7 +158,7 @@ def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
     """The distinct |c_i - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, ascending, with their multiplicities."""
     ids, mult = np.unique(chan.classes[2][0], return_counts=True)
-    return chan.distances()[0][ids], mult.astype(float)
+    return chan.distances[0][ids], mult.astype(float)
 
 
 def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):

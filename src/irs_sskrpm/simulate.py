@@ -15,12 +15,12 @@ only rescales the signal term of the scalar g_eff^H y, so one draw of the
 codes, channels and noise is decided at every point of the grid (common random
 numbers); as the power grows, the scalar's angle moves monotonically towards the
 sent point's, crossing each wedge edge once at an amplitude in closed form, and a
-chunk is decided by walking those crossings. Each row keeps the law and the
-standard-error formula it has alone; only the rows' errors are correlated. A
-capacity chunk of sweep point i keeps the key (1, i, c) (power q of a call draws
-point point_index + q): the benchmark's capacity check (`perfbench/workloads.py`)
-recomputes each row's stderr with `point_index=i`, so that key changes only with
-the benchmark.
+chunk is decided by walking those crossings (on the tables of `Channel.walk`).
+Each row keeps the law and the standard-error formula it has alone; only the
+rows' errors are correlated. A capacity chunk of sweep point i keeps the key
+(1, i, c) (power q of a call draws point point_index + q): the benchmark's
+capacity check (`perfbench/workloads.py`) recomputes each row's stderr with
+`point_index=i`, so that key changes only with the benchmark.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .airlink import _ber_decide, _ber_walk
+from .airlink import _ber_decide
 from .channel import Channel, make_channel
 from .config import SystemConfig, validate
 from .metrics import (NumericalError, _bits, _power, _shaped, aber_union, capacity_closed,
@@ -93,10 +93,9 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     p = _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    bits = _bits(cfg) * trials
-    walk = _ber_walk(chan, np.sqrt(p).ravel())
+    bits, sqrt_ps = _bits(cfg) * trials, np.sqrt(p).ravel()
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_decide(chan, walk, *_ber_draw(chan, seed, c, size))
+    errors = sum(_ber_decide(chan, sqrt_ps, *_ber_draw(chan, seed, c, size))
                  for c, size in enumerate(_chunk_sizes(trials)))
     aber = errors.reshape(p.shape) / bits
     return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)

@@ -16,7 +16,7 @@ from `pep_of_event(moments_*)` (whose moments and integrals the oracles
 above check), as the reference for the vectorised hypothesis-pair table;
 `pep_events_reference` lists the pep table's rows one event at a time, and
 `pep_csv_reference` formats the whole CSV from them line by line.
-`distances_reference` is `Channel.distances()` deduplicated over the full
+`distances_reference` is `Channel.distances` deduplicated over the full
 (K, K) table of gathered group distances, and `aber_union_terms_table_reference`
 sums the library's PEPs through the full (K, K) table of weighted terms.
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
@@ -38,7 +38,7 @@ from scipy import integrate, special, stats
 from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, make_channel,
                         ml_detect, moments_joint, moments_rpm, moments_ssk, pep_chiani,
                         pep_of_event, rpm_phases, simulate, unit_moments)
-from irs_sskrpm.airlink import _ber_decide, _ber_walk
+from irs_sskrpm.airlink import _ber_decide
 from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
@@ -228,8 +228,7 @@ def ber_chunk(chan: Channel, sqrt_ps: np.ndarray, seed: int, chunk_index: int,
               n_trials: int) -> np.ndarray:
     """The library's bit-error counts of one chunk at every amplitude of sqrt_ps, as
     `simulate_ber` counts each of its chunks."""
-    return _ber_decide(chan, _ber_walk(chan, sqrt_ps),
-                       *simulate._ber_draw(chan, seed, chunk_index, n_trials))
+    return _ber_decide(chan, sqrt_ps, *simulate._ber_draw(chan, seed, chunk_index, n_trials))
 
 
 def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
@@ -369,12 +368,12 @@ def diversity_slope(snr_db, aber) -> float:
 
 def pair_distances_reference(points: np.ndarray) -> np.ndarray:
     """The full (K, K) table |c_i - c_j|^2 over the ordered pairs of points,
-    one subtraction per pair (the reference for `Channel.distances()`)."""
+    one subtraction per pair (the reference for `Channel.distances`)."""
     return np.array([[abs(ci - cj) ** 2 for cj in points] for ci in points])
 
 
 def distances_reference(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """`Channel.distances()` by the rule that deduplicates the gathered (K, K) table:
+    """`Channel.distances` by the rule that deduplicates the gathered (K, K) table:
     each pair takes the folded group of turns nearest its offset, and `np.unique`
     runs over the group distances read at every pair."""
     first, group = _group(chan.turns)
@@ -433,7 +432,7 @@ def aber_union_terms_table_reference(chan: Channel, cfg: SystemConfig, p_s,
     dist * pep[index] / (K b) of every ordered pair, compressed through each class
     mask (antenna-only, phase-only, joint) and summed in 1-D. Floats for a scalar
     p_s, else arrays of its shape."""
-    d, index = chan.distances()
+    d, index = chan.distances
     p = np.asarray(p_s, dtype=float)
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
@@ -482,7 +481,7 @@ def pep_csv_reference(cfg: SystemConfig, paper_literal_args: bool = False) -> st
     """The text of the `pep` CSV, one formatted line per event and SNR point: the
     PEPs of the one unit law at each distinct distance, read through the pair index."""
     chan = make_channel(cfg)
-    unit, (d, index) = unit_moments(chan), chan.distances()
+    unit, (d, index) = unit_moments(chan), chan.distances
     lines = ["snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"]
     for snr_db in cfg.snr_grid_db:
         v = pep_of_event(unit, (2.0 if paper_literal_args else 1.0) * 10.0 ** (snr_db / 10.0) * d)

@@ -60,16 +60,16 @@ def test_ml_detect_matches_norm_minimization(rng):
         lam = full_g_signatures(cfg, g)
         y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
         ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
-        detected = ml_detect(chan.wedges(), ip, np.sqrt(p_s))
+        detected = ml_detect(chan.wedges, ip, np.sqrt(p_s))
         dists = np.sum(np.abs(y[:, None, :] - np.sqrt(p_s) * lam[None]) ** 2, axis=2)
         np.testing.assert_array_equal(detected, np.argmin(dists, axis=1))
 
 
 def test_ml_detect_zero_observation_tie_break(chan, rng):
     # y = 0, or P_s = 0 with any y: every score ties, so the decision is index 0
-    assert np.all(ml_detect(chan.wedges(), np.zeros(5, dtype=complex), 2.0) == 0)
+    assert np.all(ml_detect(chan.wedges, np.zeros(5, dtype=complex), 2.0) == 0)
     ip = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.all(ml_detect(chan.wedges(), ip, 0.0) == 0)
+    assert np.all(ml_detect(chan.wedges, ip, 0.0) == 0)
 
 
 def test_ml_detect_global_phase_invariance(rng):
@@ -80,8 +80,8 @@ def test_ml_detect_global_phase_invariance(rng):
         g_eff = _g_eff(cfg, sample_g(cfg, chan.g_bar, rng))
         y = (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))) * 3.0
         rot = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        i0 = ml_detect(chan.wedges(), chan.sqrt_nu * y @ g_eff.conj(), np.sqrt(7.0))
-        i1 = ml_detect(chan.wedges(), chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj(), np.sqrt(7.0))
+        i0 = ml_detect(chan.wedges, chan.sqrt_nu * y @ g_eff.conj(), np.sqrt(7.0))
+        i1 = ml_detect(chan.wedges, chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj(), np.sqrt(7.0))
         np.testing.assert_array_equal(i0, i1)
 
 
@@ -98,7 +98,7 @@ def test_ml_detect_recovers_noise_free_symbol(n_t, m_rpm, n_r, n_x, n_y, phi_d, 
     p_s = 10.0
     y = np.sqrt(p_s) * full_g_signatures(cfg, g)
     ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
-    np.testing.assert_array_equal(ml_detect(chan.wedges(), ip, np.sqrt(p_s)),
+    np.testing.assert_array_equal(ml_detect(chan.wedges, ip, np.sqrt(p_s)),
                                   np.arange(n_t * m_rpm))
 
 
@@ -111,7 +111,7 @@ def test_wedge_detector_matches_the_exhaustive_argmin(cfg, seed):
     # where rounding decides, are left out
     chan = make_channel(cfg)
     assume(chan.points.size >= 2)
-    wedges = chan.wedges()
+    wedges = chan.wedges
     rng = np.random.default_rng(seed)
     ip = np.concatenate([[0.0], rng.standard_normal(400) + 1j * rng.standard_normal(400)])
     ip *= 10.0 ** rng.uniform(-3, 3, ip.size)

@@ -203,7 +203,7 @@ def test_distances_are_the_offsets_from_hypothesis_0(cfg):
     # phi_d = 1.989... rounded pair offsets of one true offset fall on both
     # sides of a grid-step boundary (9 groups of 8 points when keyed directly)
     chan = make_channel(cfg)
-    d, index = chan.distances()
+    d, index = chan.distances
     full = pair_distances_reference(chan.points)
     # a pair's distance is resolved only to the 2^-40-turn grid of `_group`: each
     # point's location owner is within 1 step of it, so the owners' offset is
@@ -233,15 +233,15 @@ def test_distances_on_coincident_and_stress_constellations():
     # 16 points on 4 locations a quarter turn apart: |1 - j|^2 = 2 rounds to
     # 1.9999999999999996
     chan = make_channel(validate(ON_RPM_STEPS))
-    d, index = chan.distances()
+    d, index = chan.distances
     assert d[0] == 0.0 and d[2] == 4.0
     np.testing.assert_allclose(d, [0.0, 2.0, 4.0], rtol=4e-16)
     assert np.sum(index == 0) == 16 * 4
-    assert chan.wedges()[0].size == 4 + 1
+    assert chan.wedges[0].size == 4 + 1
     # the true offsets from hypothesis 0 take 61 values (smallest real gap
     # 0.0035 turns); rounding the points' own distances splits 3 of them
     stress = validate(load_config(STRESS_CONFIG))
-    assert make_channel(stress).distances()[0].size == 61
+    assert make_channel(stress).distances[0].size == 61
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,7 +258,7 @@ def test_distances_deduplicate_the_group_distances_bitwise(cfg):
     # the distinct distances come from the <= K group distances that some pair
     # uses, not from the (K, K) table read at every pair: the same floats and
     # the same index, bit for bit
-    d, index = make_channel(cfg).distances()
+    d, index = make_channel(cfg).distances
     ref_d, ref_index = distances_reference(make_channel(cfg))
     assert d.dtype == ref_d.dtype and index.dtype == ref_index.dtype
     assert d.tobytes() == ref_d.tobytes()
@@ -276,7 +276,7 @@ def test_wedges_partition_the_circle(cfg):
     # rad apart: one location), won by its smallest index; the locations are
     # closed into a ring by the last one a turn below and the first a turn above
     chan = make_channel(cfg)
-    bisectors, winners = chan.wedges()
+    bisectors, winners = chan.wedges
     turns = _config_turns(cfg)
     owner: dict[int, int] = {}
     for k, u in enumerate(turns):
@@ -303,7 +303,7 @@ def test_edges_list_each_wedge_edge_and_owner_outward_from_each_point(cfg):
     # the owner listed for it, which repeats past the last edge
     chan = make_channel(cfg)
     beta, owner = chan.edges
-    wedges = chan.wedges()
+    wedges = chan.wedges
     assert beta.shape[:2] == (2, chan.points.size)
     assert owner.shape == (*beta.shape[:2], beta.shape[2] + 1)
     ring = (wedges[0][1:] + 2 * np.pi * np.arange(-1, 2)[:, None]).ravel()  # each edge, +-1 turn
@@ -330,9 +330,10 @@ def test_shared_tables_are_read_only(cold_caches):
     # one instance serves every later call, so no caller can write into it
     cfg = validate(SystemConfig())
     chan = make_channel(cfg)
-    shared = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances(),
-              *chan.wedges(), *chan.edges, chan.hamming, *(a for c in chan.classes for a in c)]
-    assert len(shared) == 18
+    shared = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances,
+              *chan.wedges, *chan.edges, *chan.walk, chan.hamming,
+              *(a for c in chan.classes for a in c)]
+    assert len(shared) == 23
     for table in shared:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = table
@@ -348,10 +349,10 @@ def test_shared_tables_are_read_only(cold_caches):
 def test_pair_classes_are_the_label_masks_bitwise(cfg):
     # the label Hamming table and the antenna-only (same phase), phase-only (same
     # antenna) and joint classes, the first two with the diagonal, are the masks of the
-    # flat indices' antenna and phase indices applied to distances()[1], dtypes included
+    # flat indices' antenna and phase indices applied to distances[1], dtypes included
     chan = make_channel(cfg)
     same_t, same_m, dist = pair_classes_reference(cfg.n_t, cfg.m_rpm)
-    index = chan.distances()[1]
+    index = chan.distances[1]
     got = [chan.hamming, *(a for c in chan.classes for a in c)]
     want = [dist, *(a[mask] for mask in (same_m, same_t, ~same_t & ~same_m) for a in (index, dist))]
     assert len(got) == len(want) == 7
@@ -380,7 +381,7 @@ def test_configs_of_one_geometry_share_one_channel(cold_caches):
 
 
 def _channel_bytes(chan) -> list[bytes]:
-    arrays = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances()]
+    arrays = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances]
     return [a.tobytes() for a in arrays] + [np.float64([chan.scale, chan.sqrt_nu]).tobytes()]
 
 

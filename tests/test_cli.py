@@ -92,6 +92,16 @@ def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent.cfg"]) == 1
 
 
+def test_a_directory_for_a_file_is_one_error_line(tmp_path, quick_cfg, capsys):
+    # a config or an output path that names a directory: exit 1 with one line on
+    # stderr, not a traceback
+    for argv in (["validate", "--config", str(tmp_path)],
+                 ["aber", "--mode", "analytic", "--config", quick_cfg, "--out", str(tmp_path)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unknown_subcommand_and_flag(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["aber", "--config", "x", "--bogus"]) == 1

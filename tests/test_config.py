@@ -185,6 +185,14 @@ def test_parse_config_bad_value():
         parse_config("n_t=two\n")
 
 
+@pytest.mark.parametrize("text", ["snr_grid_db=0,,4\n", "snr_grid_db=0,4,\n", "snr_grid_db=,\n"])
+def test_parse_config_rejects_an_empty_grid_token(text):
+    # a dropped value is a typo, not a shorter grid (an empty value is the grid of no
+    # point, which test_pep_csv_is_the_row_by_row_table_at_its_edges writes and reads)
+    with pytest.raises(ConfigError, match="line 1: cannot parse snr_grid_db="):
+        parse_config(text)
+
+
 def test_every_exported_name_resolves():
     import irs_sskrpm
     missing = [name for name in irs_sskrpm.__all__ if not hasattr(irs_sskrpm, name)]

@@ -150,7 +150,7 @@ def _unit_law(name: str):
     """The unit law and the distinct pair distances of a named scenario."""
     cfg = load_config(STRESS_CONFIG) if name == "stress_nt8m8" else validate(SMALL_STEP)
     chan = make_channel(cfg)
-    return unit_moments(chan), chan.distances()[0]
+    return unit_moments(chan), chan.distances[0]
 
 
 @pytest.mark.parametrize("name", ["stress_nt8m8", "small_step"])

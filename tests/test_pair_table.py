@@ -57,7 +57,7 @@ def test_pair_moments_match_per_event_moments(case):
     # direction of each event
     cfg, chan = case
     unit = unit_moments(chan)
-    d, index = chan.distances()
+    d, index = chan.distances
     k = cfg.n_t * cfg.m_rpm
     ref_s, ref_sigma = np.zeros((k, k)), np.zeros((k, k))
     for i, j in permutations(range(k), 2):
@@ -80,7 +80,7 @@ def test_pair_moments_match_per_event_moments(case):
 def test_array_powers_match_scalar_calls(case):
     cfg, chan = case
     unit = unit_moments(chan)
-    d, _ = chan.distances()
+    d, _ = chan.distances
     for snr_db in cfg.snr_grid_db:
         powers = 10.0 ** (snr_db / 10.0) * d
         v = pep_of_event(unit, powers)
@@ -166,7 +166,7 @@ def test_pep_csv_matches_per_event_reference(case, lit, tmp_path):
 def test_coincident_hypotheses_have_exact_half_and_chiani_third():
     cfg = validate(CASES["coincident"]())
     chan = make_channel(cfg)
-    d, index = chan.distances()
+    d, index = chan.distances
     v = pep_of_event(unit_moments(chan), 1e3 * d)
     exact, chiani = v.exact[index], v.chiani[index]
     t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
@@ -186,7 +186,7 @@ def test_craig_convergence_failure_is_reported(monkeypatch, tmp_path, capsys):
     with pytest.raises(NumericalError, match="did not converge"):
         pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, 1, 2), 100.0)
     with pytest.raises(NumericalError, match="did not converge"):
-        pep_of_event(unit_moments(chan), 100.0 * chan.distances()[0])
+        pep_of_event(unit_moments(chan), 100.0 * chan.distances[0])
     assert main(["pep", "--config", cfg_path, "--out", str(tmp_path / "pep.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -296,7 +296,7 @@ def test_pep_rpm_rows_read_the_pair_index_at_every_antenna(tmp_path):
     chan = make_channel(cfg)
     out = tmp_path / "pep.csv"
     assert main(["pep", "--config", _write_cfg(tmp_path / "nt8.cfg", cfg), "--out", str(out)]) == 0
-    d, index = chan.distances()
+    d, index = chan.distances
     unit, k = unit_moments(chan), cfg.m_rpm
     rows = [line.split(",") for line in out.read_text().splitlines() if ",rpm," in line]
     assert len(rows) == len(cfg.snr_grid_db) * k * (k - 1)

@@ -241,7 +241,8 @@ def sweep_configs(draw):
 
 
 #: Powers of the kernel's property test, in dB: zero power and -30 to 60 dB.
-KERNEL_SNR_DB = st.sampled_from([-math.inf, *np.arange(-30.0, 61.0, 2.5).tolist()])
+KERNEL_DB = [-math.inf, *np.arange(-30.0, 61.0, 2.5).tolist()]
+KERNEL_SNR_DB = st.sampled_from(KERNEL_DB)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,6 +255,10 @@ KERNEL_SNR_DB = st.sampled_from([-math.inf, *np.arange(-30.0, 61.0, 2.5).tolist(
 # the benchmark's grid on a full chunk: no trial left to ml_detect
 @example(cfg=validate(load_config(config_path("aber_n32.cfg"))),
          snr_db=np.arange(0.0, 41.0, 2.0).tolist(), chunk=0, n=8192)
+# three locations with a bisector exactly at point 0's antipode: an edge the walk never
+# crosses (cot -inf) whose Hamming step is nonzero, at every kernel power
+@example(cfg=validate(replace(SystemConfig(), n_t=4, m_rpm=1, phi_d=math.asin(2.0 / 3.0))),
+         snr_db=KERNEL_DB, chunk=3, n=4096)
 @given(cfg=sweep_configs(), snr_db=st.lists(KERNEL_SNR_DB, min_size=1, max_size=8),
        chunk=st.integers(0, 3), n=st.integers(1, 4096))
 def test_ber_chunk_counts_exactly_what_the_dense_reference_counts(cfg, snr_db, chunk, n):
@@ -266,7 +271,7 @@ def test_ber_chunk_counts_exactly_what_the_dense_reference_counts(cfg, snr_db, c
     counts = ber_chunk(chan, sqrt_ps, cfg.seed, chunk, n)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(
-        counts, ber_chunk_reference(chan, chan.wedges(), hamming, sqrt_ps, cfg.seed, chunk, n))
+        counts, ber_chunk_reference(chan, chan.wedges, hamming, sqrt_ps, cfg.seed, chunk, n))
 
 
 #: Amplitudes of the adversarial decision test besides the crossings: zero power,
@@ -292,7 +297,7 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     # every amplitude of the trials the walk leaves, among them every exact crossing
     rng = np.random.default_rng(seed)
     chan, hamming, n = make_channel(cfg), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], 300
-    wedges, (beta, _) = chan.wedges(), chan.edges
+    wedges, (beta, _) = chan.wedges, chan.edges
     code = rng.integers(0, chan.points.size, n)
     energy = rng.exponential(size=n)
     side, j = rng.integers(0, 2, n), rng.integers(0, beta.shape[2], n)
@@ -312,9 +317,8 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     a = rng.permutation(a[np.isfinite(a) & (a > 0)])[:8]
     amps = np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), EXTREME_AMPS, a[:2]])
     amps = rng.permutation(amps)
-    walk = airlink._ber_walk(chan, amps)
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, walk, code, energy, noise)
+        counts = airlink._ber_decide(chan, amps, code, energy, noise)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, ber_decide_reference(chan, wedges, hamming, amps,
                                                                code, energy, noise))
@@ -338,13 +342,12 @@ def test_ber_decide_walks_again_without_the_trials_in_a_band():
     t = np.flatnonzero((a > 2.0) & (a < 50.0))[:3]
     a = a[t]
     amps = np.concatenate([amps, [0.0], a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
-    walk = airlink._ber_walk(chan, amps)
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, walk, code, energy, noise)
+        counts = airlink._ber_decide(chan, amps, code, energy, noise)
     assert counts.dtype == np.int64
     hamming = pair_classes_reference(cfg.n_t, cfg.m_rpm)[2]
     np.testing.assert_array_equal(
-        counts, ber_decide_reference(chan, chan.wedges(), hamming, amps, code, energy, noise))
+        counts, ber_decide_reference(chan, chan.wedges, hamming, amps, code, energy, noise))
     calls = [call.args[1] for call in detect.call_args_list]
     assert len(calls) <= 2 and np.size(calls[0]) == n
     nonzero = np.unique(amps[amps > 0.0])
@@ -368,7 +371,7 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
         cfg = validate(load_config(path))
         chan = make_channel(cfg)
         sqrt_ps = np.sqrt(10.0 ** (snr_db / 10.0))
-        reference = (chan, chan.wedges(), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], sqrt_ps,
+        reference = (chan, chan.wedges, pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], sqrt_ps,
                      cfg.seed, 0, n)
         peaks = []
         for kernel, args in ((ber_chunk_reference, reference),
