@@ -5,11 +5,12 @@
 A tree is a folder or a git revision of this checkout, unpacked with `git archive`
 into the output folder: `python3 scripts/compare_outputs.py HEAD .` compares the
 working tree with its last commit. Each tree's `src/` runs `aber` (every mode,
---exact-pep, --paper-literal-args), `capacity` and `pep` on configs/*.cfg and
-perfbench/scenarios/*.cfg of this checkout, in one process per tree. Each run
-leaves three files: its CSV; its exit code, stdout and stderr
-(`<command>.run.json`, with the side's output folder replaced by `<out>`); and
-its manifest without `started_utc` (`<command>.csv.manifest.json`). Each tree
+--exact-pep, --paper-literal-args), `capacity`, `pep` and `validate` on
+configs/*.cfg and perfbench/scenarios/*.cfg of this checkout, in one process per
+tree. Each run leaves its exit code, stdout and stderr (`<command>.run.json`,
+with the side's output folder replaced by `<out>`); each run but `validate`,
+which writes nothing, also leaves its CSV and its manifest without
+`started_utc` (`<command>.csv.manifest.json`). Each tree
 also runs its own demos/*.py with its `src/`, one process per demo, keeping the
 demo's stdout (and an `exit N` line if it fails). The script prints each file
 as identical or differing, then per CSV column the cells that moved, of all
@@ -70,6 +71,7 @@ def write_outputs(tree: Path, out: Path) -> None:
         runs += [(str(folder / f"{name}.run.json"),
                   argv + ["--config", str(cfg), "--out", str(folder / f"{name}.csv")])
                  for name, argv in COMMANDS.items()]
+        runs.append((str(folder / "validate.run.json"), ["validate", "--config", str(cfg)]))
     subprocess.run([sys.executable, "-c", RUN, json.dumps(runs)], check=True, cwd=out,
                    env={**os.environ, "PYTHONPATH": str(tree.resolve() / "src")})
     for record in out.glob("*/*.run.json"):

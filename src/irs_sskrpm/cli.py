@@ -1,14 +1,16 @@
 """Command-line front end: load a scenario file, run analytical/simulated
 sweeps, and emit plain CSV plus a JSON manifest sidecar for reproduction.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration, file or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from functools import cache, lru_cache
@@ -31,27 +33,35 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], body: list[str]) -> None:
-    """Write the header line, then the pieces of body: runs of lines, each ending in a newline."""
+def _check_out(args: argparse.Namespace) -> str:
+    """The output path, --out or <command>.csv, unless it or its manifest path is a directory or
+    lies in no writable folder (an OSError naming that file). Creates and truncates nothing."""
+    path = args.out or f"{args.command}.csv"
+    for name in (path, path + ".manifest.json"):
+        if os.path.isdir(name) or not os.access(os.path.dirname(name) or ".", os.W_OK):
+            raise OSError(errno.EACCES, "is a directory or in no writable folder", name)
+    return path
+
+
+def _write_run(path: str, header: str, body: list[str], cfg: SystemConfig,
+               args: argparse.Namespace) -> None:
+    """The CSV at path (the header line, then the runs of newline-ended lines in body) and its
+    manifest sidecar of the run's settings ("draws": how simulated rows draw, or None)."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines([",".join(header) + "\n", *body])
-
-
-def _write_manifest(path: str, cfg: SystemConfig, command: str, mode: str | None,
-                    args: argparse.Namespace) -> None:
-    """The run's settings; "draws" says how simulated rows draw (None without them)."""
+        fh.writelines([header + "\n", *body])
+    mode = getattr(args, "mode", None)
     manifest = {
         "tool": "irs-sskrpm",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "mode": mode,
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "exact_pep": bool(getattr(args, "exact_pep", False)),
         "paper_literal_args": bool(getattr(args, "paper_literal_args", False)),
-        "draws": draw_scheme(command) if mode in ("sim", "both") else None,
+        "draws": draw_scheme(args.command) if mode in ("sim", "both") else None,
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -79,13 +89,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
+    out = _check_out(args)
     columns = run_sweep(cfg, args.command, mode=args.mode,
                         exact_pep=getattr(args, "exact_pep", False),
                         paper_literal_args=getattr(args, "paper_literal_args", False))
     rows = [",".join(map(_fmt, row)) + "\n" for row in zip(*columns.values())]
-    out = args.out or f"{args.command}.csv"
-    _write_csv(out, list(columns), rows)
-    _write_manifest(out + ".manifest.json", cfg, args.command, args.mode, args)
+    _write_run(out, ",".join(columns), rows, cfg, args)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -112,6 +121,7 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     """One unit law per SNR point and one fill of the `_pep_layout` template: each distinct PEP
     pair formatted once, ending in the next row's SNR cell, and gathered in one slice."""
     cfg = _load(args)
+    out = _check_out(args)
     chan = make_channel(cfg)
     gather, parts = _pep_layout(chan)
     unit, d, parts = unit_moments(chan), chan.distances[0], list(parts)
@@ -122,9 +132,7 @@ def _cmd_pep(args: argparse.Namespace) -> int:
         parts[2::2] = gather(list(cells))
         parts[-1] = parts[-1][:-len(parts[0])]  # no next row (with no row at all, no SNR cell)
         body.append("".join(parts))
-    out = args.out or "pep.csv"
-    _write_csv(out, ["snr_db", "event", "t", "t_hat", "m", "m_hat", "pep_exact", "pep_chiani"], body)
-    _write_manifest(out + ".manifest.json", cfg, "pep", None, args)
+    _write_run(out, "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani", body, cfg, args)
     print(f"wrote {out} ({len(cfg.snr_grid_db) * (len(parts) // 2)} rows)")
     return 0
 
@@ -171,7 +179,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+    except OSError as exc:  # a config or output file that cannot be read or written
+        print(f"file error: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"file error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

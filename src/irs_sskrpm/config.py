@@ -104,6 +104,13 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         v = getattr(cfg, name)
         if not 0 < v < math.inf:
             raise ConfigError(f"{name}={v} must be finite and strictly positive")
+    for name, d in (("nu", "d_t"), ("nu_r", "d_r")):
+        try:
+            v = getattr(cfg, name)
+        except OverflowError:  # d ** -eta past the float range
+            v = math.inf
+        if not sys.float_info.min <= v < math.inf:
+            raise ConfigError(f"{name}=rho_0*({d}/d_0)**-eta={v} must be a finite normal float")
     if not 0 <= cfg.k_r < math.inf:
         raise ConfigError(f"k_r={cfg.k_r} must be finite and non-negative")
     for name in ("phi_a", "phi_e"):

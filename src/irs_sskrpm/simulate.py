@@ -8,19 +8,18 @@ scalar per trial, g_eff^H y, decided by the angle wedge that holds it.
 
 Reproducibility scheme: the estimators split their trials into fixed-size
 chunks, and the RNG of a chunk is an SFC64 generator seeded by
-SeedSequence(seed, spawn_key=(domain, point, c)) for chunk c; partial results
-are reduced in chunk order (integer error counts exactly, float partials in a
-fixed order). A BER chunk has the key (0, 0, c) at every SNR point: a power
+SeedSequence(seed, spawn_key=(domain, point, c)) for chunk c; chunk results
+are reduced in chunk order (integer error counts exactly, float sums left to
+right). A BER chunk has the key (0, 0, c) at every SNR point: a power
 only rescales the signal term of the scalar g_eff^H y, so one draw of the
 codes, channels and noise is decided at every point of the grid (common random
 numbers); as the power grows, the scalar's angle moves monotonically towards the
 sent point's, crossing each wedge edge once at an amplitude in closed form, and a
 chunk is decided by walking those crossings (on the tables of `Channel.walk`).
 Each row keeps the law and the standard-error formula it has alone; only the
-rows' errors are correlated. A capacity chunk of sweep point i keeps the key
-(1, i, c) (power q of a call draws point point_index + q): the benchmark's
-capacity check (`perfbench/workloads.py`) recomputes each row's stderr with
-`point_index=i`, so that key changes only with the benchmark.
+rows' errors are correlated. A capacity chunk of sweep point i has the key
+(1, i, c): the benchmark's capacity check (`perfbench/workloads.py`) recomputes
+each row's stderr with `point_index=i`, so that key moves only with it.
 """
 
 from __future__ import annotations
@@ -101,57 +100,43 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)
 
 
-def _capacity_chunk(chan: Channel, p_s: float, seed: int, point_index: int,
-                    chunk_index: int, n_samples: int,
-                    dist: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """Partial sums (sum_a, sum_a_sq) of the per-sample aggregate
-    a = sum over hypothesis pairs of exp(-p_s * xi / 2), where
-    xi = nu |c_k - c_j|^2 ||g_eff||^2 and dist holds the distinct nu |c_k - c_j|^2
-    of `metrics.joint_distances` with their multiplicities."""
-    rng = _chunk_rng(seed, _DOMAIN_CAPACITY, point_index, chunk_index)
-    g = chan.mean + chan.scale * _gaussian(rng, (n_samples, chan.mean.size))
-    energy = np.sum(np.abs(g) ** 2, axis=1)
-    d2, mult = dist
-
-    agg = np.zeros(n_samples)
-    step = max(1, _PAIR_BLOCK_ELEMENTS // n_samples)
-    for lo in range(0, d2.size, step):
-        terms = np.exp(np.multiply.outer(energy, -0.5 * p_s * d2[lo:lo + step]))
-        agg += np.sum(terms * mult[lo:lo + step], axis=1)
-    return float(agg.sum()), float(np.dot(agg, agg))
-
-
 def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
                       point_index: int = 0, with_stderr: bool = False):
-    """Sampled ergodic capacity: every E[exp(-P_s*xi/2)] is averaged over
-    redrawn effective channels with xi computed directly from the
-    constellation distance and ||g_eff||^2 (an independent code path from
-    the moment-based closed form).
+    """Sampled ergodic capacity 2 log2 K - log2(K + mean a), where a sample's a is the sum of
+    exp(-P_s xi / 2) over the joint pairs, with xi = nu |c_k - c_j|^2 ||g_eff||^2 on a redrawn
+    effective channel (an independent code path from the moment-based closed form), and its
+    stderr s / sqrt(n) / ((K + mean a) ln 2), s the unbiased sample deviation of a.
 
-    p_s is a scalar or an array of powers; the q-th power (C order) draws the
-    chunks of sweep point point_index + q. Returns the capacity in bits per
-    channel use, or (capacity, stderr) when with_stderr is True, each a float
-    or an array of p_s's shape.
+    p_s is a scalar or an array of powers; the q-th power (C order) draws the chunks of sweep
+    point point_index + q, and adds their sums of a and a^2 in chunk order. Returns the
+    capacity in bits per channel use, or (capacity, stderr) when with_stderr is True, each a
+    float or an array of p_s's shape.
     """
     chan = make_channel(validate(cfg))
     p = _power(p_s)
     if channel_samples < 1:
         raise ValueError(f"channel_samples={channel_samples} must be >= 1")
-    k, n = cfg.n_t * cfg.m_rpm, channel_samples
     d2, mult = joint_distances(chan)
-    dist = (chan.sqrt_nu ** 2 * d2, mult)
-    est = []
+    k, n, nu_d2 = chan.points.size, channel_samples, chan.sqrt_nu ** 2 * d2
+    cap, stderr = np.empty(p.size), np.empty(p.size)
     for q, p_q in enumerate(p.ravel().tolist()):
-        partials = [_capacity_chunk(chan, p_q, seed, point_index + q, c, size, dist)
-                    for c, size in enumerate(_chunk_sizes(n))]
-        # reduce in chunk order: the float result is fixed by the chunk keys
-        sum_a, sum_a_sq = (sum(column) for column in zip(*partials))
+        sum_a = sum_a_sq = 0.0
+        for c, size in enumerate(_chunk_sizes(n)):
+            rng = _chunk_rng(seed, _DOMAIN_CAPACITY, point_index + q, c)
+            g = chan.mean + chan.scale * _gaussian(rng, (size, chan.mean.size))
+            energy = np.sum(np.abs(g) ** 2, axis=1)
+            agg = np.zeros(size)
+            step = max(1, _PAIR_BLOCK_ELEMENTS // size)
+            for lo in range(0, nu_d2.size, step):
+                terms = np.exp(np.multiply.outer(energy, -0.5 * p_q * nu_d2[lo:lo + step]))
+                agg += np.sum(terms * mult[lo:lo + step], axis=1)
+            sum_a += float(agg.sum())
+            sum_a_sq += float(np.dot(agg, agg))
         mean_a = sum_a / n
         var_a = max(sum_a_sq / n - mean_a ** 2, 0.0) * n / (n - 1) if n > 1 else math.inf
-        est.append((2.0 * math.log2(k) - math.log2(k + mean_a),
-                    math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))))
-    cap, stderr = (_shaped(v, p) for v in np.reshape(est, (-1, 2)).T)
-    return (cap, stderr) if with_stderr else cap
+        cap[q] = 2.0 * math.log2(k) - math.log2(k + mean_a)
+        stderr[q] = math.sqrt(var_a / n) / ((k + mean_a) * math.log(2.0))
+    return (_shaped(cap, p), _shaped(stderr, p)) if with_stderr else _shaped(cap, p)
 
 
 def draw_scheme(quantity: str) -> dict:

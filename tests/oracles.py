@@ -19,6 +19,8 @@ above check), as the reference for the vectorised hypothesis-pair table;
 `distances_reference` is `Channel.distances` deduplicated over the full
 (K, K) table of gathered group distances, and `aber_union_terms_table_reference`
 sums the library's PEPs through the full (K, K) table of weighted terms.
+`capacity_sampled_reference` is `simulate_capacity` at one power, summed over
+every joint pair of the label masks on the library's chunk draws.
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
 must count exactly: its draws (`ber_draw_reference`) and every trial decided by
 `ml_detect` at every power (`ber_decide_reference`, which also takes synthetic
@@ -251,6 +253,35 @@ def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
     (`ber_draw_reference`) decided by `ber_decide_reference`."""
     return ber_decide_reference(chan, wedges, hamming, sqrt_ps,
                                 *ber_draw_reference(chan, seed, chunk_index, n_trials))
+
+
+def capacity_sampled_reference(cfg: SystemConfig, p_s: float, samples: int, seed: int,
+                               point_index: int) -> tuple[float, float]:
+    """`simulate_capacity`'s (capacity, stderr) at one power p_s, drawn as sweep point
+    point_index: the library's chunk generator and draw order, and per sample the sum of
+    exp(-p_s nu |c_i - c_j|^2 ||g_eff||^2 / 2) over every ordered pair (i, j) whose antenna
+    and phase indices both differ, taken from the label masks and the points themselves.
+    C = 2 log2 K - log2(K + mean), stderr = std / sqrt(n) / ((K + mean) ln 2) with the
+    unbiased sample standard deviation."""
+    chan = make_channel(cfg)
+    k = chan.points.size
+    t, m = np.divmod(np.arange(k), cfg.m_rpm)
+    joint = (t[:, None] != t) & (m[:, None] != m)
+    d2 = np.abs(chan.points[:, None] - chan.points) ** 2
+    agg = []
+    for c, lo in enumerate(range(0, samples, simulate.CHUNK_TRIALS)):
+        size = min(simulate.CHUNK_TRIALS, samples - lo)
+        rng = simulate._chunk_rng(seed, simulate._DOMAIN_CAPACITY, point_index, c)
+        g = chan.mean + chan.scale * simulate._gaussian(rng, (size, cfg.n_r))
+        energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+        # one row i of pairs at a time keeps the block at (size, K)
+        agg.append(sum(np.exp(-0.5 * p_s * cfg.nu * np.multiply.outer(energy, d2[i][joint[i]]))
+                       .sum(axis=1) for i in range(k)))
+    a = np.concatenate(agg)
+    mean = a.mean()
+    std = a.std(ddof=1) if samples > 1 else math.inf
+    return (2.0 * math.log2(k) - math.log2(k + mean),
+            std / math.sqrt(samples) / ((k + mean) * math.log(2.0)))
 
 
 def pdf_mass(mom: ErrorEventMoments) -> float:

@@ -102,6 +102,37 @@ def test_a_directory_for_a_file_is_one_error_line(tmp_path, quick_cfg, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["aber", "capacity", "pep"])
+def test_an_unwritable_out_path_fails_before_any_work(tmp_path, quick_cfg, monkeypatch, capsys,
+                                                      command):
+    # a directory, a missing folder or a manifest path that is a directory: one
+    # "file error" line naming the file, exit 1, no sweep or PEP computed and no
+    # file created
+    def forbidden(*args, **kwargs):
+        raise AssertionError("worked before checking the output path")
+
+    monkeypatch.setattr(cli, "run_sweep", forbidden)
+    monkeypatch.setattr(cli, "pep_of_event", forbidden)
+    (tmp_path / "m.csv.manifest.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    for out, named in ((tmp_path, tmp_path), (tmp_path / "missing" / "x.csv",) * 2,
+                       (tmp_path / "m.csv", tmp_path / "m.csv.manifest.json")):
+        argv = [command, "--config", quick_cfg, "--out", str(out)]
+        assert main(argv + (["--mode", "sim"] if command != "pep" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"file error: {named}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_validate_rejects_an_overflowing_path_loss_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text("d_t=1e-200\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: nu=rho_0*(d_t/d_0)**-eta=inf")
+
+
 def test_unknown_subcommand_and_flag(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["aber", "--config", "x", "--bogus"]) == 1
@@ -392,6 +423,7 @@ def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg
                  "--out", str(tmp_path / "a.csv")]) == 2
     assert ("numerical failure: sweep points snr_db=[0.0, 20.0, 40.0]: Chiani closed-form PEP"
             in capsys.readouterr().err)
+    assert not (tmp_path / "a.csv").exists()  # a run that exits 2 writes nothing
 
 
 #: -300 dB to 60 dB: effective powers from about 1e-32 to 4e6

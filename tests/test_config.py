@@ -94,6 +94,11 @@ def test_validate_is_idempotent():
     ("eta", float("inf"), "eta"),
     ("rho_0", float("inf"), "rho_0"),
     ("d_r", float("nan"), "d_r"),
+    # a path loss must be a normal float: d ** -eta overflows, underflows to 0 or
+    # is subnormal
+    ("d_t", 1e-200, "nu=rho_0"),
+    ("d_r", 1e200, "nu_r=rho_0"),
+    ("rho_0", 1e-310, "nu=rho_0"),
     # a bool is no integer: True would pass as 1 and share 1's cached channel
     *((name, True, name) for name in ("n_t", "n_r", "n_x", "n_y", "m_rpm", "seed", "trials")),
     ("seed", False, "seed"),

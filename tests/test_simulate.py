@@ -15,7 +15,8 @@ from irs_sskrpm import airlink, simulate
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import (ber_chunk, ber_chunk_reference, ber_decide_reference, ber_draw_reference,
-                     ber_full_g, ml_detect_reference, pair_classes_reference)
+                     ber_full_g, capacity_sampled_reference, ml_detect_reference,
+                     pair_classes_reference)
 from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_ON_EDGE,
                           STRESS_CONFIG, constellation_configs)
 
@@ -147,6 +148,20 @@ def test_capacity_pair_blocks_do_not_change_the_estimate(monkeypatch):
     whole = simulate_capacity(cfg, 10.0, 3000, seed=8)
     monkeypatch.setattr("irs_sskrpm.simulate._PAIR_BLOCK_ELEMENTS", 1)  # one distance per block
     assert simulate_capacity(cfg, 10.0, 3000, seed=8) == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("scenario", ["default", "stress_nt8m8"])
+def test_capacity_matches_the_reference_at_its_chunk_keys(scenario):
+    # two chunks (8192 + 808 samples) at 0, 10 and 20 dB from point index 2: power q
+    # draws the chunks of point 2 + q, and the estimate and its stderr are the
+    # reference's, summed over every joint pair of the label masks
+    cfg = validate(SystemConfig() if scenario == "default" else load_config(STRESS_CONFIG))
+    powers, n = np.array([1.0, 10.0, 100.0]), simulate.CHUNK_TRIALS + 808
+    cap, se = simulate_capacity(cfg, powers, n, cfg.seed, point_index=2, with_stderr=True)
+    for q, p_s in enumerate(powers.tolist()):
+        ref_cap, ref_se = capacity_sampled_reference(cfg, p_s, n, cfg.seed, 2 + q)
+        assert cap[q] == pytest.approx(ref_cap, rel=1e-12, abs=0)
+        assert se[q] == pytest.approx(ref_se, rel=1e-12, abs=0)
 
 
 def test_resolve_workers_env_not_an_integer(monkeypatch):
