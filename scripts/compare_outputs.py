@@ -5,9 +5,9 @@
 A tree is a folder or a git revision of this checkout, unpacked with `git archive`
 into the output folder: `python3 scripts/compare_outputs.py HEAD .` compares the
 working tree with its last commit. Each tree's `src/` runs `aber` (every mode,
---exact-pep, --paper-literal-args), `capacity`, `pep` and `validate` on
-configs/*.cfg and perfbench/scenarios/*.cfg of this checkout, in one process per
-tree. Each run leaves its exit code, stdout and stderr (`<command>.run.json`,
+--exact-pep, --paper-literal-args), `capacity`, `pep` (plain and
+--paper-literal-args) and `validate` on configs/*.cfg and perfbench/scenarios/*.cfg
+of this checkout, in one process per tree. Each run leaves its exit code, stdout and stderr (`<command>.run.json`,
 with the side's output folder replaced by `<out>`); each run but `validate`,
 which writes nothing, also leaves its CSV and its manifest without
 `started_utc` (`<command>.csv.manifest.json`). Each tree
@@ -36,7 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = {f"aber_{mode}": ["aber", "--mode", mode] for mode in ("analytic", "sim", "both")}
 COMMANDS.update(aber_exact=["aber", "--mode", "analytic", "--exact-pep"],
                 aber_literal=["aber", "--mode", "analytic", "--paper-literal-args"],
-                capacity=["capacity", "--mode", "both"], pep=["pep"])
+                capacity=["capacity", "--mode", "both"], pep=["pep"],
+                pep_literal=["pep", "--paper-literal-args"])
 # each run's exit code, stdout and stderr, captured around cli.main in the one process
 RUN = """\
 import contextlib, io, json, sys, irs_sskrpm.cli as cli

@@ -73,21 +73,6 @@ def rician_weights(cfg: SystemConfig) -> tuple[float, float]:
             np.sqrt(cfg.nu_r / (1.0 + cfg.k_r)))
 
 
-def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one Rician IRS->UT realization.
-
-    G = sqrt(K*nu_r/(1+K)) * g_bar + sqrt(nu_r/(1+K)) * W with W entries
-    i.i.d. CN(0, 1) (real and imaginary parts each of variance 1/2).
-    """
-    n, n_r = g_bar.shape
-    if (n, n_r) != (cfg.n_elements, cfg.n_r):
-        raise ValueError(f"g_bar has shape {g_bar.shape}, expected {(cfg.n_elements, cfg.n_r)}")
-    w_los, w_nlos = rician_weights(cfg)
-    parts = rng.standard_normal((2, n, n_r))
-    w = (parts[0] + 1j * parts[1]) * np.sqrt(0.5)
-    return w_los * g_bar + w_nlos * w
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """arrays, made read-only: a cached table is shared by every later caller."""
     for a in arrays:

@@ -111,6 +111,9 @@ def validate(cfg: SystemConfig) -> SystemConfig:
             v = math.inf
         if not sys.float_info.min <= v < math.inf:
             raise ConfigError(f"{name}=rho_0*({d}/d_0)**-eta={v} must be a finite normal float")
+    if not sys.float_info.min <= cfg.nu * cfg.nu_r < math.inf:  # the path gain of both links
+        raise ConfigError(f"nu*nu_r={cfg.nu * cfg.nu_r} must be a finite normal float: "
+                          f"d_t={cfg.d_t} and d_r={cfg.d_r} give a path gain past the float range")
     if not 0 <= cfg.k_r < math.inf:
         raise ConfigError(f"k_r={cfg.k_r} must be finite and non-negative")
     for name in ("phi_a", "phi_e"):
@@ -122,6 +125,8 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         if not math.isfinite(v):
             raise ConfigError(f"{name}={v} must be finite")
     grid = cfg.snr_grid_db
+    if not isinstance(grid, tuple):  # the channel cache hashes the config
+        raise ConfigError(f"snr_grid_db={grid!r} must be a tuple, not a {type(grid).__name__}")
     if not all(-math.inf < v < _MAX_SNR_DB for v in grid):
         raise ConfigError(f"snr_grid_db={list(grid)} must be finite and below {_MAX_SNR_DB:.1f} dB")
     if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):

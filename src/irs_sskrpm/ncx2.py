@@ -18,8 +18,7 @@ the rank-1 identity d = sqrt(nu) (c_i - c_j) a_irs, every event's statistic
 is |c_i - c_j|^2 times xi_1 = nu ||g_eff||^2, whose moments `unit_moments`
 gives. No library code path reads the builders: `unit_moments` is what the
 analytic layer evaluates, and the builders are the reference it is tested
-against (they also serve `demos/error_event_statistics.py` and the
-benchmark's ABER bracket).
+against (they also serve the benchmark's ABER bracket).
 """
 
 from __future__ import annotations

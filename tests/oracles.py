@@ -5,6 +5,7 @@ and its rank-1 Monte-Carlo kernel: statistics are sampled from raw draws of
 the full N x n_r matrix G and signature differences, and integrals are
 evaluated with scipy's adaptive quadrature against the closed-form density.
 These are the reference implementations the library is checked against.
+`sample_g` is the full Rician IRS->UT draw G that the sampled statistics start from.
 `craig_by_quadrature` integrates Craig's form itself, with the transform
 written out, as the reference for the library's node rule, and
 `laplace_reference` is the library's transform computed out of place, the
@@ -88,6 +89,21 @@ def event_direction(cfg: SystemConfig, h: np.ndarray, kind: str,
         return (np.exp(1j * phases[m - 1]) * h[:, t - 1]
                 - np.exp(1j * phases[m_hat - 1]) * h[:, t_hat - 1])
     raise ValueError(kind)
+
+
+def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one Rician IRS->UT realization.
+
+    G = sqrt(K*nu_r/(1+K)) * g_bar + sqrt(nu_r/(1+K)) * W with W entries
+    i.i.d. CN(0, 1) (real and imaginary parts each of variance 1/2).
+    """
+    n, n_r = g_bar.shape
+    if (n, n_r) != (cfg.n_elements, cfg.n_r):
+        raise ValueError(f"g_bar has shape {g_bar.shape}, expected {(cfg.n_elements, cfg.n_r)}")
+    w_los, w_nlos = rician_weights(cfg)
+    parts = rng.standard_normal((2, n, n_r))
+    w = (parts[0] + 1j * parts[1]) * np.sqrt(0.5)
+    return w_los * g_bar + w_nlos * w
 
 
 def full_g_signatures(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:

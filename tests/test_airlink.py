@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from irs_sskrpm import (SystemConfig, make_channel, ml_detect, rpm_phases, sample_g,
-                        steering_irs, validate)
-from oracles import full_g_signatures, ml_detect_reference, pair_classes_reference
+from irs_sskrpm import (SystemConfig, make_channel, ml_detect, rpm_phases, steering_irs,
+                        validate)
+from oracles import full_g_signatures, ml_detect_reference, pair_classes_reference, sample_g
 from test_channel import ON_RPM_STEPS, constellation_configs
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
-                        ml_detect, sample_g, steering_bs, steering_irs, validate)
+                        ml_detect, steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import rician_weights
 from oracles import (distances_reference, full_g_signatures, pair_classes_reference,
-                     pair_distances_reference)
+                     pair_distances_reference, sample_g)
 from test_config import PATH_LOSS_4KM
 
 

@@ -133,6 +133,17 @@ def test_validate_rejects_an_overflowing_path_loss_in_one_line(tmp_path, capsys)
     assert err.startswith("config error: nu=rho_0*(d_t/d_0)**-eta=inf")
 
 
+def test_validate_rejects_an_underflowing_path_gain_in_one_line(tmp_path, capsys):
+    # each link's loss is a normal float, but nu * nu_r underflows to 0
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("d_t=1e20\nd_r=1e130\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: nu*nu_r=0.0 must be a finite normal float")
+    assert "d_t=1e+20 and d_r=1e+130" in err
+
+
 def test_unknown_subcommand_and_flag(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["aber", "--config", "x", "--bogus"]) == 1

@@ -2,6 +2,7 @@ import math
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +100,12 @@ def test_validate_is_idempotent():
     ("d_t", 1e-200, "nu=rho_0"),
     ("d_r", 1e200, "nu_r=rho_0"),
     ("rho_0", 1e-310, "nu=rho_0"),
+    # each link's loss is normal, but their product, the path gain, is subnormal or inf
+    ("rho_0", 1e-160, "d_t=1.0 and d_r=4.0"),
+    ("rho_0", 1e160, "d_t=1.0 and d_r=4.0"),
+    # the channel cache hashes the config, so the grid must be a tuple
+    ("snr_grid_db", [0.0, 10.0], "snr_grid_db"),
+    ("snr_grid_db", np.array([0.0, 10.0]), "snr_grid_db"),
     # a bool is no integer: True would pass as 1 and share 1's cached channel
     *((name, True, name) for name in ("n_t", "n_r", "n_x", "n_y", "m_rpm", "seed", "trials")),
     ("seed", False, "seed"),
