@@ -31,7 +31,16 @@ events = {
 
 rng = np.random.default_rng(1)
 w_los, w_nlos = rician_weights(cfg)
-n_samples = 200_000
+n_samples, block = 200_000, 20_000
+
+
+def project(d):
+    """sum_n x[b, n, r] d[n] for the next (n_samples, N, n_r) standard normals x of rng,
+    drawn in row blocks (the stream of one call) so no full array is held."""
+    return np.concatenate([
+        np.einsum("bnr,n->br", rng.standard_normal((block, cfg.n_elements, cfg.n_r)), d)
+        for _ in range(n_samples // block)])
+
 
 for name, ((t, m), (t_hat, m_hat)) in events.items():
     dist = distance[index[t * cfg.m_rpm + m, t_hat * cfg.m_rpm + m_hat]]  # |c_i - c_j|^2
@@ -39,10 +48,10 @@ for name, ((t, m), (t_hat, m_hat)) in events.items():
     # xi = ||G^H d||^2, d = sqrt(nu) (e^{j phi_m} a_bs[t] - e^{j phi_mhat} a_bs[t_hat]) a_irs
     phase, phase_hat = np.exp(2j * np.pi * np.array([m, m_hat]) / cfg.m_rpm)
     d = np.sqrt(cfg.nu) * (phase * a_bs[t] - phase_hat * a_bs[t_hat]) * a_irs
-    w = (rng.standard_normal((n_samples, cfg.n_elements, cfg.n_r))
-         + 1j * rng.standard_normal((n_samples, cfg.n_elements, cfg.n_r))) * np.sqrt(0.5)
-    g = w_los * g_bar[None] + w_nlos * w
-    xi = np.sum(np.abs(np.einsum("bnr,n->br", g.conj(), d)) ** 2, axis=1)
+    # G = w_los G_bar + w_nlos sqrt(1/2) (X + jY), so G^H d = w_los G_bar^H d
+    # + w_nlos sqrt(1/2) (X^T d - j Y^T d), X drawn first, then Y
+    gh_d = w_los * (g_bar.conj().T @ d) + w_nlos * np.sqrt(0.5) * (project(d) - 1j * project(d))
+    xi = np.sum(np.abs(gh_d) ** 2, axis=1)
 
     mean_th = s_sq + 2 * cfg.n_r * sigma_sq
     var_th = 4 * cfg.n_r * sigma_sq ** 2 + 4 * sigma_sq * s_sq

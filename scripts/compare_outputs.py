@@ -14,7 +14,9 @@ which writes nothing, also leaves its CSV and its manifest without
 also runs its own demos/*.py with its `src/`, one process per demo, keeping the
 demo's stdout (and an `exit N` line if it fails). The script prints each file
 as identical or differing, then per CSV column the cells that moved, of all
-cells compared, and the largest relative change |b - a| / |a|, then each demo's
+cells compared, how many of them moved to or from zero, the largest relative
+change |b - a| / |a| over the others (a cell that is not a number changes by
+inf) and the largest absolute change |b - a| over all of them, then each demo's
 stdout as identical or differing, then the line count of each tree's `src/`
 (`src/ lines: A -> B`), and last the count of identical files. It exits 1 if
 any file or demo differs. Standard library only (and git and tar to unpack a
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,12 +104,15 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
 
 
-def relative(a: str, b: str) -> float:
+def change(a: str, b: str) -> tuple[bool, float, float]:
+    """(whether the cell moved to or from zero, |b - a| / |a| if it did not, else 0, and
+    |b - a|) of a cell that differs; a cell that is not a number changes by inf."""
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return float("inf")
-    return abs(y - x) / abs(x) if x else float("inf")
+        return False, math.inf, math.inf
+    zero = (x == 0.0) != (y == 0.0)
+    return zero, 0.0 if zero else abs(y - x) / abs(x), abs(y - x)
 
 
 def main() -> None:
@@ -137,11 +143,14 @@ def main() -> None:
         if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
             sys.exit(f"{b}: header or row count differs")
         for key, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
-            moved = [relative(x, y) for x, y in zip(col_a, col_b) if x != y]
-            stat = columns.get(key, [0, 0, 0.0])
-            columns[key] = [stat[0] + len(moved), stat[1] + len(col_a), max([stat[2], *moved])]
-    for key, (moved, total, worst) in columns.items():
-        print(f"column {key}: {moved} of {total} cells moved, largest relative change {worst:.2e}")
+            moved = [change(x, y) for x, y in zip(col_a, col_b) if x != y]
+            zero, rel, dif = zip(*moved) if moved else ((), (), ())
+            stat = columns.get(key, [0, 0, 0, 0.0, 0.0])
+            columns[key] = [stat[0] + len(moved), stat[1] + len(col_a), stat[2] + sum(zero),
+                            max(stat[3], *rel, 0.0), max(stat[4], *dif, 0.0)]
+    for key, (moved, total, zero, rel, dif) in columns.items():
+        print(f"column {key}: {moved} of {total} cells moved ({zero} to or from zero), "
+              f"largest relative change {rel:.2e}, largest absolute change {dif:.2e}")
     demos_differ = False
     for name in sorted({p.name for side in ("a", "b") for p in (out / f"{side}_demos").iterdir()}):
         a, b = out / "a_demos" / name, out / "b_demos" / name

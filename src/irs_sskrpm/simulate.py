@@ -10,16 +10,19 @@ Reproducibility scheme: the estimators split their trials into fixed-size
 chunks, and the RNG of a chunk is an SFC64 generator seeded by
 SeedSequence(seed, spawn_key=(domain, point, c)) for chunk c; chunk results
 are reduced in chunk order (integer error counts exactly, float sums left to
-right). A BER chunk has the key (0, 0, c) at every SNR point: a power
-only rescales the signal term of the scalar g_eff^H y, so one draw of the
-codes, channels and noise is decided at every point of the grid (common random
-numbers); as the power grows, the scalar's angle moves monotonically towards the
-sent point's, crossing each wedge edge once at an amplitude in closed form, and a
-chunk is decided by walking those crossings (on the tables of `Channel.walk`).
-Each row keeps the law and the standard-error formula it has alone; only the
-rows' errors are correlated. A capacity chunk of sweep point i has the key
-(1, i, c): the benchmark's capacity check (`perfbench/workloads.py`) recomputes
-each row's stderr with `point_index=i`, so that key moves only with it.
+right). A chunk draws each CN(0, 1) value in polar form, from one exponential and
+one uniform (`_gaussian`); numpy's SIMD tan may differ from libm's by 1 ulp, as its
+exp may, so the bits of a draw are those of the numpy build and CPU path. A BER
+chunk has the key (0, 0, c) at every SNR point: a power only rescales the signal
+term of the scalar g_eff^H y, so one draw of the codes, channels and noise is
+decided at every point of the grid (common random numbers); as the power grows,
+the scalar's angle moves monotonically towards the sent point's, crossing each
+wedge edge once at an amplitude in closed form, and a chunk is decided by walking
+those crossings (on the tables of `Channel.walk`). Each row keeps the law and the
+standard-error formula it has alone; only the rows' errors are correlated. A
+capacity chunk of sweep point i has the key (1, i, c): the benchmark's capacity
+check (`perfbench/workloads.py`) recomputes each row's stderr with
+`point_index=i`, so that key moves only with it.
 """
 
 from __future__ import annotations
@@ -61,9 +64,19 @@ def _chunk_sizes(total: int) -> list[int]:
 
 
 def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """CN(0, 1) entries: a float draw scaled in place to variance 1/2, viewed as complex."""
-    parts = rng.standard_normal((*shape, 2))
-    return np.multiply(parts, math.sqrt(0.5), out=parts).view(np.complex128)[..., 0]
+    """CN(0, 1) entries in polar form, worked in place: moduli sqrt(E), E ~ Exp(1), drawn
+    first, then phases theta = 2 pi U - pi, U ~ U[0, 1), applied with no cos or sin as
+    (1 - t^2, 2 t) / (1 + t^2), t = tan(theta / 2) (Box and Muller, 1958)."""
+    modulus, t = rng.standard_exponential(shape), rng.random(shape)
+    np.sqrt(modulus, out=modulus)
+    np.tan(np.subtract(np.multiply(t, math.pi, out=t), 0.5 * math.pi, out=t), out=t)
+    t_sq = np.multiply(t, t)
+    z = np.empty(shape, np.complex128)
+    np.subtract(1.0, t_sq, out=z.real)
+    np.divide(modulus, np.add(t_sq, 1.0, out=t_sq), out=modulus)
+    np.multiply(z.real, modulus, out=z.real)
+    np.multiply(np.add(t, t, out=t), modulus, out=z.imag)
+    return z
 
 
 def _ber_draw(chan: Channel, seed: int, chunk_index: int,

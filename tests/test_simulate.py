@@ -2,11 +2,13 @@ import math
 import os
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy import stats
 
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union, aber_union_terms,
                         capacity_closed, joint_distances, load_config, make_channel, run_sweep,
@@ -54,6 +56,40 @@ def test_ber_rejects_zero_bits():
     cfg0 = validate(SystemConfig(n_t=1, m_rpm=1))
     with pytest.raises(ValueError, match="nothing to transmit"):
         simulate_ber(cfg0, 10.0, 100, seed=1)
+
+
+def test_gaussian_is_standard_complex_normal():
+    # 10^6 CN(0, 1) values of one chunk key: Re and Im are independent N(0, 1/2), so
+    # |z|^2 ~ Exp(1) and the phase is uniform; each moment is held to 5 sigma of the
+    # sampling error that the law itself gives it
+    shape = (250_000, 4)
+    z = simulate._gaussian(simulate._chunk_rng(2024, simulate._DOMAIN_BER, 0, 0), shape)
+    assert z.dtype == np.complex128 and z.shape == shape
+    again = simulate._gaussian(simulate._chunk_rng(2024, simulate._DOMAIN_BER, 0, 0), shape)
+    assert z.tobytes() == again.tobytes()
+    n = z.size
+    # (statistic, its mean, its variance per value) under N(0, 1/2): E x^2 = 1/2,
+    # E x^4 = 3/4, E x^8 = 105/16
+    for part in (z.real.ravel(), z.imag.ravel()):
+        sq = part * part
+        for values, mean, var in ((part, 0.0, 0.5), (sq, 0.5, 0.5), (sq * sq, 0.75, 6.0)):
+            assert abs(values.mean() - mean) <= 5 * math.sqrt(var / n), (mean, values.mean())
+    cross = (z.real ** 2 * z.imag ** 2).ravel()
+    assert abs(cross.mean() - 0.25) <= 5 * math.sqrt(0.5 / n), cross.mean()
+    assert stats.kstest((np.abs(z) ** 2).ravel(), "expon").pvalue > 1e-3
+    counts, _ = np.histogram(np.angle(z), bins=16, range=(-math.pi, math.pi))
+    assert stats.chisquare(counts).pvalue > 1e-3, counts
+
+
+@pytest.mark.parametrize("e", [0.0, 1.0])
+def test_gaussian_is_finite_at_the_edge_of_its_draws(e):
+    # every uniform 0 puts the phase at -pi, where tan(theta / 2) is at -pi/2, and every
+    # exponential e; a zero modulus gives z = 0, the u = 0 the edge walk leaves to ml_detect
+    rng = SimpleNamespace(standard_exponential=lambda shape: np.full(shape, e), random=np.zeros)
+    z = simulate._gaussian(rng, (3, 2))
+    assert z.dtype == np.complex128 and z.shape == (3, 2) and np.all(np.isfinite(z))
+    np.testing.assert_allclose(np.abs(z) ** 2, e, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(z, -math.sqrt(e), rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", ["aber_n32.cfg", "diversity_nr3.cfg"])
