@@ -45,43 +45,41 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     return winners[below]
 
 
-def _ber_decide(chan: Channel, sqrt_ps: np.ndarray, code: np.ndarray, energy: np.ndarray,
-                noise: np.ndarray) -> np.ndarray:
-    """The bit-error counts (int64) of the joint ML detector on the trials (code, energy,
-    noise) of `simulate._ber_draw` at every amplitude of sqrt_ps, in any order.
+def _ber_decide(chan: Channel, sqrt_ps: np.ndarray, code: np.ndarray, x: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """The bit-error counts (int64) of the joint ML detector on the trials (code, x, y) of
+    `simulate._ber_draw` at every amplitude of sqrt_ps, in any order.
 
-    With u = conj(points[code]) noise / (sqrt_nu energy), the detector reads the angle of
-    A + u at amplitude A, which moves monotonically towards 0 as A grows: it crosses edge
-    j of `Channel.edges` (on the side of Im u) once, at a_j = |Im u| cot beta_j - Re u,
-    decreasing in j. A trial counts its home's Hamming distance plus a step per edge
-    crossed (the tables of `Channel.walk`), walked edge by edge (one searchsorted and one
-    bincount each) until its next crossing is below the smallest amplitude. `ml_detect`
-    decides zero power and every amplitude of the trials the walk leaves: those whose u or
-    home edge is within `_NEAR` of the real axis or the point, and those with an amplitude
-    within `_SLACK` of a crossing, where rounding may put the detector on either side; a
-    walk that meets one walks again without it. The counts are bitwise `ml_detect`'s."""
+    u = x + jy is a trial's noise in its sent point's frame, scaled to unit signal: the
+    detector reads the angle of points[code] (A + u) at amplitude A, which moves monotonically
+    towards the point's as A grows: it crosses edge j of `Channel.edges` (on the side of y)
+    once, at a_j = |y| cot beta_j - x, decreasing in j. A trial counts its home's Hamming
+    distance plus a step per edge crossed (the tables of `Channel.walk`), walked edge by edge
+    (one searchsorted and one bincount each) until its next crossing is below the smallest
+    amplitude. `ml_detect` decides zero power and every amplitude of the trials the walk
+    leaves: those whose u or home edge is within `_NEAR` of the real axis or the point, and
+    those with an amplitude within `_SLACK` of a crossing, where rounding may put the detector
+    on either side; a walk that meets one walks again without it. The counts are bitwise
+    `ml_detect`'s on points[code] (A + u)."""
     amps, inverse = np.unique(sqrt_ps, return_inverse=True)
     narrow, home, cot, invsin, step = chan.walk
     k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
     amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
     if zero:
-        counts[0] = chan.hamming[code, ml_detect(chan.wedges, noise, 0.0)].sum()
+        counts[0] = chan.hamming[code, ml_detect(chan.wedges, x, 0.0)].sum()
     if not amps.size:
         return counts[inverse]
-    u = chan.points.conj()[code] * noise * (1.0 / (chan.sqrt_nu * energy))  # bitwise the quotient
-    row = k * (u.imag >= 0) + code
-    y, x = np.abs(u.imag), u.real.copy()
-    del u
-    left = ~(y > 2.0 * _NEAR * np.abs(x)) | narrow[row]
+    row, height = k * (y >= 0) + code, np.abs(y)
+    left = ~(height > 2.0 * _NEAR * np.abs(x)) | narrow[row]
     below = np.append(-np.inf, amps)  # below[i]: the largest of the first i amplitudes
     again = True
     while again:  # ends: each pass leaves more trials, and a trial left never walks again
-        y[left], again = np.nan, False  # the walk passes them by
-        ids, r, yr, xr, gains = None, row, y, x, np.zeros(amps.size + 1)
+        height[left], again = np.nan, False  # the walk passes them by
+        ids, r, yr, xr, gains = None, row, height, x, np.zeros(amps.size + 1)
         with np.errstate(invalid="ignore"):
             for j in range(cot.shape[0]):
-                # the amplitude a where the angle of a + x + jy (y > 0) crosses edge j and the top
-                # of its rounding band, where the detector may read either side (NaN: never crossed)
+                # the amplitude a where the angle of a + x + j|y| crosses edge j and the top of
+                # its rounding band, where the detector may read either side (NaN: never crossed)
                 a = cot[j][r] * yr - xr
                 top = (np.abs(a) + yr + np.abs(xr)) * invsin[j][r] * _SLACK + a
                 go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
@@ -98,7 +96,7 @@ def _ber_decide(chan: Channel, sqrt_ps: np.ndarray, code: np.ndarray, energy: np
     counts[zero:] = home[row[~left]].sum() + np.cumsum(gains[::-1])[::-1][1:]
     t = np.flatnonzero(left)
     if t.size:
-        ip = (amps[:, None] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
+        ip = chan.points[code[t]] * (amps[:, None] + (x[t] + 1j * y[t]))
         decided = ml_detect(chan.wedges, ip.ravel(), amps[0]).reshape(ip.shape)
         counts[zero:] += chan.hamming[code[t], decided].sum(axis=1)
     return counts[inverse]

@@ -70,11 +70,8 @@ def _load(args: argparse.Namespace) -> SystemConfig:
     return validate(replace(load_config(args.config), **given))
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    """Print the config summary; warn on stderr when hypotheses coincide."""
-    cfg = _load(args)
-    print(f"ok: N={cfg.n_elements} n_t={cfg.n_t} n_r={cfg.n_r} m_rpm={cfg.m_rpm} "
-          f"bits/use={cfg.bits_total} snr points={len(cfg.snr_grid_db)} trials={cfg.trials}")
+def _warn_coincident(cfg: SystemConfig) -> None:
+    """Warn on stderr when hypotheses coincide: every command on such a config prints it."""
     k, chan = cfg.n_t * cfg.m_rpm, make_channel(cfg)
     never = k + 1 - chan.wedges[0].size  # one wedge per location
     if never:
@@ -83,6 +80,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 else f"all {k} hypotheses share one location")
         print(f"warning: {never} of {k} hypotheses coincide with one of smaller index "
               f"and are never decided; {rest}", file=sys.stderr)
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    """Print the config summary, and `_warn_coincident`."""
+    cfg = _load(args)
+    print(f"ok: N={cfg.n_elements} n_t={cfg.n_t} n_r={cfg.n_r} m_rpm={cfg.m_rpm} "
+          f"bits/use={cfg.bits_total} snr points={len(cfg.snr_grid_db)} trials={cfg.trials}")
+    _warn_coincident(cfg)
     return 0
 
 
@@ -90,6 +95,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """aber and capacity: sweep only the command's own quantity."""
     cfg = _load(args)
     out = _check_out(args)
+    _warn_coincident(cfg)
     columns = run_sweep(cfg, args.command, mode=args.mode,
                         exact_pep=getattr(args, "exact_pep", False),
                         paper_literal_args=getattr(args, "paper_literal_args", False))
@@ -122,6 +128,7 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     pair formatted once, ending in the next row's SNR cell, and gathered in one slice."""
     cfg = _load(args)
     out = _check_out(args)
+    _warn_coincident(cfg)
     chan = make_channel(cfg)
     gather, parts = _pep_layout(chan)
     unit, d, parts = unit_moments(chan), chan.distances[0], list(parts)

@@ -1,28 +1,21 @@
-"""Monte-Carlo estimation of the bit error rate (exact signal model plus the
-joint ML detector) and of the sampled mutual-information expectation, with
-reproducible RNG, and the SNR sweep that runs them.
+"""Monte-Carlo estimation of the bit error rate (exact signal model plus the joint ML
+detector) and of the sampled mutual-information expectation, with reproducible RNG, and the
+SNR sweep that runs them.
 
-H is rank-1, so a trial draws only the n_r-vector g_eff = G^H a_irs
-(`channel.Channel`), not the N*n_r entries of G, and the ML detector reads one
-scalar per trial, g_eff^H y, decided by the angle wedge that holds it.
+H is rank-1, so the ML detector reads one scalar per trial, g_eff^H y with g_eff = G^H a_irs
+(`channel.Channel`), and g_eff^H y / ||g_eff|| = sqrt(P_s nu) ||g_eff|| c_k + w, w ~ CN(0, 1)
+independent of g_eff and c_k: a trial draws its code, ||g_eff||^2 (`_energy`) and w, not G.
 
-Reproducibility scheme: the estimators split their trials into fixed-size
-chunks, and the RNG of a chunk is an SFC64 generator seeded by
-SeedSequence(seed, spawn_key=(domain, point, c)) for chunk c; chunk results
-are reduced in chunk order (integer error counts exactly, float sums left to
-right). A chunk draws each CN(0, 1) value in polar form, from one exponential and
-one uniform (`_gaussian`); numpy's SIMD tan may differ from libm's by 1 ulp, as its
-exp may, so the bits of a draw are those of the numpy build and CPU path. A BER
-chunk has the key (0, 0, c) at every SNR point: a power only rescales the signal
-term of the scalar g_eff^H y, so one draw of the codes, channels and noise is
-decided at every point of the grid (common random numbers); as the power grows,
-the scalar's angle moves monotonically towards the sent point's, crossing each
-wedge edge once at an amplitude in closed form, and a chunk is decided by walking
-those crossings (on the tables of `Channel.walk`). Each row keeps the law and the
-standard-error formula it has alone; only the rows' errors are correlated. A
-capacity chunk of sweep point i has the key (1, i, c): the benchmark's capacity
-check (`perfbench/workloads.py`) recomputes each row's stderr with
-`point_index=i`, so that key moves only with it.
+Reproducibility scheme: trials are split into fixed-size chunks, and chunk c is drawn by an
+SFC64 generator seeded by SeedSequence(seed, spawn_key=(domain, point, c)); chunk results are
+reduced in chunk order (error counts exactly, float sums left to right). CN(0, 1) values are
+drawn in polar form (`_polar`); numpy's SIMD tan and exp may differ from libm's by 1 ulp, so the
+bits of a draw are those of the numpy build and CPU path. A BER chunk has the key (0, 0, c) at
+every SNR point: a power only scales the signal term, so one draw is decided at every point of
+the grid (common random numbers) by walking each trial's wedge-edge crossings
+(`airlink._ber_decide`), and each row keeps the law and stderr formula it has alone. A capacity
+chunk of sweep point i has the key (1, i, c): the benchmark's capacity check
+(`perfbench/workloads.py`) recomputes each row's stderr with `point_index=i`.
 """
 
 from __future__ import annotations
@@ -63,32 +56,45 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """CN(0, 1) entries in polar form, worked in place: moduli sqrt(E), E ~ Exp(1), drawn
-    first, then phases theta = 2 pi U - pi, U ~ U[0, 1), applied with no cos or sin as
-    (1 - t^2, 2 t) / (1 + t^2), t = tan(theta / 2) (Box and Muller, 1958)."""
+def _polar(rng: np.random.Generator, shape, scale) -> tuple[np.ndarray, np.ndarray]:
+    """scale times CN(0, 1) values in polar form, as their real and imaginary parts, worked in
+    place: moduli sqrt(E), E ~ Exp(1), drawn first, then phases theta = 2 pi U - pi,
+    U ~ U[0, 1), applied with no cos or sin as (1 - t^2, 2 t) / (1 + t^2), t = tan(theta / 2)
+    (Box and Muller, 1958). scale is a float or an array of shape."""
     modulus, t = rng.standard_exponential(shape), rng.random(shape)
     np.sqrt(modulus, out=modulus)
     np.tan(np.subtract(np.multiply(t, math.pi, out=t), 0.5 * math.pi, out=t), out=t)
     t_sq = np.multiply(t, t)
-    z = np.empty(shape, np.complex128)
-    np.subtract(1.0, t_sq, out=z.real)
-    np.divide(modulus, np.add(t_sq, 1.0, out=t_sq), out=modulus)
-    np.multiply(z.real, modulus, out=z.real)
-    np.multiply(np.add(t, t, out=t), modulus, out=z.imag)
-    return z
+    re = np.subtract(1.0, t_sq)
+    np.divide(np.multiply(modulus, scale, out=modulus), np.add(t_sq, 1.0, out=t_sq), out=modulus)
+    return np.multiply(re, modulus, out=re), np.multiply(np.add(t, t, out=t), modulus, out=t)
+
+
+def _energy(chan: Channel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of ||g_eff||^2, g_eff ~ CN(mean, scale^2 I_{n_r}), from its law alone: the law
+    is rotation-invariant, so ||g_eff||^2 = |m + scale z_1|^2 + scale^2 (E_2 + ... + E_{n_r}),
+    m = ||mean||, z_1 ~ CN(0, 1) (`_polar`) and then the E_i ~ Exp(1) drawn. Each part is
+    squared as it is: the expanded m^2 + scale^2 |z_1|^2 + 2 m scale Re z_1 cancels in deep
+    fades."""
+    re, im = _polar(rng, n, chan.scale)
+    re += np.linalg.norm(chan.mean)
+    energy = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
+    if chan.mean.size > 1:
+        energy += chan.scale ** 2 * rng.standard_exponential((chan.mean.size - 1, n)).sum(axis=0)
+    return energy
 
 
 def _ber_draw(chan: Channel, seed: int, chunk_index: int,
               n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A BER chunk's draws, in a fixed order: each trial's symbol code, then g_eff and z,
-    kept as ||g_eff||^2 and g_eff^H z (g_eff^H y / sqrt(nu) = sqrt(P_s nu) ||g_eff||^2
-    points[code] + g_eff^H z, so only the signal term depends on the power)."""
+    """A BER chunk's draws, in a fixed order: each trial's symbol code, ||g_eff||^2 (`_energy`),
+    and w ~ CN(0, 1), kept as the (real, imaginary) parts of u = w / (sqrt(nu) ||g_eff||), the
+    noise in the sent point's frame: conj(points[code]) g_eff^H y / (sqrt(nu) ||g_eff||^2) =
+    sqrt(P_s) + u, where conj(points[code]) g_eff^H z / ||g_eff|| is CN(0, 1) and independent
+    of g_eff and the code, so only the signal term depends on the power."""
     rng = _chunk_rng(seed, _DOMAIN_BER, 0, chunk_index)
     code = rng.integers(0, chan.points.size, size=n_trials)
-    g = chan.mean + chan.scale * _gaussian(rng, (n_trials, chan.mean.size))
-    z = _gaussian(rng, (n_trials, chan.mean.size))
-    return code, np.sum(g.real ** 2 + g.imag ** 2, axis=1), np.sum(g.conj() * z, axis=1)
+    norm = np.sqrt(_energy(chan, rng, n_trials)) * chan.sqrt_nu
+    return (code, *_polar(rng, n_trials, np.reciprocal(norm, out=norm)))
 
 
 def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
@@ -116,9 +122,9 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
 def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
                       point_index: int = 0, with_stderr: bool = False):
     """Sampled ergodic capacity 2 log2 K - log2(K + mean a), where a sample's a is the sum of
-    exp(-P_s xi / 2) over the joint pairs, with xi = nu |c_k - c_j|^2 ||g_eff||^2 on a redrawn
-    effective channel (an independent code path from the moment-based closed form), and its
-    stderr s / sqrt(n) / ((K + mean a) ln 2), s the unbiased sample deviation of a.
+    exp(-P_s xi / 2) over the joint pairs, with xi = nu |c_k - c_j|^2 ||g_eff||^2 drawn by
+    `_energy` (an independent code path from the moment-based closed form), and its stderr
+    s / sqrt(n) / ((K + mean a) ln 2), s the unbiased sample deviation of a.
 
     p_s is a scalar or an array of powers; the q-th power (C order) draws the chunks of sweep
     point point_index + q, and adds their sums of a and a^2 in chunk order. Returns the
@@ -136,9 +142,7 @@ def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
         sum_a = sum_a_sq = 0.0
         for c, size in enumerate(_chunk_sizes(n)):
             rng = _chunk_rng(seed, _DOMAIN_CAPACITY, point_index + q, c)
-            g = chan.mean + chan.scale * _gaussian(rng, (size, chan.mean.size))
-            energy = np.sum(np.abs(g) ** 2, axis=1)
-            agg = np.zeros(size)
+            energy, agg = _energy(chan, rng, size), np.zeros(size)
             step = max(1, _PAIR_BLOCK_ELEMENTS // size)
             for lo in range(0, nu_d2.size, step):
                 terms = np.exp(np.multiply.outer(energy, -0.5 * p_q * nu_d2[lo:lo + step]))

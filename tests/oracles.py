@@ -21,11 +21,13 @@ above check), as the reference for the vectorised hypothesis-pair table;
 (K, K) table of gathered group distances, and `aber_union_terms_table_reference`
 sums the library's PEPs through the full (K, K) table of weighted terms.
 `capacity_sampled_reference` is `simulate_capacity` at one power, summed over
-every joint pair of the label masks on the library's chunk draws.
+every joint pair of the label masks on the library's chunk draws of ||g_eff||^2
+(`energy_reference`, the library's `_energy` written out of place).
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
-must count exactly: its draws (`ber_draw_reference`) and every trial decided by
-`ml_detect` at every power (`ber_decide_reference`, which also takes synthetic
-trials); `ber_chunk` runs the library's kernel on one chunk as `simulate_ber`
+must count exactly: its draws (`ber_draw_reference`: the codes, ||g_eff||^2 and
+the noise u in the sent point's frame) and every trial decided by `ml_detect` on
+points[code] (A + u) at every amplitude A (`ber_decide_reference`, which also
+takes synthetic trials); `ber_chunk` runs the library's kernel on one chunk as `simulate_ber`
 does. `pair_classes_reference` builds the label tables from the flat indices'
 antenna and phase indices, independently of `Channel.hamming` and `Channel.classes`.
 """
@@ -219,17 +221,24 @@ def ber_full_g(cfg: SystemConfig, p_s: float, trials: int,
     return errors / (cfg.bits_total * trials)
 
 
+def energy_reference(chan: Channel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """`simulate._energy` written out of place, with the library's generator calls in its order
+    and its operations in theirs, so its values are bitwise the library's: n draws of
+    ||g_eff||^2 = |||mean|| + scale z_1|^2 + scale^2 (E_2 + ... + E_{n_r})."""
+    re, im = simulate._polar(rng, n, chan.scale)
+    rest = rng.standard_exponential((chan.mean.size - 1, n)).sum(axis=0)
+    return (re + np.linalg.norm(chan.mean)) ** 2 + im ** 2 + chan.scale ** 2 * rest
+
+
 def ber_draw_reference(chan: Channel, seed: int, chunk_index: int,
-                       n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A BER chunk's draws with the library's own generator and draw order: each
-    trial's symbol code, ||g_eff||^2 and g_eff^H z."""
+                       n_trials: int) -> tuple[np.ndarray, ...]:
+    """A BER chunk's draws with the library's own generator and draw order: each trial's
+    symbol code, ||g_eff||^2 (`energy_reference`), and the real and imaginary parts of
+    u = w / (sqrt(nu) ||g_eff||), w ~ CN(0, 1)."""
     rng = simulate._chunk_rng(seed, simulate._DOMAIN_BER, 0, chunk_index)
     code = rng.integers(0, chan.points.size, size=n_trials)
-    g = chan.mean + chan.scale * simulate._gaussian(rng, (n_trials, chan.mean.size))
-    z = simulate._gaussian(rng, (n_trials, chan.mean.size))
-    energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
-    noise = np.sum(g.conj() * z, axis=1)
-    return code, energy, noise
+    energy = energy_reference(chan, rng, n_trials)
+    return (code, energy, *simulate._polar(rng, n_trials, 1.0 / (np.sqrt(energy) * chan.sqrt_nu)))
 
 
 def pair_classes_reference(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,15 +260,14 @@ def ber_chunk(chan: Channel, sqrt_ps: np.ndarray, seed: int, chunk_index: int,
 
 def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                          hamming: np.ndarray, sqrt_ps: np.ndarray, code: np.ndarray,
-                         energy: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """The bit-error counts of `airlink._ber_decide` the dense way: one `ml_detect`
-    pass over every trial (code, energy, noise) at each amplitude of sqrt_ps, in the
-    given order."""
-    signal = chan.points[code]
+                         x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The bit-error counts of `airlink._ber_decide` the dense way: one `ml_detect` pass
+    over every trial (code, u = x + jy) at each amplitude A of sqrt_ps, on the scalar
+    points[code] (A + u), in the given order."""
+    signal, u = chan.points[code], x + 1j * y
     row, flat = code * hamming.shape[1], hamming.ravel()
-    return np.array([flat[row + ml_detect(wedges, (sqrt_p * chan.sqrt_nu) * energy * signal + noise,
-                                          sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
-                    dtype=np.int64)
+    return np.array([flat[row + ml_detect(wedges, signal * (sqrt_p + u), sqrt_p)].sum()
+                     for sqrt_p in sqrt_ps.tolist()], dtype=np.int64)
 
 
 def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
@@ -267,8 +275,8 @@ def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                         chunk_index: int, n_trials: int) -> np.ndarray:
     """The bit-error counts of `ber_chunk` the dense way: the chunk's draws
     (`ber_draw_reference`) decided by `ber_decide_reference`."""
-    return ber_decide_reference(chan, wedges, hamming, sqrt_ps,
-                                *ber_draw_reference(chan, seed, chunk_index, n_trials))
+    code, _, x, y = ber_draw_reference(chan, seed, chunk_index, n_trials)
+    return ber_decide_reference(chan, wedges, hamming, sqrt_ps, code, x, y)
 
 
 def capacity_sampled_reference(cfg: SystemConfig, p_s: float, samples: int, seed: int,
@@ -288,8 +296,7 @@ def capacity_sampled_reference(cfg: SystemConfig, p_s: float, samples: int, seed
     for c, lo in enumerate(range(0, samples, simulate.CHUNK_TRIALS)):
         size = min(simulate.CHUNK_TRIALS, samples - lo)
         rng = simulate._chunk_rng(seed, simulate._DOMAIN_CAPACITY, point_index, c)
-        g = chan.mean + chan.scale * simulate._gaussian(rng, (size, cfg.n_r))
-        energy = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+        energy = energy_reference(chan, rng, size)
         # one row i of pairs at a time keeps the block at (size, K)
         agg.append(sum(np.exp(-0.5 * p_s * cfg.nu * np.multiply.outer(energy, d2[i][joint[i]]))
                        .sum(axis=1) for i in range(k)))

@@ -71,6 +71,37 @@ def test_validate_warns_on_coincident_hypotheses(tmp_path, capsys):
     assert err.rstrip().endswith("never decided; all 2 hypotheses share one location")
 
 
+@pytest.mark.parametrize("command", ["aber", "capacity", "pep"])
+def test_every_command_warns_on_coincident_hypotheses(tmp_path, capsys, monkeypatch, command):
+    # on phi_d = 0 a sweep or pep table prints validate's stderr warning line and exits 0;
+    # its stdout, CSV and manifest (less started_utc) are those of the run without it
+    path = tmp_path / "phi_d0.cfg"
+    with open(config_path("aber_n16.cfg")) as fh:
+        path.write_text(fh.read().replace("phi_d=0.4174", "phi_d=0").replace(
+            "snr_grid_db=0,2,4,6,8,10,12,14,16,18,20,22,24,26,28,30,32,34,36,38,40",
+            "snr_grid_db=0,20,40"))
+    assert main(["validate", "--config", str(path)]) == 0
+    warning = capsys.readouterr().err
+    assert warning.startswith("warning: 2 of 4 hypotheses") and warning.count("\n") == 1
+    extra = ["--trials", "500"] if command != "pep" else []
+    runs = []
+    for name in ("warned", "quiet"):
+        out = tmp_path / f"{name}.csv"
+        assert main([command, "--config", str(path), "--out", str(out), *extra]) == 0
+        stdout, err = capsys.readouterr()
+        manifest = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+        del manifest["started_utc"]
+        runs.append((stdout.replace(name, ""), err, out.read_bytes(), manifest))
+        monkeypatch.setattr(cli, "_warn_coincident", lambda cfg: None)
+    assert runs[0][1] == warning and runs[1][1] == ""
+    assert runs[0][0] == runs[1][0] and runs[0][2:] == runs[1][2:]
+    # a config without coincident points warns of nothing
+    monkeypatch.undo()
+    assert main([command, "--config", config_path("aber_n16.cfg"), "--out",
+                 str(tmp_path / "plain.csv"), *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("m_rpm=3\n")

@@ -17,8 +17,8 @@ from irs_sskrpm import airlink, simulate
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import (ber_chunk, ber_chunk_reference, ber_decide_reference, ber_draw_reference,
-                     ber_full_g, capacity_sampled_reference, ml_detect_reference,
-                     pair_classes_reference)
+                     ber_full_g, capacity_sampled_reference, energy_reference,
+                     ml_detect_reference, pair_classes_reference)
 from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_ON_EDGE,
                           STRESS_CONFIG, constellation_configs)
 
@@ -63,10 +63,12 @@ def test_gaussian_is_standard_complex_normal():
     # |z|^2 ~ Exp(1) and the phase is uniform; each moment is held to 5 sigma of the
     # sampling error that the law itself gives it
     shape = (250_000, 4)
-    z = simulate._gaussian(simulate._chunk_rng(2024, simulate._DOMAIN_BER, 0, 0), shape)
+    parts = simulate._polar(simulate._chunk_rng(2024, simulate._DOMAIN_BER, 0, 0), shape, 1.0)
+    assert all(v.dtype == np.float64 and v.shape == shape for v in parts)
+    z = parts[0] + 1j * parts[1]
     assert z.dtype == np.complex128 and z.shape == shape
-    again = simulate._gaussian(simulate._chunk_rng(2024, simulate._DOMAIN_BER, 0, 0), shape)
-    assert z.tobytes() == again.tobytes()
+    again = simulate._polar(simulate._chunk_rng(2024, simulate._DOMAIN_BER, 0, 0), shape, 1.0)
+    assert z.tobytes() == (again[0] + 1j * again[1]).tobytes()
     n = z.size
     # (statistic, its mean, its variance per value) under N(0, 1/2): E x^2 = 1/2,
     # E x^4 = 3/4, E x^8 = 105/16
@@ -86,10 +88,89 @@ def test_gaussian_is_finite_at_the_edge_of_its_draws(e):
     # every uniform 0 puts the phase at -pi, where tan(theta / 2) is at -pi/2, and every
     # exponential e; a zero modulus gives z = 0, the u = 0 the edge walk leaves to ml_detect
     rng = SimpleNamespace(standard_exponential=lambda shape: np.full(shape, e), random=np.zeros)
-    z = simulate._gaussian(rng, (3, 2))
+    re, im = simulate._polar(rng, (3, 2), 1.0)
+    z = re + 1j * im
     assert z.dtype == np.complex128 and z.shape == (3, 2) and np.all(np.isfinite(z))
     np.testing.assert_allclose(np.abs(z) ** 2, e, rtol=1e-15, atol=0)
     np.testing.assert_allclose(z, -math.sqrt(e), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("k_r", [0.0, 2.0])
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_energy_has_the_noncentral_chi_square_law(n_r, k_r):
+    # ||g_eff||^2 of g_eff ~ CN(mean, s^2 I_{n_r}) is (s^2 / 2) times a noncentral chi-square
+    # with 2 n_r degrees of freedom and noncentrality ||mean||^2 / (s^2 / 2); SciPy's law
+    # pins 200k draws of one chunk key, which are bitwise the out-of-place reference's
+    chan = make_channel(validate(SystemConfig(n_r=n_r, k_r=k_r)))
+    half = chan.scale ** 2 / 2.0
+    law = stats.ncx2(2 * n_r, np.linalg.norm(chan.mean) ** 2 / half, scale=half)
+    key = (7, simulate._DOMAIN_CAPACITY, 0, 0)
+    energy = simulate._energy(chan, simulate._chunk_rng(*key), 200_000)
+    again = energy_reference(chan, simulate._chunk_rng(*key), 200_000)
+    assert energy.tobytes() == again.tobytes()
+    assert stats.kstest(energy, law.cdf).pvalue > 1e-3
+
+
+#: A 16-point constellation with two receive antennas, for the tests of the BER draw's law.
+SIXTEEN = validate(SystemConfig(n_t=4, m_rpm=4, n_r=2, phi_d=0.3))
+
+
+def test_ber_draw_noise_is_unit_complex_normal_given_the_channel():
+    # u = w / (sqrt(nu) ||g_eff||): nu ||g_eff||^2 |u|^2 = |w|^2 ~ Exp(1), whatever the fade
+    chan, n = make_channel(SIXTEEN), 100_000
+    code, energy, x, y = ber_draw_reference(chan, SIXTEEN.seed, 0, n)
+    drawn = simulate._ber_draw(chan, SIXTEEN.seed, 0, n)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, (code, x, y)))
+    assert stats.kstest(chan.sqrt_nu ** 2 * energy * (x * x + y * y), "expon").pvalue > 1e-3
+
+
+def test_ber_draw_phase_is_uniform_and_independent_of_the_code():
+    # a code x phase-bin table of 8 chunks: each of the K * 8 cells expects n / (8 K) trials
+    chan, n = make_channel(SIXTEEN), simulate.CHUNK_TRIALS
+    table = np.zeros((chan.points.size, 8), np.int64)
+    for c in range(8):
+        code, x, y = simulate._ber_draw(chan, SIXTEEN.seed, c, n)
+        phase = np.floor((np.arctan2(y, x) + math.pi) / (2 * math.pi) * 8).astype(int) % 8
+        np.add.at(table, (code, phase), 1)
+    assert table.sum() == 8 * n
+    assert stats.chisquare(table.ravel()).pvalue > 1e-3, table
+
+
+class _Tally:
+    """A generator stub: each draw is passed to the generator it wraps, and its method name
+    and number of values are recorded."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.calls.append((name, np.size(out)))
+            return out
+        return draw
+
+
+@pytest.mark.parametrize("n_r", [1, 3])
+def test_a_chunk_draws_exactly_the_detector_s_statistics(n_r, monkeypatch):
+    # a BER chunk of n trials draws n codes, then z_1 (n exponentials, n uniforms), the
+    # n (n_r - 1) exponentials of the rest of ||g_eff||^2 and w (n of each), in that order:
+    # 1 integer and 4 + (n_r - 1) floats per trial. A capacity chunk draws z_1 and the
+    # exponentials only
+    cfg, n = validate(SystemConfig(n_r=n_r)), 1000
+    chan, rngs, chunk_rng = make_channel(cfg), [], simulate._chunk_rng
+
+    def counted(*key):
+        rngs.append(_Tally(chunk_rng(*key)))
+        return rngs[-1]
+
+    monkeypatch.setattr(simulate, "_chunk_rng", counted)
+    energy = [("standard_exponential", n), ("random", n)]
+    energy += [("standard_exponential", (n_r - 1) * n)] if n_r > 1 else []
+    simulate._ber_draw(chan, cfg.seed, 0, n)
+    assert rngs[-1].calls == [("integers", n), *energy, ("standard_exponential", n), ("random", n)]
+    simulate_capacity(cfg, 10.0, n, cfg.seed)
+    assert len(rngs) == 2 and rngs[-1].calls == energy
 
 
 @pytest.mark.parametrize("name", ["aber_n32.cfg", "diversity_nr3.cfg"])
@@ -115,18 +196,28 @@ CHUNK_SNR_DB = (-math.inf, -30.0, 0.0, 10.0, 20.0, 60.0)
     ("aber_n16.cfg", {"n_t": 8, "m_rpm": 8, "n_r": 4})])
 @pytest.mark.parametrize("snr_db", CHUNK_SNR_DB)
 def test_ber_chunk_counts_the_errors_of_the_full_observation(name, overrides, snr_db):
-    # replay one chunk's draws the long way at snr_db: the received vector y,
-    # the matched filter ip = sqrt(nu) g_eff^H y, the exhaustive argmin and the
-    # label Hamming distances; the scalar kernel, deciding the chunk at all
-    # CHUNK_SNR_DB in one call, must count the same errors at snr_db
+    # replay one chunk's draws the long way at snr_db: an n_r-vector g_eff with the drawn
+    # ||g_eff||^2 in a direction of its own, the noise vector z = (g_eff / ||g_eff||) c_k w
+    # + z_perp, with z_perp drawn from a separate stream and projected orthogonal to g_eff,
+    # the received vector y, the matched filter ip = sqrt(nu) g_eff^H y, the exhaustive
+    # argmin and the label Hamming distances; the scalar kernel, deciding the chunk at all
+    # CHUNK_SNR_DB in one call, must count the same errors at snr_db, so its decision
+    # reads neither z_perp nor the direction of g_eff
     cfg = validate(replace(load_config(config_path(name)), **overrides))
     chan = make_channel(cfg)
     p_s = 10 ** (snr_db / 10)
     sqrt_p, n = math.sqrt(p_s), simulate.CHUNK_TRIALS
     rng = simulate._chunk_rng(cfg.seed, simulate._DOMAIN_BER, 0, 1)
     code = rng.integers(0, chan.points.size, size=n)
-    g = chan.mean + chan.scale * simulate._gaussian(rng, (n, cfg.n_r))
-    z = simulate._gaussian(rng, (n, cfg.n_r))
+    energy = energy_reference(chan, rng, n)
+    re, im = simulate._polar(rng, n, 1.0)
+    other = np.random.default_rng([cfg.seed, 1])  # a stream of the test's own
+    direction = other.standard_normal((n, cfg.n_r)) + 1j * other.standard_normal((n, cfg.n_r))
+    g = direction * (np.sqrt(energy) / np.linalg.norm(direction, axis=1))[:, None]
+    z_any = other.standard_normal((n, cfg.n_r)) + 1j * other.standard_normal((n, cfg.n_r))
+    z_perp = z_any - g * (np.einsum("br,br->b", g.conj(), z_any) / energy)[:, None]
+    assert np.max(np.abs(np.einsum("br,br->b", g.conj(), z_perp)) / np.sqrt(energy)) < 1e-12
+    z = g * (chan.points[code] * (re + 1j * im) / np.sqrt(energy))[:, None] + z_perp
     y = (sqrt_p * chan.sqrt_nu * chan.points[code])[:, None] * g + z
     ip = chan.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
     detected = ml_detect_reference(chan.points, ip, sqrt_p)
@@ -340,9 +431,9 @@ EXTREME_AMPS = (0.0, 1e-10, 1.0, 1e10)
 @given(cfg=constellation_configs(), seed=st.integers(0, 2**32 - 1))
 def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     # synthetic trials made to sit where the edge walk's model is least sure: the
-    # scalar n' = conj(c_k) n / (sqrt(nu) ||g_eff||^2) on an edge of the point (a
-    # rotated bisector), on an absolute bisector, real (Im n' == 0, exactly for the
-    # point 1), random; at amplitudes exactly at walked crossings and one ulp either
+    # scalar u = conj(c_k) n / (sqrt(nu) e) of a synthetic noise n and energy e on an
+    # edge of the point (a rotated bisector), on an absolute bisector, real (Im u == 0,
+    # exactly for the point 1), random; at amplitudes exactly at walked crossings and one ulp either
     # side, among zero power and +-200 dB, repeated and unsorted. The int64 counts must
     # be the dense pass's; ml_detect runs once at zero power (every trial) and once on
     # every amplitude of the trials the walk leaves, among them every exact crossing
@@ -360,7 +451,8 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     noise = rng.exponential(size=n) * np.exp(1j * theta)
     real = np.arange(n) % 4 == 2
     noise[real & (code == 0)] = noise[real & (code == 0)].real
-    # the crossings a = |Im n'| cot(beta) - Re n' the walk computes, and their neighbours
+    # each trial's u, and the crossings a = |Im u| cot(beta) - Re u the walk computes and
+    # their neighbours
     u = chan.points.conj()[code] * noise / (chan.sqrt_nu * energy)
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = 1.0 / np.tan(beta[(u.imag >= 0).astype(int), code])
@@ -369,10 +461,10 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     amps = np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), EXTREME_AMPS, a[:2]])
     amps = rng.permutation(amps)
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, amps, code, energy, noise)
+        counts = airlink._ber_decide(chan, amps, code, u.real, u.imag)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, ber_decide_reference(chan, wedges, hamming, amps,
-                                                               code, energy, noise))
+                                                               code, u.real, u.imag))
     sizes = [np.size(call.args[1]) for call in detect.call_args_list]
     assert len(sizes) <= 2 and sizes[0] == n and sum(sizes[1:]) >= a.size
 
@@ -385,24 +477,24 @@ def test_ber_decide_walks_again_without_the_trials_in_a_band():
     # trial) and once on exactly those 3 trials at every nonzero amplitude
     cfg = validate(load_config(config_path("aber_n32.cfg")))
     chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
-    code, energy, noise = ber_draw_reference(chan, cfg.seed, 0, n)
+    code, _, x, y = ber_draw_reference(chan, cfg.seed, 0, n)
     amps = np.sqrt(10.0 ** (np.arange(0.0, 41.0, 2.0) / 10.0))
-    u = chan.points.conj()[code] * noise / (chan.sqrt_nu * energy)
+    u = x + 1j * y
     cot = 1.0 / np.tan(chan.edges[0][(u.imag >= 0).astype(int), code, 0])
     a = np.abs(u.imag) * cot - u.real  # each trial's crossing of its home edge
     t = np.flatnonzero((a > 2.0) & (a < 50.0))[:3]
     a = a[t]
     amps = np.concatenate([amps, [0.0], a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, amps, code, energy, noise)
+        counts = airlink._ber_decide(chan, amps, code, x, y)
     assert counts.dtype == np.int64
     hamming = pair_classes_reference(cfg.n_t, cfg.m_rpm)[2]
     np.testing.assert_array_equal(
-        counts, ber_decide_reference(chan, chan.wedges, hamming, amps, code, energy, noise))
+        counts, ber_decide_reference(chan, chan.wedges, hamming, amps, code, x, y))
     calls = [call.args[1] for call in detect.call_args_list]
     assert len(calls) <= 2 and np.size(calls[0]) == n
     nonzero = np.unique(amps[amps > 0.0])
-    left = (nonzero[:, None] * chan.sqrt_nu) * energy[t] * chan.points[code[t]] + noise[t]
+    left = chan.points[code[t]] * (nonzero[:, None] + u[t])
     np.testing.assert_array_equal(np.sort(calls[1]), np.sort(left.ravel()))
 
 
@@ -414,8 +506,8 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
     # within the dense pass's peak
     cfg = validate(load_config(STRESS_CONFIG))
     chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
-    code, energy, noise = ber_draw_reference(chan, cfg.seed, 0, n)
-    rel = np.angle((10 ** -1.5 * chan.sqrt_nu) * energy + chan.points.conj()[code] * noise)
+    code, _, x, y = ber_draw_reference(chan, cfg.seed, 0, n)
+    rel = np.angle(10 ** -1.5 + (x + 1j * y))  # each trial's angle from its point at -30 dB
     assert np.mean(np.abs(rel) > chan.edges[0][(rel >= 0).astype(int), code, 1]) >= 0.9
     for path, snr_db, bound in ((STRESS_CONFIG, np.arange(-30.0, 1.0), 1.25),
                                 (config_path("aber_n32.cfg"), np.arange(0.0, 41.0, 2.0), 1.0)):
