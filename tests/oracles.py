@@ -27,8 +27,8 @@ every joint pair of the label masks on the library's chunk draws of ||g_eff||^2
 must count exactly: its draws (`ber_draw_reference`: the codes, ||g_eff||^2 and
 the noise u in the sent point's frame) and every trial decided by `ml_detect` on
 points[code] (A + u) at every amplitude A (`ber_decide_reference`, which also
-takes synthetic trials); `ber_chunk` runs the library's kernel on one chunk as `simulate_ber`
-does. `pair_classes_reference` builds the label tables from the flat indices'
+takes synthetic trials); `ber_chunk` runs the library's kernel on one chunk as
+`simulate_ber` does. `pair_classes_reference` builds the label tables from the flat indices'
 antenna and phase indices, independently of `Channel.hamming` and `Channel.classes`.
 """
 
@@ -222,9 +222,10 @@ def ber_full_g(cfg: SystemConfig, p_s: float, trials: int,
 
 
 def energy_reference(chan: Channel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """`simulate._energy` written out of place, with the library's generator calls in its order
-    and its operations in theirs, so its values are bitwise the library's: n draws of
-    ||g_eff||^2 = |||mean|| + scale z_1|^2 + scale^2 (E_2 + ... + E_{n_r})."""
+    """`simulate._energy` written out of place: the library's draws in its order (and an empty
+    one at n_r = 1, which moves no generator) and its operations in theirs, so its values are
+    bitwise the library's: n draws of ||g_eff||^2 = |m + scale z_1|^2 + scale^2 (E_2 + ... +
+    E_{n_r}), m = ||mean||."""
     re, im = simulate._polar(rng, n, chan.scale)
     rest = rng.standard_exponential((chan.mean.size - 1, n)).sum(axis=0)
     return (re + np.linalg.norm(chan.mean)) ** 2 + im ** 2 + chan.scale ** 2 * rest
