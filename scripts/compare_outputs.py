@@ -16,11 +16,18 @@ demo's stdout (and an `exit N` line if it fails). The script prints each file
 as identical or differing, then per CSV column the cells that moved, of all
 cells compared, how many of them moved to or from zero, the largest relative
 change |b - a| / |a| over the others (a cell that is not a number changes by
-inf) and the largest absolute change |b - a| over all of them, then each demo's
+inf) and the largest absolute change |b - a| over all of them, then per ABER CSV
+the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2) over its moved `aber_sim` cells,
+se being the row's own `aber_stderr` (rows where both are 0 skipped), then each demo's
 stdout as identical or differing, then the line count of each tree's `src/`
 (`src/ lines: A -> B`), and last the count of identical files. It exits 1 if
 any file or demo differs. Standard library only (and git and tar to unpack a
 revision).
+
+The |z| line tells a re-drawn simulation (|z| of a few) from a moved law. It is a screen,
+not a test: the rows of one ABER sweep share their draws (common random numbers), so their
+z are not independent, and the binomial `aber_stderr` is too narrow where the bits of a
+symbol err together, as on stress_nt8m8 (ROADMAP item 4), so |z| runs high there.
 """
 
 from __future__ import annotations
@@ -115,6 +122,19 @@ def change(a: str, b: str) -> tuple[bool, float, float]:
     return zero, 0.0 if zero else abs(y - x) / abs(x), abs(y - x)
 
 
+def largest_z(rows_a: list[list[str]], rows_b: list[list[str]]) -> str:
+    """The largest |z| = |b - a| / sqrt(se_a^2 + se_b^2) over the `aber_sim` cells that moved
+    between two ABER CSVs, with se each row's `aber_stderr`, and its row's snr_db."""
+    sim, se, snr = (rows_a[0].index(key) for key in ("aber_sim", "aber_stderr", "snr_db"))
+    z = [(abs(float(b[sim]) - float(a[sim])) / math.hypot(float(a[se]), float(b[se])), a[snr])
+         for a, b in zip(rows_a[1:], rows_b[1:])
+         if a[sim] != b[sim] and (float(a[se]) or float(b[se]))]
+    if not z:
+        return "no moved cell"
+    worst, at = max(z)
+    return f"largest |z| {worst:.2f} (snr_db={at}) over {len(z)} moved cells"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="folder or git revision")
@@ -137,11 +157,14 @@ def main() -> None:
         same += identical
         print(f"{'identical' if identical else 'differs'} {a.relative_to(out / 'a')}")
     columns: dict[str, list] = {}
+    screens = []
     for a in (f for f in files if f.suffix == ".csv"):
         b = out / "b" / a.relative_to(out / "a")
         rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
         if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
             sys.exit(f"{b}: header or row count differs")
+        if "aber_sim" in rows_a[0]:
+            screens.append(f"aber_sim {a.relative_to(out / 'a')}: {largest_z(rows_a, rows_b)}")
         for key, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
             moved = [change(x, y) for x, y in zip(col_a, col_b) if x != y]
             zero, rel, dif = zip(*moved) if moved else ((), (), ())
@@ -151,6 +174,8 @@ def main() -> None:
     for key, (moved, total, zero, rel, dif) in columns.items():
         print(f"column {key}: {moved} of {total} cells moved ({zero} to or from zero), "
               f"largest relative change {rel:.2e}, largest absolute change {dif:.2e}")
+    for line in screens:
+        print(line)
     demos_differ = False
     for name in sorted({p.name for side in ("a", "b") for p in (out / f"{side}_demos").iterdir()}):
         a, b = out / "a_demos" / name, out / "b_demos" / name

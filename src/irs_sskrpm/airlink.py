@@ -45,58 +45,65 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
     return winners[below]
 
 
-def _ber_decide(chan: Channel, sqrt_ps: np.ndarray, code: np.ndarray, x: np.ndarray,
-                y: np.ndarray) -> np.ndarray:
-    """The bit-error counts (int64) of the joint ML detector on the trials (code, x, y) of
-    `simulate._ber_draw` at every amplitude of sqrt_ps, in any order.
-
-    u = x + jy is a trial's noise in its sent point's frame, scaled to unit signal: the
-    detector reads the angle of points[code] (A + u) at amplitude A, which moves monotonically
-    towards the point's as A grows: it crosses edge j of `Channel.edges` (on the side of y)
-    once, at a_j = |y| cot beta_j - x, decreasing in j. A trial counts its home's Hamming
-    distance plus a step per edge crossed (the tables of `Channel.walk`), walked edge by edge
-    (one searchsorted and one bincount each) until its next crossing is below the smallest
-    amplitude. `ml_detect` decides zero power and every amplitude of the trials the walk
-    leaves: those whose u or home edge is within `_NEAR` of the real axis or the point, and
-    those with an amplitude within `_SLACK` of a crossing, where rounding may put the detector
-    on either side; a walk that meets one walks again without it. The counts are bitwise
-    `ml_detect`'s on points[code] (A + u)."""
+def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
+    """`_ber_decide`'s view of sqrt_ps, built once per call: the distinct positive amplitudes,
+    below[i] (the largest of their first i), np.unique's inverse, whether zero is in, _SLACK/sin."""
     amps, inverse = np.unique(sqrt_ps, return_inverse=True)
-    narrow, home, cot, invsin, step = chan.walk
-    k, zero = chan.points.size, np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
-    amps, counts = amps[zero:], np.zeros(amps.size, np.int64)
+    zero = np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
+    return amps[zero:], np.append(-np.inf, amps[zero:]), inverse, zero, chan.walk[3] * _SLACK
+
+
+def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
+                h: np.ndarray) -> np.ndarray:
+    """The bit-error counts (int64) of the joint ML detector on the trials (row, x, h) of
+    `simulate._ber_draw` at every amplitude of a `_ber_walk`, in the order of its sqrt_ps.
+
+    Row side K + code sent points[code] with noise u = x + jy in the point's frame, scaled to
+    unit signal, h = |y| and y >= 0 on side 1. The angle of points[code] (A + u) moves towards
+    the point's as A grows, crossing edge j of `Channel.edges` (on its side) once, at
+    a_j = h cot beta_j - x, decreasing in j. A trial counts its home's Hamming distance plus the
+    step of each edge crossed (`Channel.walk`), walked edge by edge (a searchsorted and a
+    bincount each) until its next crossing is below the smallest amplitude. `ml_detect` decides
+    zero power and every amplitude of the trials the walk leaves: u or home edge within `_NEAR`
+    of the real axis or the point, or an amplitude within `_SLACK` of a crossing, where rounding
+    may put the detector on either side (the walk then runs again without it). The counts are
+    bitwise `ml_detect`'s on points[code] (A + u)."""
+    (amps, below, inverse, zero, slack), (narrow, home, cot, _, step) = walk, chan.walk
+    k, counts = chan.points.size, np.zeros(amps.size + zero, np.int64)
     if zero:
-        counts[0] = chan.hamming[code, ml_detect(chan.wedges, x, 0.0)].sum()
+        counts[0] = chan.hamming[row % k, ml_detect(chan.wedges, x, 0.0)].sum()
     if not amps.size:
         return counts[inverse]
-    row, height = k * (y >= 0) + code, np.abs(y)
-    left = ~(height > 2.0 * _NEAR * np.abs(x)) | narrow[row]
-    below = np.append(-np.inf, amps)  # below[i]: the largest of the first i amplitudes
+    width = np.abs(x)
+    left = ~(h > 2.0 * _NEAR * width) | narrow[row]
+    width += h  # h + |x|, which with |a| sets the width of a crossing's rounding band
     again = True
     while again:  # ends: each pass leaves more trials, and a trial left never walks again
-        height[left], again = np.nan, False  # the walk passes them by
-        ids, r, yr, xr, gains = None, row, height, x, np.zeros(amps.size + 1)
+        width[left], again = np.nan, False  # the walk passes them by
+        ids, r, hr, xr, wr, gains = None, row, h, x, width, np.zeros(amps.size + 1)
         with np.errstate(invalid="ignore"):
             for j in range(cot.shape[0]):
-                # the amplitude a where the angle of a + x + j|y| crosses edge j and the top of
+                # the amplitude a where the angle of a + x + jh crosses edge j and the top of
                 # its rounding band, where the detector may read either side (NaN: never crossed)
-                a = cot[j][r] * yr - xr
-                top = (np.abs(a) + yr + np.abs(xr)) * invsin[j][r] * _SLACK + a
+                a = cot[j][r]
+                np.subtract(np.multiply(a, hr, out=a), xr, out=a)
+                top = np.abs(a)
+                np.add(np.multiply(np.add(top, wr, out=top), slack[j][r], out=top), a, out=top)
                 go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
                 if not go.size:
                     break
                 ids, a, top = go if ids is None else ids[go], a[go], top[go]
-                r, yr, xr = r[go], yr[go], xr[go]
+                r, hr, xr, wr = r[go], hr[go], xr[go], wr[go]
                 above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
                 gains += np.bincount(above, step[j][r], amps.size + 1)
-                a = 2.0 * a - top  # the bottom of the band
-                hit = ids[below[above] >= a]
+                hit = ids[below[above] >= np.subtract(a + a, top, out=a)]  # the band's bottom
                 left[hit], again = True, again or hit.size > 0
                 del a, top, above
     counts[zero:] = home[row[~left]].sum() + np.cumsum(gains[::-1])[::-1][1:]
     t = np.flatnonzero(left)
     if t.size:
-        ip = chan.points[code[t]] * (amps[:, None] + (x[t] + 1j * y[t]))
+        code, y = row[t] % k, np.where(row[t] < k, -h[t], h[t])
+        ip = chan.points[code] * (amps[:, None] + (x[t] + 1j * y))
         decided = ml_detect(chan.wedges, ip.ravel(), amps[0]).reshape(ip.shape)
-        counts[zero:] += chan.hamming[code[t], decided].sum(axis=1)
+        counts[zero:] += chan.hamming[code, decided].sum(axis=1)
     return counts[inverse]

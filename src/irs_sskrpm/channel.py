@@ -110,7 +110,7 @@ class Channel:
     points  -- the n_t*m_rpm unit-circle points exp(2 pi j turns), t-major; points[0] == 1.
     turns   -- point t*M + m at m/M - (delta/lambda) sin(phi_d) t turns, in [-1/2, 1/2];
                a group of `_group` is one location, owned by its smallest index.
-    mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,).
+    mean    -- LoS part of g_eff, w_los * G_bar^H a_irs, shape (n_r,), and mean_norm its norm.
     scale   -- diffuse amplitude w_nlos * sqrt(N).
     sqrt_nu -- amplitude of the BS->IRS path loss.
     m_rpm   -- phases per antenna: the label of point t*M + m is its flat index.
@@ -121,6 +121,7 @@ class Channel:
     points: np.ndarray
     turns: np.ndarray
     mean: np.ndarray
+    mean_norm: float
     scale: float
     sqrt_nu: float
     m_rpm: int
@@ -233,4 +234,4 @@ def _channel(cfg: SystemConfig) -> Channel:
                                             w_los * (g_bar.conj().T @ a_irs))
     return Channel(h=h, g_bar=g_bar, points=points, turns=turns, mean=mean,
                    scale=float(w_nlos * np.sqrt(cfg.n_elements)), sqrt_nu=float(np.sqrt(cfg.nu)),
-                   m_rpm=cfg.m_rpm)
+                   m_rpm=cfg.m_rpm, mean_norm=float(np.linalg.norm(mean)))

@@ -4,7 +4,7 @@ SNR sweep that runs them.
 
 H is rank-1, so the ML detector reads one scalar per trial, g_eff^H y with g_eff = G^H a_irs
 (`channel.Channel`), and g_eff^H y / ||g_eff|| = sqrt(P_s nu) ||g_eff|| c_k + w, w ~ CN(0, 1)
-independent of g_eff and c_k: a trial draws its code, ||g_eff||^2 (`_energy`) and w, not G.
+independent of g_eff and c_k: a trial draws ||g_eff||^2 (`_energy`), w and its code, not G.
 
 Reproducibility scheme: trials are split into fixed-size chunks, and chunk c is drawn by an
 SFC64 generator seeded by SeedSequence(seed, spawn_key=(domain, point, c)); chunk results are
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .airlink import _ber_decide
+from .airlink import _ber_decide, _ber_walk
 from .channel import Channel, make_channel
 from .config import SystemConfig, validate
 from .metrics import (NumericalError, _bits, _power, _shaped, aber_union, capacity_closed,
@@ -56,17 +56,19 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _polar(rng: np.random.Generator, shape, scale) -> tuple[np.ndarray, np.ndarray]:
-    """scale times CN(0, 1) values in polar form, as their real and imaginary parts, worked in
-    place: moduli sqrt(E), E ~ Exp(1), drawn first, then phases theta = 2 pi U - pi,
-    U ~ U[0, 1), applied with no cos or sin as (1 - t^2, 2 t) / (1 + t^2), t = tan(theta / 2)
-    (Box and Muller, 1958). scale is a float or an array of shape."""
+def _polar(rng: np.random.Generator, shape, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """scale times CN(0, 1) values in polar form, (real, imaginary), worked in place: moduli
+    sqrt(E), E ~ Exp(1), drawn first, then phases 2 pi U - pi, U ~ U[0, 1), turned by `_turn`."""
     modulus, t = rng.standard_exponential(shape), rng.random(shape)
-    np.sqrt(modulus, out=modulus)
     np.tan(np.subtract(np.multiply(t, math.pi, out=t), 0.5 * math.pi, out=t), out=t)
+    return _turn(np.multiply(np.sqrt(modulus, out=modulus), scale, out=modulus), t)
+
+
+def _turn(modulus: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """modulus (cos phi, sin phi) as modulus (1 - t^2, 2t) / (1 + t^2), t = tan(phi/2), in place."""
     t_sq = np.multiply(t, t)
     re = np.subtract(1.0, t_sq)
-    np.divide(np.multiply(modulus, scale, out=modulus), np.add(t_sq, 1.0, out=t_sq), out=modulus)
+    np.divide(modulus, np.add(t_sq, 1.0, out=t_sq), out=modulus)
     return np.multiply(re, modulus, out=re), np.multiply(np.add(t, t, out=t), modulus, out=t)
 
 
@@ -77,43 +79,43 @@ def _energy(chan: Channel, rng: np.random.Generator, n: int) -> np.ndarray:
     squared as it is: the expanded m^2 + scale^2 |z_1|^2 + 2 m scale Re z_1 cancels in deep
     fades."""
     re, im = _polar(rng, n, chan.scale)
-    re += np.linalg.norm(chan.mean)
+    re += chan.mean_norm
     energy = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
     if chan.mean.size > 1:
         energy += chan.scale ** 2 * rng.standard_exponential((chan.mean.size - 1, n)).sum(axis=0)
     return energy
 
 
-def _ber_draw(chan: Channel, seed: int, chunk_index: int,
-              n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A BER chunk's draws, in a fixed order: each trial's symbol code, ||g_eff||^2 (`_energy`),
-    and w ~ CN(0, 1), kept as the (real, imaginary) parts of u = w / (sqrt(nu) ||g_eff||), the
-    noise in the sent point's frame: conj(points[code]) g_eff^H y / (sqrt(nu) ||g_eff||^2) =
-    sqrt(P_s) + u, where conj(points[code]) g_eff^H z / ||g_eff|| is CN(0, 1) and independent
-    of g_eff and the code, so only the signal term depends on the power."""
+def _ber_draw(chan: Channel, seed: int, chunk_index: int, n_trials: int) -> tuple:
+    """A BER chunk's trials (row, x, h) of `airlink._ber_decide`: ||g_eff||^2 (`_energy`), then
+    E ~ Exp(1) and U ~ U[0, 1) of w ~ CN(0, 1), u = x + jy = w / (sqrt(nu) ||g_eff||) in the
+    sent point's frame: 2 K U = row + f exactly, row = side K + code, y >= 0 on side 1, and
+    |u| = sqrt(E / (nu ||g_eff||^2)), x = |u| cos(pi f) and h = |y| = |u| sin(pi f)."""
     rng = _chunk_rng(seed, _DOMAIN_BER, 0, chunk_index)
-    code = rng.integers(0, chan.points.size, size=n_trials)
-    norm = np.sqrt(_energy(chan, rng, n_trials)) * chan.sqrt_nu
-    return (code, *_polar(rng, n_trials, np.reciprocal(norm, out=norm)))
+    energy = _energy(chan, rng, n_trials)
+    modulus, v = rng.standard_exponential(n_trials), rng.random(n_trials)
+    row = np.multiply(v, 2 * chan.points.size, out=v).astype(np.intp)
+    np.tan(np.multiply(np.subtract(v, row, out=v), 0.5 * math.pi, out=v), out=v)
+    np.divide(modulus, np.multiply(energy, chan.sqrt_nu ** 2, out=energy), out=modulus)
+    return (row, *_turn(np.sqrt(modulus, out=modulus), v))
 
 
 def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
-    """Estimate the average bit error rate at transmit power p_s, a scalar or an
-    array of powers (an empty one included).
+    """The average bit error rate at transmit power p_s, a scalar or an array (empty included).
 
-    Per trial: uniform information bits, channel redraw, noisy reception and
-    joint ML detection; returns (errors / (bits * trials), binomial standard
-    error over all transmitted bits), each of p_s's shape. Every power decides
-    the same trials, so one power's value does not depend on the others.
-    Deterministic for fixed (seed, trials, cfg).
+    Per trial: a uniform symbol, ||g_eff||^2 and the noise the detector reads (`_ber_draw`),
+    and joint ML detection at every power (`airlink._ber_decide`). Returns (errors / (bits *
+    trials), binomial standard error over all transmitted bits), each of p_s's shape. Every
+    power decides the same trials, so no power's value depends on the others. Deterministic
+    for fixed (seed, trials, cfg).
     """
     chan = make_channel(validate(cfg))
     p = _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    bits, sqrt_ps = _bits(cfg) * trials, np.sqrt(p).ravel()
+    bits, walk = _bits(cfg) * trials, _ber_walk(chan, np.sqrt(p).ravel())
     # exact integer reduction, order-insensitive
-    errors = sum(_ber_decide(chan, sqrt_ps, *_ber_draw(chan, seed, c, size))
+    errors = sum(_ber_decide(chan, walk, *_ber_draw(chan, seed, c, size))
                  for c, size in enumerate(_chunk_sizes(trials)))
     aber = errors.reshape(p.shape) / bits
     return aber, np.sqrt(np.maximum(aber * (1.0 - aber), 0.0) / bits)

@@ -24,12 +24,13 @@ sums the library's PEPs through the full (K, K) table of weighted terms.
 every joint pair of the label masks on the library's chunk draws of ||g_eff||^2
 (`energy_reference`, the library's `_energy` written out of place).
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
-must count exactly: its draws (`ber_draw_reference`: the codes, ||g_eff||^2 and
-the noise u in the sent point's frame) and every trial decided by `ml_detect` on
-points[code] (A + u) at every amplitude A (`ber_decide_reference`, which also
-takes synthetic trials); `ber_chunk` runs the library's kernel on one chunk as
-`simulate_ber` does. `pair_classes_reference` builds the label tables from the flat indices'
-antenna and phase indices, independently of `Channel.hamming` and `Channel.classes`.
+must count exactly: its draws (`ber_draw_reference`: each trial's row, ||g_eff||^2
+and the noise u in the sent point's frame as (x, |Im u|)) and every trial decided by
+`ml_detect` on points[code] (A + u) at every amplitude A (`ber_decide_reference`,
+which also takes synthetic trials, converted by `ber_trials` and `ber_noise`);
+`ber_chunk` runs the library's kernel on one chunk as `simulate_ber` does.
+`pair_classes_reference` builds the label tables from the flat indices' antenna and
+phase indices, independently of `Channel.hamming` and `Channel.classes`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy import integrate, special, stats
 from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, make_channel,
                         ml_detect, moments_joint, moments_rpm, moments_ssk, pep_chiani,
                         pep_of_event, rpm_phases, simulate, unit_moments)
-from irs_sskrpm.airlink import _ber_decide
+from irs_sskrpm.airlink import _ber_decide, _ber_walk
 from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
 
@@ -233,13 +234,18 @@ def energy_reference(chan: Channel, rng: np.random.Generator, n: int) -> np.ndar
 
 def ber_draw_reference(chan: Channel, seed: int, chunk_index: int,
                        n_trials: int) -> tuple[np.ndarray, ...]:
-    """A BER chunk's draws with the library's own generator and draw order: each trial's
-    symbol code, ||g_eff||^2 (`energy_reference`), and the real and imaginary parts of
-    u = w / (sqrt(nu) ||g_eff||), w ~ CN(0, 1)."""
+    """A BER chunk's draws with the library's own generator and draw order, worked out of place:
+    ||g_eff||^2 (`energy_reference`), then E ~ Exp(1) and U ~ U[0, 1) of w ~ CN(0, 1); 2 K U is
+    each trial's row = side K + code and, in its fraction f, the phase pi f of u = w / (sqrt(nu)
+    ||g_eff||) on its side. Returns (row, ||g_eff||^2, x, h): |u| = sqrt(E / (nu ||g_eff||^2)),
+    x = |u| cos(pi f) and h = |u| sin(pi f), each from t = tan(pi f / 2) as the library's are."""
     rng = simulate._chunk_rng(seed, simulate._DOMAIN_BER, 0, chunk_index)
-    code = rng.integers(0, chan.points.size, size=n_trials)
     energy = energy_reference(chan, rng, n_trials)
-    return (code, energy, *simulate._polar(rng, n_trials, 1.0 / (np.sqrt(energy) * chan.sqrt_nu)))
+    e, v = rng.standard_exponential(n_trials), rng.random(n_trials) * (2 * chan.points.size)
+    row = np.floor(v).astype(np.intp)
+    t = np.tan((v - row) * (0.5 * math.pi))
+    modulus = np.sqrt(e / (energy * chan.sqrt_nu ** 2)) / (t * t + 1.0)
+    return row, energy, (1.0 - t * t) * modulus, (t + t) * modulus
 
 
 def pair_classes_reference(n_t: int, m_rpm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,18 +262,32 @@ def ber_chunk(chan: Channel, sqrt_ps: np.ndarray, seed: int, chunk_index: int,
               n_trials: int) -> np.ndarray:
     """The library's bit-error counts of one chunk at every amplitude of sqrt_ps, as
     `simulate_ber` counts each of its chunks."""
-    return _ber_decide(chan, sqrt_ps, *simulate._ber_draw(chan, seed, chunk_index, n_trials))
+    return _ber_decide(chan, _ber_walk(chan, sqrt_ps),
+                       *simulate._ber_draw(chan, seed, chunk_index, n_trials))
+
+
+def ber_noise(chan: Channel, row: np.ndarray, x: np.ndarray, h: np.ndarray) -> tuple:
+    """The sent code and the noise u = x + jy in its frame of the trials (row, x, h) that
+    `airlink._ber_decide` walks: row = side K + code, and y = h on side 1, -h on side 0."""
+    k = chan.points.size
+    return row % k, x + 1j * np.where(row < k, -h, h)
+
+
+def ber_trials(chan: Channel, code: np.ndarray, u: np.ndarray) -> tuple:
+    """The trials (row, x, h) that `airlink._ber_decide` walks for the sent codes and the noise
+    u in their frames: side 1 for Im u >= 0."""
+    return chan.points.size * (u.imag >= 0) + code, u.real, np.abs(u.imag)
 
 
 def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
-                         hamming: np.ndarray, sqrt_ps: np.ndarray, code: np.ndarray,
-                         x: np.ndarray, y: np.ndarray) -> np.ndarray:
+                         hamming: np.ndarray, sqrt_ps: np.ndarray, row: np.ndarray,
+                         x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The bit-error counts of `airlink._ber_decide` the dense way: one `ml_detect` pass
-    over every trial (code, u = x + jy) at each amplitude A of sqrt_ps, on the scalar
-    points[code] (A + u), in the given order."""
-    signal, u = chan.points[code], x + 1j * y
-    row, flat = code * hamming.shape[1], hamming.ravel()
-    return np.array([flat[row + ml_detect(wedges, signal * (sqrt_p + u), sqrt_p)].sum()
+    over every trial (row, x, h), read as its code and u (`ber_noise`), at each amplitude A
+    of sqrt_ps, on the scalar points[code] (A + u), in the given order."""
+    code, u = ber_noise(chan, row, x, h)
+    signal, flat, base = chan.points[code], hamming.ravel(), code * hamming.shape[1]
+    return np.array([flat[base + ml_detect(wedges, signal * (sqrt_p + u), sqrt_p)].sum()
                      for sqrt_p in sqrt_ps.tolist()], dtype=np.int64)
 
 
@@ -276,8 +296,8 @@ def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                         chunk_index: int, n_trials: int) -> np.ndarray:
     """The bit-error counts of `ber_chunk` the dense way: the chunk's draws
     (`ber_draw_reference`) decided by `ber_decide_reference`."""
-    code, _, x, y = ber_draw_reference(chan, seed, chunk_index, n_trials)
-    return ber_decide_reference(chan, wedges, hamming, sqrt_ps, code, x, y)
+    row, _, x, h = ber_draw_reference(chan, seed, chunk_index, n_trials)
+    return ber_decide_reference(chan, wedges, hamming, sqrt_ps, row, x, h)
 
 
 def capacity_sampled_reference(cfg: SystemConfig, p_s: float, samples: int, seed: int,

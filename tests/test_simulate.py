@@ -17,8 +17,8 @@ from irs_sskrpm import airlink, simulate
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import (ber_chunk, ber_chunk_reference, ber_decide_reference, ber_draw_reference,
-                     ber_full_g, capacity_sampled_reference, energy_reference,
-                     ml_detect_reference, pair_classes_reference)
+                     ber_full_g, ber_noise, ber_trials, capacity_sampled_reference,
+                     energy_reference, ml_detect_reference, pair_classes_reference)
 from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_ON_EDGE,
                           STRESS_CONFIG, constellation_configs)
 
@@ -118,22 +118,45 @@ SIXTEEN = validate(SystemConfig(n_t=4, m_rpm=4, n_r=2, phi_d=0.3))
 def test_ber_draw_noise_is_unit_complex_normal_given_the_channel():
     # u = w / (sqrt(nu) ||g_eff||): nu ||g_eff||^2 |u|^2 = |w|^2 ~ Exp(1), whatever the fade
     chan, n = make_channel(SIXTEEN), 100_000
-    code, energy, x, y = ber_draw_reference(chan, SIXTEEN.seed, 0, n)
+    row, energy, x, h = ber_draw_reference(chan, SIXTEEN.seed, 0, n)
     drawn = simulate._ber_draw(chan, SIXTEEN.seed, 0, n)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, (code, x, y)))
-    assert stats.kstest(chan.sqrt_nu ** 2 * energy * (x * x + y * y), "expon").pvalue > 1e-3
+    assert len(drawn) == 3 and all(a.tobytes() == b.tobytes() for a, b in zip(drawn, (row, x, h)))
+    assert stats.kstest(chan.sqrt_nu ** 2 * energy * (x * x + h * h), "expon").pvalue > 1e-3
 
 
 def test_ber_draw_phase_is_uniform_and_independent_of_the_code():
-    # a code x phase-bin table of 8 chunks: each of the K * 8 cells expects n / (8 K) trials
+    # a row x phase-bin table of 8 chunks: row = side K + code and the phase of u on its side,
+    # angle(x + jh) in [0, pi], split in 8 bins; each of the 2K * 8 cells expects n / (16 K)
+    # trials
     chan, n = make_channel(SIXTEEN), simulate.CHUNK_TRIALS
-    table = np.zeros((chan.points.size, 8), np.int64)
+    table = np.zeros((2 * chan.points.size, 8), np.int64)
     for c in range(8):
-        code, x, y = simulate._ber_draw(chan, SIXTEEN.seed, c, n)
-        phase = np.floor((np.arctan2(y, x) + math.pi) / (2 * math.pi) * 8).astype(int) % 8
-        np.add.at(table, (code, phase), 1)
+        row, x, h = simulate._ber_draw(chan, SIXTEEN.seed, c, n)
+        assert np.all(h >= 0.0)
+        phase = np.minimum(np.floor(np.arctan2(h, x) / math.pi * 8).astype(int), 7)
+        np.add.at(table, (row, phase), 1)
     assert table.sum() == 8 * n
     assert stats.chisquare(table.ravel()).pvalue > 1e-3, table
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+def test_ber_draw_is_finite_at_the_edge_of_its_uniforms(u):
+    # U = 0 is row 0 at phase 0 (h = 0, x = |u|), and U = 1 - 2^-53 is row 2K - 1 at a phase
+    # 2K 2^-53 pi short of pi, where tan(phase / 2) is near its largest: x and h stay finite,
+    # h >= 0, and x^2 + h^2 is |u|^2
+    chan, n = make_channel(SIXTEEN), 6
+    rng = SimpleNamespace(standard_exponential=lambda shape: np.full(shape, 1.0),
+                          random=lambda shape: np.full(shape, u))
+    with mock.patch.object(simulate, "_chunk_rng", lambda *key: rng):
+        row, x, h = simulate._ber_draw(chan, SIXTEEN.seed, 0, n)
+    energy = simulate._energy(chan, rng, n)
+    assert np.all(row == (0 if u == 0.0 else 2 * chan.points.size - 1))
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(h)) and np.all(h >= 0.0)
+    np.testing.assert_allclose(chan.sqrt_nu ** 2 * energy * (x * x + h * h), 1.0, rtol=1e-14)
+    if u == 0.0:
+        assert np.all(x > 0.0) and np.all(h == 0.0)
+    else:
+        assert np.all(x < 0.0)
 
 
 class _Tally:
@@ -153,10 +176,10 @@ class _Tally:
 
 @pytest.mark.parametrize("n_r", [1, 3])
 def test_a_chunk_draws_exactly_the_detector_s_statistics(n_r, monkeypatch):
-    # a BER chunk of n trials draws n codes, then z_1 (n exponentials, n uniforms), the
-    # n (n_r - 1) exponentials of the rest of ||g_eff||^2 and w (n of each), in that order:
-    # 1 integer and 4 + (n_r - 1) floats per trial. A capacity chunk draws z_1 and the
-    # exponentials only
+    # a BER chunk of n trials draws z_1 (n exponentials, n uniforms), the n (n_r - 1)
+    # exponentials of the rest of ||g_eff||^2, then w's n exponentials and the n uniforms that
+    # give each trial's row and phase, in that order: no integer and 4 + (n_r - 1) floats per
+    # trial. A capacity chunk draws z_1 and the exponentials only
     cfg, n = validate(SystemConfig(n_r=n_r)), 1000
     chan, rngs, chunk_rng = make_channel(cfg), [], simulate._chunk_rng
 
@@ -168,7 +191,7 @@ def test_a_chunk_draws_exactly_the_detector_s_statistics(n_r, monkeypatch):
     energy = [("standard_exponential", n), ("random", n)]
     energy += [("standard_exponential", (n_r - 1) * n)] if n_r > 1 else []
     simulate._ber_draw(chan, cfg.seed, 0, n)
-    assert rngs[-1].calls == [("integers", n), *energy, ("standard_exponential", n), ("random", n)]
+    assert rngs[-1].calls == [*energy, ("standard_exponential", n), ("random", n)]
     simulate_capacity(cfg, 10.0, n, cfg.seed)
     assert len(rngs) == 2 and rngs[-1].calls == energy
 
@@ -196,28 +219,31 @@ CHUNK_SNR_DB = (-math.inf, -30.0, 0.0, 10.0, 20.0, 60.0)
     ("aber_n16.cfg", {"n_t": 8, "m_rpm": 8, "n_r": 4})])
 @pytest.mark.parametrize("snr_db", CHUNK_SNR_DB)
 def test_ber_chunk_counts_the_errors_of_the_full_observation(name, overrides, snr_db):
-    # replay one chunk's draws the long way at snr_db: an n_r-vector g_eff with the drawn
-    # ||g_eff||^2 in a direction of its own, the noise vector z = (g_eff / ||g_eff||) c_k w
-    # + z_perp, with z_perp drawn from a separate stream and projected orthogonal to g_eff,
-    # the received vector y, the matched filter ip = sqrt(nu) g_eff^H y, the exhaustive
-    # argmin and the label Hamming distances; the scalar kernel, deciding the chunk at all
-    # CHUNK_SNR_DB in one call, must count the same errors at snr_db, so its decision
-    # reads neither z_perp nor the direction of g_eff
+    # replay one chunk's draws the long way at snr_db: the code and w = sqrt(E) e^{j phi} read
+    # from the chunk's uniform U (2 K U = side K + code + phi / pi, phi negated on side 0), an
+    # n_r-vector g_eff with the drawn ||g_eff||^2 in a direction of its own, the noise vector
+    # z = (g_eff / ||g_eff||) c_k w + z_perp, with z_perp drawn from a separate stream and
+    # projected orthogonal to g_eff, the received vector y, the matched filter
+    # ip = sqrt(nu) g_eff^H y, the exhaustive argmin and the label Hamming distances; the
+    # scalar kernel, deciding the chunk at all CHUNK_SNR_DB in one call, must count the same
+    # errors at snr_db, so its decision reads neither z_perp nor the direction of g_eff
     cfg = validate(replace(load_config(config_path(name)), **overrides))
     chan = make_channel(cfg)
     p_s = 10 ** (snr_db / 10)
     sqrt_p, n = math.sqrt(p_s), simulate.CHUNK_TRIALS
-    rng = simulate._chunk_rng(cfg.seed, simulate._DOMAIN_BER, 0, 1)
-    code = rng.integers(0, chan.points.size, size=n)
+    rng, k = simulate._chunk_rng(cfg.seed, simulate._DOMAIN_BER, 0, 1), chan.points.size
     energy = energy_reference(chan, rng, n)
-    re, im = simulate._polar(rng, n, 1.0)
+    modulus, v = np.sqrt(rng.standard_exponential(n)), rng.random(n) * (2 * k)
+    row = np.floor(v)
+    side, code = np.divmod(row.astype(int), k)
+    w = modulus * np.exp(1j * math.pi * (v - row) * (2 * side - 1))
     other = np.random.default_rng([cfg.seed, 1])  # a stream of the test's own
     direction = other.standard_normal((n, cfg.n_r)) + 1j * other.standard_normal((n, cfg.n_r))
     g = direction * (np.sqrt(energy) / np.linalg.norm(direction, axis=1))[:, None]
     z_any = other.standard_normal((n, cfg.n_r)) + 1j * other.standard_normal((n, cfg.n_r))
     z_perp = z_any - g * (np.einsum("br,br->b", g.conj(), z_any) / energy)[:, None]
     assert np.max(np.abs(np.einsum("br,br->b", g.conj(), z_perp)) / np.sqrt(energy)) < 1e-12
-    z = g * (chan.points[code] * (re + 1j * im) / np.sqrt(energy))[:, None] + z_perp
+    z = g * (chan.points[code] * w / np.sqrt(energy))[:, None] + z_perp
     y = (sqrt_p * chan.sqrt_nu * chan.points[code])[:, None] * g + z
     ip = chan.sqrt_nu * np.einsum("br,br->b", g.conj(), y)
     detected = ml_detect_reference(chan.points, ip, sqrt_p)
@@ -460,11 +486,12 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     a = rng.permutation(a[np.isfinite(a) & (a > 0)])[:8]
     amps = np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), EXTREME_AMPS, a[:2]])
     amps = rng.permutation(amps)
+    trials = ber_trials(chan, code, u)  # the walk's (row, x, h) of each u
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, amps, code, u.real, u.imag)
+        counts = airlink._ber_decide(chan, airlink._ber_walk(chan, amps), *trials)
     assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, ber_decide_reference(chan, wedges, hamming, amps,
-                                                               code, u.real, u.imag))
+    np.testing.assert_array_equal(counts,
+                                  ber_decide_reference(chan, wedges, hamming, amps, *trials))
     sizes = [np.size(call.args[1]) for call in detect.call_args_list]
     assert len(sizes) <= 2 and sizes[0] == n and sum(sizes[1:]) >= a.size
 
@@ -477,20 +504,20 @@ def test_ber_decide_walks_again_without_the_trials_in_a_band():
     # trial) and once on exactly those 3 trials at every nonzero amplitude
     cfg = validate(load_config(config_path("aber_n32.cfg")))
     chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
-    code, _, x, y = ber_draw_reference(chan, cfg.seed, 0, n)
+    row, _, x, h = ber_draw_reference(chan, cfg.seed, 0, n)
+    code, u = ber_noise(chan, row, x, h)
     amps = np.sqrt(10.0 ** (np.arange(0.0, 41.0, 2.0) / 10.0))
-    u = x + 1j * y
-    cot = 1.0 / np.tan(chan.edges[0][(u.imag >= 0).astype(int), code, 0])
-    a = np.abs(u.imag) * cot - u.real  # each trial's crossing of its home edge
+    cot = 1.0 / np.tan(chan.edges[0][row // chan.points.size, code, 0])
+    a = h * cot - x  # each trial's crossing of its home edge
     t = np.flatnonzero((a > 2.0) & (a < 50.0))[:3]
     a = a[t]
     amps = np.concatenate([amps, [0.0], a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, amps, code, x, y)
+        counts = airlink._ber_decide(chan, airlink._ber_walk(chan, amps), row, x, h)
     assert counts.dtype == np.int64
     hamming = pair_classes_reference(cfg.n_t, cfg.m_rpm)[2]
     np.testing.assert_array_equal(
-        counts, ber_decide_reference(chan, chan.wedges, hamming, amps, code, x, y))
+        counts, ber_decide_reference(chan, chan.wedges, hamming, amps, row, x, h))
     calls = [call.args[1] for call in detect.call_args_list]
     assert len(calls) <= 2 and np.size(calls[0]) == n
     nonzero = np.unique(amps[amps > 0.0])
@@ -506,8 +533,9 @@ def test_ber_chunk_memory_stays_within_the_dense_pass():
     # within the dense pass's peak
     cfg = validate(load_config(STRESS_CONFIG))
     chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
-    code, _, x, y = ber_draw_reference(chan, cfg.seed, 0, n)
-    rel = np.angle(10 ** -1.5 + (x + 1j * y))  # each trial's angle from its point at -30 dB
+    row, _, x, h = ber_draw_reference(chan, cfg.seed, 0, n)
+    code, u = ber_noise(chan, row, x, h)
+    rel = np.angle(10 ** -1.5 + u)  # each trial's angle from its point at -30 dB
     assert np.mean(np.abs(rel) > chan.edges[0][(rel >= 0).astype(int), code, 1]) >= 0.9
     for path, snr_db, bound in ((STRESS_CONFIG, np.arange(-30.0, 1.0), 1.25),
                                 (config_path("aber_n32.cfg"), np.arange(0.0, 41.0, 2.0), 1.0)):
