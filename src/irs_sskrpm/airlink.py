@@ -19,6 +19,9 @@ from .channel import _NEAR, Channel
 
 #: `_ber_decide`'s relative slack on a crossing amplitude.
 _SLACK = 1e-9
+#: A `_ber_walk` table cell keeps 4 mantissa bits: it spans 1/16 to 1/32 of its lowest value.
+_CELL_SHIFT = 52 - 4
+_INF_CELL = int(np.float64(np.inf).view(np.int64)) >> _CELL_SHIFT
 
 
 def rpm_phases(m_rpm: int) -> np.ndarray:
@@ -46,11 +49,30 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
 
 
 def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
-    """`_ber_decide`'s view of sqrt_ps, built once per call: the distinct positive amplitudes,
-    below[i] (the largest of their first i), np.unique's inverse, whether zero is in, _SLACK/sin."""
+    """`_ber_decide`'s view of sqrt_ps, built once per call: the distinct positive amplitudes
+    between -inf and NaN (grid[i] is the largest of their first i), their bucket table and its
+    rounds (`_above`), np.unique's inverse, whether zero is in, and _SLACK/sin."""
     amps, inverse = np.unique(sqrt_ps, return_inverse=True)
     zero = np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
-    return amps[zero:], np.append(-np.inf, amps[zero:]), inverse, zero, chan.walk[3] * _SLACK
+    amps = amps[zero:]
+    bits = amps.view(np.int64)
+    # amps[i] is at or below the lowest value of the cells from ((bits[i] - 1) >> shift) + 1 up
+    spans = np.diff(((bits - 1) >> _CELL_SHIFT) + 1, prepend=0, append=_INF_CELL + 1)
+    table = np.repeat(np.arange(amps.size + 1), spans)
+    rounds = int(np.max(np.arange(1, amps.size + 1) - table[bits >> _CELL_SHIFT], initial=0))
+    return (np.concatenate(([-np.inf], amps, [np.nan])), table, rounds, inverse, zero,
+            chan.walk[3] * _SLACK)
+
+
+def _above(grid: np.ndarray, table: np.ndarray, rounds: int, top: np.ndarray) -> np.ndarray:
+    """np.searchsorted(grid[1:-1], top, "right") of a `_ber_walk` for tops in [+0, +inf], with no
+    branch on top: positive floats order like their int64 bits, table[bits >> _CELL_SHIFT]
+    counts the amplitudes at or below the lowest value of top's cell, and each of `rounds` steps
+    adds the next one if it is at or below top (never past grid[-1], NaN)."""
+    above = table[top.view(np.int64) >> _CELL_SHIFT]
+    for _ in range(rounds):
+        above += grid[1:][above] <= top
+    return above
 
 
 def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
@@ -62,16 +84,19 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
     unit signal, h = |y| and y >= 0 on side 1. The angle of points[code] (A + u) moves towards
     the point's as A grows, crossing edge j of `Channel.edges` (on its side) once, at
     a_j = h cot beta_j - x, decreasing in j. A trial counts its home's Hamming distance plus the
-    step of each edge crossed (`Channel.walk`), walked edge by edge (a searchsorted and a
-    bincount each) until its next crossing is below the smallest amplitude. `ml_detect` decides
-    zero power and every amplitude of the trials the walk leaves: u or home edge within `_NEAR`
-    of the real axis or the point, or an amplitude within `_SLACK` of a crossing, where rounding
-    may put the detector on either side (the walk then runs again without it). The counts are
-    bitwise `ml_detect`'s on points[code] (A + u)."""
-    (amps, below, inverse, zero, slack), (narrow, home, cot, _, step) = walk, chan.walk
-    k, counts = chan.points.size, np.zeros(amps.size + zero, np.int64)
+    step of each edge crossed (`Channel.walk`), walked edge by edge (a lookup in the call's
+    bucket table, `_above`, and a bincount each) until its next crossing is below the smallest
+    amplitude. At zero power every score ties, so `ml_detect` decides one zero scalar for all
+    trials. It decides every amplitude of the trials the walk leaves: u or home edge within
+    `_NEAR` of the real axis or the point, or an amplitude within `_SLACK` of a crossing, where
+    rounding may put the detector on either side (the walk then runs again without it). The
+    counts are bitwise `ml_detect`'s on points[code] (A + u)."""
+    grid, table, rounds, inverse, zero, slack = walk
+    (narrow, home, cot, _, step), amps, k = chan.walk, grid[1:-1], chan.points.size
+    counts = np.zeros(amps.size + zero, np.int64)
     if zero:
-        counts[0] = chan.hamming[row % k, ml_detect(chan.wedges, x, 0.0)].sum()
+        d0 = ml_detect(chan.wedges, np.zeros(1), 0.0)[0]
+        counts[0] = np.bincount(row % k, minlength=k) @ chan.hamming[:, d0]
     if not amps.size:
         return counts[inverse]
     width = np.abs(x)
@@ -94,9 +119,9 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
                     break
                 ids, a, top = go if ids is None else ids[go], a[go], top[go]
                 r, hr, xr, wr = r[go], hr[go], xr[go], wr[go]
-                above = np.searchsorted(amps, top, "right")  # the amplitudes modelled past edge j
+                above = _above(grid, table, rounds, top)  # the amplitudes modelled past edge j
                 gains += np.bincount(above, step[j][r], amps.size + 1)
-                hit = ids[below[above] >= np.subtract(a + a, top, out=a)]  # the band's bottom
+                hit = ids[grid[above] >= np.subtract(a + a, top, out=a)]  # the band's bottom
                 left[hit], again = True, again or hit.size > 0
                 del a, top, above
     counts[zero:] = home[row[~left]].sum() + np.cumsum(gains[::-1])[::-1][1:]

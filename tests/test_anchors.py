@@ -15,6 +15,8 @@ written out here and import only SciPy and `math`:
   each neighbour with probability q (1 - q) and to the opposite point with q^2, q =
   Q(sqrt(P_s xi_1)); the neighbours cost 1 and 2 bits and the opposite point 1, so the BER is
   E[(3 q - 2 q^2) / 2] (Simon and Alouini, 2005, ch. 8).
+- As k_r grows, xi_1 concentrates at s^2 and the link becomes AWGN: a K = 2 ABER tends to
+  Q(sqrt(P_s s^2 d / 2)), with a relative gap of order 1 / k_r.
 """
 
 import math
@@ -139,3 +141,35 @@ def test_simulated_error_rate_meets_the_textbook_value(name, n_t, m_rpm, n_r, k_
     aber, _ = simulate_ber(cfg, p, trials, cfg.seed)
     z = (aber - want) / np.sqrt(want / trials)
     assert np.all(np.abs(z) <= 3.0), (aber, want, z)
+
+
+def awgn_gap(cfg, p_s: float) -> float:
+    """The relative gap of a K = 2 ABER E[f(xi)], f(x) = Q(sqrt(b x)) and b = P_s d / 2, to the
+    AWGN value f(s^2), to first order in sigma^2 (the delta method): E[xi] - s^2 = 2 n_r sigma^2
+    and Var xi = 4 sigma^2 (s^2 + n_r sigma^2), so E[f(xi)] - f(s^2) = f'(s^2) 2 n_r sigma^2 +
+    f''(s^2) 2 s^2 sigma^2 + O(sigma^4), with f'(x) = -phi(t) b / (2 t) and
+    f''(x) = b^2 phi(t) (1 + 1/t^2) / (4 t) at t = sqrt(b x), phi the normal density."""
+    (s_sq, sigma_sq), b = law(cfg), p_s * pair_distance(cfg) / 2.0
+    t = math.sqrt(b * s_sq)
+    phi = math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+    slope, curve = -phi * b / (2.0 * t), b * b * phi * (1.0 + 1.0 / t ** 2) / (4.0 * t)
+    return (slope * 2.0 * cfg.n_r + curve * 2.0 * s_sq) * sigma_sq / q_function(t)
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+@pytest.mark.parametrize("n_r", [1, 2])
+def test_awgn_limit_gap_shrinks_as_one_over_k_r(n_r, snr_db):
+    # as k_r grows, xi_1 = nu ||g_eff||^2 concentrates at s^2, so BPSK's ABER tends to the AWGN
+    # value Q(sqrt(P_s s^2 d / 2)); the relative gap of the exact-PEP union bound to it is of
+    # order 1 / k_r: each decade of k_r from 1e3 to 1e6 divides it by 10 (to 3%), at 1e6 it is
+    # below 1e-5, and at each k_r it is its first-order term `awgn_gap` to 1%
+    p_s, gaps, first_order = 10.0 ** (snr_db / 10.0), [], []
+    for k_r in (1e3, 1e4, 1e5, 1e6):
+        cfg = anchor_config(*K2["bpsk"], n_r, k_r)
+        awgn = q_function(math.sqrt(p_s * law(cfg)[0] * pair_distance(cfg) / 2.0))
+        union = float(aber_union(make_channel(cfg), cfg, np.array([p_s]), exact_pep=True)[0])
+        gaps.append((union - awgn) / awgn)
+        first_order.append(awgn_gap(cfg, p_s))
+    np.testing.assert_allclose(np.divide(gaps[:-1], gaps[1:]), 10.0, rtol=0.03)
+    assert 0.0 < abs(gaps[-1]) < 1e-5
+    np.testing.assert_allclose(gaps, first_order, rtol=0.01)

@@ -13,7 +13,7 @@ from scipy import stats
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union, aber_union_terms,
                         capacity_closed, joint_distances, load_config, make_channel, run_sweep,
                         simulate_ber, simulate_capacity, validate)
-from irs_sskrpm import airlink, simulate
+from irs_sskrpm import airlink, config, simulate
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
 from oracles import (ber_chunk, ber_chunk_reference, ber_decide_reference, ber_draw_reference,
@@ -461,8 +461,9 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     # edge of the point (a rotated bisector), on an absolute bisector, real (Im u == 0,
     # exactly for the point 1), random; at amplitudes exactly at walked crossings and one ulp either
     # side, among zero power and +-200 dB, repeated and unsorted. The int64 counts must
-    # be the dense pass's; ml_detect runs once at zero power (every trial) and once on
-    # every amplitude of the trials the walk leaves, among them every exact crossing
+    # be the dense pass's; ml_detect runs once at zero power (on one zero scalar, whose
+    # decision every trial shares) and once on every amplitude of the trials the walk
+    # leaves, among them every exact crossing
     rng = np.random.default_rng(seed)
     chan, hamming, n = make_channel(cfg), pair_classes_reference(cfg.n_t, cfg.m_rpm)[2], 300
     wedges, (beta, _) = chan.wedges, chan.edges
@@ -493,15 +494,15 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     np.testing.assert_array_equal(counts,
                                   ber_decide_reference(chan, wedges, hamming, amps, *trials))
     sizes = [np.size(call.args[1]) for call in detect.call_args_list]
-    assert len(sizes) <= 2 and sizes[0] == n and sum(sizes[1:]) >= a.size
+    assert len(sizes) <= 2 and sizes[0] == 1 and sum(sizes[1:]) >= a.size
 
 
 def test_ber_decide_walks_again_without_the_trials_in_a_band():
     # a full aber_n32 chunk on the benchmark's 21 amplitudes, zero power, and the exact
     # crossing of 3 trials with one ulp either side: those 3 trials fall in a rounding
     # band, so the walk leaves them to ml_detect and walks the chunk again without them.
-    # The int64 counts must be the dense pass's; ml_detect runs once at zero power (every
-    # trial) and once on exactly those 3 trials at every nonzero amplitude
+    # The int64 counts must be the dense pass's; ml_detect runs once at zero power (on one
+    # zero scalar) and once on exactly those 3 trials at every nonzero amplitude
     cfg = validate(load_config(config_path("aber_n32.cfg")))
     chan, n = make_channel(cfg), simulate.CHUNK_TRIALS
     row, _, x, h = ber_draw_reference(chan, cfg.seed, 0, n)
@@ -519,10 +520,72 @@ def test_ber_decide_walks_again_without_the_trials_in_a_band():
     np.testing.assert_array_equal(
         counts, ber_decide_reference(chan, chan.wedges, hamming, amps, row, x, h))
     calls = [call.args[1] for call in detect.call_args_list]
-    assert len(calls) <= 2 and np.size(calls[0]) == n
+    assert len(calls) <= 2 and np.size(calls[0]) == 1
     nonzero = np.unique(amps[amps > 0.0])
     left = chan.points[code[t]] * (nonzero[:, None] + u[t])
     np.testing.assert_array_equal(np.sort(calls[1]), np.sort(left.ravel()))
+
+
+#: The largest amplitude a validated grid gives: the square root of the largest power.
+MAX_AMP = math.sqrt(10.0 ** (config._MAX_SNR_DB / 10.0))
+
+
+@st.composite
+def bucket_grids(draw):
+    """Sorted unique positive amplitudes: drawn from subnormal up to 1e10 (`EXTREME_AMPS`'s
+    range), some of them packed into one bucket table cell (a shared int64 bits >> shift, the
+    low bits drawn), or the amplitudes of a validated SNR grid (up to `MAX_AMP`)."""
+    if draw(st.booleans()):
+        grid = draw(st.lists(st.floats(-3000.0, config._MAX_SNR_DB, exclude_max=True),
+                             min_size=1, max_size=12, unique=True))
+        cfg = validate(replace(SystemConfig(), snr_grid_db=tuple(sorted(grid))))
+        amps = np.sqrt(np.array([10.0 ** (v / 10.0) for v in cfg.snr_grid_db]))
+    else:
+        amps = np.array(draw(st.lists(st.floats(5e-324, 1e10, allow_subnormal=True),
+                                      max_size=12)))
+        cell = draw(st.sampled_from([0, *(np.array(EXTREME_AMPS[1:]).view(np.int64)
+                                          >> airlink._CELL_SHIFT).tolist()]))
+        low = draw(st.lists(st.integers(1, (1 << airlink._CELL_SHIFT) - 1), max_size=6))
+        packed = (cell << airlink._CELL_SHIFT) + np.array(low, np.int64)
+        amps = np.append(amps, packed.view(float))
+    amps = np.unique(amps[amps > 0.0])
+    assume(amps.size > 0)
+    return amps
+
+
+@settings(max_examples=200, deadline=None)
+@example(amps=np.array([5e-324, 1e-10, 1.0, 1e10]))  # EXTREME_AMPS without zero power
+@example(amps=np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 2.0 ** -5, np.nextafter(1.0625, 1.0)]))
+@example(amps=np.array([MAX_AMP]))
+@given(amps=bucket_grids())
+def test_bucket_is_the_binary_search(amps):
+    # the walk's bucket (`airlink._above` on the call's table) is np.searchsorted(amps, top,
+    # "right") at every amplitude and one ulp either side, below the smallest, at zero and +inf
+    chan = make_channel(validate(SystemConfig()))
+    grid, table, rounds = airlink._ber_walk(chan, np.append(amps, 0.0))[:3]
+    np.testing.assert_array_equal(grid[1:-1], amps)
+    top = np.concatenate([amps, np.nextafter(amps, 0.0), np.nextafter(amps, np.inf),
+                          [0.0, amps[0] / 2.0, np.inf]])
+    np.testing.assert_array_equal(airlink._above(grid, table, rounds, top),
+                                  np.searchsorted(amps, top, "right"))
+    cells = amps.view(np.int64) >> airlink._CELL_SHIFT  # a cell's amplitudes past its lowest
+    off_low = amps.view(np.int64) & ((1 << airlink._CELL_SHIFT) - 1) != 0
+    assert rounds == np.bincount(cells[off_low], minlength=1).max()
+
+
+#: The shipped configs' grids, the stress scenario's and the benchmark's (0 to 40 dB in 2 dB
+#: steps).
+SHIPPED_GRIDS = {**{name: load_config(config_path(name)).snr_grid_db
+                    for name in sorted(os.listdir(os.path.dirname(config_path("aber.cfg"))))},
+                 "stress_nt8m8.cfg": load_config(STRESS_CONFIG).snr_grid_db,
+                 "benchmark": tuple(range(0, 41, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_GRIDS))
+def test_shipped_grids_take_one_bucket_round(name):
+    # each puts at most one amplitude past a cell's lowest value in any cell, and one somewhere
+    amps = np.sqrt(np.array([10.0 ** (v / 10.0) for v in SHIPPED_GRIDS[name]]))
+    assert airlink._ber_walk(make_channel(validate(SystemConfig())), amps)[2] == 1
 
 
 def test_ber_chunk_memory_stays_within_the_dense_pass():
