@@ -84,13 +84,12 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
     unit signal, h = |y| and y >= 0 on side 1. The angle of points[code] (A + u) moves towards
     the point's as A grows, crossing edge j of `Channel.edges` (on its side) once, at
     a_j = h cot beta_j - x, decreasing in j. A trial counts its home's Hamming distance plus the
-    step of each edge crossed (`Channel.walk`), walked edge by edge (a lookup in the call's
-    bucket table, `_above`, and a bincount each) until its next crossing is below the smallest
-    amplitude. At zero power every score ties, so `ml_detect` decides one zero scalar for all
-    trials. It decides every amplitude of the trials the walk leaves: u or home edge within
-    `_NEAR` of the real axis or the point, or an amplitude within `_SLACK` of a crossing, where
-    rounding may put the detector on either side (the walk then runs again without it). The
-    counts are bitwise `ml_detect`'s on points[code] (A + u)."""
+    step of each edge crossed (`Channel.walk`), walked edge by edge (a bucket, `_above`, and a
+    bincount each) until its next crossing is below the smallest amplitude. `ml_detect` decides
+    zero power once (every score ties: one decision for all) and every amplitude of the trials
+    the walk leaves: u or home edge within `_NEAR` of the real axis or the point, or an amplitude
+    within `_SLACK` of a crossing, where rounding may put the detector on either side (the walk
+    then runs again without it). The counts are bitwise `ml_detect`'s on points[code] (A + u)."""
     grid, table, rounds, inverse, zero, slack = walk
     (narrow, home, cot, _, step), amps, k = chan.walk, grid[1:-1], chan.points.size
     counts = np.zeros(amps.size + zero, np.int64)
