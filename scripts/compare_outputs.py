@@ -20,7 +20,8 @@ inf) and the largest absolute change |b - a| over all of them, then per ABER CSV
 the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2) over its moved `aber_sim` cells,
 se being the row's own `aber_stderr` (rows where both are 0 skipped), then each demo's
 stdout as identical or differing, then the line count of each tree's `src/`
-(`src/ lines: A -> B`), and last the count of identical files. It exits 1 if
+(`src/ lines: A -> B`), the names that the second tree's `irs_sskrpm.__all__` adds
+and drops, and last the count of identical files. It exits 1 if
 any file or demo differs. Standard library only (and git and tar to unpack a
 revision).
 
@@ -111,6 +112,14 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
 
 
+def public_names(tree: Path) -> set[str]:
+    """The names in `irs_sskrpm.__all__`, imported from tree's src/."""
+    proc = subprocess.run([sys.executable, "-c", "import irs_sskrpm; print(*irs_sskrpm.__all__)"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(tree.resolve() / "src")})
+    return set(proc.stdout.split())
+
+
 def change(a: str, b: str) -> tuple[bool, float, float]:
     """(whether the cell moved to or from zero, |b - a| / |a| if it did not, else 0, and
     |b - a|) of a cell that differs; a cell that is not a number changes by inf."""
@@ -183,6 +192,9 @@ def main() -> None:
         demos_differ |= not same_demo
         print(f"demo {Path(name).stem}: {'identical' if same_demo else 'differs'}")
     print(f"src/ lines: {src_lines(trees[0])} -> {src_lines(trees[1])}")
+    before, after = (public_names(tree) for tree in trees)
+    print(f"__all__ adds: {', '.join(sorted(after - before)) or 'none'}; "
+          f"drops: {', '.join(sorted(before - after)) or 'none'}")
     print(f"{same} of {len(files)} files identical")
     if demos_differ or same < len(files):
         sys.exit(1)

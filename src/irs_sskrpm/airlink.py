@@ -17,8 +17,6 @@ import numpy as np
 
 from .channel import _NEAR, Channel
 
-#: `_ber_decide`'s relative slack on a crossing amplitude.
-_SLACK = 1e-9
 #: A `_ber_walk` table cell keeps 4 mantissa bits: it spans 1/16 to 1/32 of its lowest value.
 _CELL_SHIFT = 52 - 4
 _INF_CELL = int(np.float64(np.inf).view(np.int64)) >> _CELL_SHIFT
@@ -31,19 +29,19 @@ def rpm_phases(m_rpm: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m_rpm) / m_rpm
 
 
-def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
-              sqrt_p: float) -> np.ndarray:
+def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray) -> np.ndarray:
     """Joint ML decisions over the n_t*m_rpm hypotheses, one per trial.
 
     Every signature sqrt(nu) points[k] g_eff has the energy nu ||g_eff||^2, so
     the ML metric ||y - sqrt(P_s nu) points[k] g_eff||^2 is smallest for the
     point nearest in angle to the scalar ip = g_eff^H y (or any positive
-    multiple): the location owning the `Channel.wedges` interval that holds
-    angle(ip), found by counting the bisectors below it. Returns flat t-major
-    indices; ip = 0 and P_s = 0 (every score ties) decide index 0.
+    multiple, at any P_s > 0): the location owning the `Channel.wedges` interval
+    that holds angle(ip), found by counting the bisectors below it. Returns flat
+    t-major indices. At ip = 0 every score ties, so any decision is ML: +0 decides
+    index 0, while -0.0 + 0j has angle pi and decides the owner of angle pi.
     """
     bisectors, winners = wedges
-    theta = np.angle(ip) if sqrt_p > 0 else np.zeros(np.shape(ip))
+    theta = np.angle(ip)
     below = np.sum(theta > bisectors[:, None], axis=0, dtype=np.min_scalar_type(bisectors.size))
     return winners[below]
 
@@ -51,7 +49,7 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray,
 def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
     """`_ber_decide`'s view of sqrt_ps, built once per call: the distinct positive amplitudes
     between -inf and NaN (grid[i] is the largest of their first i), their bucket table and its
-    rounds (`_above`), np.unique's inverse, whether zero is in, and _SLACK/sin."""
+    rounds (`_above`), np.unique's inverse, and whether zero is in."""
     amps, inverse = np.unique(sqrt_ps, return_inverse=True)
     zero = np.count_nonzero(amps[:1] == 0.0)  # zero power ties every score
     amps = amps[zero:]
@@ -60,8 +58,7 @@ def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
     spans = np.diff(((bits - 1) >> _CELL_SHIFT) + 1, prepend=0, append=_INF_CELL + 1)
     table = np.repeat(np.arange(amps.size + 1), spans)
     rounds = int(np.max(np.arange(1, amps.size + 1) - table[bits >> _CELL_SHIFT], initial=0))
-    return (np.concatenate(([-np.inf], amps, [np.nan])), table, rounds, inverse, zero,
-            chan.walk[3] * _SLACK)
+    return np.concatenate(([-np.inf], amps, [np.nan])), table, rounds, inverse, zero
 
 
 def _above(grid: np.ndarray, table: np.ndarray, rounds: int, top: np.ndarray) -> np.ndarray:
@@ -85,17 +82,16 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
     the point's as A grows, crossing edge j of `Channel.edges` (on its side) once, at
     a_j = h cot beta_j - x, decreasing in j. A trial counts its home's Hamming distance plus the
     step of each edge crossed (`Channel.walk`), walked edge by edge (a bucket, `_above`, and a
-    bincount each) until its next crossing is below the smallest amplitude. `ml_detect` decides
-    zero power once (every score ties: one decision for all) and every amplitude of the trials
-    the walk leaves: u or home edge within `_NEAR` of the real axis or the point, or an amplitude
-    within `_SLACK` of a crossing, where rounding may put the detector on either side (the walk
-    then runs again without it). The counts are bitwise `ml_detect`'s on points[code] (A + u)."""
-    grid, table, rounds, inverse, zero, slack = walk
-    (narrow, home, cot, _, step), amps, k = chan.walk, grid[1:-1], chan.points.size
+    bincount each) until its next crossing is below the smallest amplitude. At zero power every
+    score ties: index 0 is decided. `ml_detect` decides every amplitude of the trials the walk
+    leaves: u or home edge within `_NEAR` of the real axis or the point, or an amplitude within
+    the `Channel.walk` slack of a crossing, where rounding may put the detector on either side
+    (the walk then reruns without it). Counts are bitwise `ml_detect`'s on points[code] (A + u)."""
+    grid, table, rounds, inverse, zero = walk
+    (narrow, home, cot, slack, step), amps, k = chan.walk, grid[1:-1], chan.points.size
     counts = np.zeros(amps.size + zero, np.int64)
     if zero:
-        d0 = ml_detect(chan.wedges, np.zeros(1), 0.0)[0]
-        counts[0] = np.bincount(row % k, minlength=k) @ chan.hamming[:, d0]
+        counts[0] = np.bincount(row, minlength=2 * k).reshape(2, k).sum(axis=0) @ chan.hamming[:, 0]
     if not amps.size:
         return counts[inverse]
     width = np.abs(x)
@@ -128,6 +124,6 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
     if t.size:
         code, y = row[t] % k, np.where(row[t] < k, -h[t], h[t])
         ip = chan.points[code] * (amps[:, None] + (x[t] + 1j * y))
-        decided = ml_detect(chan.wedges, ip.ravel(), amps[0]).reshape(ip.shape)
+        decided = ml_detect(chan.wedges, ip.ravel()).reshape(ip.shape)
         counts[zero:] += chan.hamming[code, decided].sum(axis=1)
     return counts[inverse]

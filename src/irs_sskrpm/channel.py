@@ -48,13 +48,6 @@ def steering_bs(phi_d: float, n_t: int, delta_over_lambda: float) -> np.ndarray:
     return np.exp(-2j * np.pi * delta_over_lambda * np.arange(n_t) * np.sin(phi_d))
 
 
-def build_h(cfg: SystemConfig) -> np.ndarray:
-    """Deterministic BS->IRS matrix sqrt(nu) * a_irs(phi_a, phi_e) outer a_bs(phi_d)."""
-    a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
-    a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
-    return np.sqrt(cfg.nu) * np.outer(a_irs, a_bs)
-
-
 def build_g_bar(cfg: SystemConfig) -> np.ndarray:
     """Unit-modulus LoS component of the IRS->UT matrix.
 
@@ -83,6 +76,8 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 #: The radians within which an edge or a trial's angle is too near its point or the antipode
 #: for the edge walk (`Channel.walk`), far above the 5.7e-12 rad that `_group` resolves.
 _NEAR = 1e-7
+#: The walk's relative slack on a crossing amplitude (`Channel.walk`).
+_SLACK = 1e-9
 
 
 def _group(turns: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -198,14 +193,14 @@ class Channel:
     def walk(self) -> tuple[np.ndarray, ...]:
         """The `edges` as `airlink._ber_decide` walks them. Per row side * K + code: whether the
         home edge is within `_NEAR` of the point, and the home's Hamming distance. Per edge,
-        (J, 2K): its cot and 1/sin (-inf and 0 within `_NEAR` of the antipode, so never
-        crossed), and the Hamming step of crossing it, hamming[code, owner] differenced."""
+        (J, 2K): its cot and crossing slack `_SLACK`/sin (-inf and 0 within `_NEAR` of the antipode,
+        so never crossed), and the Hamming step of crossing it, hamming[code, owner] differenced."""
         (beta, owner), k = self.edges, self.points.size
         seen = beta < np.pi - _NEAR
         bits = self.hamming[np.arange(k)[:, None], owner].astype(float)  # bincount weighs in floats
         with np.errstate(divide="ignore"):  # a point on its home edge is left to the detector
             edge = (np.where(seen, 1.0 / np.tan(beta), -np.inf),
-                    np.where(seen, 1.0 / np.sin(beta), 0.0), np.diff(bits, axis=-1))
+                    np.where(seen, 1.0 / np.sin(beta), 0.0) * _SLACK, np.diff(bits, axis=-1))
         return _frozen((beta[..., 0] <= _NEAR).ravel(), bits[..., 0].ravel(),
                        *(v.reshape(2 * k, -1).T.copy() for v in edge))
 
@@ -225,12 +220,13 @@ def make_channel(cfg: SystemConfig) -> Channel:
 @lru_cache(maxsize=_CACHED_GEOMETRIES)
 def _channel(cfg: SystemConfig) -> Channel:
     a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
+    h = np.sqrt(cfg.nu) * np.outer(a_irs, steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda))
     g_bar = build_g_bar(cfg)
     w_los, w_nlos = rician_weights(cfg)
     t, m = np.divmod(np.arange(cfg.n_t * cfg.m_rpm), cfg.m_rpm)
     turns = m / cfg.m_rpm - cfg.delta_over_lambda * np.sin(cfg.phi_d) * t
     turns -= np.rint(turns)
-    h, g_bar, points, turns, mean = _frozen(build_h(cfg), g_bar, np.exp(2j * np.pi * turns), turns,
+    h, g_bar, points, turns, mean = _frozen(h, g_bar, np.exp(2j * np.pi * turns), turns,
                                             w_los * (g_bar.conj().T @ a_irs))
     return Channel(h=h, g_bar=g_bar, points=points, turns=turns, mean=mean,
                    scale=float(w_nlos * np.sqrt(cfg.n_elements)), sqrt_nu=float(np.sqrt(cfg.nu)),

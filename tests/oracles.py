@@ -5,7 +5,8 @@ and its rank-1 Monte-Carlo kernel: statistics are sampled from raw draws of
 the full N x n_r matrix G and signature differences, and integrals are
 evaluated with scipy's adaptive quadrature against the closed-form density.
 These are the reference implementations the library is checked against.
-`sample_g` is the full Rician IRS->UT draw G that the sampled statistics start from.
+`sample_g` is the full Rician IRS->UT draw G that the sampled statistics start from,
+and `build_h` the BS->IRS matrix H that they transmit through (`Channel.h` is bitwise it).
 `craig_by_quadrature` integrates Craig's form itself, with the transform
 written out, as the reference for the library's node rule, and
 `laplace_reference` is the library's transform computed out of place, the
@@ -41,9 +42,9 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate, special, stats
 
-from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, build_h, laplace, make_channel,
-                        ml_detect, moments_joint, moments_rpm, moments_ssk, pep_chiani,
-                        pep_of_event, rpm_phases, simulate, unit_moments)
+from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, laplace, make_channel, ml_detect,
+                        moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
+                        rpm_phases, simulate, steering_bs, steering_irs, unit_moments)
 from irs_sskrpm.airlink import _ber_decide, _ber_walk
 from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
@@ -107,6 +108,13 @@ def sample_g(cfg: SystemConfig, g_bar: np.ndarray, rng: np.random.Generator) -> 
     parts = rng.standard_normal((2, n, n_r))
     w = (parts[0] + 1j * parts[1]) * np.sqrt(0.5)
     return w_los * g_bar + w_nlos * w
+
+
+def build_h(cfg: SystemConfig) -> np.ndarray:
+    """Deterministic BS->IRS matrix sqrt(nu) * a_irs(phi_a, phi_e) outer a_bs(phi_d)."""
+    a_irs = steering_irs(cfg.phi_a, cfg.phi_e, cfg.n_x, cfg.n_y, cfg.kappa_over_lambda)
+    a_bs = steering_bs(cfg.phi_d, cfg.n_t, cfg.delta_over_lambda)
+    return np.sqrt(cfg.nu) * np.outer(a_irs, a_bs)
 
 
 def full_g_signatures(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
@@ -284,11 +292,17 @@ def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                          x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The bit-error counts of `airlink._ber_decide` the dense way: one `ml_detect` pass
     over every trial (row, x, h), read as its code and u (`ber_noise`), at each amplitude A
-    of sqrt_ps, on the scalar points[code] (A + u), in the given order."""
+    of sqrt_ps, on the scalar points[code] (A + u), in the given order. Zero power, where
+    every score ties, is decided by `ml_detect_reference`."""
     code, u = ber_noise(chan, row, x, h)
     signal, flat, base = chan.points[code], hamming.ravel(), code * hamming.shape[1]
-    return np.array([flat[base + ml_detect(wedges, signal * (sqrt_p + u), sqrt_p)].sum()
-                     for sqrt_p in sqrt_ps.tolist()], dtype=np.int64)
+
+    def decide(sqrt_p: float) -> np.ndarray:
+        ip = signal * (sqrt_p + u)
+        return ml_detect(wedges, ip) if sqrt_p > 0 else ml_detect_reference(chan.points, ip, 0.0)
+
+    return np.array([flat[base + decide(sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
+                    dtype=np.int64)
 
 
 def ber_chunk_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],

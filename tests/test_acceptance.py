@@ -12,14 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_sskrpm import (ErrorEventMoments, SystemConfig, aber_union,
+from irs_sskrpm import (ErrorEventMoments, SystemConfig, aber_union, build_g_bar,
                         capacity_closed, laplace,
                         load_config, make_channel, moments_joint, moments_rpm,
                         moments_ssk, pep_of_event, run_sweep,
                         simulate_capacity, validate)
 from irs_sskrpm.cli import main as cli_main
 from conftest import config_path
-from oracles import (crossing_snr, crossing_snr_linear, diversity_slope, event_direction,
+from oracles import (build_h, crossing_snr, crossing_snr_linear, diversity_slope, event_direction,
                      laplace_by_quadrature, pairwise_error_rate,
                      pdf_mass, pep_by_quadrature, sample_xi)
 
@@ -89,7 +89,6 @@ def test_criterion_2_moment_identities():
         n_samples = 100_000
         for _ in range(20):
             cfg = _random_config(rng)
-            from irs_sskrpm import build_h, build_g_bar
             h, g_bar = build_h(cfg), build_g_bar(cfg)
             t, t_hat = 1, 2
             m, m_hat = 1, 2
@@ -113,7 +112,6 @@ def test_criterion_2_moment_identities():
 def test_criterion_3_pep_cross_validation():
     with criterion(3, "exact PEP vs quadrature and pairwise Monte-Carlo"):
         cfg = validate(load_config(config_path("aber_n16.cfg")))
-        from irs_sskrpm import build_h, build_g_bar
         h, g_bar = build_h(cfg), build_g_bar(cfg)
         events = [
             ("ssk", (1, 2, 1, 1), moments_ssk(h, g_bar, cfg, 1, 2)),

@@ -60,16 +60,14 @@ def test_ml_detect_matches_norm_minimization(rng):
         lam = full_g_signatures(cfg, g)
         y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
         ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
-        detected = ml_detect(chan.wedges, ip, np.sqrt(p_s))
+        detected = ml_detect(chan.wedges, ip)
         dists = np.sum(np.abs(y[:, None, :] - np.sqrt(p_s) * lam[None]) ** 2, axis=2)
         np.testing.assert_array_equal(detected, np.argmin(dists, axis=1))
 
 
-def test_ml_detect_zero_observation_tie_break(chan, rng):
-    # y = 0, or P_s = 0 with any y: every score ties, so the decision is index 0
-    assert np.all(ml_detect(chan.wedges, np.zeros(5, dtype=complex), 2.0) == 0)
-    ip = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.all(ml_detect(chan.wedges, ip, 0.0) == 0)
+def test_ml_detect_zero_observation_tie_break(chan):
+    # y = 0: every score ties, and +0 decides index 0
+    assert np.all(ml_detect(chan.wedges, np.zeros(5, dtype=complex)) == 0)
 
 
 def test_ml_detect_global_phase_invariance(rng):
@@ -80,8 +78,8 @@ def test_ml_detect_global_phase_invariance(rng):
         g_eff = _g_eff(cfg, sample_g(cfg, chan.g_bar, rng))
         y = (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))) * 3.0
         rot = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        i0 = ml_detect(chan.wedges, chan.sqrt_nu * y @ g_eff.conj(), np.sqrt(7.0))
-        i1 = ml_detect(chan.wedges, chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj(), np.sqrt(7.0))
+        i0 = ml_detect(chan.wedges, chan.sqrt_nu * y @ g_eff.conj())
+        i1 = ml_detect(chan.wedges, chan.sqrt_nu * (rot * y) @ (rot * g_eff).conj())
         np.testing.assert_array_equal(i0, i1)
 
 
@@ -98,8 +96,7 @@ def test_ml_detect_recovers_noise_free_symbol(n_t, m_rpm, n_r, n_x, n_y, phi_d, 
     p_s = 10.0
     y = np.sqrt(p_s) * full_g_signatures(cfg, g)
     ip = chan.sqrt_nu * y @ _g_eff(cfg, g).conj()
-    np.testing.assert_array_equal(ml_detect(chan.wedges, ip, np.sqrt(p_s)),
-                                  np.arange(n_t * m_rpm))
+    np.testing.assert_array_equal(ml_detect(chan.wedges, ip), np.arange(n_t * m_rpm))
 
 
 @settings(max_examples=200, deadline=None)
@@ -107,8 +104,8 @@ def test_ml_detect_recovers_noise_free_symbol(n_t, m_rpm, n_r, n_x, n_y, phi_d, 
 @example(cfg=validate(ON_RPM_STEPS), seed=0)
 def test_wedge_detector_matches_the_exhaustive_argmin(cfg, seed):
     # the wedge lookup against the K-score argmin, on random statistics and
-    # ip = 0, at P_s > 0 and P_s = 0; draws within 1e-12 rad of a bisector,
-    # where rounding decides, are left out
+    # ip = 0; draws within 1e-12 rad of a bisector, where rounding decides, are
+    # left out
     chan = make_channel(cfg)
     assume(chan.points.size >= 2)
     wedges = chan.wedges
@@ -121,8 +118,7 @@ def test_wedge_detector_matches_the_exhaustive_argmin(cfg, seed):
     # location: rounding-level copies of a location would otherwise tie with
     # it up to rounding, and rounding would decide between them.
     owners = np.unique(wedges[1])
-    for sqrt_p in (math.sqrt(5.0), 0.0):
-        detected = ml_detect(wedges, ip, sqrt_p)
-        reference = owners[ml_detect_reference(chan.points[owners], ip, sqrt_p)]
-        np.testing.assert_array_equal(detected, reference)
-        assert detected[0] == 0
+    detected = ml_detect(wedges, ip)
+    reference = owners[ml_detect_reference(chan.points[owners], ip, math.sqrt(5.0))]
+    np.testing.assert_array_equal(detected, reference)
+    assert detected[0] == 0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from irs_sskrpm import (SystemConfig, build_g_bar, build_h, load_config, make_channel,
+from irs_sskrpm import (SystemConfig, build_g_bar, load_config, make_channel,
                         ml_detect, steering_bs, steering_irs, validate)
-from irs_sskrpm.channel import rician_weights
-from oracles import (distances_reference, full_g_signatures, pair_classes_reference,
+from irs_sskrpm.channel import _NEAR, _SLACK, rician_weights
+from oracles import (build_h, distances_reference, full_g_signatures, pair_classes_reference,
                      pair_distances_reference, sample_g)
 from test_config import PATH_LOSS_4KM
 
@@ -320,10 +320,41 @@ def test_edges_list_each_wedge_edge_and_owner_outward_from_each_point(cfg):
             np.testing.assert_allclose(beta[side, k, :reach], seen, rtol=0, atol=1e-12)
             assert np.all(beta[side, k, reach:] >= np.pi - 1e-12) and np.all(beta <= np.pi)
             ends = np.concatenate([[0.0], seen, [np.pi]])
-            probe = ml_detect(wedges, np.exp(1j * (angle + sign * (ends[:-1] + ends[1:]) / 2)), 1.0)
+            probe = ml_detect(wedges, np.exp(1j * (angle + sign * (ends[:-1] + ends[1:]) / 2)))
             wide = np.diff(ends) > 1e-9  # a point on or past its own edge has no home to probe
             np.testing.assert_array_equal(probe[wide], owner[side, k, :reach + 1][wide])
             assert np.all(owner[side, k, reach + 1:] == owner[side, k, -1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(ON_RPM_STEPS))
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
+@example(cfg=validate(NEAR_LOCATIONS))
+@example(cfg=validate(ANTIPODAL_EDGES))
+@example(cfg=validate(POINT_ON_EDGE))
+@example(cfg=validate(load_config(STRESS_CONFIG)))
+def test_walk_reads_each_row_off_the_edges(cfg):
+    # per row side * K + code, read off `edges` and `hamming` one row at a time: whether the
+    # home edge is within _NEAR of the point, the home's Hamming distance and the Hamming step
+    # of each edge crossed; per edge, bitwise, its cot and its slack (1 / sin beta) * _SLACK,
+    # and -inf and 0 within _NEAR of the antipode, which the walk never crosses
+    chan = make_channel(cfg)
+    (beta, owner), k = chan.edges, chan.points.size
+    narrow, home, cot, slack, step = chan.walk
+    assert narrow.shape == home.shape == (2 * k,)
+    assert cot.shape == slack.shape == step.shape == (beta.shape[2], 2 * k)
+    for side in range(2):
+        for code in range(k):
+            row, edge = side * k + code, beta[side, code]
+            bits = chan.hamming[code, owner[side, code]]
+            assert narrow[row] == (edge[0] <= _NEAR) and home[row] == bits[0]
+            np.testing.assert_array_equal(step[:, row], np.diff(bits))
+            seen = edge < np.pi - _NEAR
+            with np.errstate(divide="ignore"):  # a point on its home edge
+                np.testing.assert_array_equal(cot[seen, row], 1.0 / np.tan(edge[seen]))
+                np.testing.assert_array_equal(slack[seen, row], 1.0 / np.sin(edge[seen]) * _SLACK)
+            assert np.all(cot[~seen, row] == -np.inf) and np.all(slack[~seen, row] == 0.0)
 
 
 def test_shared_tables_are_read_only(cold_caches):

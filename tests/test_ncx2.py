@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from irs_sskrpm import (ErrorEventMoments, SystemConfig, build_g_bar, build_h,
+from irs_sskrpm import (ErrorEventMoments, SystemConfig, build_g_bar,
                         laplace, moments_joint, moments_rpm, moments_ssk,
                         validate)
-from oracles import (event_direction, laplace_by_quadrature, laplace_reference, ncx2_pdf,
+from oracles import (build_h, event_direction, laplace_by_quadrature, laplace_reference, ncx2_pdf,
                      pdf_mass, pdf_mean, sample_xi)
 
 
