@@ -20,10 +20,11 @@ inf) and the largest absolute change |b - a| over all of them, then per ABER CSV
 the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2) over its moved `aber_sim` cells,
 se being the row's own `aber_stderr` (rows where both are 0 skipped), then each demo's
 stdout as identical or differing, then the line count of each tree's `src/`
-(`src/ lines: A -> B`), the names that the second tree's `irs_sskrpm.__all__` adds
-and drops, and last the count of identical files. It exits 1 if
-any file or demo differs. Standard library only (and git and tar to unpack a
-revision).
+(`src/ lines: A -> B`) and the count of those lines that hold code, not only
+blanks, comments or docstrings (`src/ code lines: A -> B`), the names that the
+second tree's `irs_sskrpm.__all__` adds and drops, and last the count of identical
+files. It exits 1 if any file or demo differs. Standard library only (and git and
+tar to unpack a revision).
 
 The |z| line tells a re-drawn simulation (|z| of a few) from a moved law. It is a screen,
 not a test: the rows of one ABER sweep share their draws (common random numbers), so their
@@ -34,13 +35,16 @@ symbol err together, as on stress_nt8m8 (ROADMAP item 4), so |z| runs high there
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,6 +114,27 @@ def run_demos(tree: Path, out: Path) -> None:
 def src_lines(tree: Path) -> int:
     """The lines of every .py file under tree's src/, as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
+
+
+def code_lines(source: str) -> int:
+    """The lines of a Python source that hold a token other than a comment, and lie in
+    no docstring (of the module, a class or a function)."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = {row for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type not in skip for row in range(tok.start[0], tok.end[0] + 1)}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines -= set(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def src_code_lines(tree: Path) -> int:
+    """The `code_lines` of every .py file under tree's src/."""
+    return sum(code_lines(p.read_text(encoding="utf-8")) for p in (tree / "src").rglob("*.py"))
 
 
 def public_names(tree: Path) -> set[str]:
@@ -192,6 +217,7 @@ def main() -> None:
         demos_differ |= not same_demo
         print(f"demo {Path(name).stem}: {'identical' if same_demo else 'differs'}")
     print(f"src/ lines: {src_lines(trees[0])} -> {src_lines(trees[1])}")
+    print(f"src/ code lines: {src_code_lines(trees[0])} -> {src_code_lines(trees[1])}")
     before, after = (public_names(tree) for tree in trees)
     print(f"__all__ adds: {', '.join(sorted(after - before)) or 'none'}; "
           f"drops: {', '.join(sorted(before - after)) or 'none'}")

@@ -36,17 +36,15 @@ def ml_detect(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray) -> np.ndarr
     the ML metric ||y - sqrt(P_s nu) points[k] g_eff||^2 is smallest for the
     point nearest in angle to the scalar ip = g_eff^H y (or any positive
     multiple, at any P_s > 0): the location owning the `Channel.wedges` interval
-    that holds angle(ip), found by counting the bisectors below it. Returns flat
-    t-major indices. At ip = 0 every score ties, so any decision is ML: +0 decides
-    index 0, while -0.0 + 0j has angle pi and decides the owner of angle pi.
+    that holds angle(ip), one binary search for the bisectors strictly below it, on ip
+    of any shape. Returns flat t-major indices. At ip = 0 every score ties, so any decision
+    is ML: +0 decides index 0, while -0.0 + 0j has angle pi and decides the owner of angle pi.
     """
     bisectors, winners = wedges
-    theta = np.angle(ip)
-    below = np.sum(theta > bisectors[:, None], axis=0, dtype=np.min_scalar_type(bisectors.size))
-    return winners[below]
+    return winners[np.searchsorted(bisectors, np.angle(ip))]
 
 
-def _ber_walk(chan: Channel, sqrt_ps: np.ndarray) -> tuple:
+def _ber_walk(sqrt_ps: np.ndarray) -> tuple:
     """`_ber_decide`'s view of sqrt_ps, built once per call: the distinct positive amplitudes
     between -inf and NaN (grid[i] is the largest of their first i), their bucket table and its
     rounds (`_above`), np.unique's inverse, and whether zero is in."""
@@ -82,18 +80,16 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
     the point's as A grows, crossing edge j of `Channel.edges` (on its side) once, at
     a_j = h cot beta_j - x, decreasing in j. A trial counts its home's Hamming distance plus the
     step of each edge crossed (`Channel.walk`), walked edge by edge (a bucket, `_above`, and a
-    bincount each) until its next crossing is below the smallest amplitude. At zero power every
-    score ties: index 0 is decided. `ml_detect` decides every amplitude of the trials the walk
-    leaves: u or home edge within `_NEAR` of the real axis or the point, or an amplitude within
-    the `Channel.walk` slack of a crossing, where rounding may put the detector on either side
-    (the walk then reruns without it). Counts are bitwise `ml_detect`'s on points[code] (A + u)."""
+    bincount each) until its next crossing is below grid[1] (NaN with no positive amplitude). At
+    zero power every score ties: index 0 is decided. `ml_detect` decides every positive amplitude
+    of the trials the walk leaves: u or home edge within `_NEAR` of the real axis or the point, or
+    an amplitude within the `Channel.walk` slack of a crossing, where rounding may decide either
+    side (the walk reruns without it). Counts are bitwise `ml_detect`'s on points[code] (A + u)."""
     grid, table, rounds, inverse, zero = walk
     (narrow, home, cot, slack, step), amps, k = chan.walk, grid[1:-1], chan.points.size
     counts = np.zeros(amps.size + zero, np.int64)
     if zero:
         counts[0] = np.bincount(row, minlength=2 * k).reshape(2, k).sum(axis=0) @ chan.hamming[:, 0]
-    if not amps.size:
-        return counts[inverse]
     width = np.abs(x)
     left = ~(h > 2.0 * _NEAR * width) | narrow[row]
     width += h  # h + |x|, which with |a| sets the width of a crossing's rounding band
@@ -109,7 +105,7 @@ def _ber_decide(chan: Channel, walk: tuple, row: np.ndarray, x: np.ndarray,
                 np.subtract(np.multiply(a, hr, out=a), xr, out=a)
                 top = np.abs(a)
                 np.add(np.multiply(np.add(top, wr, out=top), slack[j][r], out=top), a, out=top)
-                go = np.flatnonzero(top >= amps[0])  # the trials that cross edge j or come near it
+                go = np.flatnonzero(top >= grid[1])  # the trials that cross edge j or come near it
                 if not go.size:
                     break
                 ids, a, top = go if ids is None else ids[go], a[go], top[go]

@@ -113,7 +113,7 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
     p = _power(p_s)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    bits, walk = _bits(cfg) * trials, _ber_walk(chan, np.sqrt(p).ravel())
+    bits, walk = _bits(cfg) * trials, _ber_walk(np.sqrt(p).ravel())
     # exact integer reduction, order-insensitive
     errors = sum(_ber_decide(chan, walk, *_ber_draw(chan, seed, c, size))
                  for c, size in enumerate(_chunk_sizes(trials)))

@@ -26,9 +26,13 @@ every joint pair of the label masks on the library's chunk draws of ||g_eff||^2
 (`energy_reference`, the library's `_energy` written out of place).
 `ber_chunk_reference` is the dense per-power BER chunk the library's kernel
 must count exactly: its draws (`ber_draw_reference`: each trial's row, ||g_eff||^2
-and the noise u in the sent point's frame as (x, |Im u|)) and every trial decided by
-`ml_detect` on points[code] (A + u) at every amplitude A (`ber_decide_reference`,
-which also takes synthetic trials, converted by `ber_trials` and `ber_noise`);
+and the noise u in the sent point's frame as (x, |Im u|)) and every trial decided
+on points[code] (A + u) at every amplitude A (`ber_decide_reference`, which also
+takes synthetic trials, converted by `ber_trials` and `ber_noise`). It calls no
+library detector: a positive amplitude is decided by `wedge_detect_reference`, the
+broadcast count over `Channel.wedges` that `ml_detect`'s binary search must match
+bitwise (ties included), and zero power by `ml_detect_reference`. So neither the
+counts nor the traced memory peak of this yardstick move with the code it measures.
 `ber_chunk` runs the library's kernel on one chunk as `simulate_ber` does.
 `pair_classes_reference` builds the label tables from the flat indices' antenna and
 phase indices, independently of `Channel.hamming` and `Channel.classes`.
@@ -42,9 +46,9 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate, special, stats
 
-from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, laplace, make_channel, ml_detect,
-                        moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
-                        rpm_phases, simulate, steering_bs, steering_irs, unit_moments)
+from irs_sskrpm import (PepValue, SystemConfig, build_g_bar, laplace, make_channel, moments_joint,
+                        moments_rpm, moments_ssk, pep_chiani, pep_of_event, rpm_phases, simulate,
+                        steering_bs, steering_irs, unit_moments)
 from irs_sskrpm.airlink import _ber_decide, _ber_walk
 from irs_sskrpm.channel import Channel, _group, rician_weights
 from irs_sskrpm.ncx2 import ErrorEventMoments
@@ -132,6 +136,17 @@ def ml_detect_reference(points: np.ndarray, ip: np.ndarray, sqrt_p: float) -> np
     the smallest index."""
     score = -2.0 * sqrt_p * np.real(ip[:, None] * points.conj())
     return np.argmin(score, axis=1)
+
+
+def wedge_detect_reference(wedges: tuple[np.ndarray, np.ndarray], ip: np.ndarray) -> np.ndarray:
+    """`ml_detect`'s decisions on a 1-D ip by a broadcast count: each angle(ip) decides the
+    owner of the `Channel.wedges` interval past the bisectors strictly below it, counted over
+    the (bisectors, trials) comparison table. The dense BER reference's own wedge detector, so
+    that neither its decisions nor its memory peak move with the library's."""
+    bisectors, winners = wedges
+    theta = np.angle(ip)
+    below = np.sum(theta > bisectors[:, None], axis=0, dtype=np.min_scalar_type(bisectors.size))
+    return winners[below]
 
 
 def sample_xi(cfg: SystemConfig, d: np.ndarray, n_samples: int,
@@ -270,7 +285,7 @@ def ber_chunk(chan: Channel, sqrt_ps: np.ndarray, seed: int, chunk_index: int,
               n_trials: int) -> np.ndarray:
     """The library's bit-error counts of one chunk at every amplitude of sqrt_ps, as
     `simulate_ber` counts each of its chunks."""
-    return _ber_decide(chan, _ber_walk(chan, sqrt_ps),
+    return _ber_decide(chan, _ber_walk(sqrt_ps),
                        *simulate._ber_draw(chan, seed, chunk_index, n_trials))
 
 
@@ -290,16 +305,19 @@ def ber_trials(chan: Channel, code: np.ndarray, u: np.ndarray) -> tuple:
 def ber_decide_reference(chan: Channel, wedges: tuple[np.ndarray, np.ndarray],
                          hamming: np.ndarray, sqrt_ps: np.ndarray, row: np.ndarray,
                          x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The bit-error counts of `airlink._ber_decide` the dense way: one `ml_detect` pass
-    over every trial (row, x, h), read as its code and u (`ber_noise`), at each amplitude A
-    of sqrt_ps, on the scalar points[code] (A + u), in the given order. Zero power, where
-    every score ties, is decided by `ml_detect_reference`."""
+    """The bit-error counts of `airlink._ber_decide` the dense way: one detector pass over
+    every trial (row, x, h), read as its code and u (`ber_noise`), at each amplitude A of
+    sqrt_ps, on the scalar points[code] (A + u), in the given order. A positive amplitude is
+    decided by `wedge_detect_reference`, zero power, where every score ties, by
+    `ml_detect_reference`."""
     code, u = ber_noise(chan, row, x, h)
     signal, flat, base = chan.points[code], hamming.ravel(), code * hamming.shape[1]
 
     def decide(sqrt_p: float) -> np.ndarray:
         ip = signal * (sqrt_p + u)
-        return ml_detect(wedges, ip) if sqrt_p > 0 else ml_detect_reference(chan.points, ip, 0.0)
+        if sqrt_p > 0:
+            return wedge_detect_reference(wedges, ip)
+        return ml_detect_reference(chan.points, ip, 0.0)
 
     return np.array([flat[base + decide(sqrt_p)].sum() for sqrt_p in sqrt_ps.tolist()],
                     dtype=np.int64)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from irs_sskrpm import (SystemConfig, make_channel, ml_detect, rpm_phases, steering_irs,
-                        validate)
-from oracles import full_g_signatures, ml_detect_reference, pair_classes_reference, sample_g
-from test_channel import ON_RPM_STEPS, constellation_configs
+from irs_sskrpm import (SystemConfig, load_config, make_channel, ml_detect, rpm_phases,
+                        steering_irs, validate)
+from oracles import (full_g_signatures, ml_detect_reference, pair_classes_reference, sample_g,
+                     wedge_detect_reference)
+from test_channel import (ANTIPODAL_EDGES, NEAR_LOCATIONS, ON_RPM_STEPS, POINT_ON_EDGE,
+                          STRESS_CONFIG, constellation_configs)
 
 
 def test_rpm_phases_structure():
@@ -122,3 +124,39 @@ def test_wedge_detector_matches_the_exhaustive_argmin(cfg, seed):
     reference = owners[ml_detect_reference(chan.points[owners], ip, math.sqrt(5.0))]
     np.testing.assert_array_equal(detected, reference)
     assert detected[0] == 0
+
+
+def _ulps(v: np.ndarray, n: int) -> np.ndarray:
+    """v and its n floats either side, ascending along a new last axis."""
+    out = [v]
+    for _ in range(n):
+        out = [np.nextafter(out[0], -np.inf), *out, np.nextafter(out[-1], np.inf)]
+    return np.stack(out, axis=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(ON_RPM_STEPS))
+@example(cfg=validate(NEAR_LOCATIONS))
+@example(cfg=validate(POINT_ON_EDGE))
+@example(cfg=validate(ANTIPODAL_EDGES))
+@example(cfg=validate(load_config(STRESS_CONFIG)))
+def test_ml_detect_breaks_ties_as_the_broadcast_count(cfg):
+    # the binary search decides bitwise as the oracle's count of the bisectors strictly below
+    # angle(ip), on a 2-D ip whose shape it keeps: angles exactly on every bisector in
+    # [-pi, pi] and one ulp either side (each found among the floats 2 ulps around
+    # cos + j sin of it), -1 + 0j and -1 - 0j (angles pi and -pi), +0 and -0.0 + 0j (angle
+    # pi). NaN is left out: it has no ML decision, and no caller passes one
+    wedges = make_channel(cfg).wedges
+    bisectors = wedges[0][np.abs(wedges[0]) <= np.pi]
+    theta = _ulps(bisectors, 1).ravel()
+    theta = theta[np.abs(theta) <= np.pi]
+    ip = _ulps(np.cos(theta), 2)[:, :, None] + 1j * _ulps(np.sin(theta), 2)[:, None, :]
+    ip = ip.reshape(theta.size, -1)
+    assert np.isin(theta, np.angle(ip)).all()
+    ties = np.array([-1 + 0j, complex(-1.0, -0.0), 0j, complex(-0.0, 0.0)])
+    ip = np.vstack([ip, np.resize(ties, ip.shape[1])])
+    detected = ml_detect(wedges, ip)
+    assert detected.shape == ip.shape
+    np.testing.assert_array_equal(detected,
+                                  wedge_detect_reference(wedges, ip.ravel()).reshape(ip.shape))

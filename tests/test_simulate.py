@@ -508,12 +508,21 @@ def test_ber_decide_counts_exactly_at_adversarial_trials(cfg, seed):
     amps = rng.permutation(amps)
     trials = ber_trials(chan, code, u)  # the walk's (row, x, h) of each u
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, airlink._ber_walk(chan, amps), *trials)
+        counts = airlink._ber_decide(chan, airlink._ber_walk(amps), *trials)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts,
                                   ber_decide_reference(chan, wedges, hamming, amps, *trials))
     sizes = [np.size(call.args[1]) for call in detect.call_args_list]
     assert len(sizes) <= 1 and sum(sizes) >= a.size
+    # with no positive amplitude (zero power twice, or none) nothing walks: the trials the
+    # walk leaves (the real u among them) reach the one ml_detect call, which decides nothing
+    for amps in (np.zeros(2), np.zeros(0)):
+        with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
+            counts = airlink._ber_decide(chan, airlink._ber_walk(amps), *trials)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts,
+                                      ber_decide_reference(chan, wedges, hamming, amps, *trials))
+        assert [np.size(call.args[1]) for call in detect.call_args_list] == [0]
 
 
 def test_ber_decide_walks_again_without_the_trials_in_a_band():
@@ -533,7 +542,7 @@ def test_ber_decide_walks_again_without_the_trials_in_a_band():
     a = a[t]
     amps = np.concatenate([amps, [0.0], a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
     with mock.patch.object(airlink, "ml_detect", wraps=airlink.ml_detect) as detect:
-        counts = airlink._ber_decide(chan, airlink._ber_walk(chan, amps), row, x, h)
+        counts = airlink._ber_decide(chan, airlink._ber_walk(amps), row, x, h)
     assert counts.dtype == np.int64
     hamming = pair_classes_reference(cfg.n_t, cfg.m_rpm)[2]
     np.testing.assert_array_equal(
@@ -580,8 +589,7 @@ def bucket_grids(draw):
 def test_bucket_is_the_binary_search(amps):
     # the walk's bucket (`airlink._above` on the call's table) is np.searchsorted(amps, top,
     # "right") at every amplitude and one ulp either side, below the smallest, at zero and +inf
-    chan = make_channel(validate(SystemConfig()))
-    grid, table, rounds = airlink._ber_walk(chan, np.append(amps, 0.0))[:3]
+    grid, table, rounds = airlink._ber_walk(np.append(amps, 0.0))[:3]
     np.testing.assert_array_equal(grid[1:-1], amps)
     top = np.concatenate([amps, np.nextafter(amps, 0.0), np.nextafter(amps, np.inf),
                           [0.0, amps[0] / 2.0, np.inf]])
@@ -604,7 +612,7 @@ SHIPPED_GRIDS = {**{name: load_config(config_path(name)).snr_grid_db
 def test_shipped_grids_take_one_bucket_round(name):
     # each puts at most one amplitude past a cell's lowest value in any cell, and one somewhere
     amps = np.sqrt(np.array([10.0 ** (v / 10.0) for v in SHIPPED_GRIDS[name]]))
-    assert airlink._ber_walk(make_channel(validate(SystemConfig())), amps)[2] == 1
+    assert airlink._ber_walk(amps)[2] == 1
 
 
 def test_ber_chunk_memory_stays_within_the_dense_pass():
