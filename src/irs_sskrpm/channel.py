@@ -147,15 +147,19 @@ class Channel:
         return _frozen(weight[np.bitwise_xor.outer(idx, idx)])[0]
 
     @cached_property
-    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per error event class -- antenna-only (same phase), phase-only (same antenna), both
-        with the diagonal, and joint -- the `distances` index and the Hamming distance of its
-        ordered pairs, in (K, K) row-major order."""
-        idx, index = np.arange(self.points.size), self.distances[1]
-        xor = np.bitwise_xor.outer(idx, idx)
+        with the diagonal, and joint -- its distinct (`distances` index, Hamming distance) terms,
+        ascending by hamming * D + index, and the term of each pair in (K, K) row-major order."""
+        idx, (d, index) = np.arange(self.points.size), self.distances
+        xor, keys = np.bitwise_xor.outer(idx, idx), self.hamming * d.size + index
         same_m, same_t = (xor & (self.m_rpm - 1)) == 0, xor < self.m_rpm
-        return tuple(_frozen(index[mask], self.hamming[mask])
-                     for mask in (same_m, same_t, ~same_t & ~same_m))
+        out = []
+        for key in (keys[mask] for mask in (same_m, same_t, ~same_t & ~same_m)):
+            used = np.bincount(key) > 0  # the distinct keys by a count, not by np.unique's sort
+            hamming, at = np.divmod(np.flatnonzero(used), d.size)
+            out.append(_frozen(at, hamming, (np.cumsum(used) - 1)[key]))
+        return tuple(out)
 
     @cached_property
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:

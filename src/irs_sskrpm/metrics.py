@@ -14,13 +14,13 @@ quadrature and Monte-Carlo; the doubled-argument convention of some texts is
 the PEP at 2*P_s. The union bound reads the Chiani form unless asked for the
 exact one, and only the exact one runs the quadrature.
 
-H is rank-1, so the statistic of the error event i -> j is |c_i - c_j|^2
-times one Rician statistic xi_1 (`ncx2.unit_moments`), and its PEP at P_s
-is the PEP of xi_1 at the effective power P_s*|c_i - c_j|^2, for a pair
-(i, j) of flat t-major hypothesis indices. The union bound, the closed-form
-capacity and the `pep` table therefore evaluate xi_1 once per transmit power,
-over the distinct constellation distances (`Channel.distances`), and take
-one power or an array of powers; the pair classes are the channel's (`Channel.classes`).
+H is rank-1, so the PEP at P_s of the error event i -> j (flat t-major indices) is
+that of one Rician statistic xi_1 (`ncx2.unit_moments`) at P_s*|c_i - c_j|^2. The
+union bound, the closed-form capacity and the `pep` table evaluate xi_1 once per
+transmit power over the distinct distances (`Channel.distances`), and take one power
+or an array of powers. Per pair class (`Channel.classes`) the union bound weighs each
+distinct (distance, Hamming distance) term once for all powers and sums the terms in
+pair order per power; the capacity counts the joint pairs at each distance there.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = Fa
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
     scale = chan.points.size * b
-    # each class gathered once; one 1-D sum per class and power, as a lone call makes
-    terms = [[(weight * row[at] / scale).sum() for at, weight in chan.classes] for row in pep]
-    return tuple(_shaped(column, p) for column in np.reshape(terms, (-1, 3)).T)
+    # a class's distinct terms formed once, gathered per power into pair order, summed in 1-D
+    return tuple(_shaped([row[inverse].sum() for row in weight * pep[:, at] / scale], p)
+                 for at, weight, inverse in chan.classes)
 
 
 def aber_union(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False):
@@ -157,8 +157,9 @@ def aber_union(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False):
 def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
     """The distinct |c_i - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, ascending, with their multiplicities."""
-    ids, mult = np.unique(chan.classes[2][0], return_counts=True)
-    return chan.distances[0][ids], mult.astype(float)
+    d, (at, _, inverse) = chan.distances[0], chan.classes[2]
+    mult = np.bincount(at, np.bincount(inverse), d.size)  # pairs per distance (ints if none)
+    return d[mult > 0], mult[mult > 0].astype(float)
 
 
 def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):

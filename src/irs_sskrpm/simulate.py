@@ -147,7 +147,8 @@ def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
             energy, agg = _energy(chan, rng, size), np.zeros(size)
             step = max(1, _PAIR_BLOCK_ELEMENTS // size)
             for lo in range(0, nu_d2.size, step):
-                terms = np.exp(np.multiply.outer(energy, -0.5 * p_q * nu_d2[lo:lo + step]))
+                with np.errstate(over="ignore"):  # an overflowing exponent is -inf: exp gives 0
+                    terms = np.exp(np.multiply.outer(energy, -0.5 * p_q * nu_d2[lo:lo + step]))
                 agg += np.sum(terms * mult[lo:lo + step], axis=1)
             sum_a += float(agg.sum())
             sum_a_sq += float(np.dot(agg, agg))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from irs_sskrpm import (SystemConfig, build_g_bar, load_config, make_channel,
+from irs_sskrpm import (SystemConfig, build_g_bar, joint_distances, load_config, make_channel,
                         ml_detect, steering_bs, steering_irs, validate)
 from irs_sskrpm.channel import _NEAR, _SLACK, rician_weights
 from oracles import (build_h, distances_reference, full_g_signatures, pair_classes_reference,
@@ -364,11 +364,11 @@ def test_shared_tables_are_read_only(cold_caches):
     shared = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances,
               *chan.wedges, *chan.edges, *chan.walk, chan.hamming,
               *(a for c in chan.classes for a in c)]
-    assert len(shared) == 23
+    assert len(shared) == 26
     for table in shared:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = table
-    assert make_channel(cfg) is chan and chan.classes[2][1] is shared[-1]
+    assert make_channel(cfg) is chan and chan.classes[2][2] is shared[-1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -377,19 +377,60 @@ def test_shared_tables_are_read_only(cold_caches):
 @example(cfg=validate(replace(SystemConfig(), n_t=4, m_rpm=1)))
 @example(cfg=validate(replace(SystemConfig(), n_t=1, m_rpm=1)))
 @example(cfg=validate(load_config(STRESS_CONFIG)))
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
+@example(cfg=validate(ON_RPM_STEPS))
 def test_pair_classes_are_the_label_masks_bitwise(cfg):
     # the label Hamming table and the antenna-only (same phase), phase-only (same
     # antenna) and joint classes, the first two with the diagonal, are the masks of the
-    # flat indices' antenna and phase indices applied to distances[1], dtypes included
+    # flat indices' antenna and phase indices applied to distances[1], dtypes included;
+    # a class holds its distinct terms, and each pair's term gathers its index and weight
     chan = make_channel(cfg)
     same_t, same_m, dist = pair_classes_reference(cfg.n_t, cfg.m_rpm)
     index = chan.distances[1]
-    got = [chan.hamming, *(a for c in chan.classes for a in c)]
+    got = [chan.hamming, *(a[inverse] for *terms, inverse in chan.classes for a in terms)]
     want = [dist, *(a[mask] for mask in (same_m, same_t, ~same_t & ~same_m) for a in (index, dist))]
     assert len(got) == len(want) == 7
     for table, ref in zip(got, want):
         assert table.dtype == ref.dtype and table.shape == ref.shape
         assert table.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(load_config(STRESS_CONFIG)))
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
+@example(cfg=validate(ON_RPM_STEPS))
+def test_pair_class_terms_are_distinct_ascending_and_used(cfg):
+    # each class's terms are its distinct (distance index, Hamming distance) pairs, keyed
+    # hamming * D + index strictly ascending, every one the term of some pair; the
+    # antenna-only and phase-only classes hold the diagonal's (0, 0) term first
+    chan = make_channel(cfg)
+    n_d, k = chan.distances[0].size, chan.points.size
+    sizes = (k * cfg.n_t, k * cfg.m_rpm, k * (cfg.n_t - 1) * (cfg.m_rpm - 1))
+    for (index, weight, inverse), size in zip(chan.classes, sizes):
+        assert inverse.shape == (size,) and index.shape == weight.shape
+        key = weight * n_d + index
+        assert np.all(np.diff(key) > 0) and np.all((index >= 0) & (index < n_d))
+        assert np.all(np.bincount(inverse, minlength=key.size) > 0)
+    for index, weight, _ in chan.classes[:2]:
+        assert index[0] == weight[0] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=constellation_configs())
+@example(cfg=validate(load_config(STRESS_CONFIG)))
+@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
+@example(cfg=validate(ON_RPM_STEPS))
+def test_joint_distances_are_the_unique_joint_pair_distances(cfg):
+    # the joint class's distinct distances and their pair counts, bitwise np.unique over
+    # the distance indices of the reference's joint pairs (antenna and phase both differ)
+    chan = make_channel(cfg)
+    same_t, same_m, _ = pair_classes_reference(cfg.n_t, cfg.m_rpm)
+    ids, counts = np.unique(chan.distances[1][~same_t & ~same_m], return_counts=True)
+    d2, mult = joint_distances(chan)
+    for got, want in ((d2, chan.distances[0][ids]), (mult, counts.astype(float))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 #: A valid new value of each field the channel reads, from `_GEOMETRY_BASE` (two receive

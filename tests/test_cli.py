@@ -451,6 +451,19 @@ def test_analytic_layer_is_finite_where_the_transform_overflows(tmp_path, argv):
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
+def test_capacity_sim_prints_no_warning_where_its_exponent_overflows(tmp_path):
+    # k_r = 0 a millimetre from the surface, at 3000 dB: the sampled exponent overflows
+    # to -inf and exp takes its limit 0, under the interpreter's default warning filters
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("k_r=0.0\nd_t=1e-3\nd_r=1e-3\nsnr_grid_db=0,3000\ntrials=64\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-m", "irs_sskrpm.cli", "capacity", "--mode", "sim",
+                           "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert (tmp_path / "x.csv").read_text().splitlines()[-1].startswith("3000.0,2.0,")
+
 def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg, monkeypatch,
                                                              capsys):
     # a sweep is evaluated in one call per column over its grid: a failure

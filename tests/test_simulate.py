@@ -293,6 +293,19 @@ def test_capacity_sim_approaches_limit(cfg):
     assert cap > limit - 0.05
 
 
+#: k_r = 0 a millimetre from the surface: the diffuse variance is about 6e12, so at 3000 dB
+#: the sampled exponent -P_s xi / 2 overflows to -inf before exp.
+LOUD_CAPACITY = replace(SystemConfig(), k_r=0.0, d_t=1e-3, d_r=1e-3, snr_grid_db=(0.0, 3000.0),
+                        trials=64)
+
+
+def test_capacity_sim_takes_an_overflowing_exponent_as_its_limit():
+    # exp(-inf) = 0 is the exact limit: no overflow warning (an error under the test
+    # filter), and every term 0 gives the closed form's limit log2 K
+    cfg = validate(LOUD_CAPACITY)
+    assert capacity_closed(make_channel(cfg), cfg, 1e300) == 2.0
+    assert simulate_capacity(cfg, 1e300, 64, 1) == 2.0
+
 def test_capacity_pair_distances_cover_every_joint_pair():
     cfg = validate(SystemConfig(n_t=8, m_rpm=8, phi_d=0.3))
     d2, mult = joint_distances(make_channel(cfg))
