@@ -464,6 +464,7 @@ def test_capacity_sim_prints_no_warning_where_its_exponent_overflows(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert (tmp_path / "x.csv").read_text().splitlines()[-1].startswith("3000.0,2.0,")
 
+
 def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg, monkeypatch,
                                                              capsys):
     # a sweep is evaluated in one call per column over its grid: a failure

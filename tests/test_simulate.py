@@ -306,6 +306,7 @@ def test_capacity_sim_takes_an_overflowing_exponent_as_its_limit():
     assert capacity_closed(make_channel(cfg), cfg, 1e300) == 2.0
     assert simulate_capacity(cfg, 1e300, 64, 1) == 2.0
 
+
 def test_capacity_pair_distances_cover_every_joint_pair():
     cfg = validate(SystemConfig(n_t=8, m_rpm=8, phi_d=0.3))
     d2, mult = joint_distances(make_channel(cfg))
