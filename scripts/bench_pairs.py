@@ -1,11 +1,12 @@
 """Time two source trees against each other with the benchmark harness, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --seeds 3601 --pairs 10 \\
-        [--seconds 45] [--workload NAME ...] [--claim WORKLOAD.METRIC] [--json BENCH.json] [--record TEXT]
+    python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --seeds 3601 [--pairs 10] \\
+        [--seconds 45] [--claim WORKLOAD.METRIC] [--json BENCH.json] [--record TEXT]
 
-A tree is a folder or a git revision of this checkout, unpacked with `git archive` as
-`compare_outputs.py` unpacks it (a folder runs as it stands, with any `__pycache__` in it).
-Pair i of a workload runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
+A tree is a folder or a git revision of this checkout, unpacked with `git archive` into a
+fresh temporary folder as `compare_outputs.py` unpacks it (a folder runs as it stands, with
+any `__pycache__` in it). Every workload of the change tree's BENCHMARK.json is run; pair i
+of a workload runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 of each tree, one fresh process each in the tree's own folder, at seed S = --seeds + i; on
 odd seeds the parent runs first, on even seeds the change. Each run is the harness's last
 stdout line (its JSON result).
@@ -15,8 +16,9 @@ prints each side's median [q1, q3] (inclusive quartiles), the pairs in which the
 better, and the gap of the medians against the parent's interquartile range (IQR), then
 the failed and attempted operations. --json writes `pairs`, `summary` and `claim` (with
 the command, seeds and machine) in the layout of the BENCH_*.json records. The claim is
-that --claim's metric is better in at least 9 of 10 pairs and that the gap of the medians
-exceeds the parent's IQR; the script says whether it holds. Standard library only (and git
+that, over at least 10 pairs, --claim's metric is better in at least 9 of each 10, the gap
+of the medians exceeds the parent's IQR, and the change fails no more operations than the
+parent; the script says whether it holds and, if not, which rule fails. Standard library only (and git
 and tar to unpack a revision).
 """
 
@@ -78,21 +80,28 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def claim_text(summary: dict, workload: str, metric: dict) -> str:
-    """Whether metric of workload is better in at least 9 of 10 pairs and by more than the
-    parent's IQR on the medians, with the numbers that decide it."""
+    """Whether metric of workload is better in at least 9 of each 10 of at least 10 pairs, by
+    more than the parent's IQR on the medians, with no more failed operations than the
+    parent: the numbers that decide it, and each rule that fails."""
     s, name, unit = summary[workload], metric["name"], metric["unit"]
-    m, n = s[name], s["pairs"]
-    won = m[f"change_{metric['better']}_in_pairs"]
+    m, n, failed = s[name], s["pairs"], s["failed"]
+    won, need = m[f"change_{metric['better']}_in_pairs"], math.ceil(0.9 * s["pairs"])
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
     ratio = m["median_gap_over_parent_iqr"]
-    holds = won >= math.ceil(0.9 * n) and ratio is not None and ratio > 1.0
-    return (f"{workload} {name} {metric['better']} than the parent in at least "
-            f"{math.ceil(0.9 * n)} of {n} pairs and "
-            f"by more than the parent's IQR on the medians: {m['parent']['median']:.4g} -> "
-            f"{m['change']['median']:.4g} {unit} ({m['relative_change_of_median']:+.1%}), "
-            f"{metric['better']} in {won} of {n} pairs; the gap of the medians is "
-            f"{_ratio(ratio)} times the parent's IQR ({iqr:.3g} {unit}): "
-            f"{'holds' if holds else 'does not hold'}")
+    fails = [why for broken, why in (
+        (n < 10, f"{n} pairs, fewer than 10"),
+        (won < need, f"{metric['better']} in {won} of {n} pairs, fewer than {need}"),
+        (ratio is None or ratio <= 1.0, "the gap of the medians does not exceed the parent's IQR"),
+        (failed["change"] > failed["parent"],
+         f"{failed['change']} failed operations, more than the parent's {failed['parent']}"),
+    ) if broken]
+    return (f"{workload} {name} {metric['better']} than the parent in at least {need} of {n} "
+            f"pairs and by more than the parent's IQR on the medians: "
+            f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g} {unit} "
+            f"({m['relative_change_of_median']:+.1%}), {metric['better']} in {won} of {n} pairs; "
+            f"the gap of the medians is {_ratio(ratio)} times the parent's IQR ({iqr:.3g} {unit}); "
+            f"failed operations {failed['parent']} -> {failed['change']}: "
+            + ("holds" if not fails else "does not hold (" + "; ".join(fails) + ")"))
 
 
 def _ratio(ratio: float | None) -> str:
@@ -113,17 +122,15 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, required=True, help="the first pair's seed")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=45.0)
-    parser.add_argument("--workload", action="append", help="default: every benchmark workload")
     parser.add_argument("--claim", default=None, help="WORKLOAD.METRIC to claim a gain on")
     parser.add_argument("--json", type=Path, default=None, help="write the record here")
     parser.add_argument("--record", default="", help="what the change is, for the record")
-    parser.add_argument("--out", type=Path, default=None, help="unpack revisions here")
     args = parser.parse_args()
-    out = (args.out or Path(tempfile.mkdtemp(prefix="bench_pairs_"))).resolve()
+    out = Path(tempfile.mkdtemp(prefix="bench_pairs_")).resolve()
     trees = dict(zip(SIDES, (unpack(tree, out / f"{side}_tree").resolve()
                              for side, tree in zip(SIDES, (args.parent, args.change)))))
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     pairs = []
     for workload in workloads:
         for seed in range(args.seeds, args.seeds + args.pairs):

@@ -135,8 +135,8 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     gain, body = 2.0 if args.paper_literal_args else 1.0, []
     for snr_db in cfg.snr_grid_db:
         v, parts[0] = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d), f"{_fmt(snr_db)},"
-        cells = zip(v.exact.tolist(), v.chiani.tolist(), [parts[0]] * d.size)
-        parts[2::2] = gather(["%r,%r\n%s" % cell for cell in cells])
+        cells = map(("{!r},{!r}\n" + parts[0]).format, v.exact.tolist(), v.chiani.tolist())
+        parts[2::2] = gather(list(cells))
         parts[-1] = parts[-1][:-len(parts[0])]  # no next row (with no row at all, no SNR cell)
         body.append("".join(parts))
     _write_run(out, "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani", body, cfg, args)
