@@ -18,8 +18,8 @@ the failed and attempted operations. --json writes `pairs`, `summary` and `claim
 the command, seeds and machine) in the layout of the BENCH_*.json records. The claim is
 that, over at least 10 pairs, --claim's metric is better in at least 9 of each 10, the gap
 of the medians exceeds the parent's IQR, and the change fails no more operations than the
-parent; the script says whether it holds and, if not, which rule fails. Standard library only (and git
-and tar to unpack a revision).
+parent; the script says whether it holds and, if not, which rule fails. Standard library
+only (and git and tar to unpack a revision).
 """
 
 from __future__ import annotations
