@@ -4,27 +4,27 @@
 
 A tree is a folder or a git revision of this checkout, unpacked with `git archive`
 into the output folder: `python3 scripts/compare_outputs.py HEAD .` compares the
-working tree with its last commit. Each tree's `src/` runs `aber` (every mode,
---exact-pep, --paper-literal-args), `capacity`, `pep` (plain and
---paper-literal-args) and `validate` on configs/*.cfg and perfbench/scenarios/*.cfg
-of this checkout, in one process per tree. Each run leaves its exit code, stdout and stderr (`<command>.run.json`,
-with the side's output folder replaced by `<out>`); each run but `validate`,
-which writes nothing, also leaves its CSV and its manifest without
-`started_utc` (`<command>.csv.manifest.json`). Each tree
+working tree with its last commit. Each tree's `src/` runs `aber` (every mode, and
+--exact-pep), `capacity`, `pep` and `validate` on configs/*.cfg and
+perfbench/scenarios/*.cfg of this checkout, in one process per tree. Each run leaves
+its exit code, stdout and stderr (`<command>.run.json`, with the side's output folder
+replaced by `<out>`); each run but `validate`, which writes nothing, also leaves its
+CSV and its manifest without `started_utc` (`<command>.csv.manifest.json`). Each tree
 also runs its own demos/*.py with its `src/`, one process per demo, keeping the
-demo's stdout (and an `exit N` line if it fails). The script prints each file
-as identical or differing, then per CSV column the cells that moved, of all
-cells compared, how many of them moved to or from zero, the largest relative
-change |b - a| / |a| over the others (a cell that is not a number changes by
-inf) and the largest absolute change |b - a| over all of them, then per ABER CSV
-the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2) over its moved `aber_sim` cells,
-se being the row's own `aber_stderr` (rows where both are 0 skipped), then each demo's
-stdout as identical or differing, then the line count of each tree's `src/`
-(`src/ lines: A -> B`) and the count of those lines that hold code, not only
-blanks, comments or docstrings (`src/ code lines: A -> B`), the names that the
-second tree's `irs_sskrpm.__all__` adds and drops, and last the count of identical
-files. It exits 1 if any file or demo differs. Standard library only (and git and
-tar to unpack a revision).
+demo's stdout (and an `exit N` line if it fails). The script prints each file that
+either tree wrote as identical, differs, only in parent, only in change, or (a CSV)
+header or row count differs, then per CSV column, over the CSVs with the same header
+and row count in both trees, the cells that moved, of all cells compared, how many of
+them moved to or from zero, the largest relative change |b - a| / |a| over the others
+(a cell that is not a number changes by inf) and the largest absolute change |b - a|
+over all of them, then per ABER CSV the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2)
+over its moved `aber_sim` cells, se being the row's own `aber_stderr` (rows where both
+are 0 skipped), then each demo's stdout as identical or differing, then the line
+count of each tree's `src/` (`src/ lines: A -> B`) and the count of those lines that
+hold code, not only blanks, comments or docstrings (`src/ code lines: A -> B`), the
+names that the second tree's `irs_sskrpm.__all__` adds and drops, and last the count
+of identical files. It exits 1 if any file or demo differs or only one tree has it.
+Standard library only (and git and tar to unpack a revision).
 
 The |z| line tells a re-drawn simulation (|z| of a few) from a moved law. It is a screen,
 not a test: the rows of one ABER sweep share their draws (common random numbers), so their
@@ -50,9 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = {f"aber_{mode}": ["aber", "--mode", mode] for mode in ("analytic", "sim", "both")}
 COMMANDS.update(aber_exact=["aber", "--mode", "analytic", "--exact-pep"],
-                aber_literal=["aber", "--mode", "analytic", "--paper-literal-args"],
-                capacity=["capacity", "--mode", "both"], pep=["pep"],
-                pep_literal=["pep", "--paper-literal-args"])
+                capacity=["capacity", "--mode", "both"], pep=["pep"])
 # each run's exit code, stdout and stderr, captured around cli.main in the one process
 RUN = """\
 import contextlib, io, json, sys, irs_sskrpm.cli as cli
@@ -181,24 +179,27 @@ def main() -> None:
     for side, tree in zip("ab", trees):
         write_outputs(tree, out / side)
         run_demos(tree, out / f"{side}_demos")
-    files = sorted((out / "a").glob("*/*"))
+    files = sorted({p.relative_to(out / side) for side in "ab" for p in (out / side).glob("*/*")})
     same = 0
-    for a in files:
-        b = out / "b" / a.relative_to(out / "a")
-        if not b.is_file():
-            sys.exit(f"{b}: not written")
-        identical = b.read_bytes() == a.read_bytes()
-        same += identical
-        print(f"{'identical' if identical else 'differs'} {a.relative_to(out / 'a')}")
     columns: dict[str, list] = {}
     screens = []
-    for a in (f for f in files if f.suffix == ".csv"):
-        b = out / "b" / a.relative_to(out / "a")
+    for name in files:
+        a, b = out / "a" / name, out / "b" / name
+        if not (a.is_file() and b.is_file()):
+            print(f"only in {'parent' if a.is_file() else 'change'} {name}")
+            continue
+        identical = b.read_bytes() == a.read_bytes()
+        same += identical
+        if name.suffix != ".csv":
+            print(f"{'identical' if identical else 'differs'} {name}")
+            continue
         rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
         if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
-            sys.exit(f"{b}: header or row count differs")
+            print(f"header or row count differs {name}")
+            continue
+        print(f"{'identical' if identical else 'differs'} {name}")
         if "aber_sim" in rows_a[0]:
-            screens.append(f"aber_sim {a.relative_to(out / 'a')}: {largest_z(rows_a, rows_b)}")
+            screens.append(f"aber_sim {name}: {largest_z(rows_a, rows_b)}")
         for key, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
             moved = [change(x, y) for x, y in zip(col_a, col_b) if x != y]
             zero, rel, dif = zip(*moved) if moved else ((), (), ())

@@ -56,8 +56,7 @@ def _write_run(path: str, header: str, body: list[str], cfg: SystemConfig,
         "command": args.command,
         "mode": mode,
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
-        "exact_pep": bool(getattr(args, "exact_pep", False)),
-        "paper_literal_args": bool(getattr(args, "paper_literal_args", False)),
+        "exact_pep": getattr(args, "exact_pep", None),
         "draws": draw_scheme(args.command) if mode in ("sim", "both") else None,
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -97,8 +96,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _check_out(args)
     _warn_coincident(cfg)
     columns = run_sweep(cfg, args.command, mode=args.mode,
-                        exact_pep=getattr(args, "exact_pep", False),
-                        paper_literal_args=getattr(args, "paper_literal_args", False))
+                        exact_pep=getattr(args, "exact_pep", False))
     rows = [",".join(map(_fmt, row)) + "\n" for row in zip(*columns.values())]
     _write_run(out, ",".join(columns), rows, cfg, args)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -131,10 +129,9 @@ def _cmd_pep(args: argparse.Namespace) -> int:
     _warn_coincident(cfg)
     chan = make_channel(cfg)
     gather, parts = _pep_layout(chan)
-    unit, d, parts = unit_moments(chan), chan.distances[0], list(parts)
-    gain, body = 2.0 if args.paper_literal_args else 1.0, []
+    unit, d, parts, body = unit_moments(chan), chan.distances[0], list(parts), []
     for snr_db in cfg.snr_grid_db:
-        v, parts[0] = pep_of_event(unit, gain * 10.0 ** (snr_db / 10.0) * d), f"{_fmt(snr_db)},"
+        v, parts[0] = pep_of_event(unit, 10.0 ** (snr_db / 10.0) * d), f"{_fmt(snr_db)},"
         cells = map(("{!r},{!r}\n" + parts[0]).format, v.exact.tolist(), v.chiani.tolist())
         parts[2::2] = gather(list(cells))
         parts[-1] = parts[-1][:-len(parts[0])]  # no next row (with no row at all, no SNR cell)
@@ -169,9 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["analytic", "sim", "both"], default="both")
     aber.add_argument("--exact-pep", dest="exact_pep", action="store_true",
                       help="use the Craig integral instead of the Chiani closed form")
-    for p in (aber, pep):
-        p.add_argument("--paper-literal-args", dest="paper_literal_args", action="store_true",
-                       help="evaluate the PEPs at 2*P_s (doubled transform arguments)")
     return parser
 
 

@@ -18,9 +18,9 @@ class ConfigError(ValueError):
     """Raised for an invalid parameter value or a malformed config file."""
 
 
-#: Grid values at or above this make 8 P_s overflow, the largest effective
-#: power the analytic layer forms: |c_i - c_j|^2 <= 4, doubled by the
-#: paper-literal convention.
+#: Grid values at or above this make 8 P_s overflow: twice 4 P_s, the largest
+#: effective power the analytic layer forms (|c_i - c_j|^2 <= 4), so that
+#: power stays finite with a factor 2 to spare.
 _MAX_SNR_DB = 10.0 * math.log10(sys.float_info.max / 8.0)
 
 

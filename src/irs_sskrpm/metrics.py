@@ -1,6 +1,6 @@
 """Analytical performance: pairwise error probabilities, the Hamming-weighted
-union bound on the average bit error rate and the closed-form ergodic
-capacity of the discrete-input channel.
+union bound on the average bit error rate and the paper's closed-form
+capacity expression for the discrete-input channel.
 
 PEP of an event with statistic xi is E[Q(sqrt(P_s*xi/2))]. Craig's finite
 integral for Q turns this into (1/pi) * int_0^{pi/2} L(P_s/(4*sin^2 w)) dw
@@ -163,13 +163,14 @@ def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):
-    """Closed-form ergodic capacity of the joint discrete-input channel,
-    in bits per channel use, at p_s, a scalar or an array of powers (a float
-    or an array of p_s's shape; one dot product per power).
+    """The paper's closed-form capacity expression for the joint discrete-input
+    channel, in bits per channel use, at p_s, a scalar or an array of powers (a
+    float or an array of p_s's shape; one dot product per power).
 
     C = 2*log2(n_t*M) - log2(n_t*M + sum over pairs with both indices
     different of L_xi(P_s/2)); it grows from the zero-power baseline to the
-    limit log2(n_t*M).
+    limit log2(n_t*M). It is not the mutual information: at zero power, where
+    no information passes, it is 1 bit for n_t = M = 2.
     """
     k = cfg.n_t * cfg.m_rpm
     d, mult = joint_distances(chan)

@@ -165,8 +165,8 @@ def draw_scheme(quantity: str) -> dict:
     return {"chunk_trials": CHUNK_TRIALS, "shared_across_points": quantity == "aber"}
 
 
-def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: bool = False,
-              paper_literal_args: bool = False) -> dict[str, list]:
+def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both",
+              exact_pep: bool = False) -> dict[str, list]:
     """Evaluate quantity ("aber" or "capacity") at every SNR point of cfg's grid.
 
     mode selects how: "analytic" (union bound, closed-form capacity), "sim"
@@ -176,8 +176,7 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     is "sim"; aber_sim, aber_stderr, trials or cap_sim, samples unless mode is
     "analytic". Only quantity's columns are computed, each by one call over
     the grid's powers, and the whole sweep is deterministic for a fixed
-    cfg.seed. paper_literal_args puts the union bound at 2*P_s (doubled
-    transform arguments).
+    cfg.seed.
     """
     validate(cfg)
     if mode not in ("analytic", "sim", "both"):
@@ -190,8 +189,7 @@ def run_sweep(cfg: SystemConfig, quantity: str, mode: str = "both", exact_pep: b
     columns = {"snr_db": grid}
     try:
         if quantity == "aber" and analytic:
-            columns["aber_analytical"] = aber_union(
-                make_channel(cfg), cfg, 2 * powers if paper_literal_args else powers, exact_pep)
+            columns["aber_analytical"] = aber_union(make_channel(cfg), cfg, powers, exact_pep)
         if quantity == "aber" and sim:
             aber, stderr = simulate_ber(cfg, powers, cfg.trials, cfg.seed)
             columns.update(aber_sim=aber, aber_stderr=stderr, trials=cfg.trials)

@@ -561,15 +561,13 @@ def capacity_closed_reference(chan: Channel, cfg: SystemConfig, p_s: float) -> f
     return 2.0 * math.log2(k) - math.log2(k + total)
 
 
-def pep_rows_reference(chan: Channel, cfg: SystemConfig,
-                       paper_literal_args: bool = False) -> list[list]:
+def pep_rows_reference(chan: Channel, cfg: SystemConfig) -> list[list]:
     """Rows of the `pep` command over cfg's SNR grid, one event at a time:
     [snr_db, event, t, t_hat, m, m_hat, pep_exact, pep_chiani] with empty
-    cells for the indices an event does not have. The literal convention is
-    the PEP at twice the power."""
+    cells for the indices an event does not have."""
     rows: list[list] = []
     for snr_db in cfg.snr_grid_db:
-        p_s = (2.0 if paper_literal_args else 1.0) * 10.0 ** (snr_db / 10.0)
+        p_s = 10.0 ** (snr_db / 10.0)
         for t, t_hat in _ordered_pairs(cfg.n_t):
             v = pep_of_event(moments_ssk(chan.h, chan.g_bar, cfg, t, t_hat), p_s)
             rows.append([snr_db, "ssk", t, t_hat, "", "", v.exact, v.chiani])
@@ -584,14 +582,14 @@ def pep_rows_reference(chan: Channel, cfg: SystemConfig,
     return rows
 
 
-def pep_csv_reference(cfg: SystemConfig, paper_literal_args: bool = False) -> str:
+def pep_csv_reference(cfg: SystemConfig) -> str:
     """The text of the `pep` CSV, one formatted line per event and SNR point: the
     PEPs of the one unit law at each distinct distance, read through the pair index."""
     chan = make_channel(cfg)
     unit, (d, index) = unit_moments(chan), chan.distances
     lines = ["snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"]
     for snr_db in cfg.snr_grid_db:
-        v = pep_of_event(unit, (2.0 if paper_literal_args else 1.0) * 10.0 ** (snr_db / 10.0) * d)
+        v = pep_of_event(unit, 10.0 ** (snr_db / 10.0) * d)
         for key, i, j in pep_events_reference(cfg.n_t, cfg.m_rpm):
             at = index[i, j]
             lines.append(f"{float(snr_db)!r},{key},{float(v.exact[at])!r},{float(v.chiani[at])!r}")

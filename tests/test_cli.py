@@ -256,10 +256,15 @@ def test_pep_table(tmp_path, quick_cfg):
 
 
 @pytest.mark.parametrize("argv", [["capacity", "--exact-pep"], ["pep", "--exact-pep"],
-                                  ["validate", "--paper-literal-args"], ["validate", "--out", "x"]],
+                                  ["validate", "--mode", "sim"], ["validate", "--out", "x"],
+                                  ["aber", "--mode", "analytic", "--paper-literal-args"],
+                                  ["pep", "--paper-literal-args"]],
                          ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
-def test_subcommands_reject_flags_they_do_not_read(quick_cfg, argv):
+def test_subcommands_reject_flags_they_do_not_read(quick_cfg, argv, tmp_path, monkeypatch):
+    # a usage error writes no file, not even at the default --out in the working folder
+    monkeypatch.chdir(tmp_path)
     assert main([*argv, "--config", quick_cfg]) == 1
+    assert os.listdir(tmp_path) == ["quick.cfg"]
 
 
 def test_cli_import_loads_no_test_only_dependency():
@@ -372,9 +377,11 @@ def test_manifest_holds_exactly_the_run_settings(tmp_path, quick_cfg, argv):
     with open(out + ".manifest.json") as fh:
         manifest = json.load(fh)
     assert set(manifest) == {"tool", "version", "command", "mode", "config", "exact_pep",
-                             "paper_literal_args", "draws", "started_utc"}
+                             "draws", "started_utc"}
     assert manifest["command"] == argv[0]
     assert manifest["mode"] == (argv[2] if len(argv) > 2 else None)
+    # null where the command has no such flag, as mode is
+    assert manifest["exact_pep"] is (False if argv[0] == "aber" else None)
     assert set(manifest["config"]) == {f.name for f in fields(SystemConfig)}
     assert manifest["config"]["trials"] == 100
 
@@ -432,8 +439,6 @@ TOP_DB = math.nextafter(10.0 * math.log10(sys.float_info.max / 8.0), 0.0)
 
 @pytest.mark.parametrize("argv", [["aber", "--mode", "analytic"],
                                   ["aber", "--mode", "analytic", "--exact-pep"], ["pep"],
-                                  ["aber", "--mode", "analytic", "--paper-literal-args"],
-                                  ["pep", "--paper-literal-args"],
                                   ["capacity", "--mode", "analytic"]])
 def test_analytic_layer_is_finite_where_the_transform_overflows(tmp_path, argv):
     # 4x4 surface, n_r=1, d_r=4: from 3000 dB the Craig transform arguments

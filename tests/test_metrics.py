@@ -8,7 +8,7 @@ from dataclasses import replace
 from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_union,
                         aber_union_terms, capacity_closed, laplace, load_config, make_channel,
                         moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
-                        run_sweep, simulate_ber, simulate_capacity, unit_moments, validate)
+                        simulate_ber, simulate_capacity, unit_moments, validate)
 from oracles import craig_by_quadrature, diversity_slope, pep_by_quadrature
 
 
@@ -87,14 +87,6 @@ def test_paper_literal_args_doubles_transform_argument(chan, cfg):
     assert lit.chiani == pytest.approx(laplace(mom, 4.0) / 12 + laplace(mom, 16.0 / 3.0) / 4,
                                        rel=1e-14)
     assert lit.exact < pep_of_event(mom, 8.0).exact
-
-
-def test_run_sweep_literal_rows_are_the_bound_at_double_power(chan, cfg):
-    for exact in (False, True):
-        columns = run_sweep(cfg, "aber", mode="analytic", exact_pep=exact,
-                            paper_literal_args=True)
-        assert columns["aber_analytical"] == [
-            aber_union(chan, cfg, 2.0 * 10.0 ** (s / 10.0), exact) for s in cfg.snr_grid_db]
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -127,11 +127,10 @@ def test_union_terms_are_bitwise_the_pair_table_sum(cfg, powers):
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("lit", [False, True])
-def test_union_terms_match_per_event_reference(case, lit):
+def test_union_terms_match_per_event_reference(case):
     cfg, chan = case
     for snr_db in cfg.snr_grid_db:
-        p_s = (2.0 if lit else 1.0) * 10.0 ** (snr_db / 10.0)
+        p_s = 10.0 ** (snr_db / 10.0)
         for exact in (False, True):
             np.testing.assert_allclose(
                 aber_union_terms(chan, cfg, p_s, exact),
@@ -146,15 +145,14 @@ def test_capacity_closed_matches_per_event_reference(case):
             capacity_closed_reference(chan, cfg, p_s), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("lit", [False, True])
-def test_pep_csv_matches_per_event_reference(case, lit, tmp_path):
+def test_pep_csv_matches_per_event_reference(case, tmp_path):
     cfg, chan = case
     out = tmp_path / "pep.csv"
     argv = ["pep", "--config", _write_cfg(tmp_path / "case.cfg", cfg), "--out", str(out)]
-    assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
+    assert main(argv) == 0
     lines = out.read_text(encoding="ascii").splitlines()
     assert lines[0] == "snr_db,event,t,t_hat,m,m_hat,pep_exact,pep_chiani"
-    ref = pep_rows_reference(chan, cfg, lit)
+    ref = pep_rows_reference(chan, cfg)
     assert len(lines) == 1 + len(ref)
     for line, row in zip(lines[1:], ref):
         cells = line.split(",")
@@ -199,10 +197,8 @@ def test_pep_csv_is_the_row_by_row_table(n_t, m_rpm, tmp_path):
     cfg = validate(replace(SystemConfig(), n_t=n_t, m_rpm=m_rpm, n_r=2,
                            snr_grid_db=(0.0, 12.5, 30.0)))
     cfg_path, out = _write_cfg(tmp_path / "case.cfg", cfg), tmp_path / "pep.csv"
-    for lit in (False, True):
-        argv = ["pep", "--config", cfg_path, "--out", str(out)]
-        assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
-        assert out.read_text(encoding="ascii") == pep_csv_reference(cfg, lit)
+    assert main(["pep", "--config", cfg_path, "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == pep_csv_reference(cfg)
 
 
 @pytest.mark.parametrize("grid", [(), (-3.5,)], ids=["no-point", "one-point"])
@@ -212,12 +208,10 @@ def test_pep_csv_is_the_row_by_row_table_at_its_edges(n_t, m_rpm, grid, tmp_path
     # (header only): the fill's leading SNR cell and its trimmed last row meet
     cfg = validate(replace(SystemConfig(), n_t=n_t, m_rpm=m_rpm, snr_grid_db=grid))
     cfg_path, out = _write_cfg(tmp_path / "case.cfg", cfg), tmp_path / "pep.csv"
-    for lit in (False, True):
-        argv = ["pep", "--config", cfg_path, "--out", str(out)]
-        assert main(argv + (["--paper-literal-args"] if lit else [])) == 0
-        text = out.read_text(encoding="ascii")
-        assert text == pep_csv_reference(cfg, lit) and text.count("\n") == 1 + 2 * len(grid)
-        assert capsys.readouterr().out == f"wrote {out} ({2 * len(grid)} rows)\n"
+    assert main(["pep", "--config", cfg_path, "--out", str(out)]) == 0
+    text = out.read_text(encoding="ascii")
+    assert text == pep_csv_reference(cfg) and text.count("\n") == 1 + 2 * len(grid)
+    assert capsys.readouterr().out == f"wrote {out} ({2 * len(grid)} rows)\n"
 
 
 #: SNR grids of 1 to 5 values: negative, fractional and tiny ones among them,
@@ -227,23 +221,22 @@ SNR_GRIDS = st.lists(st.one_of(st.sampled_from([-2.5, 0.001, -10.0, 0.0, 17.5]),
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=constellation_configs(), grid=SNR_GRIDS, lit=st.booleans())
-@example(cfg=validate(ON_RPM_STEPS), grid=[-2.5, 0.001, 0.001], lit=False)
-@example(cfg=validate(replace(SystemConfig(), n_t=8, m_rpm=8, phi_d=0.0)), grid=[-2.5, 0.001],
-         lit=True)
-def test_pep_csv_is_the_row_by_row_table_on_any_constellation(cfg, grid, lit):
+@given(cfg=constellation_configs(), grid=SNR_GRIDS)
+@example(cfg=validate(ON_RPM_STEPS), grid=[-2.5, 0.001, 0.001])
+@example(cfg=validate(replace(SystemConfig(), n_t=8, m_rpm=8, phi_d=0.0)), grid=[-2.5, 0.001])
+def test_pep_csv_is_the_row_by_row_table_on_any_constellation(cfg, grid):
     # the template fill against one formatted line per event and SNR point, byte
     # for byte; a grid with a repeated value is refused and writes no table
     with tempfile.TemporaryDirectory() as tmp:
         case = replace(cfg, snr_grid_db=tuple(grid))
         out = Path(tmp) / "pep.csv"
         argv = ["pep", "--config", _write_cfg(Path(tmp) / "case.cfg", case), "--out", str(out)]
-        code = main(argv + (["--paper-literal-args"] if lit else []))
+        code = main(argv)
         if len(set(grid)) < len(grid):
             assert code == 1 and not out.exists()
             return
         try:
-            expected = pep_csv_reference(validate(case), lit)
+            expected = pep_csv_reference(validate(case))
         except NumericalError:
             assert code == 2
             return
