@@ -188,16 +188,16 @@ def main() -> None:
         if not (a.is_file() and b.is_file()):
             print(f"only in {'parent' if a.is_file() else 'change'} {name}")
             continue
-        identical = b.read_bytes() == a.read_bytes()
-        same += identical
-        if name.suffix != ".csv":
-            print(f"{'identical' if identical else 'differs'} {name}")
-            continue
-        rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
-        if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        tables = [list(csv.reader(p.open())) for p in (a, b)] if name.suffix == ".csv" else []
+        if tables and (tables[0][0] != tables[1][0] or len(tables[0]) != len(tables[1])):
             print(f"header or row count differs {name}")
             continue
+        identical = b.read_bytes() == a.read_bytes()
+        same += identical
         print(f"{'identical' if identical else 'differs'} {name}")
+        if not tables:
+            continue
+        rows_a, rows_b = tables
         if "aber_sim" in rows_a[0]:
             screens.append(f"aber_sim {name}: {largest_z(rows_a, rows_b)}")
         for key, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
