@@ -16,8 +16,9 @@ either tree wrote as identical, differs, only in parent, only in change, or (a C
 header or row count differs, then per CSV column, over the CSVs with the same header
 and row count in both trees, the cells that moved, of all cells compared, how many of
 them moved to or from zero, the largest relative change |b - a| / |a| over the others
-(a cell that is not a number changes by inf) and the largest absolute change |b - a|
-over all of them, then per ABER CSV the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2)
+(a cell that is not a number changes by inf), the largest absolute change |b - a| over
+all of them and the largest ulp distance over all of them (the count of doubles between a
+and b, inf where either is not finite), then per ABER CSV the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2)
 over its moved `aber_sim` cells, se being the row's own `aber_stderr` (rows where both
 are 0 skipped), then each demo's stdout as identical or differing, then the line
 count of each tree's `src/` (`src/ lines: A -> B`) and the count of those lines that
@@ -41,6 +42,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -143,15 +145,25 @@ def public_names(tree: Path) -> set[str]:
     return set(proc.stdout.split())
 
 
-def change(a: str, b: str) -> tuple[bool, float, float]:
-    """(whether the cell moved to or from zero, |b - a| / |a| if it did not, else 0, and
-    |b - a|) of a cell that differs; a cell that is not a number changes by inf."""
+def ulps(x: float, y: float) -> float:
+    """The count of doubles between x and y (0.0 and -0.0 are one; inf unless both are
+    finite): the distance of their bit patterns, read as integers ordered like the values."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    bits = (int.from_bytes(struct.pack("<d", v), "little", signed=True) for v in (x, y))
+    a, b = (k if k >= 0 else -(k + 2 ** 63) for k in bits)
+    return abs(b - a)
+
+
+def change(a: str, b: str) -> tuple[bool, float, float, float]:
+    """(whether the cell moved to or from zero, |b - a| / |a| if it did not, else 0, |b - a|
+    and its `ulps`) of a cell that differs; a cell that is not a number changes by inf."""
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return False, math.inf, math.inf
+        return False, math.inf, math.inf, math.inf
     zero = (x == 0.0) != (y == 0.0)
-    return zero, 0.0 if zero else abs(y - x) / abs(x), abs(y - x)
+    return zero, 0.0 if zero else abs(y - x) / abs(x), abs(y - x), ulps(x, y)
 
 
 def largest_z(rows_a: list[list[str]], rows_b: list[list[str]]) -> str:
@@ -202,13 +214,15 @@ def main() -> None:
             screens.append(f"aber_sim {name}: {largest_z(rows_a, rows_b)}")
         for key, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
             moved = [change(x, y) for x, y in zip(col_a, col_b) if x != y]
-            zero, rel, dif = zip(*moved) if moved else ((), (), ())
-            stat = columns.get(key, [0, 0, 0, 0.0, 0.0])
+            zero, rel, dif, ulp = zip(*moved) if moved else ((), (), (), ())
+            stat = columns.get(key, [0, 0, 0, 0.0, 0.0, 0])
             columns[key] = [stat[0] + len(moved), stat[1] + len(col_a), stat[2] + sum(zero),
-                            max(stat[3], *rel, 0.0), max(stat[4], *dif, 0.0)]
-    for key, (moved, total, zero, rel, dif) in columns.items():
+                            max(stat[3], *rel, 0.0), max(stat[4], *dif, 0.0),
+                            max(stat[5], *ulp, 0)]
+    for key, (moved, total, zero, rel, dif, ulp) in columns.items():
         print(f"column {key}: {moved} of {total} cells moved ({zero} to or from zero), "
-              f"largest relative change {rel:.2e}, largest absolute change {dif:.2e}")
+              f"largest relative change {rel:.2e}, largest absolute change {dif:.2e}, "
+              f"at most {ulp} ulp")
     for line in screens:
         print(line)
     demos_differ = False

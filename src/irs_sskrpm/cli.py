@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     aber = command("aber", "ABER sweep over the SNR grid")
-    capacity = command("capacity", "ergodic-capacity sweep")
+    capacity = command("capacity", "closed-form capacity expression sweep")
     pep = command("pep", "per-event PEP table")
     command("validate", "check a scenario file")
     for p in (aber, capacity, pep):

@@ -123,10 +123,10 @@ def simulate_ber(cfg: SystemConfig, p_s, trials: int, seed: int) -> tuple:
 
 def simulate_capacity(cfg: SystemConfig, p_s, channel_samples: int, seed: int,
                       point_index: int = 0, with_stderr: bool = False):
-    """Sampled ergodic capacity 2 log2 K - log2(K + mean a), where a sample's a is the sum of
-    exp(-P_s xi / 2) over the joint pairs, with xi = nu |c_k - c_j|^2 ||g_eff||^2 drawn by
-    `_energy` (an independent code path from the moment-based closed form), and its stderr
-    s / sqrt(n) / ((K + mean a) ln 2), s the unbiased sample deviation of a.
+    """Sampled form of the paper's closed-form capacity expression (not the mutual information),
+    2 log2 K - log2(K + mean a), a sample's a the sum of exp(-P_s xi / 2) over the joint pairs, with
+    xi = nu |c_k - c_j|^2 ||g_eff||^2 drawn by `_energy` (a code path apart from the moments), and
+    its stderr s / sqrt(n) / ((K + mean a) ln 2), s the unbiased sample deviation of a.
 
     p_s is a scalar or an array of powers; the q-th power (C order) draws the chunks of sweep
     point point_index + q, and adds their sums of a and a^2 in chunk order. Returns the

@@ -492,29 +492,71 @@ def test_numerical_failure_names_the_snr_values_of_its_block(tmp_path, quick_cfg
 
 #: -300 dB to 60 dB: effective powers from about 1e-32 to 4e6
 LOW_TO_HIGH = "snr_grid_db=-300,-140,-50,-30,-20,0,60\n"
+#: -110 dB to -80 dB on aber_n32's geometry with k_r = 1e4, where orders 96/192
+#: of the Craig rule disagree by more than 1e-9 at six points (orders 192/384 agree)
+LINE_OF_SIGHT = "k_r=10000\nsnr_grid_db=-110,-105,-100,-95,-90,-85,-80\n"
 SMALL_STEP_CFG = ("n_t=2\nm_rpm=1\nn_r=1\nk_r=0.5\ndelta_over_lambda=0.05078125\n"
                   "phi_d=0.5625\n")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "scenarios")
 
 
-@pytest.mark.parametrize("scenario", ["small_step", "stress_nt8m8"])
+def _scenario_without(path: str, *keys: str) -> str:
+    """The lines of a config file, less those that set one of keys."""
+    with open(path) as f:
+        return "".join(line for line in f if not line.startswith(tuple(f"{k}=" for k in keys)))
+
+
+@pytest.mark.parametrize("scenario", ["small_step", "stress_nt8m8", "line_of_sight"])
 @pytest.mark.parametrize("argv", [["aber", "--mode", "analytic", "--exact-pep"], ["pep"]])
 def test_exact_pep_converges_at_small_effective_powers(tmp_path, argv, scenario):
     # pair distances 0.0289 (small_step) and 0.0071 (stress_nt8m8): the Craig
-    # check passes at every point down to -300 dB, and every PEP is in (0, 1/2]
+    # check passes at every point down to -300 dB; on the line-of-sight law the
+    # powers that fail it at orders 96/192 pass at 192/384; every PEP is in (0, 1/2]
     if scenario == "stress_nt8m8":
-        stress = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "scenarios",
-                              "stress_nt8m8.cfg")
-        with open(stress) as f:
-            text = "".join(line for line in f if not line.startswith("snr_grid_db="))
+        text = _scenario_without(os.path.join(SCENARIOS, "stress_nt8m8.cfg"), "snr_grid_db")
+    elif scenario == "line_of_sight":
+        text = _scenario_without(config_path("aber_n32.cfg"), "snr_grid_db", "k_r")
     else:
         text = SMALL_STEP_CFG
+    grid = LINE_OF_SIGHT if scenario == "line_of_sight" else LOW_TO_HIGH
     cfg = tmp_path / f"{scenario}.cfg"
-    cfg.write_text(text + LOW_TO_HIGH)
+    cfg.write_text(text + grid)
     out = tmp_path / "x.csv"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert sorted({float(row[0]) for row in rows}) == [-300, -140, -50, -30, -20, 0, 60]
+    snr_db = [float(v) for v in grid.split("snr_grid_db=")[1].split(",")]
+    assert sorted({float(row[0]) for row in rows}) == snr_db
     values = [float(v) for row in rows for v in (row[-2:] if argv[0] == "pep" else row[1:])]
     # the union bound sums Hamming-weighted PEPs, so only a lone pair keeps it below 1/2
     top = 0.5 if argv[0] == "pep" or scenario == "small_step" else math.inf
     assert values and all(0.0 < v <= top for v in values)
+
+
+#: In a fresh interpreter with numpy's eigensolvers replaced by a failure: run
+#: each argv of sys.argv[1] and print the exit codes and whether numpy.polynomial
+#: was imported.
+NO_EIGENSOLVER = """\
+import json, sys, numpy.linalg
+def forbidden(*args, **kwargs):
+    raise AssertionError("an eigensolver ran")
+for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    setattr(numpy.linalg, name, forbidden)
+from irs_sskrpm.cli import main
+print([main(argv) for argv in json.loads(sys.argv[1])], "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_exact_pep_imports_no_polynomial_module_and_runs_no_eigensolver(tmp_path):
+    # the Gauss-Legendre rule of the Craig integral is computed in-house, so
+    # neither command that prints an exact PEP loads numpy.polynomial or LAPACK's
+    # eigensolvers (at orders 96/192 they cost 47-52 ms in a fresh process)
+    stress = os.path.join(SCENARIOS, "stress_nt8m8.cfg")
+    runs = [["pep", "--config", stress, "--out", str(tmp_path / "pep.csv")],
+            ["aber", "--mode", "analytic", "--exact-pep", "--config", stress,
+             "--out", str(tmp_path / "aber.csv")]]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", NO_EIGENSOLVER, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"

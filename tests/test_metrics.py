@@ -9,6 +9,7 @@ from irs_sskrpm import (ErrorEventMoments, NumericalError, SystemConfig, aber_un
                         aber_union_terms, capacity_closed, laplace, load_config, make_channel,
                         moments_joint, moments_rpm, moments_ssk, pep_chiani, pep_of_event,
                         simulate_ber, simulate_capacity, unit_moments, validate)
+from irs_sskrpm import metrics
 from oracles import craig_by_quadrature, diversity_slope, pep_by_quadrature
 
 
@@ -123,9 +124,31 @@ def test_array_powers_return_the_shape_of_p(chan, cfg, name, p):
 
 
 def test_craig_check_fails_closed_on_nan():
-    # a NaN spread is not a converged integral
-    with pytest.raises(NumericalError, match="did not converge"):
+    # a NaN spread is not a converged integral, at orders 96/192 nor at 192/384
+    with pytest.raises(NumericalError, match="did not converge: spread nan at orders 192/384"):
         pep_of_event(ErrorEventMoments(s_sq=math.nan, sigma_sq=0.5, n_r=1), 1.0)
+
+
+@pytest.mark.parametrize("order", [4, 96, 192, 384])
+def test_legendre_rule_integrates_every_power_below_twice_its_order(order):
+    # the rule on (0, 1): nodes ascending inside it, positive weights, and
+    # int_0^1 v^j dv = 1/(j + 1) for j < 2 * order
+    v, w = metrics._legendre_rule(order)
+    assert v.shape == w.shape == (order,)
+    assert 0.0 < v[0] and v[-1] < 1.0 and np.all(np.diff(v) > 0.0) and np.all(w > 0.0)
+    j = np.arange(2 * order)
+    np.testing.assert_allclose(w @ np.power.outer(v, j) * (j + 1), 1.0, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("order", [4, 96, 192])
+def test_legendre_rule_agrees_with_leggauss(order):
+    # within leggauss's own error: against a 40-digit rule at order 192 its nodes
+    # on (0, 1) are off by up to 5.1e-13 and its weights by 4.2e-11 relative (at
+    # order 384 by 2.0e-12 and 3.9e-10, so that order is checked by its moments)
+    x, w = np.polynomial.legendre.leggauss(order)
+    v_rule, w_rule = metrics._legendre_rule(order)
+    np.testing.assert_allclose(v_rule, (x + 1.0) / 2.0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(w_rule, w / 2.0, rtol=1e-10, atol=0)
 
 
 #: Two antennas a small phase step apart: pair distance 0.0289, so -30 and
@@ -136,31 +159,42 @@ SMALL_STEP = replace(SystemConfig(), n_t=2, m_rpm=1, n_r=1, k_r=0.5,
 
 STRESS_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "scenarios",
                              "stress_nt8m8.cfg")
+ABER_N32_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "aber_n32.cfg")
+
+#: aber_n32's geometry with k_r = 1e4 (s^2/sigma^2 = 3.3e3): from -110 to -80
+#: dB the orders 96/192 of the Craig rule disagree by 1.03-1.22e-9 at six of
+#: these points, while 192/384 agree to about 3e-12
+LINE_OF_SIGHT_DB = np.arange(-110.0, -79.0, 5.0)
 
 
 def _unit_law(name: str):
     """The unit law and the distinct pair distances of a named scenario."""
-    cfg = load_config(STRESS_CONFIG) if name == "stress_nt8m8" else validate(SMALL_STEP)
-    chan = make_channel(cfg)
+    cfg = {"stress_nt8m8": lambda: load_config(STRESS_CONFIG),
+           "small_step": lambda: validate(SMALL_STEP),
+           "line_of_sight": lambda: validate(replace(load_config(ABER_N32_CONFIG), k_r=1e4))}
+    chan = make_channel(cfg[name]())
     return unit_moments(chan), chan.distances[0]
 
 
-@pytest.mark.parametrize("name", ["stress_nt8m8", "small_step"])
+@pytest.mark.parametrize("name", ["stress_nt8m8", "small_step", "line_of_sight"])
 def test_pep_matches_the_craig_form_by_quadrature(name):
-    # the integrand turns within about sqrt(a) of w = 0, from a = 1e-20 to 1e10
-    # and at SMALL_STEP's -30/-20 dB and a = 3e-8; at a = 1e-14 nodes that miss
-    # the layer miss it at both orders alike, so the value is off while the
-    # order-doubling check passes
+    # the integrand turns within about sqrt(a) of w = 0, from a = 1e-20 to 1e10,
+    # at SMALL_STEP's -30/-20 dB and a = 3e-8, and on the line-of-sight law
+    # where orders 96/192 disagree; at a = 1e-14 nodes that miss the layer miss
+    # it at both orders alike, so the value is off while the order-doubling
+    # check passes
     mom, d = _unit_law(name)
     a = 10.0 ** (np.arange(-40, 21) / 2.0)
     if name == "small_step":
         a = np.concatenate([a, np.array([1e-3, 1e-2]) * d[1], [3e-8]])
+    if name == "line_of_sight":
+        a = np.concatenate([a, np.multiply.outer(10.0 ** (LINE_OF_SIGHT_DB / 10.0), d).ravel()])
     assert 1e-14 in a
     ref = [craig_by_quadrature(mom, float(x)) for x in a]
     np.testing.assert_allclose(pep_of_event(mom, a).exact, ref, rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("name", ["stress_nt8m8", "small_step"])
+@pytest.mark.parametrize("name", ["stress_nt8m8", "small_step", "line_of_sight"])
 def test_pep_stays_in_zero_half_and_falls_with_power(name):
     # the rule overshoots 1/2 by a few ulps near zero power; the value is capped
     # there, as Q(x) <= 1/2 for x >= 0

@@ -35,6 +35,10 @@ CASES = {
     # phi_d = 0: every antenna has the same steering entry, so the
     # antenna-only hypotheses coincide
     "coincident": lambda: replace(SystemConfig(), phi_d=0.0, snr_grid_db=GRID),
+    # k_r = 1e4: at six of these points the Craig orders 96/192 disagree by more
+    # than 1e-9 on some distances, which take the order-384 value
+    "line_of_sight": lambda: replace(load_config(config_path("aber_n32.cfg")), k_r=1e4,
+                                     snr_grid_db=(-110.0, -105.0, -100.0, -95.0, -90.0, -80.0)),
 }
 
 
