@@ -16,10 +16,10 @@ either tree wrote as identical, differs, only in parent, only in change, or (a C
 header or row count differs, then per CSV column, over the CSVs with the same header
 and row count in both trees, the cells that moved, of all cells compared, how many of
 them moved to or from zero, the largest relative change |b - a| / |a| over the others
-(a cell that is not a number changes by inf), the largest absolute change |b - a| over
-all of them and the largest ulp distance over all of them (the count of doubles between a
-and b, inf where either is not finite), then per ABER CSV the largest |z| = |b - a| / sqrt(se_a^2 + se_b^2)
-over its moved `aber_sim` cells, se being the row's own `aber_stderr` (rows where both
+(a cell that is not a finite number changes by inf), the largest absolute change |b - a|
+over all of them and the largest ulp distance over all of them (`at most N ulp`, the count
+of doubles between a and b), then per ABER CSV the largest |z| = |b - a| / sqrt(se_a^2 +
+se_b^2) over its moved `aber_sim` cells, se being the row's own `aber_stderr` (rows where both
 are 0 skipped), then each demo's stdout as identical or differing, then the line
 count of each tree's `src/` (`src/ lines: A -> B`) and the count of those lines that
 hold code, not only blanks, comments or docstrings (`src/ code lines: A -> B`), the
@@ -145,11 +145,9 @@ def public_names(tree: Path) -> set[str]:
     return set(proc.stdout.split())
 
 
-def ulps(x: float, y: float) -> float:
-    """The count of doubles between x and y (0.0 and -0.0 are one; inf unless both are
-    finite): the distance of their bit patterns, read as integers ordered like the values."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return math.inf
+def ulps(x: float, y: float) -> int:
+    """The count of doubles between two finite x and y (0.0 and -0.0 are one): the distance
+    of their bit patterns, read as integers ordered like the values."""
     bits = (int.from_bytes(struct.pack("<d", v), "little", signed=True) for v in (x, y))
     a, b = (k if k >= 0 else -(k + 2 ** 63) for k in bits)
     return abs(b - a)
@@ -157,10 +155,13 @@ def ulps(x: float, y: float) -> float:
 
 def change(a: str, b: str) -> tuple[bool, float, float, float]:
     """(whether the cell moved to or from zero, |b - a| / |a| if it did not, else 0, |b - a|
-    and its `ulps`) of a cell that differs; a cell that is not a number changes by inf."""
+    and its `ulps`) of a cell that differs; a cell that is not a finite number (nan and inf
+    included) changes by inf."""
     try:
         x, y = float(a), float(b)
     except ValueError:
+        return False, math.inf, math.inf, math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
         return False, math.inf, math.inf, math.inf
     zero = (x == 0.0) != (y == 0.0)
     return zero, 0.0 if zero else abs(y - x) / abs(x), abs(y - x), ulps(x, y)

@@ -548,8 +548,9 @@ print([main(argv) for argv in json.loads(sys.argv[1])], "numpy.polynomial" in sy
 
 def test_exact_pep_imports_no_polynomial_module_and_runs_no_eigensolver(tmp_path):
     # the Gauss-Legendre rule of the Craig integral is computed in-house, so
-    # neither command that prints an exact PEP loads numpy.polynomial or LAPACK's
-    # eigensolvers (at orders 96/192 they cost 47-52 ms in a fresh process)
+    # neither command that prints an exact PEP loads numpy.polynomial or runs a
+    # LAPACK eigensolver (leggauss at orders 96/192 took 43-60 ms of a first
+    # exact PEP in a fresh process with default BLAS threads, the rule 8-9 ms)
     stress = os.path.join(SCENARIOS, "stress_nt8m8.cfg")
     runs = [["pep", "--config", stress, "--out", str(tmp_path / "pep.csv")],
             ["aber", "--mode", "analytic", "--exact-pep", "--config", stress,
