@@ -38,7 +38,7 @@ CASES = {
     # k_r = 1e4: at six of these points the Craig orders 96/192 disagree by more
     # than 1e-9 on some distances, which take the order-384 value
     "line_of_sight": lambda: replace(load_config(config_path("aber_n32.cfg")), k_r=1e4,
-                                     snr_grid_db=(-110.0, -105.0, -100.0, -95.0, -90.0, -80.0)),
+                                     snr_grid_db=tuple(float(db) for db in range(-110, -79, 5))),
 }
 
 
