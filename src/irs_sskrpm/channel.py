@@ -147,19 +147,15 @@ class Channel:
         return _frozen(weight[np.bitwise_xor.outer(idx, idx)])[0]
 
     @cached_property
-    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per error event class -- antenna-only (same phase), phase-only (same antenna), both
-        with the diagonal, and joint -- its distinct (`distances` index, Hamming distance) terms,
-        ascending by hamming * D + index, and the term of each pair in (K, K) row-major order."""
+    def classes(self) -> np.ndarray:
+        """(4, D) over the D `distances`: per error event class -- antenna-only (same phase),
+        phase-only (same antenna) and joint -- the summed Hamming distance of its ordered pairs
+        at each distance, then the count of joint pairs at each distance."""
         idx, (d, index) = np.arange(self.points.size), self.distances
-        xor, keys = np.bitwise_xor.outer(idx, idx), self.hamming * d.size + index
-        same_m, same_t = (xor & (self.m_rpm - 1)) == 0, xor < self.m_rpm
-        out = []
-        for key in (keys[mask] for mask in (same_m, same_t, ~same_t & ~same_m)):
-            used = np.bincount(key) > 0  # the distinct keys by a count, not by np.unique's sort
-            hamming, at = np.divmod(np.flatnonzero(used), d.size)
-            out.append(_frozen(at, hamming, (np.cumsum(used) - 1)[key]))
-        return tuple(out)
+        xor = np.bitwise_xor.outer(idx, idx)  # the diagonal, of Hamming distance 0, is class 0
+        key = (np.where(xor & (self.m_rpm - 1), 2 - (xor < self.m_rpm), 0) * d.size + index).ravel()
+        hamming = np.bincount(key, self.hamming.ravel(), 3 * d.size).reshape(3, -1)
+        return _frozen(np.vstack([hamming, np.bincount(key, minlength=3 * d.size)[2 * d.size:]]))[0]
 
     @cached_property
     def wedges(self) -> tuple[np.ndarray, np.ndarray]:

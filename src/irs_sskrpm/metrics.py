@@ -18,9 +18,9 @@ H is rank-1, so the PEP at P_s of the error event i -> j (flat t-major indices) 
 that of one Rician statistic xi_1 (`ncx2.unit_moments`) at P_s*|c_i - c_j|^2. The
 union bound, the closed-form capacity and the `pep` table evaluate xi_1 once per
 transmit power over the distinct distances (`Channel.distances`), and take one power
-or an array of powers. Per pair class (`Channel.classes`) the union bound weighs each
-distinct (distance, Hamming distance) term once for all powers and sums the terms in
-pair order per power; the capacity counts the joint pairs at each distance there.
+or an array of powers. The union bound weighs each power's PEPs at the distances by
+each class's summed Hamming distances there (`Channel.classes`) and sums over the
+distances; the capacity reads the joint pairs' count at each distance there.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _craig_at_order(mom: ErrorEventMoments, p_s: np.ndarray, order: int):
     four_sin_sq, w = _gl_nodes(order)
     with np.errstate(over="ignore"):  # an overflowing argument is infinite: laplace gives 0
         a = np.divide.outer(p_s, four_sin_sq)
-    return laplace(mom, a) @ w / np.pi
+    return np.einsum("...k,k->...", laplace(mom, a), w) / np.pi  # each power's row on its own
 
 
 def pep_chiani(mom: ErrorEventMoments, p_s):
@@ -127,8 +127,8 @@ def pep_of_event(mom: ErrorEventMoments, p_s) -> PepValue:
     p = _power(p_s)
     lo, hi = (_craig_at_order(mom, p, order) for order in (GL_ORDER, 2 * GL_ORDER))
     redo = ~(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300) <= _MAX_REL_SPREAD)  # NaN too
-    if redo.any():  # a (1, 384) row per power: its bits do not hang on the powers beside it
-        hi, top = np.asarray(hi), _craig_at_order(mom, p[redo][:, None], 4 * GL_ORDER)[:, 0]
+    if redo.any():
+        hi, top = np.asarray(hi), _craig_at_order(mom, p[redo], 4 * GL_ORDER)
         spread = np.max(np.abs(top - hi[redo]) / np.maximum(np.abs(top), 1e-300))
         if not spread <= _MAX_REL_SPREAD:
             raise NumericalError(f"Craig quadrature did not converge: spread {spread:.3e} at "
@@ -155,10 +155,9 @@ def aber_union_terms(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = Fa
     d, p = chan.distances[0], _power(p_s)
     mom, pd = unit_moments(chan), np.multiply.outer(p.ravel(), d)
     pep = pep_of_event(mom, pd).exact if exact_pep else pep_chiani(mom, pd)
-    scale = chan.points.size * b
-    # a class's distinct terms formed once, gathered per power into pair order, summed in 1-D
-    return tuple(_shaped([row[inverse].sum() for row in weight * pep[:, at] / scale], p)
-                 for at, weight, inverse in chan.classes)
+    # per class, its summed Hamming distances times each power's PEPs, over the distances
+    terms = ((chan.classes[:3, None] * pep).sum(-1) / (chan.points.size * b)).reshape(3, *p.shape)
+    return tuple(terms if p.shape else terms.tolist())
 
 
 def aber_union(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False):
@@ -174,9 +173,8 @@ def aber_union(chan: Channel, cfg: SystemConfig, p_s, exact_pep: bool = False):
 def joint_distances(chan: Channel) -> tuple[np.ndarray, np.ndarray]:
     """The distinct |c_i - c_j|^2 over the ordered pairs whose antenna and
     phase indices both differ, ascending, with their multiplicities."""
-    d, (at, _, inverse) = chan.distances[0], chan.classes[2]
-    mult = np.bincount(at, np.bincount(inverse), d.size)  # pairs per distance (ints if none)
-    return d[mult > 0], mult[mult > 0].astype(float)
+    d, mult = chan.distances[0], chan.classes[3]
+    return d[mult > 0], mult[mult > 0]
 
 
 def capacity_closed(chan: Channel, cfg: SystemConfig, p_s):

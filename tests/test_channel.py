@@ -362,13 +362,12 @@ def test_shared_tables_are_read_only(cold_caches):
     cfg = validate(SystemConfig())
     chan = make_channel(cfg)
     shared = [chan.h, chan.g_bar, chan.points, chan.turns, chan.mean, *chan.distances,
-              *chan.wedges, *chan.edges, *chan.walk, chan.hamming,
-              *(a for c in chan.classes for a in c)]
-    assert len(shared) == 26
+              *chan.wedges, *chan.edges, *chan.walk, chan.hamming, chan.classes]
+    assert len(shared) == 18
     for table in shared:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = table
-    assert make_channel(cfg) is chan and chan.classes[2][2] is shared[-1]
+    assert make_channel(cfg) is chan and chan.classes is shared[-1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,40 +379,19 @@ def test_shared_tables_are_read_only(cold_caches):
 @example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
 @example(cfg=validate(ON_RPM_STEPS))
 def test_pair_classes_are_the_label_masks_bitwise(cfg):
-    # the label Hamming table and the antenna-only (same phase), phase-only (same
-    # antenna) and joint classes, the first two with the diagonal, are the masks of the
-    # flat indices' antenna and phase indices applied to distances[1], dtypes included;
-    # a class holds its distinct terms, and each pair's term gathers its index and weight
+    # the label Hamming table, and over the distances the antenna-only (same phase),
+    # phase-only (same antenna) and joint classes' summed Hamming distances, the first
+    # two with the diagonal, and the joint pairs' count: the masks of the flat indices'
+    # antenna and phase indices applied to distances[1], dtypes included
     chan = make_channel(cfg)
     same_t, same_m, dist = pair_classes_reference(cfg.n_t, cfg.m_rpm)
-    index = chan.distances[1]
-    got = [chan.hamming, *(a[inverse] for *terms, inverse in chan.classes for a in terms)]
-    want = [dist, *(a[mask] for mask in (same_m, same_t, ~same_t & ~same_m) for a in (index, dist))]
-    assert len(got) == len(want) == 7
-    for table, ref in zip(got, want):
+    index, n_d = chan.distances[1], chan.distances[0].size
+    joint = ~same_t & ~same_m
+    rows = [np.bincount(index[mask], dist[mask], n_d) for mask in (same_m, same_t, joint)]
+    classes = np.array([*rows, np.bincount(index[joint], minlength=n_d)], dtype=float)
+    for table, ref in ((chan.hamming, dist), (chan.classes, classes)):
         assert table.dtype == ref.dtype and table.shape == ref.shape
         assert table.tobytes() == ref.tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(cfg=constellation_configs())
-@example(cfg=validate(load_config(STRESS_CONFIG)))
-@example(cfg=validate(replace(SystemConfig(), phi_d=0.0)))
-@example(cfg=validate(ON_RPM_STEPS))
-def test_pair_class_terms_are_distinct_ascending_and_used(cfg):
-    # each class's terms are its distinct (distance index, Hamming distance) pairs, keyed
-    # hamming * D + index strictly ascending, every one the term of some pair; the
-    # antenna-only and phase-only classes hold the diagonal's (0, 0) term first
-    chan = make_channel(cfg)
-    n_d, k = chan.distances[0].size, chan.points.size
-    sizes = (k * cfg.n_t, k * cfg.m_rpm, k * (cfg.n_t - 1) * (cfg.m_rpm - 1))
-    for (index, weight, inverse), size in zip(chan.classes, sizes):
-        assert inverse.shape == (size,) and index.shape == weight.shape
-        key = weight * n_d + index
-        assert np.all(np.diff(key) > 0) and np.all((index >= 0) & (index < n_d))
-        assert np.all(np.bincount(inverse, minlength=key.size) > 0)
-    for index, weight, _ in chan.classes[:2]:
-        assert index[0] == weight[0] == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from irs_sskrpm import (NumericalError, SystemConfig, aber_union, aber_union_terms,
-                        capacity_closed, joint_distances, load_config, make_channel, run_sweep,
-                        simulate_ber, simulate_capacity, validate)
+                        capacity_closed, joint_distances, load_config, make_channel, pep_of_event,
+                        run_sweep, simulate_ber, simulate_capacity, unit_moments, validate)
 from irs_sskrpm import airlink, config, simulate
 from irs_sskrpm.simulate import resolve_workers
 from conftest import config_path
@@ -809,3 +809,59 @@ def test_diversity_config_levels():
     aber25, _ = simulate_ber(cfg, 10 ** 2.5, 100_000, seed=cfg.seed)
     assert 1e-2 / 3 <= aber15 <= 1e-2 * 3
     assert 1e-4 / 3 <= aber25 <= 1e-4 * 3
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+#: Grid points of the domain fuzz: round values from -300 to 3000 dB, or any in between.
+DOMAIN_DB = st.one_of(st.sampled_from([-300.0, -60.0, -20.0, 0.0, 20.0, 60.0, 120.0, 200.0,
+                                       300.0, 3000.0]), st.floats(-300.0, 3000.0))
+
+
+@st.composite
+def domain_configs(draw):
+    """Configs over the whole of what `validate` accepts, with K <= 64 and at most 300
+    trials: log-uniform distances, rho_0 and spacings, k_r zero or 1e-6 to 1e12, any
+    angles and 3-point grids from -300 to 3000 dB."""
+    size, angle = st.sampled_from([1, 2, 4, 8]), st.floats(-1e3, 1e3)
+    distance, spacing = _log_uniform(1e-4, 1e4), _log_uniform(1e-3, 1e2)
+    open_turn = st.floats(0.0, 2.0 * math.pi, exclude_min=True, exclude_max=True)
+    grid = st.lists(DOMAIN_DB, min_size=3, max_size=3, unique=True).map(sorted).map(tuple)
+    return validate(SystemConfig(
+        n_t=draw(size), m_rpm=draw(size), n_r=draw(st.integers(1, 4)),
+        n_x=draw(st.integers(1, 8)), n_y=draw(st.integers(1, 8)),
+        d_t=draw(distance), d_r=draw(distance), d_0=draw(distance), eta=draw(st.floats(0.1, 6.0)),
+        rho_0=draw(_log_uniform(1e-12, 1e12)),
+        k_r=draw(st.one_of(st.just(0.0), _log_uniform(1e-6, 1e12))),
+        kappa_over_lambda=draw(spacing), delta_over_lambda=draw(spacing),
+        phi_a=draw(open_turn), phi_e=draw(open_turn), phi_d=draw(angle), psi_a=draw(angle),
+        psi_e=draw(angle), psi_d=draw(angle), snr_grid_db=draw(grid),
+        seed=draw(st.integers(0, 2 ** 64 - 1)), trials=draw(st.integers(1, 300))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=domain_configs())
+def test_every_config_validate_accepts_gives_finite_cells_in_range(cfg):
+    # every sweep and every point's PEPs return finite cells in range: PEPs in [0, 1/2],
+    # ABER and its stderr >= 0, the simulated ABER <= 1 and capacity in [0, log2 K]; a
+    # zero-bit config may only raise its ValueError, in the aber sweeps
+    chan, k = make_channel(cfg), cfg.n_t * cfg.m_rpm
+    top = dict(aber_analytical=math.inf, aber_sim=1.0, aber_stderr=math.inf,
+               cap_closed=math.log2(k), cap_sim=math.log2(k))
+    for quantity, mode, exact in (("aber", "both", False), ("aber", "analytic", True),
+                                  ("capacity", "both", False)):
+        if quantity == "aber" and cfg.bits_total == 0:
+            with pytest.raises(ValueError, match="zero bits"):
+                run_sweep(cfg, quantity, mode, exact)
+            continue
+        for key, cells in run_sweep(cfg, quantity, mode, exact).items():
+            cells = np.array(cells, dtype=float)
+            assert cells.shape == (3,) and np.all(np.isfinite(cells))
+            assert key not in top or np.all((cells >= 0.0) & (cells <= top[key])), key
+    unit, d = unit_moments(chan), chan.distances[0]
+    for snr_db in cfg.snr_grid_db:
+        v = pep_of_event(unit, 10.0 ** (snr_db / 10.0) * d)
+        for pep in (v.exact, v.chiani):
+            assert np.all(np.isfinite(pep) & (pep >= 0.0) & (pep <= 0.5))
